@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -126,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sensor_flags(p_rand, rmax_default=30.0)
     _add_motion_flags(p_rand)
     p_rand.add_argument("--jobs", type=int, default=1,
-                        help="parallel worker processes")
+                        help="parallel worker processes (at most one per grid and CPU)")
     p_rand.add_argument("--out", required=True)
     p_rand.add_argument("--timing-out", default=None,
                         help="CSV file for per-grid planning wall-clock times")
@@ -182,8 +184,10 @@ def _build_sensor(args: argparse.Namespace) -> SensorModel:
 
 
 def _check_motion_args(args: argparse.Namespace) -> None:
-    if not args.speed_mps > 0:
-        raise InvalidConfigError(f"--speed-mps must be > 0, got {args.speed_mps}")
+    if not 0 < args.speed_mps < math.inf:
+        raise InvalidConfigError(
+            f"--speed-mps must be finite and > 0, got {args.speed_mps}"
+        )
     if not 0.0 < args.target_coverage <= 1.0:
         raise InvalidConfigError(
             f"--target-coverage must be in (0, 1], got {args.target_coverage}"
@@ -249,7 +253,7 @@ def _write_run_outputs(out_dir: Path, result: RunResult, grid: GridMap,
         "uncovered_cells": [[c.x, c.y] for c in result.uncovered_cells],
     })
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -427,6 +431,8 @@ def cmd_randgrid(args: argparse.Namespace) -> int:
             raise InvalidConfigError("--grids-per-size must be >= 1")
         if not 0.0 <= args.obstacle_ratio < 1.0:
             raise InvalidConfigError("--obstacle-ratio must be in [0, 1)")
+        if args.jobs < 1:
+            raise InvalidConfigError(f"--jobs must be >= 1, got {args.jobs}")
     except (InvalidConfigError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -454,8 +460,9 @@ def cmd_randgrid(args: argparse.Namespace) -> int:
                 "target": args.target_coverage,
             })
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_randgrid_task, tasks))
     else:
         results = [_randgrid_task(t) for t in tasks]

@@ -23,6 +23,7 @@ from .grid import (
     Cell,
     GridMap,
     Pose,
+    cell_arrays,
     coverage_ratio,
     frontier_cells,
     heading_set,
@@ -44,6 +45,7 @@ __all__ = [
     "CoverageEngine",
     "RunResult",
     "StepRecord",
+    "best_index",
     "enumerate_candidates",
     "resolve_measure",
     "run_coverage",
@@ -103,27 +105,11 @@ def resolve_measure(config: str | WeightConfig | FuzzyMeasure) -> FuzzyMeasure:
     return named_measure(config)
 
 
-def _collect_candidates(
-    grid: GridMap,
-    evaluator: FosEvaluator,
-    dist_field: np.ndarray,
-    robot_cell: Cell,
-    connectivity: int,
-) -> list[Candidate]:
+def _positions(grid: GridMap, robot_cell: Cell, connectivity: int) -> list[Cell]:
+    """Candidate positions: the frontier, or the robot cell before the first scan."""
     if grid.scanned_count() == 0:
-        positions = [robot_cell]
-    else:
-        positions = frontier_cells(grid, connectivity)
-    headings = evaluator.orientations
-    candidates: list[Candidate] = []
-    for cell in positions:
-        distance = float(dist_field[cell.y, cell.x])
-        if not math.isfinite(distance):
-            continue
-        for theta, scan in zip(headings, evaluator.evaluate_cell(cell)):
-            if scan.info_gain >= 1:
-                candidates.append(Candidate(Pose(cell, theta), distance, scan))
-    return candidates
+        return [robot_cell]
+    return frontier_cells(grid, connectivity)
 
 
 def enumerate_candidates(
@@ -136,20 +122,43 @@ def enumerate_candidates(
     """Candidates with positive information gain at reachable positions.
 
     Positions are frontier cells (or the robot cell before the first scan),
-    iterated row-major with orientations ascending.
+    iterated row-major with orientations ascending.  Every call evaluates
+    every position from scratch; :class:`CoverageEngine` reuses scores
+    between steps and must choose as this function plus
+    :func:`select_best` would.
     """
     headings = heading_set(orientations)
     evaluator = FosEvaluator(grid, sensor, headings)
     dist_field = shortest_distances(grid, robot.cell, connectivity)
-    return _collect_candidates(grid, evaluator, dist_field, robot.cell, connectivity)
+    candidates: list[Candidate] = []
+    for cell in _positions(grid, robot.cell, connectivity):
+        distance = float(dist_field[cell.y, cell.x])
+        if not math.isfinite(distance):
+            continue
+        for theta, scan in zip(headings, evaluator.scan_results(cell)):
+            if scan.info_gain >= 1:
+                candidates.append(Candidate(Pose(cell, theta), distance, scan))
+    return candidates
+
+
+def best_index(raw: np.ndarray, measure: FuzzyMeasure) -> tuple[int, np.ndarray, np.ndarray]:
+    """Row of the best candidate, plus the utilities and scores of all rows.
+
+    ``raw`` is (n, 3): information gain, travel distance, sensing time.
+    Ties on the Choquet score break deterministically: smaller distance,
+    then smaller sensing time, then the earlier row (lexsort is stable).
+    """
+    utilities = normalize_utilities(raw)
+    scores = choquet_batch(utilities, measure)
+    order = np.lexsort((raw[:, 2], raw[:, 1], -scores))
+    return int(order[0]), utilities, scores
 
 
 def select_best(candidates: list[Candidate], measure: FuzzyMeasure) -> Candidate:
-    """Normalize, score, and pick the best candidate.
+    """Normalize, score, and pick the best candidate (see :func:`best_index`).
 
-    Ties on the Choquet score break deterministically: smaller distance,
-    then smaller sensing time, then row-major cell order, then smaller
-    heading (the construction order of the candidate list).
+    Candidates are built row-major with headings ascending, so the final
+    tie-break is row-major cell order, then smaller heading.
     """
     if not candidates:
         raise ValueError("select_best needs at least one candidate")
@@ -157,20 +166,11 @@ def select_best(candidates: list[Candidate], measure: FuzzyMeasure) -> Candidate
         [(c.scan.info_gain, c.distance, c.scan.sensing_time) for c in candidates],
         dtype=np.float64,
     )
-    utilities = normalize_utilities(raw)
-    scores = choquet_batch(utilities, measure)
+    best, utilities, scores = best_index(raw, measure)
     for cand, u, s in zip(candidates, utilities, scores):
         cand.utilities = (float(u[0]), float(u[1]), float(u[2]))
         cand.score = float(s)
-
-    best = candidates[0]
-    best_key = (best.score, -best.distance, -best.scan.sensing_time)
-    for cand in candidates[1:]:
-        key = (cand.score, -cand.distance, -cand.scan.sensing_time)
-        if key > best_key:
-            best = cand
-            best_key = key
-    return best
+    return candidates[best]
 
 
 class CoverageEngine:
@@ -186,8 +186,8 @@ class CoverageEngine:
         speed: float = 1.0,
         target_coverage: float = 1.0,
     ) -> None:
-        if not speed > 0:
-            raise ValueError(f"speed must be > 0, got {speed}")
+        if not 0 < speed < math.inf:
+            raise ValueError(f"speed must be finite and > 0, got {speed}")
         if not 0.0 < target_coverage <= 1.0:
             raise ValueError(
                 f"target_coverage must be in (0, 1], got {target_coverage}"
@@ -210,35 +210,52 @@ class CoverageEngine:
             return None
         started = time.perf_counter()
         dist_field = shortest_distances(self.grid, self.robot.cell, self.connectivity)
-        candidates = _collect_candidates(
-            self.grid, self.evaluator, dist_field, self.robot.cell, self.connectivity
-        )
-        if not candidates:
+        positions = _positions(self.grid, self.robot.cell, self.connectivity)
+        xs, ys = cell_arrays(positions)
+        dist = dist_field[ys, xs]
+        reachable = np.flatnonzero(np.isfinite(dist))
+        cells = [positions[i] for i in reachable]
+        gain, sense = self.evaluator.scores(cells)
+        # candidates in enumerate_candidates order: row-major cells, headings ascending
+        cand_cell, cand_heading = np.nonzero(gain >= 1)
+        if cand_cell.size == 0:
             self._done = True
             return None
-        best = select_best(candidates, self.measure)
+        raw = np.column_stack((
+            gain[cand_cell, cand_heading],
+            dist[reachable[cand_cell]],
+            sense[cand_cell, cand_heading],
+        ))
+        best = best_index(raw, self.measure)[0]
         decision_time = time.perf_counter() - started
 
-        move_time = travel_time(best.distance, self.speed)
-        new_cells = best.scan.new_cells()
+        cell = cells[cand_cell[best]]
+        pose = Pose(cell, self.headings[cand_heading[best]])
+        scan = self.evaluator.scan_results(cell)[cand_heading[best]]
+        if (scan.info_gain, scan.sensing_time) != (raw[best, 0], raw[best, 2]):
+            raise RuntimeError(
+                f"score cache out of sync at {pose}: cached gain {raw[best, 0]} "
+                f"and time {raw[best, 2]}, fresh {scan.info_gain} and {scan.sensing_time}"
+            )
+        new_cells = scan.new_cells()
         marked = mark_scanned(self.grid, new_cells)
-        if marked != best.scan.info_gain:
+        if marked != scan.info_gain:
             raise RuntimeError(
                 f"scan bookkeeping out of sync: marked {marked}, "
-                f"expected {best.scan.info_gain}"
+                f"expected {scan.info_gain}"
             )
         self.evaluator.mark_scanned(new_cells)
-        self.robot = best.pose
+        self.robot = pose
 
         record = StepRecord(
             index=len(self.records) + 1,
-            pose=best.pose,
-            phi_used=best.scan.phi_used,
-            info_gain=best.scan.info_gain,
-            travel_time=move_time,
-            sensing_time=best.scan.sensing_time,
+            pose=pose,
+            phi_used=scan.phi_used,
+            info_gain=scan.info_gain,
+            travel_time=travel_time(float(raw[best, 1]), self.speed),
+            sensing_time=scan.sensing_time,
             cumulative_coverage=coverage_ratio(self.grid),
-            candidates_evaluated=len(candidates),
+            candidates_evaluated=len(raw),
             decision_time=decision_time,
         )
         self.records.append(record)
@@ -303,9 +320,7 @@ def uncoverable_cells(
     reachable = np.isfinite(dist_field)
     disk = evaluator.disk
 
-    window_any = np.zeros(disk.k, dtype=bool)
-    for mask in evaluator.window_masks:
-        window_any |= mask
+    window_any = evaluator.window_masks.any(axis=0)
 
     coverable = np.zeros((grid.height, grid.width), dtype=bool)
     ys, xs = np.nonzero(reachable)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "GridMap",
     "MapFormatError",
     "Pose",
+    "cell_arrays",
     "coverage_ratio",
     "frontier_cells",
     "generate_random_grid",
@@ -59,6 +60,12 @@ class MapFormatError(ValueError):
     """Raised when an ASCII map document cannot be parsed."""
 
 
+def cell_arrays(cells: Sequence[Cell]) -> tuple[np.ndarray, np.ndarray]:
+    """Column and row index arrays of a sequence of cells."""
+    xy = np.array(list(zip(*cells)), dtype=np.intp).reshape(2, -1)
+    return xy[0], xy[1]
+
+
 def heading_set(count: int) -> tuple[float, ...]:
     """Equally spaced headings in [0, 2*pi), starting at 0.
 
@@ -88,8 +95,8 @@ class GridMap:
     _graphs: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if self.resolution <= 0:
-            raise ValueError(f"resolution must be > 0, got {self.resolution}")
+        if not 0 < self.resolution < math.inf:
+            raise ValueError(f"resolution must be finite and > 0, got {self.resolution}")
         if self.states.shape != (self.height, self.width):
             raise ValueError(
                 f"states shape {self.states.shape} does not match "
@@ -226,12 +233,13 @@ def serialize_map(grid: GridMap) -> str:
     return "\n".join(out) + "\n"
 
 
-def generate_random_grid(size: int, obstacle_ratio: float, seed: int) -> GridMap:
+def generate_random_grid(size: int, obstacle_ratio: float, seed: int,
+                         resolution: float = 1.0) -> GridMap:
     """Square random grid: obstacles sampled uniformly without replacement.
 
     The PRNG is numpy's PCG64 seeded with ``seed``; the obstacle count is
     ``round(obstacle_ratio * size**2)``.  The start is the free cell nearest
-    the grid center (ties: smallest row, then column).  Resolution is 1.0 m.
+    the grid center (ties: smallest row, then column).
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
@@ -254,7 +262,8 @@ def generate_random_grid(size: int, obstacle_ratio: float, seed: int) -> GridMap
     order = np.lexsort((xs, ys, d2))
     best = order[0]
     start = Cell(int(xs[best]), int(ys[best]))
-    return GridMap(width=size, height=size, resolution=1.0, states=states, start=start)
+    return GridMap(width=size, height=size, resolution=resolution, states=states,
+                   start=start)
 
 
 _NEIGHBORS_4 = ((1, 0), (-1, 0), (0, 1), (0, -1))

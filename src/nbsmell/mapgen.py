@@ -145,18 +145,19 @@ def rooms_map(width: int, height: int, seed: int = 0,
 def generate_map(kind: str, width: int, height: int, seed: int = 0,
                  obstacle_ratio: float = 0.1,
                  resolution: float | None = None) -> GridMap:
-    """Dispatch to a generator by kind: empty, corridor, rooms, or random."""
+    """Dispatch to a generator by kind: empty, corridor, rooms, or random.
+
+    ``resolution=None`` keeps the generator's own default.
+    """
+    cell_size = {} if resolution is None else {"resolution": resolution}
     if kind == "empty":
-        return empty_map(width, height, resolution=resolution or 1.0)
+        return empty_map(width, height, **cell_size)
     if kind == "corridor":
-        return corridor_map(width, height, seed=seed, resolution=resolution or 0.5)
+        return corridor_map(width, height, seed=seed, **cell_size)
     if kind == "rooms":
-        return rooms_map(width, height, seed=seed, resolution=resolution or 1.0)
+        return rooms_map(width, height, seed=seed, **cell_size)
     if kind == "random":
         if width != height:
             raise ValueError("random maps are square; width must equal height")
-        grid = generate_random_grid(width, obstacle_ratio, seed)
-        if resolution is not None:
-            grid.resolution = resolution
-        return grid
+        return generate_random_grid(width, obstacle_ratio, seed, **cell_size)
     raise ValueError(f"unknown map kind {kind!r}")

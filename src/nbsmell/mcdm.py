@@ -127,7 +127,7 @@ class WeightConfig:
                 f"weights must satisfy x1 + x2 + x3 = 1 "
                 f"(got {total!r}, tolerance {SIMPLEX_TOLERANCE})"
             )
-        if self.synergy_bonus < 0:
+        if not self.synergy_bonus >= 0:
             raise InvalidConfigError(
                 f"synergy_bonus must be >= 0, got {self.synergy_bonus!r}"
             )

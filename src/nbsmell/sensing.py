@@ -18,12 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Cell, CellState, GridMap, Pose
+from .grid import Cell, CellState, GridMap, Pose, cell_arrays
 
 __all__ = [
+    "FosScore",
     "ScanResult",
     "SensorModel",
     "compute_fos",
@@ -52,14 +54,14 @@ class SensorModel:
     sweep_rate: float = 1.0 / 3.0  # seconds per degree
 
     def __post_init__(self) -> None:
-        if not self.r_max > 0:
-            raise ValueError(f"r_max must be > 0, got {self.r_max}")
+        if not 0 < self.r_max < math.inf:
+            raise ValueError(f"r_max must be finite and > 0, got {self.r_max}")
         if not 0 < self.phi_max <= 180:
             raise ValueError(f"phi_max must be in (0, 180], got {self.phi_max}")
-        if self.setup_time < 0:
-            raise ValueError(f"setup_time must be >= 0, got {self.setup_time}")
-        if not self.sweep_rate > 0:
-            raise ValueError(f"sweep_rate must be > 0, got {self.sweep_rate}")
+        if not 0 <= self.setup_time < math.inf:
+            raise ValueError(f"setup_time must be finite and >= 0, got {self.setup_time}")
+        if not 0 < self.sweep_rate < math.inf:
+            raise ValueError(f"sweep_rate must be finite and > 0, got {self.sweep_rate}")
 
 
 def sensing_time(phi: float, sensor: SensorModel) -> float:
@@ -114,8 +116,11 @@ class _RayDisk:
     """Precomputed ray bundle to every cell offset within sensor range.
 
     Offsets exclude (0, 0) and satisfy ``(dx^2 + dy^2) * resolution^2 <=
-    r_max^2``.  Rays are stored as padded (K, L) coordinate arrays so that
-    visibility for a whole pose is a single vectorized gather.
+    r_max^2``.  Rays are stored as padded (L, K) coordinate arrays, step by
+    step, so that visibility for a whole pose is a single vectorized gather
+    reduced along contiguous rows.  ``index`` maps an offset in the
+    (2*reach+1)^2 bounding box, flattened row-major from (-reach, -reach),
+    to its position in the disk, or -1 outside it.
     """
 
     def __init__(self, r_max: float, resolution: float) -> None:
@@ -134,6 +139,9 @@ class _RayDisk:
         self.dx = np.array([o[0] for o in offsets], dtype=np.int32)
         self.dy = np.array([o[1] for o in offsets], dtype=np.int32)
         self.bearings = np.arctan2(self.dy.astype(np.float64), self.dx.astype(np.float64))
+        span = 2 * self.reach + 1
+        self.index = np.full(span * span, -1, dtype=np.int64)
+        self.index[(self.dy + self.reach) * span + self.dx + self.reach] = np.arange(k)
 
         max_len = 1
         rays = []
@@ -142,15 +150,15 @@ class _RayDisk:
             rays.append(ray)
             max_len = max(max_len, len(ray))
         self.ray_len = max_len
-        self.ray_x = np.zeros((k, max_len), dtype=np.int32)
-        self.ray_y = np.zeros((k, max_len), dtype=np.int32)
+        self.ray_x = np.zeros((max_len, k), dtype=np.int64)
+        self.ray_y = np.zeros((max_len, k), dtype=np.int64)
         for i, ray in enumerate(rays):
             n = len(ray)
-            self.ray_x[i, :n] = [c[0] for c in ray]
-            self.ray_y[i, :n] = [c[1] for c in ray]
+            self.ray_x[:n, i] = [c[0] for c in ray]
+            self.ray_y[:n, i] = [c[1] for c in ray]
             # pad with the endpoint; re-checking it is harmless
-            self.ray_x[i, n:] = ray[-1][0]
-            self.ray_y[i, n:] = ray[-1][1]
+            self.ray_x[n:, i] = ray[-1][0]
+            self.ray_y[n:, i] = ray[-1][1]
 
 
 @lru_cache(maxsize=16)
@@ -218,13 +226,41 @@ class ScanResult:
         return [Cell(int(x), int(y)) for x, y in zip(xs, ys)]
 
 
+class FosScore(NamedTuple):
+    """The numbers of one sensing operation, without its covered cells."""
+
+    info_gain: int
+    phi_used: float  # degrees
+    sensing_time: float  # seconds
+
+
+class _Sweeps(NamedTuple):
+    """Every orientation's trimmed sweep at one cell (see ``FosEvaluator._sweeps``)."""
+
+    vis: np.ndarray  # (K,) visibility mask
+    new: np.ndarray  # disk indices of the visible unscanned cells
+    inside: np.ndarray  # (orientations, len(new)): held by each window
+    own_new: bool  # the cell itself is unscanned
+    lo: np.ndarray  # per orientation, first and last bearing of the held
+    hi: np.ndarray  # cells relative to the heading (radians)
+    gain: np.ndarray
+    phi: np.ndarray  # degrees
+    time: np.ndarray  # seconds
+
+
+# Upper bound on the (cached cell, new cell) pairs ``mark_scanned`` tests at once.
+_PAIR_BLOCK = 1 << 14
+
+
 class FosEvaluator:
     """Vectorized field-of-smell evaluation over one grid.
 
-    Holds padded obstacle/unscanned mirrors of the grid plus a per-cell
-    visibility cache.  Visibility depends only on obstacles, which never
-    change, so cached entries stay valid for the life of the evaluator;
-    the unscanned mirror must be kept in sync through :meth:`mark_scanned`.
+    Holds padded obstacle/unscanned mirrors of the grid, a per-cell
+    visibility cache and a per-cell score cache.  Visibility depends only on
+    obstacles, which never change, so cached masks stay valid for the life
+    of the evaluator.  Scores (gain and sensing time per orientation) depend
+    on the scan state; the unscanned mirror and the score cache must be kept
+    in sync through :meth:`mark_scanned`.
     """
 
     def __init__(self, grid: GridMap, sensor: SensorModel,
@@ -250,88 +286,135 @@ class FosEvaluator:
         self._unscanned_flat = unscanned.reshape(-1)
 
         self._end_flat = self.disk.dy.astype(np.int64) * wp + self.disk.dx
-        self._ray_flat = self.disk.ray_y.astype(np.int64) * wp + self.disk.ray_x
+        self._ray_flat = self.disk.ray_y * wp + self.disk.ray_x
 
         half = math.radians(sensor.phi_max) / 2.0
-        self.rel_bearings: list[np.ndarray] = []
-        self.window_masks: list[np.ndarray] = []
-        for theta in self.orientations:
-            rel = _wrap_angles(self.disk.bearings - theta)
-            self.rel_bearings.append(rel)
-            self.window_masks.append(np.abs(rel) <= half)
-        self._vis_cache: dict[int, np.ndarray] = {}
+        rel = [_wrap_angles(self.disk.bearings - theta) for theta in self.orientations]
+        self.rel_bearings = np.array(rel).reshape(len(rel), self.disk.k)
+        self.window_masks = np.abs(self.rel_bearings) <= half
+
+        # Caches indexed by y * width + x; visibility masks are bit-packed.
+        cells = grid.width * grid.height
+        self._vis_known = np.zeros(cells, dtype=bool)
+        self._vis_bits = np.zeros((cells, (self.disk.k + 7) // 8), dtype=np.uint8)
+        self._fresh = np.zeros(cells, dtype=bool)
+        self._gain = np.zeros((cells, len(self.orientations)), dtype=np.int64)
+        self._time = np.zeros((cells, len(self.orientations)), dtype=np.float64)
 
     def _pos_flat(self, cell: Cell) -> int:
         return (cell.y + self._pad) * self._wp + (cell.x + self._pad)
 
     def visible(self, cell: Cell) -> np.ndarray:
         """Boolean mask over the ray disk: offset free and line of sight clear."""
-        pos = self._pos_flat(cell)
-        cached = self._vis_cache.get(pos)
-        if cached is not None:
-            return cached
-        if self.disk.k == 0:
-            vis = np.zeros(0, dtype=bool)
-        else:
-            blocked = self._obstacle_flat[pos + self._ray_flat]
-            vis = ~blocked.any(axis=1)
-        self._vis_cache[pos] = vis
+        i = cell.y * self.grid.width + cell.x
+        if self._vis_known[i]:
+            return np.unpackbits(self._vis_bits[i], count=self.disk.k,
+                                 bitorder="little").view(bool)
+        blocked = self._obstacle_flat[self._pos_flat(cell) + self._ray_flat]
+        vis = ~np.logical_or.reduce(blocked, axis=0)
+        self._vis_bits[i] = np.packbits(vis, bitorder="little")
+        self._vis_known[i] = True
         return vis
 
     def mark_scanned(self, cells: list[Cell]) -> None:
-        """Sync the padded unscanned mirror after the grid was mutated."""
-        pad, wp = self._pad, self._wp
-        for c in cells:
-            self._unscanned_flat[(c.y + pad) * wp + (c.x + pad)] = False
+        """Record newly scanned cells and drop the cached scores they change.
 
-    def evaluate_cell(self, cell: Cell) -> list[ScanResult]:
-        """Scan results for every orientation at ``cell`` (orientation order)."""
+        A cell's score depends only on whether it and the cells it sees are
+        unscanned.  So a cached score goes stale exactly when the cell was
+        scanned itself or sees a newly scanned cell ``n``; line of sight is
+        symmetric, so the cell's own mask at offset ``n - cell`` decides.
+        """
+        if not cells:
+            return
+        nx, ny = cell_arrays(cells)
+        width = self.grid.width
+        self._unscanned_flat[(ny + self._pad) * self._wp + nx + self._pad] = False
+        cached = np.flatnonzero(self._fresh)
+        cx, cy = cached % width, cached // width
+        reach = self.disk.reach
+        span = 2 * reach + 1
+        stale = np.zeros(cached.size, dtype=bool)
+        block = max(1, _PAIR_BLOCK // max(1, cached.size))
+        for lo in range(0, nx.size, block):
+            dx = nx[None, lo:lo + block] - cx[:, None]
+            dy = ny[None, lo:lo + block] - cy[:, None]
+            c, n = np.nonzero((np.abs(dx) <= reach) & (np.abs(dy) <= reach))
+            k = self.disk.index[(dy[c, n] + reach) * span + dx[c, n] + reach]
+            c, k = c[k >= 0], k[k >= 0]
+            seen = (self._vis_bits[cached[c], k >> 3] >> (k & 7)) & 1
+            stale[c[seen.astype(bool)]] = True
+        self._fresh[cached[stale]] = False
+        self._fresh[ny * width + nx] = False
+
+    def _sweeps(self, cell: Cell) -> _Sweeps:
+        """Trimmed sweep of every orientation at ``cell``, from the current scan state."""
         pos = self._pos_flat(cell)
         vis = self.visible(cell)
-        unscanned = self._unscanned_flat[pos + self._end_flat]
-        own_new = bool(self.grid.states[cell.y, cell.x] == CellState.FREE_UNSCANNED)
-        results = []
-        for rel, window in zip(self.rel_bearings, self.window_masks):
-            results.append(self._evaluate(cell, vis, unscanned, own_new, rel, window))
-        return results
-
-    def _evaluate(self, cell: Cell, vis: np.ndarray, unscanned: np.ndarray,
-                  own_new: bool, rel: np.ndarray, window: np.ndarray) -> ScanResult:
-        new_mask = vis & window & unscanned
-        new_offsets = np.nonzero(new_mask)[0]
-        if new_offsets.size == 0:
-            gain = 1 if own_new else 0
-            return ScanResult(
-                phi_used=0.0,
-                sensing_time=self.sensor.setup_time if gain else 0.0,
-                info_gain=gain,
-                origin=cell,
-                _own_new=own_new,
-                _new_offsets=new_offsets,
-                _disk=self.disk,
-                _vis=vis,
-                _window=window,
-                _rel=rel,
-                _alpha=None,
-            )
-        rel_new = rel[new_offsets]
-        lo = float(rel_new.min())
-        hi = float(rel_new.max())
-        phi = math.degrees(hi - lo)
-        gain = int(new_offsets.size) + (1 if own_new else 0)
-        return ScanResult(
-            phi_used=phi,
-            sensing_time=self.sensor.setup_time + self.sensor.sweep_rate * phi,
-            info_gain=gain,
-            origin=cell,
-            _own_new=own_new,
-            _new_offsets=new_offsets,
-            _disk=self.disk,
-            _vis=vis,
-            _window=window,
-            _rel=rel,
-            _alpha=(lo, hi),
+        new = np.flatnonzero(vis & self._unscanned_flat[pos + self._end_flat])
+        inside = self.window_masks[:, new]
+        rel = self.rel_bearings[:, new]
+        lo = np.min(rel, axis=1, initial=np.inf, where=inside)
+        hi = np.max(rel, axis=1, initial=-np.inf, where=inside)
+        count = inside.sum(axis=1)
+        own_new = bool(self._unscanned_flat[pos])
+        gain = count + own_new
+        swept = count > 0
+        phi = np.where(swept, np.degrees(hi - lo), 0.0)
+        # a zero-angle scan that still covers the own cell costs the setup time
+        time = np.where(
+            swept,
+            self.sensor.setup_time + self.sensor.sweep_rate * phi,
+            np.where(gain > 0, self.sensor.setup_time, 0.0),
         )
+        return _Sweeps(vis, new, inside, own_new, lo, hi, gain, phi, time)
+
+    def evaluate_cell(self, cell: Cell) -> list[FosScore]:
+        """Scores for every orientation at ``cell`` (orientation order).
+
+        The gain and sensing time are cached until :meth:`mark_scanned`
+        reports a scan that changes them; :meth:`scores` reads the cache.
+        """
+        sw = self._sweeps(cell)
+        i = cell.y * self.grid.width + cell.x
+        self._gain[i] = sw.gain
+        self._time[i] = sw.time
+        self._fresh[i] = True
+        return [
+            FosScore(*v)
+            for v in zip(sw.gain.tolist(), sw.phi.tolist(), sw.time.tolist())
+        ]
+
+    def scores(self, cells: list[Cell]) -> tuple[np.ndarray, np.ndarray]:
+        """Gain and sensing time, each (len(cells), orientations).
+
+        Cached entries are reused; cells without a valid entry are evaluated
+        through :meth:`evaluate_cell` first.
+        """
+        xs, ys = cell_arrays(cells)
+        idx = ys * self.grid.width + xs
+        for i in np.flatnonzero(~self._fresh[idx]):
+            self.evaluate_cell(cells[i])
+        return self._gain[idx], self._time[idx]
+
+    def scan_results(self, cell: Cell) -> list[ScanResult]:
+        """Full scan results, covered cells included, per orientation at ``cell``."""
+        sw = self._sweeps(cell)
+        return [
+            ScanResult(
+                phi_used=float(sw.phi[h]),
+                sensing_time=float(sw.time[h]),
+                info_gain=int(sw.gain[h]),
+                origin=cell,
+                _own_new=sw.own_new,
+                _new_offsets=sw.new[sw.inside[h]],
+                _disk=self.disk,
+                _vis=sw.vis,
+                _window=self.window_masks[h],
+                _rel=self.rel_bearings[h],
+                _alpha=(float(sw.lo[h]), float(sw.hi[h])) if sw.inside[h].any() else None,
+            )
+            for h in range(len(self.orientations))
+        ]
 
 
 def compute_fos(grid: GridMap, pose: Pose, sensor: SensorModel) -> ScanResult:
@@ -339,7 +422,7 @@ def compute_fos(grid: GridMap, pose: Pose, sensor: SensorModel) -> ScanResult:
     if not grid.is_free(pose.cell):
         raise ValueError(f"pose cell {pose.cell} is not a free cell")
     evaluator = FosEvaluator(grid, sensor, (pose.theta,))
-    return evaluator.evaluate_cell(pose.cell)[0]
+    return evaluator.scan_results(pose.cell)[0]
 
 
 def visible_cells(grid: GridMap, cell: Cell, r_max: float) -> set[Cell]:

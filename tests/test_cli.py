@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from nbsmell import cli
 from nbsmell.cli import (
     EXIT_CONFIG,
     EXIT_MAP,
@@ -115,6 +116,19 @@ class TestRunCommand:
             "--out", str(tmp_path / "o"),
         ]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--setup-s", "nan"),
+        ("--sweep-s-per-deg", "inf"),
+        ("--rmax-m", "inf"),
+        ("--speed-mps", "inf"),
+    ])
+    def test_non_finite_value_exit_config(self, tiny_map, tmp_path, flag, value):
+        out = tmp_path / "o"
+        assert main([
+            "run", "--map", str(tiny_map), flag, value, "--out", str(out),
+        ]) == EXIT_CONFIG
+        assert not (out / "summary.json").exists()
+
     def test_bad_target_exit_config(self, tiny_map, tmp_path):
         assert main([
             "run", "--map", str(tiny_map), "--target-coverage", "1.5",
@@ -190,6 +204,43 @@ class TestRandgridCommand:
         assert main([
             "randgrid", "--sizes", "0", "--out", str(tmp_path / "o")
         ]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_config(self, tmp_path, jobs):
+        assert main([
+            "randgrid", "--sizes", "3", "--jobs", jobs, "--out", str(tmp_path / "o")
+        ]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("jobs,grids,expected", [
+        (64, 4, [3]),  # capped by the CPU count
+        (64, 2, [2]),  # capped by the number of grids
+        (2, 4, [2]),
+        (64, 1, []),  # one grid runs in this process
+    ])
+    def test_jobs_capped_by_grids_and_cpus(self, tmp_path, monkeypatch, jobs, grids,
+                                           expected):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        assert main([
+            "randgrid", "--sizes", "3", "--grids-per-size", str(grids),
+            "--jobs", str(jobs), "--out", str(tmp_path / "o"),
+        ]) == EXIT_OK
+        assert started == expected
 
 
 class TestGenmapCommand:

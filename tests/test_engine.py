@@ -1,10 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbsmell.engine import (
     CoverageEngine,
+    best_index,
     enumerate_candidates,
     run_coverage,
     select_best,
@@ -19,6 +23,7 @@ from nbsmell.grid import (
     parse_map,
 )
 from nbsmell.mcdm import named_measure
+from nbsmell.planning import travel_time
 from nbsmell.sensing import SensorModel
 
 SENSOR = SensorModel(r_max=10.0)
@@ -108,6 +113,12 @@ class TestSelectBest:
     def test_empty_candidate_list_rejected(self):
         with pytest.raises(ValueError):
             select_best([], named_measure("A"))
+
+    def test_score_ties_break_on_distance_then_time_then_row(self):
+        # configuration A scores gain only, so equal gains tie on the score
+        measure = named_measure("A")
+        rows = [(5, 3.0, 20.0), (5, 2.0, 30.0), (5, 2.0, 25.0), (5, 2.0, 25.0), (4, 0.0, 6.0)]
+        assert best_index(np.array(rows, dtype=np.float64), measure)[0] == 2
 
     def test_distance_scaling_leaves_choice_unchanged(self):
         grid = generate_random_grid(15, 0.1, 21)
@@ -216,28 +227,51 @@ class TestStepAndRun:
         assert engine.step() is None
         assert engine.step() is None
 
-    def test_engine_matches_contract_operations(self):
-        # the engine loop must reproduce enumerate + select step by step
-        grid_engine = generate_random_grid(12, 0.2, 31)
-        grid_replay = generate_random_grid(12, 0.2, 31)
-        sensor = SensorModel(r_max=5.0)
-        measure = named_measure("F")
+    @given(
+        size=st.integers(4, 14),
+        ratio=st.floats(0.0, 0.4),
+        seed=st.integers(0, 2**32 - 1),
+        connectivity=st.sampled_from([4, 8]),
+        orientations=st.sampled_from([4, 8]),
+        r_max=st.sampled_from([0.5, 1.0, 2.5, 4.0, 8.0]),
+        phi_max=st.sampled_from([45.0, 90.0, 135.0, 180.0]),
+        resolution=st.sampled_from([0.5, 1.0]),
+        config=st.sampled_from(["A", "B", "F", "L"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_engine_matches_contract_operations(self, size, ratio, seed, connectivity,
+                                                orientations, r_max, phi_max,
+                                                resolution, config):
+        # the engine reuses scores between steps; every record must equal a
+        # replay that evaluates all candidates from scratch at each step
+        grid_engine = generate_random_grid(size, ratio, seed, resolution)
+        grid_replay = generate_random_grid(size, ratio, seed, resolution)
+        sensor = SensorModel(r_max=r_max, phi_max=phi_max)
+        measure = named_measure(config)
         engine = CoverageEngine(grid_engine, measure, sensor,
-                                orientations=4, connectivity=4)
+                                orientations=orientations, connectivity=connectivity)
         robot = Pose(grid_replay.start, 0.0)
         while True:
             record = engine.step()
-            expected = enumerate_candidates(grid_replay, robot, 4, sensor, 4)
+            expected = enumerate_candidates(grid_replay, robot, orientations, sensor,
+                                            connectivity)
             if record is None:
                 assert expected == []
                 break
             best = select_best(expected, measure)
-            assert best.pose == record.pose
-            assert best.scan.info_gain == record.info_gain
-            assert best.scan.phi_used == record.phi_used
-            assert len(expected) == record.candidates_evaluated
             mark_scanned(grid_replay, best.scan.new_cells())
             robot = best.pose
+            replayed = dataclasses.replace(
+                record,
+                pose=best.pose,
+                phi_used=best.scan.phi_used,
+                info_gain=best.scan.info_gain,
+                travel_time=travel_time(best.distance, 1.0),
+                sensing_time=best.scan.sensing_time,
+                cumulative_coverage=coverage_ratio(grid_replay),
+                candidates_evaluated=len(expected),
+            )
+            assert record == replayed
 
 
 class TestUncoverableCells:

@@ -114,6 +114,16 @@ class TestGenerateMap:
         with pytest.raises(ValueError):
             generate_map("maze", 10, 10)
 
+    @pytest.mark.parametrize("kind", ["empty", "corridor", "rooms", "random"])
+    @pytest.mark.parametrize("resolution", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_resolution_rejected(self, kind, resolution):
+        with pytest.raises(ValueError):
+            generate_map(kind, 20, 20, resolution=resolution)
+
+    @pytest.mark.parametrize("kind", ["empty", "corridor", "rooms", "random"])
+    def test_explicit_resolution_applied(self, kind):
+        assert generate_map(kind, 20, 20, resolution=0.25).resolution == 0.25
+
     @pytest.mark.parametrize("kind,size", [
         ("empty", (12, 9)),
         ("corridor", (60, 10)),

@@ -111,6 +111,11 @@ class TestBuildMeasure:
         with pytest.raises(InvalidConfigError):
             build_measure(WeightConfig("custom", 1.2, -0.1, -0.1))
 
+    @pytest.mark.parametrize("bonus", [-0.1, float("nan")])
+    def test_bad_synergy_bonus_rejected(self, bonus):
+        with pytest.raises(InvalidConfigError):
+            build_measure(WeightConfig("custom", 0.5, 0.3, 0.2, synergy_bonus=bonus))
+
 
 class TestValidateMeasure:
     def test_bad_boundary_reported(self):

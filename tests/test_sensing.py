@@ -6,8 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import sampled_line_of_sight
 
-from nbsmell.grid import Cell, CellState, Pose, generate_random_grid, mark_scanned, parse_map
+from nbsmell.grid import (
+    Cell,
+    CellState,
+    Pose,
+    generate_random_grid,
+    heading_set,
+    mark_scanned,
+    parse_map,
+)
 from nbsmell.sensing import (
+    FosEvaluator,
     SensorModel,
     compute_fos,
     line_of_sight,
@@ -42,6 +51,11 @@ class TestSensorModel:
             SensorModel(r_max=5.0, setup_time=-1.0)
         with pytest.raises(ValueError):
             SensorModel(r_max=5.0, sweep_rate=0.0)
+        for bad in ({"r_max": math.inf}, {"r_max": math.nan},
+                    {"setup_time": math.inf}, {"setup_time": math.nan},
+                    {"sweep_rate": math.inf}, {"sweep_rate": math.nan}):
+            with pytest.raises(ValueError):
+                SensorModel(**{"r_max": 5.0, **bad})
 
 
 class TestTraverseSegment:
@@ -208,6 +222,30 @@ class TestComputeFos:
             after = visible_cells(grid, origin, 6.0)
             assert after <= before
             assert victim not in after
+
+
+class TestScoreCache:
+    def test_scan_invalidates_only_cells_that_see_it(self):
+        grid = parse_map("resolution 1.0\nS#...")
+        headings = heading_set(4)
+        evaluator = FosEvaluator(grid, DEFAULT, headings)
+        occluded, scanned, seer = Cell(0, 0), Cell(2, 0), Cell(4, 0)
+        cells = [occluded, scanned, seer]
+        evaluator.scores(cells)
+
+        mark_scanned(grid, [scanned])
+        evaluator.mark_scanned([scanned])
+        recomputed = []
+        evaluate = evaluator.evaluate_cell
+        evaluator.evaluate_cell = lambda cell: recomputed.append(cell) or evaluate(cell)
+        gain, time = evaluator.scores(cells)
+
+        # the wall hides the scanned cell from `occluded`, so its entry stays;
+        # the scanned cell itself and the cell that sees it are recomputed
+        assert recomputed == [scanned, seer]
+        cold_gain, cold_time = FosEvaluator(grid, DEFAULT, headings).scores(cells)
+        assert np.array_equal(gain, cold_gain)
+        assert np.array_equal(time, cold_time)
 
 
 class TestShortRange:
