@@ -43,7 +43,7 @@ from .mcdm import (
     normalize_utilities,
     validate_measure,
 )
-from .planning import astar, shortest_distances, travel_time
+from .planning import shortest_distances, travel_time
 from .sensing import (
     ScanResult,
     SensorModel,

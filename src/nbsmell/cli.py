@@ -33,6 +33,7 @@ from .grid import (
     MapFormatError,
     coverage_ratio,
     frontier_cells,
+    generate_random_grid,
     parse_map,
     serialize_map,
 )
@@ -296,11 +297,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             speed=args.speed_mps,
             target_coverage=args.target_coverage,
         )
-        while coverage_ratio(grid) < args.target_coverage:
-            record = engine.step()
-            if record is None:
-                break
-            if args.snapshots:
+        if args.snapshots:
+            for record in engine:
                 ppm = render_ppm(grid, engine.robot.cell,
                                  frontier_cells(grid, args.connectivity))
                 (snap_dir / f"step_{record.index:04d}.ppm").write_bytes(ppm)
@@ -385,20 +383,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _randgrid_task(task: dict) -> dict:
     """One random-grid run; a top-level function so pools can pickle it."""
-    from .grid import generate_random_grid
-
     grid = generate_random_grid(task["size"], task["ratio"], task["seed"])
-    sensor = SensorModel(
-        r_max=task["r_max"],
-        phi_max=task["phi_max"],
-        setup_time=task["setup"],
-        sweep_rate=task["rate"],
-    )
-    config = task["config"]
-    if isinstance(config, tuple):
-        config = WeightConfig("custom", *config[:3], synergy_bonus=config[3])
     result = run_coverage(
-        grid, config, sensor,
+        grid, task["config"], task["sensor"],
         orientations=task["orientations"],
         connectivity=task["connectivity"],
         speed=task["speed"],
@@ -437,10 +424,6 @@ def cmd_randgrid(args: argparse.Namespace) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    config_field = (
-        config if isinstance(config, str)
-        else (config.x1, config.x2, config.x3, config.synergy_bonus)
-    )
     tasks = []
     for size in sizes:
         for i in range(args.grids_per_size):
@@ -449,11 +432,8 @@ def cmd_randgrid(args: argparse.Namespace) -> int:
                 "grid_index": i,
                 "seed": args.seed + 1000 * size + i,
                 "ratio": args.obstacle_ratio,
-                "r_max": sensor.r_max,
-                "phi_max": sensor.phi_max,
-                "setup": sensor.setup_time,
-                "rate": sensor.sweep_rate,
-                "config": config_field,
+                "sensor": sensor,
+                "config": config,
                 "orientations": args.orientations,
                 "connectivity": args.connectivity,
                 "speed": args.speed_mps,
@@ -467,6 +447,7 @@ def cmd_randgrid(args: argparse.Namespace) -> int:
     else:
         results = [_randgrid_task(t) for t in tasks]
     results.sort(key=lambda r: (r["size"], r["grid_index"]))
+    groups = {size: [r for r in results if r["size"] == size] for size in sizes}
 
     out_dir = Path(args.out)
     try:
@@ -485,7 +466,7 @@ def cmd_randgrid(args: argparse.Namespace) -> int:
                     _fmt(row["total_time_s"]),
                 ])
             for size in sizes:
-                group = [r for r in results if r["size"] == size]
+                group = groups[size]
                 writer.writerow([
                     "size_mean", size, "", "",
                     _fmt(float(np.mean([r["free_cells"] for r in group]))),
@@ -504,7 +485,7 @@ def cmd_randgrid(args: argparse.Namespace) -> int:
                     writer.writerow(["grid", row["size"], row["grid_index"],
                                      _fmt(row["planning_time_s"])])
                 for size in sizes:
-                    group = [r for r in results if r["size"] == size]
+                    group = groups[size]
                     writer.writerow([
                         "size_mean", size, "",
                         _fmt(float(np.mean([r["planning_time_s"] for r in group]))),
@@ -514,7 +495,7 @@ def cmd_randgrid(args: argparse.Namespace) -> int:
         return EXIT_IO
 
     for size in sizes:
-        group = [r for r in results if r["size"] == size]
+        group = groups[size]
         ops = float(np.mean([r["sensing_ops"] for r in group]))
         plan = float(np.mean([r["planning_time_s"] for r in group]))
         print(f"size={size} grids={len(group)} mean_sensing_ops={ops:.2f}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -261,10 +262,18 @@ class CoverageEngine:
         self.records.append(record)
         return record
 
-    def run(self) -> RunResult:
+    def __iter__(self) -> Iterator[StepRecord]:
+        """Execute steps until the target coverage is reached or none remains."""
         while coverage_ratio(self.grid) < self.target_coverage:
-            if self.step() is None:
-                break
+            record = self.step()
+            if record is None:
+                return
+            yield record
+
+    def run(self) -> RunResult:
+        """Execute the remaining steps and summarize every step taken."""
+        for _ in self:
+            pass
         total_travel = sum(rec.travel_time for rec in self.records)
         total_sensing = sum(rec.sensing_time for rec in self.records)
         uncovered = self.grid.unscanned_cells()
@@ -330,10 +339,5 @@ def uncoverable_cells(
         idx = np.nonzero(vis & window_any)[0]
         coverable[disk.dy[idx] + y, disk.dx[idx] + x] = True
 
-    out = []
-    free = grid.free_mask()
-    for y in range(grid.height):
-        for x in range(grid.width):
-            if free[y, x] and not coverable[y, x]:
-                out.append(Cell(x, y))
-    return out
+    ys, xs = np.nonzero(grid.free_mask() & ~coverable)
+    return [Cell(int(x), int(y)) for y, x in zip(ys, xs)]

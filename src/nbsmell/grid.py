@@ -81,7 +81,8 @@ def heading_set(count: int) -> tuple[float, ...]:
 class GridMap:
     """Dense occupancy grid with per-cell scan bookkeeping.
 
-    ``states`` is a (height, width) uint8 array of :class:`CellState` values.
+    ``states`` is a C-contiguous (height, width) uint8 array of
+    :class:`CellState` values; evaluators read it through a flat view.
     Obstacles never change; free cells transition monotonically from
     unscanned to scanned.  The map object is cheap to copy and safe to share
     read-only; mutation happens only through :func:`mark_scanned`.
@@ -97,6 +98,7 @@ class GridMap:
     def __post_init__(self) -> None:
         if not 0 < self.resolution < math.inf:
             raise ValueError(f"resolution must be finite and > 0, got {self.resolution}")
+        self.states = np.ascontiguousarray(self.states)
         if self.states.shape != (self.height, self.width):
             raise ValueError(
                 f"states shape {self.states.shape} does not match "
@@ -239,7 +241,7 @@ def generate_random_grid(size: int, obstacle_ratio: float, seed: int,
 
     The PRNG is numpy's PCG64 seeded with ``seed``; the obstacle count is
     ``round(obstacle_ratio * size**2)``.  The start is the free cell nearest
-    the grid center (ties: smallest row, then column).
+    the grid center (see :func:`_start_near_center`).
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
@@ -256,14 +258,19 @@ def generate_random_grid(size: int, obstacle_ratio: float, seed: int,
         flat = rng.choice(n_cells, size=n_obstacles, replace=False)
         states.reshape(-1)[flat] = CellState.OBSTACLE
 
-    center = (size - 1) / 2.0
-    ys, xs = np.nonzero(states != CellState.OBSTACLE)
-    d2 = (xs - center) ** 2 + (ys - center) ** 2
-    order = np.lexsort((xs, ys, d2))
-    best = order[0]
-    start = Cell(int(xs[best]), int(ys[best]))
     return GridMap(width=size, height=size, resolution=resolution, states=states,
-                   start=start)
+                   start=_start_near_center(states))
+
+
+def _start_near_center(states: np.ndarray) -> Cell:
+    """Free cell nearest the grid center (ties: smallest row, then column)."""
+    h, w = states.shape
+    cx = (w - 1) / 2.0
+    cy = (h - 1) / 2.0
+    ys, xs = np.nonzero(states != CellState.OBSTACLE)
+    d2 = (xs - cx) ** 2 + (ys - cy) ** 2
+    best = np.lexsort((xs, ys, d2))[0]
+    return Cell(int(xs[best]), int(ys[best]))
 
 
 _NEIGHBORS_4 = ((1, 0), (-1, 0), (0, 1), (0, -1))

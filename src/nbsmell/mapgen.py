@@ -10,7 +10,13 @@ from importlib import resources
 
 import numpy as np
 
-from .grid import Cell, CellState, GridMap, generate_random_grid, parse_map
+from .grid import (
+    CellState,
+    GridMap,
+    _start_near_center,
+    generate_random_grid,
+    parse_map,
+)
 
 __all__ = ["corridor_map", "empty_map", "generate_map", "rooms_map", "shipped_map"]
 
@@ -30,17 +36,6 @@ def shipped_map(name: str) -> GridMap:
         ) from None
     text = (resources.files("nbsmell") / "maps" / filename).read_text()
     return parse_map(text)
-
-
-def _start_near_center(states: np.ndarray) -> Cell:
-    """Free cell nearest the grid center (ties: smallest row, then column)."""
-    h, w = states.shape
-    cx = (w - 1) / 2.0
-    cy = (h - 1) / 2.0
-    ys, xs = np.nonzero(states != CellState.OBSTACLE)
-    d2 = (xs - cx) ** 2 + (ys - cy) ** 2
-    best = np.lexsort((xs, ys, d2))[0]
-    return Cell(int(xs[best]), int(ys[best]))
 
 
 def empty_map(width: int, height: int, resolution: float = 1.0) -> GridMap:

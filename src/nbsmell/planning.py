@@ -7,16 +7,15 @@ would squeeze between two obstacle cells touching at a corner is forbidden.
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
-from .grid import Cell, GridMap, neighbor_offsets
+from .grid import Cell, GridMap
 
-__all__ = ["astar", "shortest_distances", "travel_time"]
+__all__ = ["shortest_distances", "travel_time"]
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -90,77 +89,6 @@ def shortest_distances(grid: GridMap, source: Cell, connectivity: int) -> np.nda
     flat = source.y * grid.width + source.x
     dist = _sparse_dijkstra(graph, directed=False, indices=flat)
     return dist.reshape(grid.height, grid.width)
-
-
-def _diagonal_allowed(grid: GridMap, x: int, y: int, dx: int, dy: int) -> bool:
-    ortho_a = Cell(x + dx, y)
-    ortho_b = Cell(x, y + dy)
-    return grid.is_free(ortho_a) or grid.is_free(ortho_b)
-
-
-def _heuristic(a: Cell, b: Cell, connectivity: int, resolution: float) -> float:
-    dx = abs(a.x - b.x)
-    dy = abs(a.y - b.y)
-    if connectivity == 4:
-        return (dx + dy) * resolution
-    lo, hi = (dx, dy) if dx < dy else (dy, dx)
-    return (hi + (_SQRT2 - 1.0) * lo) * resolution
-
-
-def astar(grid: GridMap, start: Cell, goal: Cell,
-          connectivity: int) -> list[Cell] | None:
-    """Shortest free-cell path from ``start`` to ``goal``; None if unreachable."""
-    for name, cell in (("start", start), ("goal", goal)):
-        if not grid.is_free(cell):
-            raise ValueError(f"{name} {cell} is not a free cell")
-    offsets = neighbor_offsets(connectivity)
-    res = grid.resolution
-    g: dict[Cell, float] = {start: 0.0}
-    came: dict[Cell, Cell] = {}
-    counter = 0
-    frontier = [(_heuristic(start, goal, connectivity, res), counter, start)]
-    closed: set[Cell] = set()
-    while frontier:
-        _, _, current = heapq.heappop(frontier)
-        if current == goal:
-            path = [current]
-            while current in came:
-                current = came[current]
-                path.append(current)
-            path.reverse()
-            return path
-        if current in closed:
-            continue
-        closed.add(current)
-        for dx, dy in offsets:
-            neighbor = Cell(current.x + dx, current.y + dy)
-            if not grid.is_free(neighbor):
-                continue
-            if dx and dy:
-                if not _diagonal_allowed(grid, current.x, current.y, dx, dy):
-                    continue
-                step = _SQRT2 * res
-            else:
-                step = res
-            tentative = g[current] + step
-            if tentative < g.get(neighbor, math.inf):
-                g[neighbor] = tentative
-                came[neighbor] = current
-                counter += 1
-                heapq.heappush(
-                    frontier,
-                    (tentative + _heuristic(neighbor, goal, connectivity, res),
-                     counter, neighbor),
-                )
-    return None
-
-
-def path_length(path: list[Cell], resolution: float) -> float:
-    """Metric length of a grid path (axial = resolution, diagonal = sqrt(2))."""
-    total = 0.0
-    for a, b in zip(path, path[1:]):
-        total += (_SQRT2 if a.x != b.x and a.y != b.y else 1.0) * resolution
-    return total
 
 
 def travel_time(distance: float, speed: float) -> float:

@@ -115,17 +115,20 @@ def line_of_sight(grid: GridMap, a: Cell, b: Cell) -> bool:
 class _RayDisk:
     """Precomputed ray bundle to every cell offset within sensor range.
 
-    Offsets exclude (0, 0) and satisfy ``(dx^2 + dy^2) * resolution^2 <=
-    r_max^2``.  Rays are stored as padded (L, K) coordinate arrays, step by
-    step, so that visibility for a whole pose is a single vectorized gather
-    reduced along contiguous rows.  ``index`` maps an offset in the
-    (2*reach+1)^2 bounding box, flattened row-major from (-reach, -reach),
-    to its position in the disk, or -1 outside it.
+    Offsets exclude (0, 0), satisfy ``(dx^2 + dy^2) * resolution^2 <=
+    r_max^2`` and lie at most ``extent`` cells away along each axis.  With
+    ``extent`` one less than the map's larger side, no dropped offset could
+    land inside the map, so the disk is bounded by the map, not by ``r_max``.
+    Rays are stored as padded (L, K) coordinate arrays, step by step, so that
+    visibility for a whole pose is a single vectorized gather reduced along
+    contiguous rows.  ``index`` maps an offset in the (2*reach+1)^2 bounding
+    box, flattened row-major from (-reach, -reach), to its position in the
+    disk, or -1 outside it.
     """
 
-    def __init__(self, r_max: float, resolution: float) -> None:
+    def __init__(self, r_max: float, resolution: float, extent: int) -> None:
         rc2 = (r_max / resolution) ** 2
-        reach = int(math.floor(math.sqrt(rc2)))
+        reach = min(int(math.floor(math.sqrt(rc2))), extent)
         self.reach = max(reach, 1)
         offsets = []
         for oy in range(-reach, reach + 1):
@@ -162,8 +165,8 @@ class _RayDisk:
 
 
 @lru_cache(maxsize=16)
-def _ray_disk(r_max: float, resolution: float) -> _RayDisk:
-    return _RayDisk(r_max, resolution)
+def _ray_disk(r_max: float, resolution: float, extent: int) -> _RayDisk:
+    return _RayDisk(r_max, resolution, extent)
 
 
 def _wrap_angles(angles: np.ndarray) -> np.ndarray:
@@ -195,10 +198,7 @@ class ScanResult:
 
     @cached_property
     def smellable_new(self) -> set[Cell]:
-        cells = self._offsets_to_cells(self._new_offsets)
-        if self._own_new:
-            cells.add(self.origin)
-        return cells
+        return set(self.new_cells())
 
     @cached_property
     def smellable_all(self) -> set[Cell]:
@@ -206,21 +206,18 @@ class ScanResult:
             return {self.origin}
         lo, hi = self._alpha
         mask = self._vis & self._window & (self._rel >= lo) & (self._rel <= hi)
-        cells = self._offsets_to_cells(np.nonzero(mask)[0])
+        cells = set(self._offsets_to_cells(np.nonzero(mask)[0]))
         cells.add(self.origin)
         return cells
 
     def new_cells(self) -> list[Cell]:
         """Newly covered cells in deterministic (offset-table) order."""
-        cells = self._offsets_to_cells_list(self._new_offsets)
+        cells = self._offsets_to_cells(self._new_offsets)
         if self._own_new:
             cells.append(self.origin)
         return cells
 
-    def _offsets_to_cells(self, idx: np.ndarray) -> set[Cell]:
-        return set(self._offsets_to_cells_list(idx))
-
-    def _offsets_to_cells_list(self, idx: np.ndarray) -> list[Cell]:
+    def _offsets_to_cells(self, idx: np.ndarray) -> list[Cell]:
         xs = self._disk.dx[idx] + self.origin.x
         ys = self._disk.dy[idx] + self.origin.y
         return [Cell(int(x), int(y)) for x, y in zip(xs, ys)]
@@ -251,16 +248,19 @@ class _Sweeps(NamedTuple):
 # Upper bound on the (cached cell, new cell) pairs ``mark_scanned`` tests at once.
 _PAIR_BLOCK = 1 << 14
 
+# A plain int: comparing a uint8 array with an IntEnum member is slower.
+_UNSCANNED = int(CellState.FREE_UNSCANNED)
+
 
 class FosEvaluator:
     """Vectorized field-of-smell evaluation over one grid.
 
-    Holds padded obstacle/unscanned mirrors of the grid, a per-cell
-    visibility cache and a per-cell score cache.  Visibility depends only on
-    obstacles, which never change, so cached masks stay valid for the life
-    of the evaluator.  Scores (gain and sensing time per orientation) depend
-    on the scan state; the unscanned mirror and the score cache must be kept
-    in sync through :meth:`mark_scanned`.
+    Holds a padded copy of the grid's obstacles, a per-cell visibility cache
+    and a per-cell score cache.  Visibility depends only on obstacles, which
+    never change, so cached masks stay valid for the life of the evaluator.
+    The scan state is read from ``grid.states`` itself.  Scores (gain and
+    sensing time per orientation) depend on it, so every scan must be
+    reported through :meth:`mark_scanned` to drop the scores it changes.
     """
 
     def __init__(self, grid: GridMap, sensor: SensorModel,
@@ -268,7 +268,8 @@ class FosEvaluator:
         self.grid = grid
         self.sensor = sensor
         self.orientations = tuple(orientations)
-        self.disk = _ray_disk(sensor.r_max, grid.resolution)
+        self.disk = _ray_disk(sensor.r_max, grid.resolution,
+                              max(grid.width, grid.height) - 1)
         pad = self.disk.reach
         self._pad = pad
         wp = grid.width + 2 * pad
@@ -278,15 +279,14 @@ class FosEvaluator:
         obstacle[pad:pad + grid.height, pad:pad + grid.width] = (
             grid.states == CellState.OBSTACLE
         )
-        unscanned = np.zeros((hp, wp), dtype=bool)
-        unscanned[pad:pad + grid.height, pad:pad + grid.width] = (
-            grid.states == CellState.FREE_UNSCANNED
-        )
         self._obstacle_flat = obstacle.reshape(-1)
-        self._unscanned_flat = unscanned.reshape(-1)
-
-        self._end_flat = self.disk.dy.astype(np.int64) * wp + self.disk.dx
         self._ray_flat = self.disk.ray_y * wp + self.disk.ray_x
+
+        # A view (``GridMap.states`` is C-contiguous), so scans show up here.
+        # Visible offsets never leave the map (off-map endpoints hit the
+        # padding), so ``end`` needs no padding.
+        self._states_flat = grid.states.reshape(-1)
+        self._end = self.disk.dy.astype(np.int64) * grid.width + self.disk.dx
 
         half = math.radians(sensor.phi_max) / 2.0
         rel = [_wrap_angles(self.disk.bearings - theta) for theta in self.orientations]
@@ -301,23 +301,21 @@ class FosEvaluator:
         self._gain = np.zeros((cells, len(self.orientations)), dtype=np.int64)
         self._time = np.zeros((cells, len(self.orientations)), dtype=np.float64)
 
-    def _pos_flat(self, cell: Cell) -> int:
-        return (cell.y + self._pad) * self._wp + (cell.x + self._pad)
-
     def visible(self, cell: Cell) -> np.ndarray:
         """Boolean mask over the ray disk: offset free and line of sight clear."""
         i = cell.y * self.grid.width + cell.x
         if self._vis_known[i]:
             return np.unpackbits(self._vis_bits[i], count=self.disk.k,
                                  bitorder="little").view(bool)
-        blocked = self._obstacle_flat[self._pos_flat(cell) + self._ray_flat]
+        pos = (cell.y + self._pad) * self._wp + (cell.x + self._pad)
+        blocked = self._obstacle_flat[pos + self._ray_flat]
         vis = ~np.logical_or.reduce(blocked, axis=0)
         self._vis_bits[i] = np.packbits(vis, bitorder="little")
         self._vis_known[i] = True
         return vis
 
     def mark_scanned(self, cells: list[Cell]) -> None:
-        """Record newly scanned cells and drop the cached scores they change.
+        """Drop the cached scores that the newly scanned ``cells`` change.
 
         A cell's score depends only on whether it and the cells it sees are
         unscanned.  So a cached score goes stale exactly when the cell was
@@ -328,7 +326,6 @@ class FosEvaluator:
             return
         nx, ny = cell_arrays(cells)
         width = self.grid.width
-        self._unscanned_flat[(ny + self._pad) * self._wp + nx + self._pad] = False
         cached = np.flatnonzero(self._fresh)
         cx, cy = cached % width, cached // width
         reach = self.disk.reach
@@ -348,15 +345,16 @@ class FosEvaluator:
 
     def _sweeps(self, cell: Cell) -> _Sweeps:
         """Trimmed sweep of every orientation at ``cell``, from the current scan state."""
-        pos = self._pos_flat(cell)
+        i = cell.y * self.grid.width + cell.x
         vis = self.visible(cell)
-        new = np.flatnonzero(vis & self._unscanned_flat[pos + self._end_flat])
+        seen = np.flatnonzero(vis)
+        new = seen[self._states_flat[i + self._end[seen]] == _UNSCANNED]
         inside = self.window_masks[:, new]
         rel = self.rel_bearings[:, new]
         lo = np.min(rel, axis=1, initial=np.inf, where=inside)
         hi = np.max(rel, axis=1, initial=-np.inf, where=inside)
         count = inside.sum(axis=1)
-        own_new = bool(self._unscanned_flat[pos])
+        own_new = bool(self._states_flat[i] == _UNSCANNED)
         gain = count + own_new
         swept = count > 0
         phi = np.where(swept, np.degrees(hi - lo), 0.0)
@@ -431,9 +429,8 @@ def visible_cells(grid: GridMap, cell: Cell, r_max: float) -> set[Cell]:
     Range and occlusion only; no angular window is applied and the cell
     itself is not included.
     """
-    disk = _ray_disk(r_max, grid.resolution)
-    sensor = SensorModel(r_max=r_max)
-    evaluator = FosEvaluator(grid, sensor, ())
+    evaluator = FosEvaluator(grid, SensorModel(r_max=r_max), ())
+    disk = evaluator.disk
     vis = evaluator.visible(cell)
     idx = np.nonzero(vis)[0]
     return {

@@ -40,7 +40,7 @@ from nbsmell.mcdm import (
     named_measure,
     validate_measure,
 )
-from nbsmell.planning import astar, path_length, shortest_distances
+from nbsmell.planning import shortest_distances
 from nbsmell.sensing import SensorModel, compute_fos, sensing_time
 
 
@@ -205,25 +205,19 @@ def test_criterion_5_geometry_oracles():
     paths_checked = 0
     for layout in range(40):
         grid = generate_random_grid(10, 0.25, 1000 + layout)
-        rng = np.random.default_rng(layout)
-        free = grid.free_cells()
         for connectivity in (4, 8):
+            field = shortest_distances(grid, grid.start, connectivity)
             oracle = dijkstra_oracle(grid, grid.start, connectivity)
-            for _ in range(6):
-                goal = free[int(rng.integers(len(free)))]
+            for goal in grid.free_cells():
                 expected = oracle.get(goal, math.inf)
-                path = astar(grid, grid.start, goal, connectivity)
-                if path is None:
-                    assert math.isinf(expected), (layout, goal)
-                else:
-                    assert path_length(path, grid.resolution) == pytest.approx(
-                        expected, abs=1e-9), (layout, goal)
+                assert field[goal.y, goal.x] == pytest.approx(
+                    expected, abs=1e-9), (layout, connectivity, goal)
                 paths_checked += 1
 
     elapsed = time.perf_counter() - started
     _verdict(5, elapsed < 60.0,
              f"{fos_checked} poses vs 1000-sample oracle, "
-             f"{paths_checked} A* lengths vs Dijkstra, {elapsed:.1f} s")
+             f"{paths_checked} path lengths vs Dijkstra oracle, {elapsed:.1f} s")
 
 
 def test_criterion_6_coverage_completeness():

@@ -1,11 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 from oracles import dijkstra_oracle
 
 from nbsmell.grid import Cell, generate_random_grid, parse_map
-from nbsmell.planning import astar, path_length, shortest_distances, travel_time
+from nbsmell.planning import shortest_distances, travel_time
 
 SQRT2 = math.sqrt(2.0)
 
@@ -71,49 +70,6 @@ class TestShortestDistances:
                     dac = fields[a][c.y, c.x]
                     if all(map(math.isfinite, (dab, dbc, dac))):
                         assert dac <= dab + dbc + 1e-9
-
-
-class TestAstar:
-    def test_trivial_path(self):
-        grid = parse_map("resolution 1.0\nS..")
-        assert astar(grid, Cell(0, 0), Cell(0, 0), 4) == [Cell(0, 0)]
-
-    def test_straight_corridor(self):
-        grid = parse_map("resolution 0.5\nS....")
-        path = astar(grid, Cell(0, 0), Cell(4, 0), 4)
-        assert path == [Cell(x, 0) for x in range(5)]
-        assert path_length(path, grid.resolution) == pytest.approx(4 * 0.5)
-
-    def test_unreachable_returns_none(self):
-        grid = parse_map("resolution 1.0\nS#.\n.#.\n.#.")
-        assert astar(grid, Cell(0, 0), Cell(2, 0), 4) is None
-
-    @pytest.mark.parametrize("connectivity", [4, 8])
-    def test_path_length_matches_distance_field(self, connectivity):
-        for seed in range(15):
-            grid = generate_random_grid(10, 0.25, seed + 50)
-            field = shortest_distances(grid, grid.start, connectivity)
-            rng = np.random.default_rng(seed)
-            free = grid.free_cells()
-            for _ in range(8):
-                goal = free[int(rng.integers(len(free)))]
-                path = astar(grid, grid.start, goal, connectivity)
-                expected = field[goal.y, goal.x]
-                if path is None:
-                    assert math.isinf(expected)
-                else:
-                    assert path_length(path, grid.resolution) == pytest.approx(
-                        expected, abs=1e-9)
-
-    def test_path_cells_free_and_adjacent(self):
-        grid = generate_random_grid(12, 0.2, 9)
-        free = grid.free_cells()
-        path = astar(grid, grid.start, free[-1], 8)
-        if path is not None:
-            for cell in path:
-                assert grid.is_free(cell)
-            for a, b in zip(path, path[1:]):
-                assert max(abs(a.x - b.x), abs(a.y - b.y)) == 1
 
 
 class TestTravelTime:

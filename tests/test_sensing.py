@@ -247,6 +247,16 @@ class TestScoreCache:
         assert np.array_equal(gain, cold_gain)
         assert np.array_equal(time, cold_time)
 
+    def test_scan_state_is_read_from_the_grid(self):
+        # a scan made only through the grid, without telling the evaluator
+        grid = parse_map("resolution 1.0\nS....")
+        evaluator = FosEvaluator(grid, DEFAULT, heading_set(4))
+        scanned = Cell(2, 0)
+        mark_scanned(grid, [scanned])
+        scan = evaluator.scan_results(Cell(0, 0))[0]
+        assert scanned not in scan.smellable_new
+        assert scan.info_gain == 4
+
 
 class TestShortRange:
     def test_range_below_resolution_covers_only_own_cell(self):
@@ -264,13 +274,16 @@ class TestShortRange:
 
 class TestVisibleCells:
     def test_matches_line_of_sight_definition(self):
-        grid = generate_random_grid(9, 0.2, 4)
-        origin = grid.start
-        expected = set()
-        for c in grid.free_cells():
-            if c == origin:
-                continue
-            if math.hypot(c.x - origin.x, c.y - origin.y) * grid.resolution <= 5.0:
-                if line_of_sight(grid, origin, c):
-                    expected.add(c)
-        assert visible_cells(grid, origin, 5.0) == expected
+        # a 100 m range on a 5x3 map: the sensor disk is clipped to the map
+        small = parse_map("resolution 1.0\n..#..\n.S#..\n.....")
+        assert FosEvaluator(small, SensorModel(r_max=100.0), ()).disk.k <= 80
+        for grid, r_max in ((generate_random_grid(9, 0.2, 4), 5.0), (small, 100.0)):
+            origin = grid.start
+            expected = set()
+            for c in grid.free_cells():
+                if c == origin:
+                    continue
+                if math.hypot(c.x - origin.x, c.y - origin.y) * grid.resolution <= r_max:
+                    if line_of_sight(grid, origin, c):
+                        expected.add(c)
+            assert visible_cells(grid, origin, r_max) == expected
