@@ -306,20 +306,22 @@ def frontier_cells(grid: GridMap, connectivity: int) -> list[Cell]:
 
 
 def mark_scanned(grid: GridMap, cells: Iterable[Cell]) -> int:
-    """Mark free cells as scanned; returns the number of new transitions.
+    """Mark free cells as scanned; returns the number of distinct new transitions.
 
-    Idempotent on already-scanned cells.  Marking an obstacle is a contract
-    violation and raises.
+    Idempotent on already-scanned cells, and a cell listed twice counts
+    once.  Marking an obstacle is a contract violation: it raises, naming
+    the first obstacle in input order, before any cell is written.
     """
-    count = 0
-    for cell in cells:
-        state = grid.states[cell.y, cell.x]
-        if state == CellState.OBSTACLE:
-            raise ValueError(f"cannot scan obstacle cell {cell}")
-        if state == CellState.FREE_UNSCANNED:
-            grid.states[cell.y, cell.x] = CellState.FREE_SCANNED
-            count += 1
-    return count
+    cells = list(cells)
+    xs, ys = cell_arrays(cells)
+    states = grid.states[ys, xs]
+    obstacles = np.flatnonzero(states == CellState.OBSTACLE)
+    if obstacles.size:
+        raise ValueError(f"cannot scan obstacle cell {cells[obstacles[0]]}")
+    unscanned = states == CellState.FREE_UNSCANNED
+    new = np.unique(ys[unscanned] * grid.width + xs[unscanned])
+    grid.states.flat[new] = CellState.FREE_SCANNED
+    return int(new.size)
 
 
 def coverage_ratio(grid: GridMap) -> float:

@@ -119,11 +119,12 @@ class _RayDisk:
     r_max^2`` and lie at most ``extent`` cells away along each axis.  With
     ``extent`` one less than the map's larger side, no dropped offset could
     land inside the map, so the disk is bounded by the map, not by ``r_max``.
-    Rays are stored as padded (L, K) coordinate arrays, step by step, so that
-    visibility for a whole pose is a single vectorized gather reduced along
-    contiguous rows.  ``index`` maps an offset in the (2*reach+1)^2 bounding
-    box, flattened row-major from (-reach, -reach), to its position in the
-    disk, or -1 outside it.
+    Positions in the (2*reach+1)^2 window centered on a cell are flattened
+    row-major from offset (-reach, -reach).  ``rays`` is an (L, K) table of
+    such window positions, step by step (rays shorter than L repeat their
+    endpoint), so that visibility for a whole pose is a single gather from
+    the cell's window, reduced along contiguous rows.  ``index`` maps a
+    window position to the offset's position in the disk, or -1 outside it.
     """
 
     def __init__(self, r_max: float, resolution: float, extent: int) -> None:
@@ -143,25 +144,21 @@ class _RayDisk:
         self.dy = np.array([o[1] for o in offsets], dtype=np.int32)
         self.bearings = np.arctan2(self.dy.astype(np.float64), self.dx.astype(np.float64))
         span = 2 * self.reach + 1
+        self.span = span
         self.index = np.full(span * span, -1, dtype=np.int64)
         self.index[(self.dy + self.reach) * span + self.dx + self.reach] = np.arange(k)
 
-        max_len = 1
-        rays = []
-        for ox, oy in offsets:
-            ray = traverse_segment(0, 0, ox, oy)[1:]  # own cell handled separately
-            rays.append(ray)
-            max_len = max(max_len, len(ray))
-        self.ray_len = max_len
-        self.ray_x = np.zeros((max_len, k), dtype=np.int64)
-        self.ray_y = np.zeros((max_len, k), dtype=np.int64)
+        center = self.reach * span + self.reach
+        rays = [
+            [center + y * span + x for x, y in traverse_segment(0, 0, ox, oy)[1:]]
+            for ox, oy in offsets  # own cell handled separately
+        ]
+        length = max([len(ray) for ray in rays], default=1)
+        self.rays = np.empty((length, k), dtype=np.intp)
         for i, ray in enumerate(rays):
-            n = len(ray)
-            self.ray_x[:n, i] = [c[0] for c in ray]
-            self.ray_y[:n, i] = [c[1] for c in ray]
+            self.rays[:len(ray), i] = ray
             # pad with the endpoint; re-checking it is harmless
-            self.ray_x[n:, i] = ray[-1][0]
-            self.ray_y[n:, i] = ray[-1][1]
+            self.rays[len(ray):, i] = ray[-1]
 
 
 @lru_cache(maxsize=16)
@@ -236,13 +233,11 @@ class _Sweeps(NamedTuple):
 
     vis: np.ndarray  # (K,) visibility mask
     new: np.ndarray  # disk indices of the visible unscanned cells
-    inside: np.ndarray  # (orientations, len(new)): held by each window
     own_new: bool  # the cell itself is unscanned
-    lo: np.ndarray  # per orientation, first and last bearing of the held
-    hi: np.ndarray  # cells relative to the heading (radians)
-    gain: np.ndarray
-    phi: np.ndarray  # degrees
-    time: np.ndarray  # seconds
+    # per orientation: first and last bearing of the unscanned cells the
+    # window holds, relative to the heading (radians); None when it holds none
+    alpha: list[tuple[float, float] | None]
+    scores: list[FosScore]
 
 
 # Upper bound on the (cached cell, new cell) pairs ``mark_scanned`` tests at once.
@@ -258,9 +253,13 @@ class FosEvaluator:
     Holds a padded copy of the grid's obstacles, a per-cell visibility cache
     and a per-cell score cache.  Visibility depends only on obstacles, which
     never change, so cached masks stay valid for the life of the evaluator.
-    The scan state is read from ``grid.states`` itself.  Scores (gain and
-    sensing time per orientation) depend on it, so every scan must be
-    reported through :meth:`mark_scanned` to drop the scores it changes.
+    A cache miss gathers the cell's obstacle window through the disk's
+    window-local ``rays``.  The scan state is read from ``grid.states``
+    itself.  Scores (gain and sensing time per orientation) depend on it, so
+    every scan must be reported through :meth:`mark_scanned` to drop the
+    scores it changes.  A cell's sweeps come from one gather of a (3H, K)
+    table over its visible unscanned offsets (H orientations, K offsets)
+    and one row minimum and one row sum of the result.
     """
 
     def __init__(self, grid: GridMap, sensor: SensorModel,
@@ -270,17 +269,13 @@ class FosEvaluator:
         self.orientations = tuple(orientations)
         self.disk = _ray_disk(sensor.r_max, grid.resolution,
                               max(grid.width, grid.height) - 1)
+        # Obstacles padded by the disk reach, so that the window of every
+        # cell, ``[y : y + span, x : x + span]``, lies inside the array.
         pad = self.disk.reach
-        self._pad = pad
-        wp = grid.width + 2 * pad
-        hp = grid.height + 2 * pad
-        self._wp = wp
-        obstacle = np.ones((hp, wp), dtype=bool)
-        obstacle[pad:pad + grid.height, pad:pad + grid.width] = (
+        self._obstacle = np.ones((grid.height + 2 * pad, grid.width + 2 * pad), dtype=bool)
+        self._obstacle[pad:pad + grid.height, pad:pad + grid.width] = (
             grid.states == CellState.OBSTACLE
         )
-        self._obstacle_flat = obstacle.reshape(-1)
-        self._ray_flat = self.disk.ray_y * wp + self.disk.ray_x
 
         # A view (``GridMap.states`` is C-contiguous), so scans show up here.
         # Visible offsets never leave the map (off-map endpoints hit the
@@ -292,6 +287,15 @@ class FosEvaluator:
         rel = [_wrap_angles(self.disk.bearings - theta) for theta in self.orientations]
         self.rel_bearings = np.array(rel).reshape(len(rel), self.disk.k)
         self.window_masks = np.abs(self.rel_bearings) <= half
+        # Per orientation and offset: the relative bearing inside the window
+        # (else +inf), its negation (else +inf), and the 0/1 window flag, so
+        # that one gather and one row minimum give every sweep's edges.  Rows
+        # rather than columns, so the reductions run along contiguous memory.
+        self._sweep_table = np.vstack((
+            np.where(self.window_masks, self.rel_bearings, np.inf),
+            np.where(self.window_masks, -self.rel_bearings, np.inf),
+            self.window_masks,
+        ))
 
         # Caches indexed by y * width + x; visibility masks are bit-packed.
         cells = grid.width * grid.height
@@ -307,9 +311,9 @@ class FosEvaluator:
         if self._vis_known[i]:
             return np.unpackbits(self._vis_bits[i], count=self.disk.k,
                                  bitorder="little").view(bool)
-        pos = (cell.y + self._pad) * self._wp + (cell.x + self._pad)
-        blocked = self._obstacle_flat[pos + self._ray_flat]
-        vis = ~np.logical_or.reduce(blocked, axis=0)
+        span = self.disk.span
+        window = self._obstacle[cell.y:cell.y + span, cell.x:cell.x + span]
+        vis = ~np.logical_or.reduce(window.ravel().take(self.disk.rays), axis=0)
         self._vis_bits[i] = np.packbits(vis, bitorder="little")
         self._vis_known[i] = True
         return vis
@@ -329,7 +333,7 @@ class FosEvaluator:
         cached = np.flatnonzero(self._fresh)
         cx, cy = cached % width, cached // width
         reach = self.disk.reach
-        span = 2 * reach + 1
+        span = self.disk.span
         stale = np.zeros(cached.size, dtype=bool)
         block = max(1, _PAIR_BLOCK // max(1, cached.size))
         for lo in range(0, nx.size, block):
@@ -347,24 +351,28 @@ class FosEvaluator:
         """Trimmed sweep of every orientation at ``cell``, from the current scan state."""
         i = cell.y * self.grid.width + cell.x
         vis = self.visible(cell)
-        seen = np.flatnonzero(vis)
+        seen = vis.nonzero()[0]
         new = seen[self._states_flat[i + self._end[seen]] == _UNSCANNED]
-        inside = self.window_masks[:, new]
-        rel = self.rel_bearings[:, new]
-        lo = np.min(rel, axis=1, initial=np.inf, where=inside)
-        hi = np.max(rel, axis=1, initial=-np.inf, where=inside)
-        count = inside.sum(axis=1)
-        own_new = bool(self._states_flat[i] == _UNSCANNED)
-        gain = count + own_new
-        swept = count > 0
-        phi = np.where(swept, np.degrees(hi - lo), 0.0)
-        # a zero-angle scan that still covers the own cell costs the setup time
-        time = np.where(
-            swept,
-            self.sensor.setup_time + self.sensor.sweep_rate * phi,
-            np.where(gain > 0, self.sensor.setup_time, 0.0),
-        )
-        return _Sweeps(vis, new, inside, own_new, lo, hi, gain, phi, time)
+        held = self._sweep_table.take(new, axis=1)
+        h = len(self.orientations)
+        edges = held.min(axis=1, initial=np.inf).tolist()
+        counts = held[2 * h:].sum(axis=1).tolist()
+        own_new = self._states_flat.item(i) == _UNSCANNED
+        setup, rate = float(self.sensor.setup_time), float(self.sensor.sweep_rate)
+        alpha = []
+        scores = []
+        for lo, neg_hi, count in zip(edges[:h], edges[h:2 * h], counts):
+            gain = int(count) + own_new
+            if count:
+                hi = -neg_hi
+                phi = math.degrees(hi - lo)
+                alpha.append((lo, hi))
+                scores.append(FosScore(gain, phi, setup + rate * phi))
+            else:
+                # a zero-angle scan that still covers the own cell costs the setup time
+                alpha.append(None)
+                scores.append(FosScore(gain, 0.0, setup if gain else 0.0))
+        return _Sweeps(vis, new, own_new, alpha, scores)
 
     def evaluate_cell(self, cell: Cell) -> list[FosScore]:
         """Scores for every orientation at ``cell`` (orientation order).
@@ -372,15 +380,12 @@ class FosEvaluator:
         The gain and sensing time are cached until :meth:`mark_scanned`
         reports a scan that changes them; :meth:`scores` reads the cache.
         """
-        sw = self._sweeps(cell)
+        scores = self._sweeps(cell).scores
         i = cell.y * self.grid.width + cell.x
-        self._gain[i] = sw.gain
-        self._time[i] = sw.time
+        self._gain[i] = [s.info_gain for s in scores]
+        self._time[i] = [s.sensing_time for s in scores]
         self._fresh[i] = True
-        return [
-            FosScore(*v)
-            for v in zip(sw.gain.tolist(), sw.phi.tolist(), sw.time.tolist())
-        ]
+        return scores
 
     def scores(self, cells: list[Cell]) -> tuple[np.ndarray, np.ndarray]:
         """Gain and sensing time, each (len(cells), orientations).
@@ -397,21 +402,22 @@ class FosEvaluator:
     def scan_results(self, cell: Cell) -> list[ScanResult]:
         """Full scan results, covered cells included, per orientation at ``cell``."""
         sw = self._sweeps(cell)
+        inside = self.window_masks[:, sw.new]
         return [
             ScanResult(
-                phi_used=float(sw.phi[h]),
-                sensing_time=float(sw.time[h]),
-                info_gain=int(sw.gain[h]),
+                phi_used=score.phi_used,
+                sensing_time=score.sensing_time,
+                info_gain=score.info_gain,
                 origin=cell,
                 _own_new=sw.own_new,
-                _new_offsets=sw.new[sw.inside[h]],
+                _new_offsets=sw.new[inside[h]],
                 _disk=self.disk,
                 _vis=sw.vis,
                 _window=self.window_masks[h],
                 _rel=self.rel_bearings[h],
-                _alpha=(float(sw.lo[h]), float(sw.hi[h])) if sw.inside[h].any() else None,
+                _alpha=sw.alpha[h],
             )
-            for h in range(len(self.orientations))
+            for h, score in enumerate(sw.scores)
         ]
 
 

@@ -37,6 +37,43 @@ def sampled_visible_set(grid, origin: Cell, r_max: float, samples: int = 1000):
     return out
 
 
+def sampled_sweeps(grid, cell: Cell, sensor, evaluator):
+    """Per heading ``(gain, phi, time, new cells)`` at ``cell`` by plain loops.
+
+    Visibility comes from :func:`sampled_visible_set` and the scan state from
+    ``grid.states``.  Only the evaluator's geometry is used: its disk to find
+    an offset's column, and ``rel_bearings``/``window_masks`` so that cells on
+    a window boundary round the same way.  Trimming rule: the sweep spans the
+    first to the last bearing of the unscanned cells the window holds; a
+    sweep that covers only the own cell has zero angle and costs the setup
+    time, and one that covers nothing costs nothing.
+    """
+    disk = evaluator.disk
+    column = {(int(dx), int(dy)): k for k, (dx, dy) in enumerate(zip(disk.dx, disk.dy))}
+    unscanned = [
+        c for c in sampled_visible_set(grid, cell, sensor.r_max)
+        if grid.states[c.y, c.x] == CellState.FREE_UNSCANNED
+    ]
+    own_new = grid.states[cell.y, cell.x] == CellState.FREE_UNSCANNED
+    sweeps = []
+    for h in range(len(evaluator.orientations)):
+        held = {}
+        for c in unscanned:
+            k = column[(c.x - cell.x, c.y - cell.y)]
+            if evaluator.window_masks[h, k]:
+                held[c] = float(evaluator.rel_bearings[h, k])
+        gain = len(held) + int(own_new)
+        if held:
+            phi = math.degrees(max(held.values()) - min(held.values()))
+            time = sensor.setup_time + sensor.sweep_rate * phi
+        else:
+            phi = 0.0
+            time = sensor.setup_time if gain else 0.0
+        new = set(held) | ({cell} if own_new else set())
+        sweeps.append((gain, phi, time, new))
+    return sweeps
+
+
 def dijkstra_oracle(grid, source: Cell, connectivity: int) -> dict[Cell, float]:
     """Heap Dijkstra over free cells with the no-corner-squeeze diagonal rule."""
     offsets = [(1, 0), (-1, 0), (0, 1), (0, -1)]

@@ -167,6 +167,19 @@ class TestMarkScanned:
         with pytest.raises(ValueError, match="obstacle"):
             mark_scanned(grid, [Cell(1, 0)])
 
+    def test_duplicates_count_once(self):
+        grid = parse_map("resolution 1.0\nS...")
+        assert mark_scanned(grid, [Cell(1, 0), Cell(2, 0), Cell(1, 0)]) == 2
+        assert grid.scanned_count() == 2
+
+    def test_batch_with_obstacle_writes_nothing(self):
+        grid = parse_map("resolution 1.0\nS.#.#")
+        before = grid.states.copy()
+        # the first obstacle in input order is named, not the first in the row
+        with pytest.raises(ValueError, match=r"Cell\(x=4, y=0\)"):
+            mark_scanned(grid, [Cell(0, 0), Cell(4, 0), Cell(1, 0), Cell(2, 0)])
+        assert np.array_equal(grid.states, before)
+
     def test_obstacles_never_change(self):
         grid = generate_random_grid(10, 0.3, 11)
         before = (grid.states == CellState.OBSTACLE).copy()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import sampled_line_of_sight
+from oracles import sampled_line_of_sight, sampled_sweeps
 
 from nbsmell.grid import (
     Cell,
@@ -278,12 +278,45 @@ class TestVisibleCells:
         small = parse_map("resolution 1.0\n..#..\n.S#..\n.....")
         assert FosEvaluator(small, SensorModel(r_max=100.0), ()).disk.k <= 80
         for grid, r_max in ((generate_random_grid(9, 0.2, 4), 5.0), (small, 100.0)):
-            origin = grid.start
-            expected = set()
-            for c in grid.free_cells():
-                if c == origin:
-                    continue
-                if math.hypot(c.x - origin.x, c.y - origin.y) * grid.resolution <= r_max:
-                    if line_of_sight(grid, origin, c):
-                        expected.add(c)
-            assert visible_cells(grid, origin, r_max) == expected
+            # every free cell, so corner and edge windows reach into the padding
+            for origin in grid.free_cells():
+                expected = set()
+                for c in grid.free_cells():
+                    if c == origin:
+                        continue
+                    if math.hypot(c.x - origin.x, c.y - origin.y) * grid.resolution <= r_max:
+                        if line_of_sight(grid, origin, c):
+                            expected.add(c)
+                assert visible_cells(grid, origin, r_max) == expected
+
+
+class TestSweepOracle:
+    @given(
+        size=st.integers(3, 14),
+        obstacle_ratio=st.floats(0.0, 0.4),
+        seed=st.integers(0, 10**6),
+        orientations=st.sampled_from([4, 8]),
+        r_max=st.floats(0.5, 8.0),
+        phi_max=st.floats(45.0, 180.0),
+        resolution=st.sampled_from([0.5, 1.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_matches_plain_loops(self, size, obstacle_ratio, seed,
+                                        orientations, r_max, phi_max, resolution):
+        grid = generate_random_grid(size, obstacle_ratio, seed, resolution)
+        rng = np.random.default_rng(seed)
+        free = grid.free_cells()
+        scanned = rng.random(len(free)) < rng.random()
+        mark_scanned(grid, [c for c, s in zip(free, scanned) if s])
+        sensor = SensorModel(r_max=r_max, phi_max=phi_max)
+        evaluator = FosEvaluator(grid, sensor, heading_set(orientations))
+        for i in rng.choice(len(free), min(3, len(free)), replace=False):
+            cell = free[i]
+            expected = sampled_sweeps(grid, cell, sensor, evaluator)
+            scores = evaluator.evaluate_cell(cell)
+            scans = evaluator.scan_results(cell)
+            for score, scan, (gain, phi, time, new) in zip(scores, scans, expected):
+                assert score.info_gain == gain
+                assert score.phi_used == pytest.approx(phi, abs=1e-9)
+                assert score.sensing_time == pytest.approx(time, abs=1e-9)
+                assert scan.smellable_new == new
