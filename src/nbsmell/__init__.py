@@ -7,11 +7,9 @@ one until the map is covered.
 """
 
 from .engine import (
-    Candidate,
     CoverageEngine,
     RunResult,
     StepRecord,
-    enumerate_candidates,
     run_coverage,
     select_best,
     uncoverable_cells,

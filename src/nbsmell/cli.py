@@ -35,6 +35,7 @@ from .grid import (
     frontier_cells,
     generate_random_grid,
     parse_map,
+    random_obstacle_count,
     serialize_map,
 )
 from .mapgen import generate_map
@@ -175,24 +176,41 @@ def _resolve_config(args: argparse.Namespace) -> str | WeightConfig:
     return name
 
 
-def _build_sensor(args: argparse.Namespace) -> SensorModel:
-    return SensorModel(
-        r_max=args.rmax_m,
-        phi_max=args.phimax_deg,
-        setup_time=args.setup_s,
-        sweep_rate=args.sweep_s_per_deg,
-    )
+def _validated(args: argparse.Namespace) -> tuple[str | WeightConfig | None, SensorModel]:
+    """The configuration (None without config flags) and sensor the flags ask for.
+
+    Checks run in a fixed order: configuration, sensor, motion, then the
+    batch flags of ``randgrid``, whose sizes are parsed into ``args.sizes``.
+    Every rejection is raised as :class:`InvalidConfigError`, before any run.
+    """
+    try:
+        config = _resolve_config(args) if "config" in args else None
+        sensor = SensorModel(r_max=args.rmax_m, phi_max=args.phimax_deg,
+                             setup_time=args.setup_s, sweep_rate=args.sweep_s_per_deg)
+        if not 0 < args.speed_mps < math.inf:
+            raise InvalidConfigError(
+                f"--speed-mps must be finite and > 0, got {args.speed_mps}")
+        if not 0.0 < args.target_coverage <= 1.0:
+            raise InvalidConfigError(
+                f"--target-coverage must be in (0, 1], got {args.target_coverage}")
+        if "sizes" in args:
+            args.sizes = _batch_sizes(args)
+    except ValueError as exc:
+        raise InvalidConfigError(str(exc)) from exc
+    return config, sensor
 
 
-def _check_motion_args(args: argparse.Namespace) -> None:
-    if not 0 < args.speed_mps < math.inf:
-        raise InvalidConfigError(
-            f"--speed-mps must be finite and > 0, got {args.speed_mps}"
-        )
-    if not 0.0 < args.target_coverage <= 1.0:
-        raise InvalidConfigError(
-            f"--target-coverage must be in (0, 1], got {args.target_coverage}"
-        )
+def _batch_sizes(args: argparse.Namespace) -> list[int]:
+    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    if not sizes or any(s < 1 for s in sizes):
+        raise InvalidConfigError(f"invalid --sizes {args.sizes!r}")
+    if args.grids_per_size < 1:
+        raise InvalidConfigError("--grids-per-size must be >= 1")
+    for size in sizes:
+        random_obstacle_count(size, args.obstacle_ratio)
+    if args.jobs < 1:
+        raise InvalidConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    return sizes
 
 
 def _load_map(path: str) -> GridMap:
@@ -222,24 +240,14 @@ def render_ppm(grid: GridMap, robot: Cell | None,
     return header + img.tobytes()
 
 
-def _write_run_outputs(out_dir: Path, result: RunResult, grid: GridMap,
-                       context: dict) -> None:
-    with open(out_dir / "run.csv", "w", newline="") as fh:
+def _write_csv(path: Path | str, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RUN_CSV_HEADER)
-        for rec in result.steps:
-            writer.writerow([
-                rec.index,
-                rec.pose.cell.x,
-                rec.pose.cell.y,
-                f"{np.degrees(rec.pose.theta):.1f}",
-                _fmt(rec.phi_used),
-                rec.info_gain,
-                _fmt(rec.travel_time),
-                _fmt(rec.sensing_time),
-                _fmt(rec.cumulative_coverage),
-                rec.candidates_evaluated,
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_summary(out_dir: Path, result: RunResult, grid: GridMap, context: dict) -> None:
     summary = dict(context)
     summary.update({
         "total_sensing_ops": result.total_sensing_ops,
@@ -270,66 +278,53 @@ def _summary_line(label: str, result: RunResult) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = _resolve_config(args)
-        sensor = _build_sensor(args)
-        _check_motion_args(args)
-    except (InvalidConfigError, ValueError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        grid = _load_map(args.map)
-    except MapFormatError as exc:
-        print(f"map error: {exc}", file=sys.stderr)
-        return EXIT_MAP
-
+    config, sensor = _validated(args)
+    grid = _load_map(args.map)
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        snap_dir = out_dir / "snapshots"
-        if args.snapshots:
-            snap_dir.mkdir(exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    snap_dir = out_dir / "snapshots"
+    if args.snapshots:
+        snap_dir.mkdir(exist_ok=True)
 
-        engine = CoverageEngine(
-            grid, config, sensor,
-            orientations=args.orientations,
-            connectivity=args.connectivity,
-            speed=args.speed_mps,
-            target_coverage=args.target_coverage,
-        )
-        if args.snapshots:
-            for record in engine:
-                ppm = render_ppm(grid, engine.robot.cell,
-                                 frontier_cells(grid, args.connectivity))
-                (snap_dir / f"step_{record.index:04d}.ppm").write_bytes(ppm)
-        result = engine.run()
+    engine = CoverageEngine(
+        grid, config, sensor,
+        orientations=args.orientations,
+        connectivity=args.connectivity,
+        speed=args.speed_mps,
+        target_coverage=args.target_coverage,
+    )
+    if args.snapshots:
+        for record in engine:
+            ppm = render_ppm(grid, engine.robot.cell,
+                             frontier_cells(grid, args.connectivity))
+            (snap_dir / f"step_{record.index:04d}.ppm").write_bytes(ppm)
+    result = engine.run()
 
-        label = config if isinstance(config, str) else "custom"
-        context = {
-            "command": "run",
-            "map": args.map,
-            "configuration": label,
-            "weights": None if isinstance(config, str)
-            else [config.x1, config.x2, config.x3],
-            "r_max_m": sensor.r_max,
-            "phi_max_deg": sensor.phi_max,
-            "setup_s": sensor.setup_time,
-            "sweep_s_per_deg": sensor.sweep_rate,
-            "orientations": args.orientations,
-            "connectivity": args.connectivity,
-            "speed_mps": args.speed_mps,
-            "target_coverage": args.target_coverage,
-        }
-        _write_run_outputs(out_dir, result, grid, context)
-        if args.timing_out:
-            with open(args.timing_out, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["index", "decision_time_s"])
-                for rec in result.steps:
-                    writer.writerow([rec.index, _fmt(rec.decision_time)])
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    label = config if isinstance(config, str) else "custom"
+    _write_csv(out_dir / "run.csv", RUN_CSV_HEADER, (
+        [rec.index, rec.pose.cell.x, rec.pose.cell.y,
+         f"{np.degrees(rec.pose.theta):.1f}", _fmt(rec.phi_used), rec.info_gain,
+         _fmt(rec.travel_time), _fmt(rec.sensing_time), _fmt(rec.cumulative_coverage),
+         rec.candidates_evaluated]
+        for rec in result.steps
+    ))
+    _write_summary(out_dir, result, grid, {
+        "command": "run",
+        "map": args.map,
+        "configuration": label,
+        "weights": None if isinstance(config, str) else [config.x1, config.x2, config.x3],
+        "r_max_m": sensor.r_max,
+        "phi_max_deg": sensor.phi_max,
+        "setup_s": sensor.setup_time,
+        "sweep_s_per_deg": sensor.sweep_rate,
+        "orientations": args.orientations,
+        "connectivity": args.connectivity,
+        "speed_mps": args.speed_mps,
+        "target_coverage": args.target_coverage,
+    })
+    if args.timing_out:
+        _write_csv(args.timing_out, ["index", "decision_time_s"],
+                   ([rec.index, _fmt(rec.decision_time)] for rec in result.steps))
 
     print(_summary_line(f"config={label}", result))
     print(f"planning wall-clock: {result.total_decision_time:.3f} s",
@@ -338,168 +333,94 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        sensor = _build_sensor(args)
-        _check_motion_args(args)
-    except ValueError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        base_grid = _load_map(args.map)
-    except MapFormatError as exc:
-        print(f"map error: {exc}", file=sys.stderr)
-        return EXIT_MAP
-
+    _, sensor = _validated(args)
+    base_grid = _load_map(args.map)
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        rows = []
-        for name in NAMED_CONFIGS:
-            result = run_coverage(
-                base_grid.copy(), name, sensor,
-                orientations=args.orientations,
-                connectivity=args.connectivity,
-                speed=args.speed_mps,
-                target_coverage=args.target_coverage,
-            )
-            rows.append([
-                name,
-                "yes" if result.coverage_satisfied else "no",
-                result.total_sensing_ops,
-                _fmt(result.total_travel_time),
-                _fmt(result.total_sensing_time),
-                _fmt(result.total_time / 60.0),
-            ])
-            print(_summary_line(name, result))
-        with open(out_dir / "sweep.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(SWEEP_CSV_HEADER)
-            writer.writerows(rows)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for name in NAMED_CONFIGS:
+        result = run_coverage(
+            base_grid.copy(), name, sensor,
+            orientations=args.orientations,
+            connectivity=args.connectivity,
+            speed=args.speed_mps,
+            target_coverage=args.target_coverage,
+        )
+        rows.append([
+            name,
+            "yes" if result.coverage_satisfied else "no",
+            result.total_sensing_ops,
+            _fmt(result.total_travel_time),
+            _fmt(result.total_sensing_time),
+            _fmt(result.total_time / 60.0),
+        ])
+        print(_summary_line(name, result))
+    _write_csv(out_dir / "sweep.csv", SWEEP_CSV_HEADER, rows)
     return EXIT_OK
 
 
-def _randgrid_task(task: dict) -> dict:
-    """One random-grid run; a top-level function so pools can pickle it."""
-    grid = generate_random_grid(task["size"], task["ratio"], task["seed"])
+def _randgrid_task(task: tuple) -> tuple:
+    """One random-grid run; a top-level function so pools can pickle it.
+
+    Returns size, grid index, seed, free cells, covered cells, coverage
+    satisfied, sensing ops, travel s, scanning s, total s and planning s.
+    """
+    args, config, sensor, size, index = task
+    seed = args.seed + 1000 * size + index
+    grid = generate_random_grid(size, args.obstacle_ratio, seed)
     result = run_coverage(
-        grid, task["config"], task["sensor"],
-        orientations=task["orientations"],
-        connectivity=task["connectivity"],
-        speed=task["speed"],
-        target_coverage=task["target"],
+        grid, config, sensor,
+        orientations=args.orientations,
+        connectivity=args.connectivity,
+        speed=args.speed_mps,
+        target_coverage=args.target_coverage,
     )
-    return {
-        "size": task["size"],
-        "grid_index": task["grid_index"],
-        "seed": task["seed"],
-        "free_cells": grid.free_count(),
-        "covered_cells": grid.scanned_count(),
-        "coverage_satisfied": result.coverage_satisfied,
-        "sensing_ops": result.total_sensing_ops,
-        "travel_time_s": result.total_travel_time,
-        "scanning_time_s": result.total_sensing_time,
-        "total_time_s": result.total_time,
-        "planning_time_s": result.total_decision_time,
-    }
+    return (size, index, seed, grid.free_count(), grid.scanned_count(),
+            result.coverage_satisfied, result.total_sensing_ops, result.total_travel_time,
+            result.total_sensing_time, result.total_time, result.total_decision_time)
+
+
+def _size_means(results: list[tuple], size: int) -> tuple[int, list[float]]:
+    """Grid count and the means of the columns from free cells on, for one size."""
+    group = [r for r in results if r[0] == size]
+    return len(group), [float(np.mean(column)) for column in list(zip(*group))[3:]]
 
 
 def cmd_randgrid(args: argparse.Namespace) -> int:
-    try:
-        config = _resolve_config(args)
-        sensor = _build_sensor(args)
-        _check_motion_args(args)
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-        if not sizes or any(s < 1 for s in sizes):
-            raise InvalidConfigError(f"invalid --sizes {args.sizes!r}")
-        if args.grids_per_size < 1:
-            raise InvalidConfigError("--grids-per-size must be >= 1")
-        if not 0.0 <= args.obstacle_ratio < 1.0:
-            raise InvalidConfigError("--obstacle-ratio must be in [0, 1)")
-        if args.jobs < 1:
-            raise InvalidConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    except (InvalidConfigError, ValueError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    tasks = []
-    for size in sizes:
-        for i in range(args.grids_per_size):
-            tasks.append({
-                "size": size,
-                "grid_index": i,
-                "seed": args.seed + 1000 * size + i,
-                "ratio": args.obstacle_ratio,
-                "sensor": sensor,
-                "config": config,
-                "orientations": args.orientations,
-                "connectivity": args.connectivity,
-                "speed": args.speed_mps,
-                "target": args.target_coverage,
-            })
-
+    config, sensor = _validated(args)
+    sizes = args.sizes
+    tasks = [(args, config, sensor, size, i)
+             for size in sizes for i in range(args.grids_per_size)]
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_randgrid_task, tasks))
     else:
         results = [_randgrid_task(t) for t in tasks]
-    results.sort(key=lambda r: (r["size"], r["grid_index"]))
-    groups = {size: [r for r in results if r["size"] == size] for size in sizes}
+    results.sort(key=lambda r: r[:2])
+    means = {size: _size_means(results, size) for size in sizes}
 
+    grid_rows = [
+        ["grid", *r[:5], "yes" if r[5] else "no", r[6], *map(_fmt, r[7:10])]
+        for r in results
+    ]
+    mean_rows = []
+    for size in sizes:
+        free, covered, _, ops, travel, scanning, total, _ = means[size][1]
+        mean_rows.append(["size_mean", size, "", "", _fmt(free), _fmt(covered), "",
+                          *map(_fmt, (ops, travel, scanning, total))])
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "randgrid.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(RANDGRID_CSV_HEADER)
-            for row in results:
-                writer.writerow([
-                    "grid", row["size"], row["grid_index"], row["seed"],
-                    row["free_cells"], row["covered_cells"],
-                    "yes" if row["coverage_satisfied"] else "no",
-                    row["sensing_ops"],
-                    _fmt(row["travel_time_s"]),
-                    _fmt(row["scanning_time_s"]),
-                    _fmt(row["total_time_s"]),
-                ])
-            for size in sizes:
-                group = groups[size]
-                writer.writerow([
-                    "size_mean", size, "", "",
-                    _fmt(float(np.mean([r["free_cells"] for r in group]))),
-                    _fmt(float(np.mean([r["covered_cells"] for r in group]))),
-                    "",
-                    _fmt(float(np.mean([r["sensing_ops"] for r in group]))),
-                    _fmt(float(np.mean([r["travel_time_s"] for r in group]))),
-                    _fmt(float(np.mean([r["scanning_time_s"] for r in group]))),
-                    _fmt(float(np.mean([r["total_time_s"] for r in group]))),
-                ])
-        if args.timing_out:
-            with open(args.timing_out, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["row_type", "size", "grid_index", "planning_time_s"])
-                for row in results:
-                    writer.writerow(["grid", row["size"], row["grid_index"],
-                                     _fmt(row["planning_time_s"])])
-                for size in sizes:
-                    group = groups[size]
-                    writer.writerow([
-                        "size_mean", size, "",
-                        _fmt(float(np.mean([r["planning_time_s"] for r in group]))),
-                    ])
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "randgrid.csv", RANDGRID_CSV_HEADER, grid_rows + mean_rows)
+    if args.timing_out:
+        _write_csv(args.timing_out, ["row_type", "size", "grid_index", "planning_time_s"],
+                   [["grid", r[0], r[1], _fmt(r[10])] for r in results]
+                   + [["size_mean", size, "", _fmt(means[size][1][-1])] for size in sizes])
 
     for size in sizes:
-        group = groups[size]
-        ops = float(np.mean([r["sensing_ops"] for r in group]))
-        plan = float(np.mean([r["planning_time_s"] for r in group]))
-        print(f"size={size} grids={len(group)} mean_sensing_ops={ops:.2f}")
-        print(f"size={size} mean_planning_time_s={plan:.3f}", file=sys.stderr)
+        count, values = means[size]
+        print(f"size={size} grids={count} mean_sensing_ops={values[3]:.2f}")
+        print(f"size={size} mean_planning_time_s={values[-1]:.3f}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -517,22 +438,27 @@ def cmd_genmap(args: argparse.Namespace) -> int:
             resolution=args.resolution,
         )
     except ValueError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(serialize_map(grid))
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise InvalidConfigError(str(exc)) from exc
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    Path(args.out).write_text(serialize_map(grid))
     print(f"wrote {args.kind} map {width}x{height} to {args.out}")
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command; input and output errors become exit codes, others propagate."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except InvalidConfigError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MapFormatError as exc:
+        print(f"map error: {exc}", file=sys.stderr)
+        return EXIT_MAP
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

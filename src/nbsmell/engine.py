@@ -39,35 +39,17 @@ from .mcdm import (
     normalize_utilities,
 )
 from .planning import shortest_distances, travel_time
-from .sensing import FosEvaluator, ScanResult, SensorModel
+from .sensing import FosEvaluator, SensorModel
 
 __all__ = [
-    "Candidate",
     "CoverageEngine",
     "RunResult",
     "StepRecord",
-    "best_index",
-    "enumerate_candidates",
     "resolve_measure",
     "run_coverage",
     "select_best",
     "uncoverable_cells",
 ]
-
-
-@dataclass
-class Candidate:
-    """A scored (or scorable) candidate pose.
-
-    ``utilities`` and ``score`` are filled in by :func:`select_best`, since
-    normalization is relative to the whole candidate set.
-    """
-
-    pose: Pose
-    distance: float  # meters from the current robot cell
-    scan: ScanResult
-    utilities: tuple[float, float, float] | None = None
-    score: float | None = None
 
 
 @dataclass(frozen=True)
@@ -113,65 +95,16 @@ def _positions(grid: GridMap, robot_cell: Cell, connectivity: int) -> list[Cell]
     return frontier_cells(grid, connectivity)
 
 
-def enumerate_candidates(
-    grid: GridMap,
-    robot: Pose,
-    orientations: int,
-    sensor: SensorModel,
-    connectivity: int,
-) -> list[Candidate]:
-    """Candidates with positive information gain at reachable positions.
-
-    Positions are frontier cells (or the robot cell before the first scan),
-    iterated row-major with orientations ascending.  Every call evaluates
-    every position from scratch; :class:`CoverageEngine` reuses scores
-    between steps and must choose as this function plus
-    :func:`select_best` would.
-    """
-    headings = heading_set(orientations)
-    evaluator = FosEvaluator(grid, sensor, headings)
-    dist_field = shortest_distances(grid, robot.cell, connectivity)
-    candidates: list[Candidate] = []
-    for cell in _positions(grid, robot.cell, connectivity):
-        distance = float(dist_field[cell.y, cell.x])
-        if not math.isfinite(distance):
-            continue
-        for theta, scan in zip(headings, evaluator.scan_results(cell)):
-            if scan.info_gain >= 1:
-                candidates.append(Candidate(Pose(cell, theta), distance, scan))
-    return candidates
-
-
-def best_index(raw: np.ndarray, measure: FuzzyMeasure) -> tuple[int, np.ndarray, np.ndarray]:
-    """Row of the best candidate, plus the utilities and scores of all rows.
+def select_best(raw: np.ndarray, measure: FuzzyMeasure) -> int:
+    """Row of the best candidate.
 
     ``raw`` is (n, 3): information gain, travel distance, sensing time.
-    Ties on the Choquet score break deterministically: smaller distance,
-    then smaller sensing time, then the earlier row (lexsort is stable).
+    Rows are normalized over the set and scored by the Choquet integral.
+    Ties on the score break deterministically: smaller distance, then
+    smaller sensing time, then the earlier row (lexsort is stable).
     """
-    utilities = normalize_utilities(raw)
-    scores = choquet_batch(utilities, measure)
-    order = np.lexsort((raw[:, 2], raw[:, 1], -scores))
-    return int(order[0]), utilities, scores
-
-
-def select_best(candidates: list[Candidate], measure: FuzzyMeasure) -> Candidate:
-    """Normalize, score, and pick the best candidate (see :func:`best_index`).
-
-    Candidates are built row-major with headings ascending, so the final
-    tie-break is row-major cell order, then smaller heading.
-    """
-    if not candidates:
-        raise ValueError("select_best needs at least one candidate")
-    raw = np.array(
-        [(c.scan.info_gain, c.distance, c.scan.sensing_time) for c in candidates],
-        dtype=np.float64,
-    )
-    best, utilities, scores = best_index(raw, measure)
-    for cand, u, s in zip(candidates, utilities, scores):
-        cand.utilities = (float(u[0]), float(u[1]), float(u[2]))
-        cand.score = float(s)
-    return candidates[best]
+    scores = choquet_batch(normalize_utilities(raw), measure)
+    return int(np.lexsort((raw[:, 2], raw[:, 1], -scores))[0])
 
 
 class CoverageEngine:
@@ -217,7 +150,7 @@ class CoverageEngine:
         reachable = np.flatnonzero(np.isfinite(dist))
         cells = [positions[i] for i in reachable]
         gain, sense = self.evaluator.scores(cells)
-        # candidates in enumerate_candidates order: row-major cells, headings ascending
+        # candidates in row-major cell order, headings ascending
         cand_cell, cand_heading = np.nonzero(gain >= 1)
         if cand_cell.size == 0:
             self._done = True
@@ -227,7 +160,7 @@ class CoverageEngine:
             dist[reachable[cand_cell]],
             sense[cand_cell, cand_heading],
         ))
-        best = best_index(raw, self.measure)[0]
+        best = select_best(raw, self.measure)
         decision_time = time.perf_counter() - started
 
         cell = cells[cand_cell[best]]

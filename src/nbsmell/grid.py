@@ -28,6 +28,7 @@ __all__ = [
     "heading_set",
     "mark_scanned",
     "parse_map",
+    "random_obstacle_count",
     "serialize_map",
 ]
 
@@ -141,6 +142,12 @@ class GridMap:
         ys, xs = np.nonzero(self.states == CellState.FREE_UNSCANNED)
         return [Cell(int(x), int(y)) for y, x in zip(ys, xs)]
 
+    @classmethod
+    def from_states(cls, states: np.ndarray, resolution: float) -> "GridMap":
+        """Map over ``states`` that starts at the free cell nearest the center."""
+        height, width = states.shape
+        return cls(width, height, resolution, states, _start_near_center(states))
+
     def copy(self) -> "GridMap":
         return GridMap(
             width=self.width,
@@ -221,18 +228,10 @@ def serialize_map(grid: GridMap) -> str:
     Scan flags are not representable in the format; scanned cells are
     emitted as plain free cells.
     """
-    out = [f"resolution {grid.resolution!r}"]
-    for y in range(grid.height):
-        chars = []
-        for x in range(grid.width):
-            if Cell(x, y) == grid.start:
-                chars.append(START_CHAR)
-            elif grid.states[y, x] == CellState.OBSTACLE:
-                chars.append(OBSTACLE_CHAR)
-            else:
-                chars.append(FREE_CHAR)
-        out.append("".join(chars))
-    return "\n".join(out) + "\n"
+    chars = np.where(grid.states == CellState.OBSTACLE, OBSTACLE_CHAR, FREE_CHAR)
+    chars[grid.start.y, grid.start.x] = START_CHAR
+    rows = ["".join(row) for row in chars]
+    return "\n".join([f"resolution {grid.resolution!r}", *rows]) + "\n"
 
 
 def generate_random_grid(size: int, obstacle_ratio: float, seed: int,
@@ -243,23 +242,30 @@ def generate_random_grid(size: int, obstacle_ratio: float, seed: int,
     ``round(obstacle_ratio * size**2)``.  The start is the free cell nearest
     the grid center (see :func:`_start_near_center`).
     """
+    n_obstacles = random_obstacle_count(size, obstacle_ratio)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    states = np.full((size, size), CellState.FREE_UNSCANNED, dtype=np.uint8)
+    if n_obstacles:
+        flat = rng.choice(size * size, size=n_obstacles, replace=False)
+        states.reshape(-1)[flat] = CellState.OBSTACLE
+    return GridMap.from_states(states, resolution)
+
+
+def random_obstacle_count(size: int, obstacle_ratio: float) -> int:
+    """Obstacles in a random ``size`` x ``size`` grid.
+
+    Raises ValueError for a size below 1, a ratio outside [0, 1), or a
+    ratio that leaves no free cell.
+    """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     if not 0.0 <= obstacle_ratio < 1.0:
         raise ValueError(f"obstacle_ratio must be in [0, 1), got {obstacle_ratio}")
-    n_cells = size * size
-    n_obstacles = round(obstacle_ratio * n_cells)
-    if n_obstacles >= n_cells:
-        raise ValueError("obstacle ratio leaves no free cells")
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    states = np.full((size, size), CellState.FREE_UNSCANNED, dtype=np.uint8)
-    if n_obstacles:
-        flat = rng.choice(n_cells, size=n_obstacles, replace=False)
-        states.reshape(-1)[flat] = CellState.OBSTACLE
-
-    return GridMap(width=size, height=size, resolution=resolution, states=states,
-                   start=_start_near_center(states))
+    n_obstacles = round(obstacle_ratio * size * size)
+    if n_obstacles >= size * size:
+        raise ValueError(
+            f"obstacle ratio {obstacle_ratio} leaves no free cells on a {size}x{size} grid")
+    return n_obstacles
 
 
 def _start_near_center(states: np.ndarray) -> Cell:
@@ -268,6 +274,8 @@ def _start_near_center(states: np.ndarray) -> Cell:
     cx = (w - 1) / 2.0
     cy = (h - 1) / 2.0
     ys, xs = np.nonzero(states != CellState.OBSTACLE)
+    if xs.size == 0:
+        raise ValueError("map has no free cells")
     d2 = (xs - cx) ** 2 + (ys - cy) ** 2
     best = np.lexsort((xs, ys, d2))[0]
     return Cell(int(xs[best]), int(ys[best]))

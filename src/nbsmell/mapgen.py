@@ -10,13 +10,7 @@ from importlib import resources
 
 import numpy as np
 
-from .grid import (
-    CellState,
-    GridMap,
-    _start_near_center,
-    generate_random_grid,
-    parse_map,
-)
+from .grid import CellState, GridMap, generate_random_grid, parse_map
 
 __all__ = ["corridor_map", "empty_map", "generate_map", "rooms_map", "shipped_map"]
 
@@ -40,13 +34,7 @@ def shipped_map(name: str) -> GridMap:
 
 def empty_map(width: int, height: int, resolution: float = 1.0) -> GridMap:
     states = np.full((height, width), CellState.FREE_UNSCANNED, dtype=np.uint8)
-    return GridMap(
-        width=width,
-        height=height,
-        resolution=resolution,
-        states=states,
-        start=_start_near_center(states),
-    )
+    return GridMap.from_states(states, resolution)
 
 
 def corridor_map(width: int, height: int, seed: int = 0,
@@ -86,13 +74,7 @@ def corridor_map(width: int, height: int, seed: int = 0,
 
     build_band(cy - 1, slice(0, cy - 1))
     build_band(cy + 2, slice(cy + 3, height))
-    return GridMap(
-        width=width,
-        height=height,
-        resolution=resolution,
-        states=states,
-        start=_start_near_center(states),
-    )
+    return GridMap.from_states(states, resolution)
 
 
 def rooms_map(width: int, height: int, seed: int = 0,
@@ -128,13 +110,7 @@ def rooms_map(width: int, height: int, seed: int = 0,
                 continue
             at = int(rng.integers(lo, hi - door + 1))
             states[y, at:at + door] = CellState.FREE_UNSCANNED
-    return GridMap(
-        width=width,
-        height=height,
-        resolution=resolution,
-        states=states,
-        start=_start_near_center(states),
-    )
+    return GridMap.from_states(states, resolution)
 
 
 def generate_map(kind: str, width: int, height: int, seed: int = 0,

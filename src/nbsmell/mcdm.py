@@ -168,15 +168,6 @@ def named_measure(name: str) -> FuzzyMeasure:
         ) from None
 
 
-def named_config(name: str) -> WeightConfig:
-    row = _NAMED_ROWS.get(name.upper())
-    if row is None:
-        raise InvalidConfigError(
-            f"unknown configuration {name!r}; expected one of {', '.join(NAMED_CONFIGS)}"
-        )
-    return WeightConfig(name=name.upper(), x1=row[0], x2=row[1], x3=row[2])
-
-
 def build_measure(config: WeightConfig) -> FuzzyMeasure:
     """Measure for a weight configuration.
 

@@ -1,15 +1,21 @@
 """Independent reference implementations used by the test suite only.
 
 These deliberately avoid the production code paths: line of sight is
-checked by dense point sampling, shortest paths by a plain heap Dijkstra.
+checked by dense point sampling, shortest paths by a plain heap Dijkstra,
+and candidate selection by a from-scratch planner that scores every
+candidate with the scalar Choquet integral and sorts on a plain key.
 """
 
 import heapq
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from nbsmell.grid import Cell, CellState
+from nbsmell.grid import Cell, CellState, GridMap, Pose, frontier_cells, heading_set
+from nbsmell.mcdm import FuzzyMeasure, choquet, normalize_utilities
+from nbsmell.planning import shortest_distances
+from nbsmell.sensing import FosEvaluator, ScanResult, SensorModel
 
 SQRT2 = math.sqrt(2.0)
 
@@ -102,3 +108,63 @@ def dijkstra_oracle(grid, source: Cell, connectivity: int) -> dict[Cell, float]:
                 dist[n] = nd
                 heapq.heappush(heap, (nd, n))
     return dist
+
+
+@dataclass
+class Candidate:
+    """A candidate pose; ``utilities`` and ``score`` are set by :func:`select_best`."""
+
+    pose: Pose
+    distance: float  # meters from the current robot cell
+    scan: ScanResult
+    utilities: tuple[float, float, float] | None = None
+    score: float | None = None
+
+
+def enumerate_candidates(grid: GridMap, robot: Pose, orientations: int,
+                         sensor: SensorModel, connectivity: int) -> list[Candidate]:
+    """Candidates with positive information gain at reachable positions.
+
+    Positions are the frontier cells (or the robot cell before the first
+    scan), iterated row-major with headings ascending.  Every call evaluates
+    every position with a fresh evaluator, so nothing is reused between steps.
+    """
+    headings = heading_set(orientations)
+    evaluator = FosEvaluator(grid, sensor, headings)
+    dist_field = shortest_distances(grid, robot.cell, connectivity)
+    if grid.scanned_count() == 0:
+        positions = [robot.cell]
+    else:
+        positions = frontier_cells(grid, connectivity)
+    candidates = []
+    for cell in positions:
+        distance = float(dist_field[cell.y, cell.x])
+        if not math.isfinite(distance):
+            continue
+        for theta, scan in zip(headings, evaluator.scan_results(cell)):
+            if scan.info_gain >= 1:
+                candidates.append(Candidate(Pose(cell, theta), distance, scan))
+    return candidates
+
+
+def select_best(candidates: list[Candidate], measure: FuzzyMeasure) -> Candidate:
+    """Best candidate by the scalar Choquet score, ties broken by a plain key.
+
+    Key: higher score, then smaller distance, then smaller sensing time,
+    then the earlier position in ``candidates``.
+    """
+    if not candidates:
+        raise ValueError("select_best needs at least one candidate")
+    raw = np.array(
+        [(c.scan.info_gain, c.distance, c.scan.sensing_time) for c in candidates],
+        dtype=np.float64,
+    )
+    for cand, u in zip(candidates, normalize_utilities(raw)):
+        cand.utilities = (float(u[0]), float(u[1]), float(u[2]))
+        cand.score = choquet(cand.utilities, measure)
+
+    def key(row):
+        c = candidates[row]
+        return (-c.score, c.distance, c.scan.sensing_time, row)
+
+    return candidates[min(range(len(candidates)), key=key)]

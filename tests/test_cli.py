@@ -7,6 +7,7 @@ import pytest
 from nbsmell import cli
 from nbsmell.cli import (
     EXIT_CONFIG,
+    EXIT_IO,
     EXIT_MAP,
     EXIT_OK,
     RANDGRID_CSV_HEADER,
@@ -15,6 +16,7 @@ from nbsmell.cli import (
     main,
     render_ppm,
 )
+from nbsmell.engine import CoverageEngine
 from nbsmell.grid import Cell, mark_scanned, parse_map
 
 
@@ -23,6 +25,70 @@ def tiny_map(tmp_path):
     path = tmp_path / "tiny.txt"
     path.write_text("resolution 1.0\nS....\n.....\n..#..\n.....\n")
     return path
+
+
+def command_args(command, map_path, out):
+    """Smallest argument list of each command that writes below ``out``."""
+    return {
+        "run": ["run", "--map", str(map_path), "--out", str(out)],
+        "sweep": ["sweep", "--map", str(map_path), "--out", str(out)],
+        "randgrid": ["randgrid", "--sizes", "3", "--grids-per-size", "1",
+                     "--out", str(out)],
+        "genmap": ["genmap", "--kind", "empty", "--size", "3",
+                   "--out", str(out / "map.txt")],
+    }[command]
+
+
+class TestExitPaths:
+    @pytest.mark.parametrize("command", ["run", "sweep", "randgrid", "genmap"])
+    def test_output_below_regular_file_exit_io(self, tiny_map, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(command_args(command, tiny_map, blocker / "out")) == EXIT_IO
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
+    @pytest.mark.parametrize("argv,code,prefix", [
+        (["--map", "{bad}"], EXIT_MAP, "map error: "),
+        (["--map", "{missing}"], EXIT_MAP, "map error: "),
+        (["--map", "{tiny}", "--speed-mps", "0"], EXIT_CONFIG, "invalid configuration: "),
+        (["--map", "{tiny}", "--rmax-m", "nan"], EXIT_CONFIG, "invalid configuration: "),
+        (["--map", "{tiny}", "--target-coverage", "0"], EXIT_CONFIG,
+         "invalid configuration: "),
+    ], ids=["broken-map", "missing-map", "speed", "rmax", "target"])
+    def test_sweep_input_errors(self, tiny_map, tmp_path, capsys, argv, code, prefix):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("resolution 1.0\nSS\n")
+        paths = {"bad": bad, "missing": tmp_path / "nope.txt", "tiny": tiny_map}
+        argv = [a.format(**paths) for a in argv]
+        out = tmp_path / "o"
+        assert main(["sweep", *argv, "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(prefix)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,prefix", [
+        (["run", "--map", "{tiny}", "--config", "Q"], "invalid configuration: "),
+        (["run", "--map", "{bad}"], "map error: "),
+        (["randgrid", "--sizes", "0"], "invalid configuration: "),
+        (["genmap", "--kind", "empty", "--size", "abc"], "invalid configuration: "),
+        (["genmap", "--kind", "empty", "--size", "3xabc"], "invalid configuration: "),
+    ], ids=["run-config", "run-map", "randgrid-sizes", "genmap-size", "genmap-height"])
+    def test_stderr_prefix(self, tiny_map, tmp_path, capsys, argv, prefix):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("resolution 1.0\n#\n")
+        argv = [a.format(tiny=tiny_map, bad=bad) for a in argv]
+        code = main([*argv, "--out", str(tmp_path / "o")])
+        assert code == (EXIT_MAP if prefix == "map error: " else EXIT_CONFIG)
+        assert capsys.readouterr().err.startswith(prefix)
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "randgrid"])
+    def test_error_inside_coverage_run_propagates(self, tiny_map, tmp_path, monkeypatch,
+                                                  command):
+        def broken_run(self):
+            raise ValueError("broken run")
+
+        monkeypatch.setattr(CoverageEngine, "run", broken_run)
+        with pytest.raises(ValueError, match="broken run"):
+            main(command_args(command, tiny_map, tmp_path / "o"))
 
 
 class TestRunCommand:
@@ -205,6 +271,19 @@ class TestRandgridCommand:
             "randgrid", "--sizes", "0", "--out", str(tmp_path / "o")
         ]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("sizes,ratio", [("3,2", "0.9"), ("1", "0.6")])
+    def test_ratio_leaving_no_free_cell_exit_config_before_any_grid_runs(
+            self, tmp_path, capsys, monkeypatch, sizes, ratio):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a grid ran before the batch was validated")
+
+        monkeypatch.setattr(cli, "run_coverage", no_run)
+        assert main([
+            "randgrid", "--sizes", sizes, "--obstacle-ratio", ratio,
+            "--out", str(tmp_path / "o"),
+        ]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("invalid configuration: ")
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_config(self, tmp_path, jobs):
         assert main([
@@ -276,6 +355,14 @@ class TestGenmapCommand:
             "genmap", "--kind", "corridor", "--size", "4x4",
             "--out", str(tmp_path / "x.txt"),
         ]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("size", ["0", "0x5", "5x0"])
+    def test_map_without_free_cells_exit_config(self, tmp_path, capsys, size):
+        out = tmp_path / "x.txt"
+        assert main(["genmap", "--kind", "empty", "--size", size, "--out", str(out)]) \
+            == EXIT_CONFIG
+        assert "map has no free cells" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRenderPpm:

@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbsmell.engine import (
-    CoverageEngine,
-    best_index,
-    enumerate_candidates,
-    run_coverage,
-    select_best,
-    uncoverable_cells,
-)
+from nbsmell.engine import CoverageEngine, run_coverage, uncoverable_cells
+from nbsmell.engine import select_best as select_row
 from nbsmell.grid import (
     Cell,
     Pose,
@@ -25,6 +19,7 @@ from nbsmell.grid import (
 from nbsmell.mcdm import named_measure
 from nbsmell.planning import travel_time
 from nbsmell.sensing import SensorModel
+from oracles import enumerate_candidates, select_best
 
 SENSOR = SensorModel(r_max=10.0)
 
@@ -102,13 +97,13 @@ class TestSelectBest:
         grid = parse_map(empty_text(3, 3, start=(1, 1)))
         cands = enumerate_candidates(grid, Pose(grid.start, 0.0), 4, SENSOR, 4)
         same_gain = [c for c in cands if c.scan.info_gain == 6]
-        if len(same_gain) >= 2:
-            best = select_best(same_gain, named_measure("A"))
-            keyed = sorted(
-                same_gain,
-                key=lambda c: (c.pose.cell.y, c.pose.cell.x, c.pose.theta),
-            )
-            assert best is keyed[0]
+        assert len(same_gain) >= 2
+        best = select_best(same_gain, named_measure("A"))
+        keyed = sorted(
+            same_gain,
+            key=lambda c: (c.pose.cell.y, c.pose.cell.x, c.pose.theta),
+        )
+        assert best is keyed[0]
 
     def test_empty_candidate_list_rejected(self):
         with pytest.raises(ValueError):
@@ -118,7 +113,7 @@ class TestSelectBest:
         # configuration A scores gain only, so equal gains tie on the score
         measure = named_measure("A")
         rows = [(5, 3.0, 20.0), (5, 2.0, 30.0), (5, 2.0, 25.0), (5, 2.0, 25.0), (4, 0.0, 6.0)]
-        assert best_index(np.array(rows, dtype=np.float64), measure)[0] == 2
+        assert select_row(np.array(rows, dtype=np.float64), measure) == 2
 
     def test_distance_scaling_leaves_choice_unchanged(self):
         grid = generate_random_grid(15, 0.1, 21)
@@ -242,8 +237,9 @@ class TestStepAndRun:
     def test_engine_matches_contract_operations(self, size, ratio, seed, connectivity,
                                                 orientations, r_max, phi_max,
                                                 resolution, config):
-        # the engine reuses scores between steps; every record must equal a
-        # replay that evaluates all candidates from scratch at each step
+        # the engine reuses scores between steps and selects by lexsort; every
+        # record must equal a replay that evaluates all candidates from scratch
+        # at each step and selects by a plain sort key
         grid_engine = generate_random_grid(size, ratio, seed, resolution)
         grid_replay = generate_random_grid(size, ratio, seed, resolution)
         sensor = SensorModel(r_max=r_max, phi_max=phi_max)

@@ -32,6 +32,11 @@ class TestEmptyMap:
         grid = empty_map(4, 4)
         assert grid.start == (1, 1)  # nearest to center, smallest row then column
 
+    @pytest.mark.parametrize("width,height", [(0, 5), (5, 0), (0, 0)])
+    def test_no_free_cells_rejected(self, width, height):
+        with pytest.raises(ValueError, match="map has no free cells"):
+            empty_map(width, height)
+
 
 class TestCorridorMap:
     def test_deterministic_given_seed(self):

@@ -12,7 +12,6 @@ from nbsmell.mcdm import (
     build_measure,
     choquet,
     choquet_batch,
-    named_config,
     named_measure,
     normalize_utilities,
     validate_measure,
@@ -71,7 +70,7 @@ class TestNamedMeasures:
 
 class TestBuildMeasure:
     def test_named_config_d_uses_table_pairs(self):
-        m = build_measure(named_config("D"))
+        m = build_measure(WeightConfig("D", 0.333, 0.333, 0.333))
         assert m.weight([G1, G2]) == 0.766
         assert m.weight([G1, G3]) == 0.766
         assert m.weight([G2, G3]) == 0.766
@@ -79,12 +78,12 @@ class TestBuildMeasure:
     def test_named_config_a_pair_without_bonus(self):
         # row A assigns 0 to the pair of the two zero-weight criteria,
         # which the +0.1 bonus formula would not produce
-        m = build_measure(named_config("A"))
+        m = build_measure(WeightConfig("A", 1.0, 0.0, 0.0))
         assert m.weight([G2, G3]) == 0.0
         assert m.weight([G1, G2]) == 1.0
 
     def test_named_config_h_pair(self):
-        assert build_measure(named_config("H")).weight([G2, G3]) == 0.956
+        assert build_measure(WeightConfig("H", 0.144, 0.428, 0.428)).weight([G2, G3]) == 0.956
 
     def test_custom_pairs_use_synergy_bonus(self):
         config = WeightConfig("custom", 0.5, 0.3, 0.2)
