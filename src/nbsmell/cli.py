@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import CoverageEngine, RunResult, run_coverage
+from .engine import CoverageEngine, RunResult, check_motion, run_coverage
 from .grid import (
     Cell,
     CellState,
@@ -39,7 +38,7 @@ from .grid import (
     serialize_map,
 )
 from .mapgen import generate_map
-from .mcdm import NAMED_CONFIGS, InvalidConfigError, WeightConfig
+from .mcdm import NAMED_CONFIGS, InvalidConfigError, WeightConfig, named_measure
 from .sensing import SensorModel
 
 EXIT_OK = 0
@@ -70,11 +69,11 @@ def _fmt(value: float) -> str:
 def _add_sensor_flags(parser: argparse.ArgumentParser, rmax_default: float) -> None:
     parser.add_argument("--rmax-m", type=float, default=rmax_default,
                         help="sensor range in meters")
-    parser.add_argument("--phimax-deg", type=float, default=180.0,
+    parser.add_argument("--phimax-deg", type=float, default=SensorModel.phi_max,
                         help="maximum opening angle in degrees")
-    parser.add_argument("--setup-s", type=float, default=6.0,
+    parser.add_argument("--setup-s", type=float, default=SensorModel.setup_time,
                         help="sweep setup time in seconds")
-    parser.add_argument("--sweep-s-per-deg", type=float, default=1.0 / 3.0,
+    parser.add_argument("--sweep-s-per-deg", type=float, default=SensorModel.sweep_rate,
                         help="sweep rate in seconds per degree")
 
 
@@ -90,7 +89,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, default: str = "E") -> No
                         help="named weight configuration A..M, or 'custom'")
     parser.add_argument("--weights", default=None,
                         help="custom weights as 'x1,x2,x3' (implies --config custom)")
-    parser.add_argument("--synergy-bonus", type=float, default=0.1)
+    parser.add_argument("--synergy-bonus", type=float, default=WeightConfig.synergy_bonus)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,17 +162,13 @@ def _resolve_config(args: argparse.Namespace) -> str | WeightConfig:
             raise InvalidConfigError(
                 f"--weights expects numbers, got {args.weights!r}"
             ) from None
-        config = WeightConfig("custom", x1, x2, x3, synergy_bonus=args.synergy_bonus)
+        config = WeightConfig(x1, x2, x3, synergy_bonus=args.synergy_bonus)
         config.validate()
         return config
-    name = args.config.upper()
-    if name == "CUSTOM":
+    if args.config.upper() == "CUSTOM":
         raise InvalidConfigError("--config custom requires --weights")
-    if name not in NAMED_CONFIGS:
-        raise InvalidConfigError(
-            f"unknown configuration {args.config!r}; expected A..M or custom"
-        )
-    return name
+    named_measure(args.config)  # rejects an unknown name
+    return args.config.upper()
 
 
 def _validated(args: argparse.Namespace) -> tuple[str | WeightConfig | None, SensorModel]:
@@ -187,12 +182,7 @@ def _validated(args: argparse.Namespace) -> tuple[str | WeightConfig | None, Sen
         config = _resolve_config(args) if "config" in args else None
         sensor = SensorModel(r_max=args.rmax_m, phi_max=args.phimax_deg,
                              setup_time=args.setup_s, sweep_rate=args.sweep_s_per_deg)
-        if not 0 < args.speed_mps < math.inf:
-            raise InvalidConfigError(
-                f"--speed-mps must be finite and > 0, got {args.speed_mps}")
-        if not 0.0 < args.target_coverage <= 1.0:
-            raise InvalidConfigError(
-                f"--target-coverage must be in (0, 1], got {args.target_coverage}")
+        check_motion(args.connectivity, args.speed_mps, args.target_coverage)
         if "sizes" in args:
             args.sizes = _batch_sizes(args)
     except ValueError as exc:
@@ -206,11 +196,20 @@ def _batch_sizes(args: argparse.Namespace) -> list[int]:
         raise InvalidConfigError(f"invalid --sizes {args.sizes!r}")
     if args.grids_per_size < 1:
         raise InvalidConfigError("--grids-per-size must be >= 1")
+    if _grid_seed(args, min(sizes), 0) < 0:
+        raise InvalidConfigError(
+            f"--seed {args.seed} gives a negative per-grid seed for size {min(sizes)}")
     for size in sizes:
         random_obstacle_count(size, args.obstacle_ratio)
     if args.jobs < 1:
         raise InvalidConfigError(f"--jobs must be >= 1, got {args.jobs}")
     return sizes
+
+
+def _motion(args: argparse.Namespace) -> dict:
+    """The :class:`CoverageEngine` keyword arguments the motion flags ask for."""
+    return {"orientations": args.orientations, "connectivity": args.connectivity,
+            "speed": args.speed_mps, "target_coverage": args.target_coverage}
 
 
 def _load_map(path: str) -> GridMap:
@@ -286,13 +285,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.snapshots:
         snap_dir.mkdir(exist_ok=True)
 
-    engine = CoverageEngine(
-        grid, config, sensor,
-        orientations=args.orientations,
-        connectivity=args.connectivity,
-        speed=args.speed_mps,
-        target_coverage=args.target_coverage,
-    )
+    engine = CoverageEngine(grid, config, sensor, **_motion(args))
     if args.snapshots:
         for record in engine:
             ppm = render_ppm(grid, engine.robot.cell,
@@ -339,13 +332,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for name in NAMED_CONFIGS:
-        result = run_coverage(
-            base_grid.copy(), name, sensor,
-            orientations=args.orientations,
-            connectivity=args.connectivity,
-            speed=args.speed_mps,
-            target_coverage=args.target_coverage,
-        )
+        result = run_coverage(base_grid.copy(), name, sensor, **_motion(args))
         rows.append([
             name,
             "yes" if result.coverage_satisfied else "no",
@@ -359,6 +346,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _grid_seed(args: argparse.Namespace, size: int, index: int) -> int:
+    return args.seed + 1000 * size + index
+
+
 def _randgrid_task(task: tuple) -> tuple:
     """One random-grid run; a top-level function so pools can pickle it.
 
@@ -366,15 +357,9 @@ def _randgrid_task(task: tuple) -> tuple:
     satisfied, sensing ops, travel s, scanning s, total s and planning s.
     """
     args, config, sensor, size, index = task
-    seed = args.seed + 1000 * size + index
+    seed = _grid_seed(args, size, index)
     grid = generate_random_grid(size, args.obstacle_ratio, seed)
-    result = run_coverage(
-        grid, config, sensor,
-        orientations=args.orientations,
-        connectivity=args.connectivity,
-        speed=args.speed_mps,
-        target_coverage=args.target_coverage,
-    )
+    result = run_coverage(grid, config, sensor, **_motion(args))
     return (size, index, seed, grid.free_count(), grid.scanned_count(),
             result.coverage_satisfied, result.total_sensing_ops, result.total_travel_time,
             result.total_sensing_time, result.total_time, result.total_decision_time)

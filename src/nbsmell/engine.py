@@ -29,6 +29,7 @@ from .grid import (
     frontier_cells,
     heading_set,
     mark_scanned,
+    neighbor_offsets,
 )
 from .mcdm import (
     FuzzyMeasure,
@@ -45,6 +46,7 @@ __all__ = [
     "CoverageEngine",
     "RunResult",
     "StepRecord",
+    "check_motion",
     "resolve_measure",
     "run_coverage",
     "select_best",
@@ -88,6 +90,15 @@ def resolve_measure(config: str | WeightConfig | FuzzyMeasure) -> FuzzyMeasure:
     return named_measure(config)
 
 
+def check_motion(connectivity: int, speed: float, target_coverage: float) -> None:
+    """Raise ValueError unless the motion settings of a run are valid."""
+    neighbor_offsets(connectivity)
+    if not 0 < speed < math.inf:
+        raise ValueError(f"speed must be finite and > 0, got {speed}")
+    if not 0.0 < target_coverage <= 1.0:
+        raise ValueError(f"target_coverage must be in (0, 1], got {target_coverage}")
+
+
 def _positions(grid: GridMap, robot_cell: Cell, connectivity: int) -> list[Cell]:
     """Candidate positions: the frontier, or the robot cell before the first scan."""
     if grid.scanned_count() == 0:
@@ -120,12 +131,7 @@ class CoverageEngine:
         speed: float = 1.0,
         target_coverage: float = 1.0,
     ) -> None:
-        if not 0 < speed < math.inf:
-            raise ValueError(f"speed must be finite and > 0, got {speed}")
-        if not 0.0 < target_coverage <= 1.0:
-            raise ValueError(
-                f"target_coverage must be in (0, 1], got {target_coverage}"
-            )
+        check_motion(connectivity, speed, target_coverage)
         self.grid = grid
         self.measure = resolve_measure(config)
         self.sensor = sensor
@@ -163,15 +169,14 @@ class CoverageEngine:
         best = select_best(raw, self.measure)
         decision_time = time.perf_counter() - started
 
-        cell = cells[cand_cell[best]]
-        pose = Pose(cell, self.headings[cand_heading[best]])
-        scan = self.evaluator.scan_results(cell)[cand_heading[best]]
+        cell, h = cells[cand_cell[best]], cand_heading[best]
+        pose = Pose(cell, self.headings[h])
+        scan, new_cells = self.evaluator.sweep(cell, h)
         if (scan.info_gain, scan.sensing_time) != (raw[best, 0], raw[best, 2]):
             raise RuntimeError(
                 f"score cache out of sync at {pose}: cached gain {raw[best, 0]} "
                 f"and time {raw[best, 2]}, fresh {scan.info_gain} and {scan.sensing_time}"
             )
-        new_cells = scan.new_cells()
         marked = mark_scanned(self.grid, new_cells)
         if marked != scan.info_gain:
             raise RuntimeError(
@@ -221,26 +226,13 @@ class CoverageEngine:
         )
 
 
-def run_coverage(
-    grid: GridMap,
-    config: str | WeightConfig | FuzzyMeasure,
-    sensor: SensorModel,
-    orientations: int = 4,
-    connectivity: int = 4,
-    speed: float = 1.0,
-    target_coverage: float = 1.0,
-) -> RunResult:
-    """Run the coverage loop to completion on ``grid`` (mutated in place)."""
-    engine = CoverageEngine(
-        grid,
-        config,
-        sensor,
-        orientations=orientations,
-        connectivity=connectivity,
-        speed=speed,
-        target_coverage=target_coverage,
-    )
-    return engine.run()
+def run_coverage(grid: GridMap, config: str | WeightConfig | FuzzyMeasure,
+                 sensor: SensorModel, **options) -> RunResult:
+    """Run the coverage loop to completion on ``grid`` (mutated in place).
+
+    ``options`` are the keyword arguments of :class:`CoverageEngine`.
+    """
+    return CoverageEngine(grid, config, sensor, **options).run()
 
 
 def uncoverable_cells(

@@ -57,6 +57,10 @@ class CellState(IntEnum):
     FREE_SCANNED = 2
 
 
+# Plain ints: comparing a uint8 array with IntEnum members is slower.
+_STATE_VALUES = tuple(int(state) for state in CellState)
+
+
 class MapFormatError(ValueError):
     """Raised when an ASCII map document cannot be parsed."""
 
@@ -83,28 +87,32 @@ class GridMap:
     """Dense occupancy grid with per-cell scan bookkeeping.
 
     ``states`` is a C-contiguous (height, width) uint8 array of
-    :class:`CellState` values; evaluators read it through a flat view.
+    :class:`CellState` values, from which ``width`` and ``height`` are
+    taken; evaluators read it through a flat view.
     Obstacles never change; free cells transition monotonically from
     unscanned to scanned.  The map object is cheap to copy and safe to share
     read-only; mutation happens only through :func:`mark_scanned`.
     """
 
-    width: int
-    height: int
     resolution: float
     states: np.ndarray
     start: Cell
+    width: int = field(init=False)
+    height: int = field(init=False)
     _graphs: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.resolution < math.inf:
             raise ValueError(f"resolution must be finite and > 0, got {self.resolution}")
         self.states = np.ascontiguousarray(self.states)
-        if self.states.shape != (self.height, self.width):
-            raise ValueError(
-                f"states shape {self.states.shape} does not match "
-                f"{self.height}x{self.width}"
-            )
+        if self.states.ndim != 2:
+            raise ValueError(f"states must be 2-D, got shape {self.states.shape}")
+        known = np.logical_or.reduce([self.states == v for v in _STATE_VALUES])
+        if not known.all():
+            unknown = np.unique(self.states[~known]).tolist()
+            raise ValueError(f"states hold values outside CellState: {unknown}")
+        # stored, not a property: the per-cell code reads them very often
+        self.height, self.width = self.states.shape
         if not self.in_bounds(self.start):
             raise ValueError(f"start cell {self.start} out of bounds")
         if self.states[self.start.y, self.start.x] == CellState.OBSTACLE:
@@ -145,17 +153,10 @@ class GridMap:
     @classmethod
     def from_states(cls, states: np.ndarray, resolution: float) -> "GridMap":
         """Map over ``states`` that starts at the free cell nearest the center."""
-        height, width = states.shape
-        return cls(width, height, resolution, states, _start_near_center(states))
+        return cls(resolution, states, _start_near_center(states))
 
     def copy(self) -> "GridMap":
-        return GridMap(
-            width=self.width,
-            height=self.height,
-            resolution=self.resolution,
-            states=self.states.copy(),
-            start=self.start,
-        )
+        return GridMap(self.resolution, self.states.copy(), self.start)
 
 
 def parse_map(text: str) -> GridMap:
@@ -213,13 +214,7 @@ def parse_map(text: str) -> GridMap:
                 )
     if start is None:
         raise MapFormatError("map document has no start cell 'S'")
-    return GridMap(
-        width=width,
-        height=len(rows),
-        resolution=resolution,
-        states=states,
-        start=start,
-    )
+    return GridMap(resolution, states, start)
 
 
 def serialize_map(grid: GridMap) -> str:
@@ -293,23 +288,33 @@ def neighbor_offsets(connectivity: int) -> tuple[tuple[int, int], ...]:
     raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
 
 
+def padded(mask: np.ndarray) -> np.ndarray:
+    """Copy of a (height, width) ``mask`` inside a one-cell border of False."""
+    out = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    out[1:-1, 1:-1] = mask
+    return out
+
+
+def shifted(pad: np.ndarray, dx: int, dy: int) -> np.ndarray:
+    """View of the :func:`padded` mask ``pad`` shifted by ``(dx, dy)``.
+
+    At each map cell ``(x, y)`` it holds the mask value at
+    ``(x + dx, y + dy)``, or False off the map.
+    """
+    h, w = pad.shape
+    return pad[1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx]
+
+
 def frontier_cells(grid: GridMap, connectivity: int) -> list[Cell]:
     """Scanned free cells adjacent to at least one unscanned free cell.
 
     Returned in row-major order.
     """
-    offsets = neighbor_offsets(connectivity)
-    scanned = grid.scanned_mask()
-    unscanned = grid.unscanned_mask()
-    has_unscanned_neighbor = np.zeros_like(scanned)
-    h, w = scanned.shape
-    for dx, dy in offsets:
-        src_y = slice(max(0, -dy), min(h, h - dy))
-        src_x = slice(max(0, -dx), min(w, w - dx))
-        dst_y = slice(max(0, dy), min(h, h + dy))
-        dst_x = slice(max(0, dx), min(w, w + dx))
-        has_unscanned_neighbor[src_y, src_x] |= unscanned[dst_y, dst_x]
-    ys, xs = np.nonzero(scanned & has_unscanned_neighbor)
+    unscanned = padded(grid.unscanned_mask())
+    near = np.zeros((grid.height, grid.width), dtype=bool)
+    for dx, dy in neighbor_offsets(connectivity):
+        near |= shifted(unscanned, dx, dy)
+    ys, xs = np.nonzero(grid.scanned_mask() & near)
     return [Cell(int(x), int(y)) for y, x in zip(ys, xs)]
 
 
@@ -317,11 +322,15 @@ def mark_scanned(grid: GridMap, cells: Iterable[Cell]) -> int:
     """Mark free cells as scanned; returns the number of distinct new transitions.
 
     Idempotent on already-scanned cells, and a cell listed twice counts
-    once.  Marking an obstacle is a contract violation: it raises, naming
-    the first obstacle in input order, before any cell is written.
+    once.  Marking an off-map cell or an obstacle is a contract violation:
+    it raises, naming the first such cell in input order (off-map cells
+    first), before any cell is written.
     """
     cells = list(cells)
     xs, ys = cell_arrays(cells)
+    off_map = np.flatnonzero((xs < 0) | (xs >= grid.width) | (ys < 0) | (ys >= grid.height))
+    if off_map.size:
+        raise ValueError(f"cannot scan off-map cell {cells[off_map[0]]}")
     states = grid.states[ys, xs]
     obstacles = np.flatnonzero(states == CellState.OBSTACLE)
     if obstacles.size:

@@ -105,13 +105,12 @@ def validate_measure(measure: FuzzyMeasure) -> list[str]:
 
 @dataclass(frozen=True)
 class WeightConfig:
-    """Singleton criterion weights plus the pairwise synergy bonus.
+    """Custom singleton criterion weights plus the pairwise synergy bonus.
 
-    ``name`` is one of the named configurations or "custom".  Custom weights
-    must lie on the simplex x1 + x2 + x3 = 1.
+    The weights must lie on the simplex x1 + x2 + x3 = 1.  The named
+    configurations come from :func:`named_measure` instead.
     """
 
-    name: str
     x1: float
     x2: float
     x3: float
@@ -169,15 +168,12 @@ def named_measure(name: str) -> FuzzyMeasure:
 
 
 def build_measure(config: WeightConfig) -> FuzzyMeasure:
-    """Measure for a weight configuration.
+    """Measure for custom weights.
 
-    Named configurations resolve to the verbatim lookup table.  Custom
-    configurations use singleton weights as given and pairs
+    Singleton weights are used as given and pairs as
     ``min(1, x_i + x_j + synergy_bonus)``; the result must pass
     :func:`validate_measure`.
     """
-    if config.name.upper() in _NAMED_ROWS:
-        return named_measure(config.name)
     config.validate()
     bonus = config.synergy_bonus
     pair = lambda a, b: min(1.0, a + b + bonus)

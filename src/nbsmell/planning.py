@@ -13,11 +13,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
-from .grid import Cell, GridMap
+from .grid import Cell, GridMap, neighbor_offsets, padded, shifted
 
 __all__ = ["shortest_distances", "travel_time"]
-
-_SQRT2 = math.sqrt(2.0)
 
 
 def _motion_graph(grid: GridMap, connectivity: int) -> csr_matrix:
@@ -25,52 +23,25 @@ def _motion_graph(grid: GridMap, connectivity: int) -> csr_matrix:
     cached = grid._graphs.get(connectivity)
     if cached is not None:
         return cached
-    free = grid.free_mask()
-    h, w = free.shape
+    free = padded(grid.free_mask())
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     data: list[np.ndarray] = []
-
-    def add_edges(dx: int, dy: int, allowed: np.ndarray, cost: float) -> None:
-        ys, xs = np.nonzero(allowed)
-        src = ys * w + xs
-        dst = (ys + dy) * w + (xs + dx)
+    for dx, dy in neighbor_offsets(connectivity):
+        if (dy, dx) < (0, 0):
+            continue  # one direction per edge; the graph is used undirected
+        ok = shifted(free, 0, 0) & shifted(free, dx, dy)
+        if dx and dy:
+            # no squeezing between two obstacles that touch at a corner
+            ok &= shifted(free, dx, 0) | shifted(free, 0, dy)
+        src = np.flatnonzero(ok)
         rows.append(src)
-        cols.append(dst)
-        data.append(np.full(src.shape, cost * grid.resolution))
+        cols.append(src + dy * grid.width + dx)
+        data.append(np.full(src.shape, math.hypot(dx, dy) * grid.resolution))
 
-    # axial edges (one direction each; the graph is used undirected)
-    add_edges(1, 0, free[:, :-1] & free[:, 1:], 1.0)
-    add_edges(0, 1, free[:-1, :] & free[1:, :], 1.0)
-    if connectivity == 8:
-        obstacle = ~free
-        # down-right: blocked when both (x+1, y) and (x, y+1) are obstacles
-        ok = (
-            free[:-1, :-1]
-            & free[1:, 1:]
-            & ~(obstacle[:-1, 1:] & obstacle[1:, :-1])
-        )
-        add_edges(1, 1, ok, _SQRT2)
-        # down-left
-        ok = (
-            free[:-1, 1:]
-            & free[1:, :-1]
-            & ~(obstacle[:-1, :-1] & obstacle[1:, 1:])
-        )
-        ys, xs = np.nonzero(ok)
-        src = ys * w + (xs + 1)
-        dst = (ys + 1) * w + xs
-        rows.append(src)
-        cols.append(dst)
-        data.append(np.full(src.shape, _SQRT2 * grid.resolution))
-    elif connectivity != 4:
-        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-
-    n = h * w
+    n = grid.height * grid.width
     graph = csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
-        if rows
-        else ((), ((), ())),
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     )
     grid._graphs[connectivity] = graph

@@ -16,8 +16,8 @@ epsilon) and matches dense point-sampling of the segment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -63,6 +63,10 @@ class SensorModel:
         if not 0 < self.sweep_rate < math.inf:
             raise ValueError(f"sweep_rate must be finite and > 0, got {self.sweep_rate}")
 
+    def sweep_time(self, phi: float) -> float:
+        """Seconds a scan sweeping ``phi`` degrees takes (the setup time at 0)."""
+        return self.setup_time + self.sweep_rate * phi
+
 
 def sensing_time(phi: float, sensor: SensorModel) -> float:
     """Duration of a sweep of ``phi`` degrees; 0 when no scan is performed."""
@@ -70,7 +74,7 @@ def sensing_time(phi: float, sensor: SensorModel) -> float:
         raise ValueError(f"phi {phi} outside [0, {sensor.phi_max}]")
     if phi == 0:
         return 0.0
-    return sensor.setup_time + sensor.sweep_rate * phi
+    return sensor.sweep_time(phi)
 
 
 def traverse_segment(x0: int, y0: int, x1: int, y1: int) -> list[tuple[int, int]]:
@@ -170,54 +174,21 @@ def _wrap_angles(angles: np.ndarray) -> np.ndarray:
     return np.arctan2(np.sin(angles), np.cos(angles))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class ScanResult:
     """Outcome of one sensing operation at a fixed pose.
 
     ``smellable_all`` is every free cell the trimmed sweep covers (always
     including the pose's own cell); ``smellable_new`` is its previously
-    unscanned subset, snapshotted at evaluation time.  ``info_gain`` equals
-    ``len(smellable_new)``.  The cell sets are materialized lazily from the
-    underlying ray masks.
+    unscanned subset at evaluation time.  ``info_gain`` equals
+    ``len(smellable_new)``.
     """
 
     phi_used: float  # degrees
     sensing_time: float  # seconds
     info_gain: int
-    origin: Cell
-    _own_new: bool
-    _new_offsets: np.ndarray = field(repr=False)
-    _disk: _RayDisk = field(repr=False)
-    _vis: np.ndarray = field(repr=False)
-    _window: np.ndarray = field(repr=False)
-    _rel: np.ndarray = field(repr=False)
-    _alpha: tuple[float, float] | None = field(repr=False)
-
-    @cached_property
-    def smellable_new(self) -> set[Cell]:
-        return set(self.new_cells())
-
-    @cached_property
-    def smellable_all(self) -> set[Cell]:
-        if self._alpha is None:
-            return {self.origin}
-        lo, hi = self._alpha
-        mask = self._vis & self._window & (self._rel >= lo) & (self._rel <= hi)
-        cells = set(self._offsets_to_cells(np.nonzero(mask)[0]))
-        cells.add(self.origin)
-        return cells
-
-    def new_cells(self) -> list[Cell]:
-        """Newly covered cells in deterministic (offset-table) order."""
-        cells = self._offsets_to_cells(self._new_offsets)
-        if self._own_new:
-            cells.append(self.origin)
-        return cells
-
-    def _offsets_to_cells(self, idx: np.ndarray) -> list[Cell]:
-        xs = self._disk.dx[idx] + self.origin.x
-        ys = self._disk.dy[idx] + self.origin.y
-        return [Cell(int(x), int(y)) for x, y in zip(xs, ys)]
+    smellable_new: frozenset[Cell]
+    smellable_all: frozenset[Cell]
 
 
 class FosScore(NamedTuple):
@@ -228,17 +199,9 @@ class FosScore(NamedTuple):
     sensing_time: float  # seconds
 
 
-class _Sweeps(NamedTuple):
-    """Every orientation's trimmed sweep at one cell (see ``FosEvaluator._sweeps``)."""
-
-    vis: np.ndarray  # (K,) visibility mask
-    new: np.ndarray  # disk indices of the visible unscanned cells
-    own_new: bool  # the cell itself is unscanned
-    # per orientation: first and last bearing of the unscanned cells the
-    # window holds, relative to the heading (radians); None when it holds none
-    alpha: list[tuple[float, float] | None]
-    scores: list[FosScore]
-
+# ``FosScore._make`` without a Python-level call: the sweep kernel builds one
+# score per orientation for every cell it evaluates.
+_make_score = partial(tuple.__new__, FosScore)
 
 # Upper bound on the (cached cell, new cell) pairs ``mark_scanned`` tests at once.
 _PAIR_BLOCK = 1 << 14
@@ -347,32 +310,30 @@ class FosEvaluator:
         self._fresh[cached[stale]] = False
         self._fresh[ny * width + nx] = False
 
-    def _sweeps(self, cell: Cell) -> _Sweeps:
-        """Trimmed sweep of every orientation at ``cell``, from the current scan state."""
+    def _sweeps(self, cell: Cell) -> tuple[np.ndarray, list[FosScore]]:
+        """Trimmed sweep of every orientation at ``cell``, from the current scan state.
+
+        Returns the disk indices of the visible unscanned cells and the
+        score of every orientation.
+        """
         i = cell.y * self.grid.width + cell.x
-        vis = self.visible(cell)
-        seen = vis.nonzero()[0]
+        seen = self.visible(cell).nonzero()[0]
         new = seen[self._states_flat[i + self._end[seen]] == _UNSCANNED]
         held = self._sweep_table.take(new, axis=1)
         h = len(self.orientations)
-        edges = held.min(axis=1, initial=np.inf).tolist()
-        counts = held[2 * h:].sum(axis=1).tolist()
+        # the ufuncs directly: ``ndarray.min``/``sum`` add a Python-level call
+        edges = np.minimum.reduce(held, axis=1, initial=np.inf).tolist()
+        counts = np.add.reduce(held[2 * h:], axis=1).tolist()
         own_new = self._states_flat.item(i) == _UNSCANNED
-        setup, rate = float(self.sensor.setup_time), float(self.sensor.sweep_rate)
-        alpha = []
+        sweep_time = self.sensor.sweep_time
         scores = []
         for lo, neg_hi, count in zip(edges[:h], edges[h:2 * h], counts):
+            # the sweep spans the unscanned cells the window holds; a
+            # zero-angle scan that still covers the own cell costs the setup time
+            phi = math.degrees(-neg_hi - lo) if count else 0.0
             gain = int(count) + own_new
-            if count:
-                hi = -neg_hi
-                phi = math.degrees(hi - lo)
-                alpha.append((lo, hi))
-                scores.append(FosScore(gain, phi, setup + rate * phi))
-            else:
-                # a zero-angle scan that still covers the own cell costs the setup time
-                alpha.append(None)
-                scores.append(FosScore(gain, 0.0, setup if gain else 0.0))
-        return _Sweeps(vis, new, own_new, alpha, scores)
+            scores.append(_make_score((gain, phi, sweep_time(phi) if gain else 0.0)))
+        return new, scores
 
     def evaluate_cell(self, cell: Cell) -> list[FosScore]:
         """Scores for every orientation at ``cell`` (orientation order).
@@ -380,10 +341,11 @@ class FosEvaluator:
         The gain and sensing time are cached until :meth:`mark_scanned`
         reports a scan that changes them; :meth:`scores` reads the cache.
         """
-        scores = self._sweeps(cell).scores
+        scores = self._sweeps(cell)[1]
+        gain, _, time = zip(*scores)
         i = cell.y * self.grid.width + cell.x
-        self._gain[i] = [s.info_gain for s in scores]
-        self._time[i] = [s.sensing_time for s in scores]
+        self._gain[i] = gain
+        self._time[i] = time
         self._fresh[i] = True
         return scores
 
@@ -399,26 +361,23 @@ class FosEvaluator:
             self.evaluate_cell(cells[i])
         return self._gain[idx], self._time[idx]
 
-    def scan_results(self, cell: Cell) -> list[ScanResult]:
-        """Full scan results, covered cells included, per orientation at ``cell``."""
-        sw = self._sweeps(cell)
-        inside = self.window_masks[:, sw.new]
-        return [
-            ScanResult(
-                phi_used=score.phi_used,
-                sensing_time=score.sensing_time,
-                info_gain=score.info_gain,
-                origin=cell,
-                _own_new=sw.own_new,
-                _new_offsets=sw.new[inside[h]],
-                _disk=self.disk,
-                _vis=sw.vis,
-                _window=self.window_masks[h],
-                _rel=self.rel_bearings[h],
-                _alpha=sw.alpha[h],
-            )
-            for h, score in enumerate(sw.scores)
-        ]
+    def sweep(self, cell: Cell, h: int) -> tuple[FosScore, list[Cell]]:
+        """Fresh score of orientation ``h`` at ``cell`` and the cells it newly covers.
+
+        The cells come in disk order, with ``cell`` itself last when it is
+        unscanned.
+        """
+        new, scores = self._sweeps(cell)
+        cells = self._cells(cell, new[self.window_masks[h, new]])
+        if self._states_flat.item(cell.y * self.grid.width + cell.x) == _UNSCANNED:
+            cells.append(cell)
+        return scores[h], cells
+
+    def _cells(self, cell: Cell, idx: np.ndarray) -> list[Cell]:
+        """The cells at disk offsets ``idx`` from ``cell``."""
+        xs = (self.disk.dx[idx] + cell.x).tolist()
+        ys = (self.disk.dy[idx] + cell.y).tolist()
+        return [Cell(x, y) for x, y in zip(xs, ys)]
 
 
 def compute_fos(grid: GridMap, pose: Pose, sensor: SensorModel) -> ScanResult:
@@ -426,7 +385,19 @@ def compute_fos(grid: GridMap, pose: Pose, sensor: SensorModel) -> ScanResult:
     if not grid.is_free(pose.cell):
         raise ValueError(f"pose cell {pose.cell} is not a free cell")
     evaluator = FosEvaluator(grid, sensor, (pose.theta,))
-    return evaluator.scan_results(pose.cell)[0]
+    score, new_cells = evaluator.sweep(pose.cell, 0)
+    new = frozenset(new_cells)
+    # the sweep covers every visible cell of the window whose bearing lies
+    # between the first and the last bearing of the cells it newly covers
+    seen = np.flatnonzero(evaluator.visible(pose.cell) & evaluator.window_masks[0])
+    cells = evaluator._cells(pose.cell, seen)
+    rel = evaluator.rel_bearings[0, seen].tolist()
+    held = [r for c, r in zip(cells, rel) if c in new]
+    lo, hi = (min(held), max(held)) if held else (math.inf, -math.inf)
+    covered = {c for c, r in zip(cells, rel) if lo <= r <= hi}
+    covered.add(pose.cell)
+    return ScanResult(score.phi_used, score.sensing_time, score.info_gain,
+                      new, frozenset(covered))
 
 
 def visible_cells(grid: GridMap, cell: Cell, r_max: float) -> set[Cell]:
@@ -436,9 +407,4 @@ def visible_cells(grid: GridMap, cell: Cell, r_max: float) -> set[Cell]:
     itself is not included.
     """
     evaluator = FosEvaluator(grid, SensorModel(r_max=r_max), ())
-    disk = evaluator.disk
-    vis = evaluator.visible(cell)
-    idx = np.nonzero(vis)[0]
-    return {
-        Cell(int(disk.dx[i] + cell.x), int(disk.dy[i] + cell.y)) for i in idx
-    }
+    return set(evaluator._cells(cell, np.flatnonzero(evaluator.visible(cell))))

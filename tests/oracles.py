@@ -15,7 +15,7 @@ import numpy as np
 from nbsmell.grid import Cell, CellState, GridMap, Pose, frontier_cells, heading_set
 from nbsmell.mcdm import FuzzyMeasure, choquet, normalize_utilities
 from nbsmell.planning import shortest_distances
-from nbsmell.sensing import FosEvaluator, ScanResult, SensorModel
+from nbsmell.sensing import FosEvaluator, FosScore, SensorModel
 
 SQRT2 = math.sqrt(2.0)
 
@@ -116,7 +116,8 @@ class Candidate:
 
     pose: Pose
     distance: float  # meters from the current robot cell
-    scan: ScanResult
+    scan: FosScore
+    new_cells: list[Cell]  # the cells the scan newly covers
     utilities: tuple[float, float, float] | None = None
     score: float | None = None
 
@@ -141,9 +142,10 @@ def enumerate_candidates(grid: GridMap, robot: Pose, orientations: int,
         distance = float(dist_field[cell.y, cell.x])
         if not math.isfinite(distance):
             continue
-        for theta, scan in zip(headings, evaluator.scan_results(cell)):
+        for h, theta in enumerate(headings):
+            scan, new_cells = evaluator.sweep(cell, h)
             if scan.info_gain >= 1:
-                candidates.append(Candidate(Pose(cell, theta), distance, scan))
+                candidates.append(Candidate(Pose(cell, theta), distance, scan, new_cells))
     return candidates
 
 

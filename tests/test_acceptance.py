@@ -95,7 +95,7 @@ def test_criterion_2_choquet_property_suite():
 
         weights = rng.dirichlet((1.0, 1.0, 1.0))
         additive = build_measure(
-            WeightConfig("custom", *map(float, weights), synergy_bonus=0.0))
+            WeightConfig(*map(float, weights), synergy_bonus=0.0))
         u2 = rng.uniform(0, 1, 3)
         worst_add = max(worst_add,
                         abs(choquet(tuple(u2), additive) - float(weights @ u2)))

@@ -284,6 +284,20 @@ class TestRandgridCommand:
         ]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("invalid configuration: ")
 
+    @pytest.mark.parametrize("sizes,seed", [("3", "-3005"), ("10,3", "-3001")])
+    def test_negative_grid_seed_exit_config_before_any_grid_runs(
+            self, tmp_path, capsys, monkeypatch, sizes, seed):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a grid ran before the batch was validated")
+
+        monkeypatch.setattr(cli, "run_coverage", no_run)
+        assert main([
+            "randgrid", "--sizes", sizes, "--seed", seed, "--jobs", "2",
+            "--out", str(tmp_path / "o"),
+        ]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("invalid configuration: ")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_config(self, tmp_path, jobs):
         assert main([

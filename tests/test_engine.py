@@ -60,7 +60,7 @@ class TestEnumerateCandidates:
         assert np.pi not in thetas  # west-facing sweep cannot reach cell 2
         assert 0.0 in thetas
         for c in cands:
-            assert c.scan.smellable_new == {Cell(2, 0)}
+            assert c.new_cells == [Cell(2, 0)]
             assert c.scan.info_gain == 1
 
     def test_unreachable_frontier_positions_are_dropped(self):
@@ -215,6 +215,16 @@ class TestStepAndRun:
         assert partial.steps[-1].cumulative_coverage >= 0.8
         assert partial.steps[-2].cumulative_coverage < 0.8
 
+    @pytest.mark.parametrize("options,match", [
+        ({"connectivity": 6}, "connectivity"),
+        ({"speed": 0.0}, "speed"),
+        ({"target_coverage": 1.5}, "target_coverage"),
+    ])
+    def test_invalid_motion_rejected_at_construction(self, options, match):
+        grid = parse_map("resolution 1.0\nS.")
+        with pytest.raises(ValueError, match=match):
+            CoverageEngine(grid, "E", SENSOR, **options)
+
     def test_step_returns_none_when_done(self):
         grid = parse_map("resolution 1.0\nS")
         engine = CoverageEngine(grid, "E", SENSOR)
@@ -255,7 +265,7 @@ class TestStepAndRun:
                 assert expected == []
                 break
             best = select_best(expected, measure)
-            mark_scanned(grid_replay, best.scan.new_cells())
+            mark_scanned(grid_replay, best.new_cells)
             robot = best.pose
             replayed = dataclasses.replace(
                 record,

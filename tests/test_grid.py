@@ -4,6 +4,7 @@ import pytest
 from nbsmell.grid import (
     Cell,
     CellState,
+    GridMap,
     MapFormatError,
     coverage_ratio,
     frontier_cells,
@@ -65,6 +66,21 @@ class TestParseMap:
         assert np.array_equal(again.states, grid.states)
         assert again.start == grid.start
         assert again.resolution == grid.resolution
+
+
+class TestGridMap:
+    def test_shape_comes_from_states(self):
+        grid = GridMap(0.5, np.ones((2, 3), np.uint8), Cell(2, 1)).copy()
+        assert (grid.width, grid.height) == (3, 2)
+
+    def test_values_outside_cell_state_rejected(self):
+        with pytest.raises(ValueError, match=r"outside CellState: \[3\]"):
+            GridMap.from_states(np.array([[1, 3], [1, 1]], np.uint8), 1.0)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_states_must_be_two_dimensional(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            GridMap(1.0, np.ones(shape, np.uint8), Cell(0, 0))
 
 
 class TestRandomGrid:
@@ -178,6 +194,15 @@ class TestMarkScanned:
         # the first obstacle in input order is named, not the first in the row
         with pytest.raises(ValueError, match=r"Cell\(x=4, y=0\)"):
             mark_scanned(grid, [Cell(0, 0), Cell(4, 0), Cell(1, 0), Cell(2, 0)])
+        assert np.array_equal(grid.states, before)
+
+    @pytest.mark.parametrize("cell", [Cell(-1, 0), Cell(0, -1), Cell(4, 0), Cell(0, 2)])
+    def test_off_map_cell_rejected_before_any_write(self, cell):
+        # a negative index must not wrap around to the far edge of the map
+        grid = parse_map("resolution 1.0\nS...\n....")
+        before = grid.states.copy()
+        with pytest.raises(ValueError, match=rf"off-map cell Cell\(x={cell.x}, y={cell.y}\)"):
+            mark_scanned(grid, [Cell(1, 0), cell, Cell(-2, 5)])
         assert np.array_equal(grid.states, before)
 
     def test_obstacles_never_change(self):

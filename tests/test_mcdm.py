@@ -70,7 +70,7 @@ class TestNamedMeasures:
 
 class TestBuildMeasure:
     def test_named_config_d_uses_table_pairs(self):
-        m = build_measure(WeightConfig("D", 0.333, 0.333, 0.333))
+        m = named_measure("D")
         assert m.weight([G1, G2]) == 0.766
         assert m.weight([G1, G3]) == 0.766
         assert m.weight([G2, G3]) == 0.766
@@ -78,15 +78,21 @@ class TestBuildMeasure:
     def test_named_config_a_pair_without_bonus(self):
         # row A assigns 0 to the pair of the two zero-weight criteria,
         # which the +0.1 bonus formula would not produce
-        m = build_measure(WeightConfig("A", 1.0, 0.0, 0.0))
+        m = named_measure("A")
         assert m.weight([G2, G3]) == 0.0
         assert m.weight([G1, G2]) == 1.0
 
+    def test_custom_weights_of_row_a_use_the_bonus(self):
+        # custom weights are never mistaken for a named row
+        m = build_measure(WeightConfig(1.0, 0.0, 0.0))
+        assert m.weight([G2, G3]) == 0.1
+        assert m.weight([G1, G2]) == 1.0
+
     def test_named_config_h_pair(self):
-        assert build_measure(WeightConfig("H", 0.144, 0.428, 0.428)).weight([G2, G3]) == 0.956
+        assert named_measure("H").weight([G2, G3]) == 0.956
 
     def test_custom_pairs_use_synergy_bonus(self):
-        config = WeightConfig("custom", 0.5, 0.3, 0.2)
+        config = WeightConfig(0.5, 0.3, 0.2)
         m = build_measure(config)
         assert m.weight([G1, G2]) == pytest.approx(0.9)
         assert m.weight([G1, G3]) == pytest.approx(0.8)
@@ -94,26 +100,26 @@ class TestBuildMeasure:
         assert validate_measure(m) == []
 
     def test_custom_pair_capped_at_one(self):
-        m = build_measure(WeightConfig("custom", 0.95, 0.05, 0.0))
+        m = build_measure(WeightConfig(0.95, 0.05, 0.0))
         assert m.weight([G1, G2]) == 1.0
 
     def test_simplex_violation_rejected(self):
         with pytest.raises(InvalidConfigError, match="x1 \\+ x2 \\+ x3"):
-            build_measure(WeightConfig("custom", 0.5, 0.3, 0.1))
+            build_measure(WeightConfig(0.5, 0.3, 0.1))
 
     def test_simplex_tolerance_is_tight(self):
-        build_measure(WeightConfig("custom", 0.5, 0.3, 0.2 + 5e-10))
+        build_measure(WeightConfig(0.5, 0.3, 0.2 + 5e-10))
         with pytest.raises(InvalidConfigError):
-            build_measure(WeightConfig("custom", 0.5, 0.3, 0.2 + 5e-9))
+            build_measure(WeightConfig(0.5, 0.3, 0.2 + 5e-9))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidConfigError):
-            build_measure(WeightConfig("custom", 1.2, -0.1, -0.1))
+            build_measure(WeightConfig(1.2, -0.1, -0.1))
 
     @pytest.mark.parametrize("bonus", [-0.1, float("nan")])
     def test_bad_synergy_bonus_rejected(self, bonus):
         with pytest.raises(InvalidConfigError):
-            build_measure(WeightConfig("custom", 0.5, 0.3, 0.2, synergy_bonus=bonus))
+            build_measure(WeightConfig(0.5, 0.3, 0.2, synergy_bonus=bonus))
 
 
 class TestValidateMeasure:
@@ -191,7 +197,7 @@ class TestChoquet:
     def test_additive_measure_equals_weighted_sum(self):
         rng = np.random.default_rng(42)
         for x in simplex_points(50, seed=1):
-            m = build_measure(WeightConfig("custom", *x, synergy_bonus=0.0))
+            m = build_measure(WeightConfig(*x, synergy_bonus=0.0))
             u = rng.uniform(0, 1, 3)
             expected = float(np.dot(x, u))
             assert choquet(tuple(u), m) == pytest.approx(expected, abs=1e-12)

@@ -4,9 +4,20 @@ import pytest
 from oracles import dijkstra_oracle
 
 from nbsmell.grid import Cell, generate_random_grid, parse_map
+from nbsmell.mapgen import empty_map, generate_map, rooms_map
 from nbsmell.planning import shortest_distances, travel_time
 
 SQRT2 = math.sqrt(2.0)
+
+# start corners of a 2x2 map whose diagonal to the opposite corner runs
+# down-right, down-left, up-right and up-left
+DIAGONAL_STARTS = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+def two_by_two(start, obstacles):
+    rows = [["#" if (x, y) in obstacles else "." for x in range(2)] for y in range(2)]
+    rows[start[1]][start[0]] = "S"
+    return parse_map("resolution 1.0\n" + "\n".join("".join(row) for row in rows))
 
 
 class TestShortestDistances:
@@ -38,25 +49,30 @@ class TestShortestDistances:
 
     def test_corner_cutting_forbidden_between_two_obstacles(self):
         # diagonal between two touching obstacle corners must detour
-        grid = parse_map("resolution 1.0\nS#\n#.")
-        field = shortest_distances(grid, Cell(0, 0), 8)
-        assert math.isinf(field[1, 1])
+        for sx, sy in DIAGONAL_STARTS:
+            grid = two_by_two((sx, sy), [(1 - sx, sy), (sx, 1 - sy)])
+            field = shortest_distances(grid, Cell(sx, sy), 8)
+            assert math.isinf(field[1 - sy, 1 - sx]), (sx, sy)
 
     def test_diagonal_past_single_obstacle_allowed(self):
-        grid = parse_map("resolution 1.0\nS#\n..")
-        field = shortest_distances(grid, Cell(0, 0), 8)
-        assert field[1, 1] == pytest.approx(SQRT2)
+        for sx, sy in DIAGONAL_STARTS:
+            grid = two_by_two((sx, sy), [(1 - sx, sy)])
+            field = shortest_distances(grid, Cell(sx, sy), 8)
+            assert field[1 - sy, 1 - sx] == pytest.approx(SQRT2), (sx, sy)
 
     @pytest.mark.parametrize("connectivity", [4, 8])
     def test_matches_dijkstra_oracle(self, connectivity):
-        for seed in range(20):
-            grid = generate_random_grid(10, 0.25, seed)
+        grids = [generate_random_grid(10, 0.25, seed) for seed in range(20)]
+        # single cell, single row and single column
+        grids += [empty_map(1, 1), empty_map(7, 1), empty_map(1, 7),
+                  generate_map("random", 1, 1), rooms_map(16, 16)]
+        for i, grid in enumerate(grids):
             field = shortest_distances(grid, grid.start, connectivity)
             oracle = dijkstra_oracle(grid, grid.start, connectivity)
             for cell in grid.free_cells():
                 expected = oracle.get(cell, math.inf)
                 assert field[cell.y, cell.x] == pytest.approx(expected, abs=1e-9), (
-                    seed, cell)
+                    i, cell)
 
     def test_triangle_inequality(self):
         grid = generate_random_grid(9, 0.15, 3)

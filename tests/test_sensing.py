@@ -253,9 +253,9 @@ class TestScoreCache:
         evaluator = FosEvaluator(grid, DEFAULT, heading_set(4))
         scanned = Cell(2, 0)
         mark_scanned(grid, [scanned])
-        scan = evaluator.scan_results(Cell(0, 0))[0]
-        assert scanned not in scan.smellable_new
-        assert scan.info_gain == 4
+        score, new = evaluator.sweep(Cell(0, 0), 0)
+        assert scanned not in new
+        assert score.info_gain == 4
 
 
 class TestShortRange:
@@ -314,9 +314,16 @@ class TestSweepOracle:
             cell = free[i]
             expected = sampled_sweeps(grid, cell, sensor, evaluator)
             scores = evaluator.evaluate_cell(cell)
-            scans = evaluator.scan_results(cell)
-            for score, scan, (gain, phi, time, new) in zip(scores, scans, expected):
+            for h, (score, (gain, phi, time, new)) in enumerate(zip(scores, expected)):
                 assert score.info_gain == gain
                 assert score.phi_used == pytest.approx(phi, abs=1e-9)
                 assert score.sensing_time == pytest.approx(time, abs=1e-9)
-                assert scan.smellable_new == new
+                # the kernel and sensing_time share one sweep-time rule; a
+                # rounding overshoot above phi_max is one sensing_time rejects
+                if 0 < score.phi_used <= phi_max:
+                    assert score.sensing_time == sensing_time(score.phi_used, sensor)
+                fresh, cells = evaluator.sweep(cell, h)
+                assert fresh == score
+                assert set(cells) == new and len(cells) == len(new)
+                if cell in new:
+                    assert cells[-1] == cell
