@@ -238,12 +238,19 @@ def generate_random_grid(size: int, obstacle_ratio: float, seed: int,
     the grid center (see :func:`_start_near_center`).
     """
     n_obstacles = random_obstacle_count(size, obstacle_ratio)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     states = np.full((size, size), CellState.FREE_UNSCANNED, dtype=np.uint8)
     if n_obstacles:
         flat = rng.choice(size * size, size=n_obstacles, replace=False)
         states.reshape(-1)[flat] = CellState.OBSTACLE
     return GridMap.from_states(states, resolution)
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's PCG64 generator seeded with ``seed``; a negative seed raises ValueError."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def random_obstacle_count(size: int, obstacle_ratio: float) -> int:

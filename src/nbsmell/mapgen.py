@@ -10,7 +10,7 @@ from importlib import resources
 
 import numpy as np
 
-from .grid import CellState, GridMap, generate_random_grid, parse_map
+from .grid import CellState, GridMap, generate_random_grid, parse_map, seeded_rng
 
 __all__ = ["corridor_map", "empty_map", "generate_map", "rooms_map", "shipped_map"]
 
@@ -47,7 +47,7 @@ def corridor_map(width: int, height: int, seed: int = 0,
     """
     if width < 8 or height < 7:
         raise ValueError(f"corridor maps need at least 8x7 cells, got {width}x{height}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     states = np.full((height, width), CellState.FREE_UNSCANNED, dtype=np.uint8)
     cy = height // 2 - 1  # corridor occupies rows cy and cy+1
 
@@ -82,7 +82,7 @@ def rooms_map(width: int, height: int, seed: int = 0,
     """Large connected open rooms separated by walls with wide doorways."""
     if width < 16 or height < 16:
         raise ValueError(f"rooms maps need at least 16x16 cells, got {width}x{height}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     states = np.full((height, width), CellState.FREE_UNSCANNED, dtype=np.uint8)
     nx = max(2, round(width / 28))
     ny = max(2, round(height / 28))

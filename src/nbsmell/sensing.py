@@ -123,46 +123,57 @@ class _RayDisk:
     r_max^2`` and lie at most ``extent`` cells away along each axis.  With
     ``extent`` one less than the map's larger side, no dropped offset could
     land inside the map, so the disk is bounded by the map, not by ``r_max``.
-    Positions in the (2*reach+1)^2 window centered on a cell are flattened
-    row-major from offset (-reach, -reach).  ``rays`` is an (L, K) table of
-    such window positions, step by step (rays shorter than L repeat their
-    endpoint), so that visibility for a whole pose is a single gather from
-    the cell's window, reduced along contiguous rows.  ``index`` maps a
-    window position to the offset's position in the disk, or -1 outside it.
+    ``index`` maps a position in the (2*reach+1)^2 window centered on a cell,
+    flattened row-major from offset (-reach, -reach), to the offset's
+    position in the disk, or -1 outside it.
+
+    The other tables are sets of offsets, bit-packed little-endian in rows of
+    ceil(K/8) bytes.  Row ``j`` of ``through`` holds the offsets whose ray
+    (the cells :func:`traverse_segment` crosses, endpoint included) crosses
+    offset ``j``; the walk is monotone, so no ray leaves the disk.  It takes
+    K * ceil(K/8) bytes: 1.0 MB at r_max 30 m with 1 m cells, up to about
+    128 MB on a 90x90 map (r_max >= 127 m).  Row ``a`` of ``left``, ``right``,
+    ``up`` and ``down`` holds ``dx < -a``, ``dx > a``, ``dy < -a`` and
+    ``dy > a``: the offsets past a map edge ``a`` cells away.  ``left`` also
+    sets the pad bits past K, so a complement of an OR with it clears them.
     """
 
     def __init__(self, r_max: float, resolution: float, extent: int) -> None:
         rc2 = (r_max / resolution) ** 2
         reach = min(int(math.floor(math.sqrt(rc2))), extent)
         self.reach = max(reach, 1)
-        offsets = []
-        for oy in range(-reach, reach + 1):
-            for ox in range(-reach, reach + 1):
-                if ox == 0 and oy == 0:
-                    continue
-                if (ox * ox + oy * oy) * resolution * resolution <= r_max * r_max:
-                    offsets.append((ox, oy))
-        k = len(offsets)
-        self.k = k
-        self.dx = np.array([o[0] for o in offsets], dtype=np.int32)
-        self.dy = np.array([o[1] for o in offsets], dtype=np.int32)
+        oy, ox = np.meshgrid(*[np.arange(-reach, reach + 1)] * 2, indexing="ij")
+        inside = (ox * ox + oy * oy) * resolution * resolution <= r_max * r_max
+        inside[reach, reach] = False  # own cell handled separately
+        self.dx, self.dy = ox[inside].astype(np.int32), oy[inside].astype(np.int32)
+        k = self.k = self.dx.size
         self.bearings = np.arctan2(self.dy.astype(np.float64), self.dx.astype(np.float64))
-        span = 2 * self.reach + 1
-        self.span = span
+        span = self.span = 2 * self.reach + 1
         self.index = np.full(span * span, -1, dtype=np.int64)
         self.index[(self.dy + self.reach) * span + self.dx + self.reach] = np.arange(k)
 
-        center = self.reach * span + self.reach
-        rays = [
-            [center + y * span + x for x, y in traverse_segment(0, 0, ox, oy)[1:]]
-            for ox, oy in offsets  # own cell handled separately
-        ]
-        length = max([len(ray) for ray in rays], default=1)
-        self.rays = np.empty((length, k), dtype=np.intp)
-        for i, ray in enumerate(rays):
-            self.rays[:len(ray), i] = ray
-            # pad with the endpoint; re-checking it is harmless
-            self.rays[len(ray):, i] = ray[-1]
+        # the walk of ``traverse_segment`` for all rays at once, one step per
+        # pass, collecting (crossed offset, ray) pairs
+        ray, ix, iy = np.arange(k), np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+        nx, ny, sx, sy = np.abs(self.dx), np.abs(self.dy), np.sign(self.dx), np.sign(self.dy)
+        crossed, rays = [ray[:0]], [ray[:0]]  # never empty, for the concatenation
+        while ray.size:
+            tx, ty = (2 * ix + 1) * ny, (2 * iy + 1) * nx
+            ix, iy = ix + (tx <= ty), iy + (tx >= ty)
+            crossed.append(self.index[(sy * iy + self.reach) * span + sx * ix + self.reach])
+            rays.append(ray)
+            more = (ix < nx) | (iy < ny)
+            ray, ix, iy, nx, ny, sx, sy = (a[more] for a in (ray, ix, iy, nx, ny, sx, sy))
+        crossed, ray = np.concatenate(crossed), np.concatenate(rays)
+        assert (crossed >= 0).all(), "a ray left its disk"
+        nbytes = (k + 7) // 8
+        self.through = np.zeros((k, nbytes), dtype=np.uint8)
+        np.bitwise_or.at(self.through.reshape(-1), crossed * nbytes + (ray >> 3),
+                         np.left_shift(1, ray & 7).astype(np.uint8))
+        a = np.arange(self.reach + 1)[:, None]
+        pack = partial(np.packbits, axis=1, bitorder="little")
+        self.left = pack(np.hstack((self.dx < -a, np.ones((a.size, -k % 8), dtype=bool))))
+        self.right, self.up, self.down = pack(self.dx > a), pack(self.dy < -a), pack(self.dy > a)
 
 
 @lru_cache(maxsize=16)
@@ -216,8 +227,9 @@ class FosEvaluator:
     Holds a padded copy of the grid's obstacles, a per-cell visibility cache
     and a per-cell score cache.  Visibility depends only on obstacles, which
     never change, so cached masks stay valid for the life of the evaluator.
-    A cache miss gathers the cell's obstacle window through the disk's
-    window-local ``rays``.  The scan state is read from ``grid.states``
+    A cache miss ORs the disk's ``through`` rows of the on-map obstacles in
+    the cell's window and the edge masks for its distance to each map edge.
+    Off-map cells raise ValueError.  The scan state is read from ``grid.states``
     itself.  Scores (gain and sensing time per orientation) depend on it, so
     every scan must be reported through :meth:`mark_scanned` to drop the
     scores it changes.  A cell's sweeps come from one gather of a (3H, K)
@@ -232,17 +244,18 @@ class FosEvaluator:
         self.orientations = tuple(orientations)
         self.disk = _ray_disk(sensor.r_max, grid.resolution,
                               max(grid.width, grid.height) - 1)
-        # Obstacles padded by the disk reach, so that the window of every
-        # cell, ``[y : y + span, x : x + span]``, lies inside the array.
+        # Obstacles padded by the disk reach with free cells, so that the
+        # window of every cell, ``[y : y + span, x : x + span]``, lies inside
+        # the array and holds only the map's own obstacles.
         pad = self.disk.reach
-        self._obstacle = np.ones((grid.height + 2 * pad, grid.width + 2 * pad), dtype=bool)
+        self._obstacle = np.zeros((grid.height + 2 * pad, grid.width + 2 * pad), dtype=bool)
         self._obstacle[pad:pad + grid.height, pad:pad + grid.width] = (
             grid.states == CellState.OBSTACLE
         )
 
         # A view (``GridMap.states`` is C-contiguous), so scans show up here.
-        # Visible offsets never leave the map (off-map endpoints hit the
-        # padding), so ``end`` needs no padding.
+        # Visible offsets never leave the map (the edge masks hide off-map
+        # offsets), so ``end`` needs no padding.
         self._states_flat = grid.states.reshape(-1)
         self._end = self.disk.dy.astype(np.int64) * grid.width + self.disk.dx
 
@@ -270,16 +283,22 @@ class FosEvaluator:
 
     def visible(self, cell: Cell) -> np.ndarray:
         """Boolean mask over the ray disk: offset free and line of sight clear."""
-        i = cell.y * self.grid.width + cell.x
-        if self._vis_known[i]:
-            return np.unpackbits(self._vis_bits[i], count=self.disk.k,
-                                 bitorder="little").view(bool)
-        span = self.disk.span
-        window = self._obstacle[cell.y:cell.y + span, cell.x:cell.x + span]
-        vis = ~np.logical_or.reduce(window.ravel().take(self.disk.rays), axis=0)
-        self._vis_bits[i] = np.packbits(vis, bitorder="little")
-        self._vis_known[i] = True
-        return vis
+        if not self.grid.in_bounds(cell):
+            raise ValueError(f"cell {cell} is off the map")
+        x, y = cell
+        i = y * self.grid.width + x
+        disk = self.disk
+        if not self._vis_known[i]:
+            # rays to on-map offsets stay on the map, so only the window's
+            # obstacles and the map edges hide offsets
+            hit = disk.index[np.flatnonzero(self._obstacle[y:y + disk.span, x:x + disk.span])]
+            blocked = np.bitwise_or.reduce(disk.through.take(hit[hit >= 0], axis=0), axis=0)
+            r, right, down = disk.reach, self.grid.width - 1 - x, self.grid.height - 1 - y
+            blocked |= (disk.left[min(x, r)] | disk.right[min(right, r)]
+                        | disk.up[min(y, r)] | disk.down[min(down, r)])
+            np.invert(blocked, out=self._vis_bits[i])
+            self._vis_known[i] = True
+        return np.unpackbits(self._vis_bits[i], count=disk.k, bitorder="little").view(bool)
 
     def mark_scanned(self, cells: list[Cell]) -> None:
         """Drop the cached scores that the newly scanned ``cells`` change.
@@ -353,9 +372,12 @@ class FosEvaluator:
         """Gain and sensing time, each (len(cells), orientations).
 
         Cached entries are reused; cells without a valid entry are evaluated
-        through :meth:`evaluate_cell` first.
+        through :meth:`evaluate_cell` first.  An off-map cell raises ValueError.
         """
         xs, ys = cell_arrays(cells)
+        off = (xs < 0) | (xs >= self.grid.width) | (ys < 0) | (ys >= self.grid.height)
+        if off.any():
+            raise ValueError(f"cell {cells[int(off.argmax())]} is off the map")
         idx = ys * self.grid.width + xs
         for i in np.flatnonzero(~self._fresh[idx]):
             self.evaluate_cell(cells[i])

@@ -370,6 +370,13 @@ class TestGenmapCommand:
             "--out", str(tmp_path / "x.txt"),
         ]) == EXIT_CONFIG
 
+    def test_negative_seed_exit_config_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        assert main(["genmap", "--kind", "random", "--size", "5", "--seed", "-1",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("size", ["0", "0x5", "5x0"])
     def test_map_without_free_cells_exit_config(self, tmp_path, capsys, size):
         out = tmp_path / "x.txt"

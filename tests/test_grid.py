@@ -114,6 +114,10 @@ class TestRandomGrid:
     def test_resolution_is_one_meter(self):
         assert generate_random_grid(4, 0.1, 0).resolution == 1.0
 
+    def test_negative_seed_rejected_naming_it(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            generate_random_grid(5, 0.1, -1)
+
 
 class TestFrontier:
     def test_fresh_map_has_no_frontier(self):

@@ -61,6 +61,10 @@ class TestCorridorMap:
         with pytest.raises(ValueError):
             corridor_map(5, 5)
 
+    def test_negative_seed_rejected_naming_it(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            corridor_map(60, 10, seed=-1)
+
 
 class TestRoomsMap:
     def test_deterministic_given_seed(self):
@@ -79,6 +83,10 @@ class TestRoomsMap:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             rooms_map(8, 8)
+
+    def test_negative_seed_rejected_naming_it(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            rooms_map(40, 40, seed=-1)
 
 
 class TestShippedMaps:

@@ -9,6 +9,7 @@ from oracles import sampled_line_of_sight, sampled_sweeps
 from nbsmell.grid import (
     Cell,
     CellState,
+    GridMap,
     Pose,
     generate_random_grid,
     heading_set,
@@ -18,6 +19,7 @@ from nbsmell.grid import (
 from nbsmell.sensing import (
     FosEvaluator,
     SensorModel,
+    _RayDisk,
     compute_fos,
     line_of_sight,
     sensing_time,
@@ -257,6 +259,25 @@ class TestScoreCache:
         assert scanned not in new
         assert score.info_gain == 4
 
+    def test_off_map_cell_rejected_before_any_cache_lookup(self):
+        # on a 4x2 map, Cell(-1, 1) has the flat index of Cell(3, 0)
+        grid = parse_map("resolution 1.0\nS...\n....")
+        evaluator = FosEvaluator(grid, DEFAULT, heading_set(4))
+        evaluator.evaluate_cell(Cell(3, 0))
+        off_map = Cell(-1, 1)
+        for call in (evaluator.visible, evaluator.evaluate_cell,
+                     lambda cell: evaluator.sweep(cell, 0),
+                     lambda cell: evaluator.scores([Cell(0, 0), cell])):
+            with pytest.raises(ValueError, match=r"Cell\(x=-1, y=1\) is off the map"):
+                call(off_map)
+
+    def test_off_map_cell_rejected_on_a_fresh_evaluator(self):
+        grid = parse_map("resolution 1.0\nS...\n....")
+        with pytest.raises(ValueError, match=r"Cell\(x=-1, y=0\) is off the map"):
+            FosEvaluator(grid, DEFAULT, heading_set(4)).evaluate_cell(Cell(-1, 0))
+        with pytest.raises(ValueError, match=r"Cell\(x=4, y=0\) is off the map"):
+            visible_cells(grid, Cell(4, 0), 5.0)
+
 
 class TestShortRange:
     def test_range_below_resolution_covers_only_own_cell(self):
@@ -288,6 +309,64 @@ class TestVisibleCells:
                         if line_of_sight(grid, origin, c):
                             expected.add(c)
                 assert visible_cells(grid, origin, r_max) == expected
+
+    @given(
+        width=st.integers(1, 16),
+        height=st.integers(1, 16),
+        obstacle_ratio=st.floats(0.0, 0.5),
+        seed=st.integers(0, 10**6),
+        resolution=st.sampled_from([0.5, 1.0]),
+        r_max=st.floats(0.5, 30.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_matches_line_of_sight_from_every_free_cell(
+            self, width, height, obstacle_ratio, seed, resolution, r_max):
+        # maps of up to 16 cells a side: long ranges give disks clipped to the
+        # map, short ones disks whose rays stop inside it
+        rng = np.random.default_rng(seed)
+        obstacle = rng.random((height, width)) < obstacle_ratio
+        obstacle.flat[rng.integers(obstacle.size)] = False  # keep one free cell
+        states = np.where(obstacle, CellState.OBSTACLE, CellState.FREE_UNSCANNED)
+        grid = GridMap.from_states(states.astype(np.uint8), resolution)
+        evaluator = FosEvaluator(grid, SensorModel(r_max=r_max), ())
+        free = grid.free_cells()
+        for origin in free:
+            expected = {
+                c for c in free
+                if c != origin
+                and ((c.x - origin.x) ** 2 + (c.y - origin.y) ** 2) * resolution * resolution
+                <= r_max * r_max
+                and line_of_sight(grid, origin, c)
+            }
+            assert visible_cells(grid, origin, r_max) == expected
+            first = evaluator.visible(origin)
+            assert np.array_equal(evaluator.visible(origin), first)  # served from the cache
+
+
+class TestRayDisk:
+    @pytest.mark.parametrize("r_max, resolution, extent", [
+        (30.0, 1.0, 89), (30.0, 1.0, 29), (10.0, 0.5, 59), (30.0, 1.0, 9), (15.0, 1.0, 79),
+    ])
+    def test_tables_match_plain_loops(self, r_max, resolution, extent):
+        disk = _RayDisk(r_max, resolution, extent)
+        offsets = list(zip(disk.dx.tolist(), disk.dy.tolist()))
+        position = {offset: j for j, offset in enumerate(offsets)}
+        through = np.zeros((disk.k, disk.k), dtype=bool)
+        for k, (dx, dy) in enumerate(offsets):
+            for cell in traverse_segment(0, 0, dx, dy)[1:]:
+                through[position[cell], k] = True
+        assert disk.through.shape == (disk.k, (disk.k + 7) // 8)
+        assert np.array_equal(disk.through, np.packbits(through, axis=1, bitorder="little"))
+
+        def unpack(rows):
+            return np.unpackbits(rows, axis=1, count=disk.k, bitorder="little").astype(bool)
+        a = np.arange(disk.reach + 1)[:, None]
+        assert np.array_equal(unpack(disk.left), disk.dx < -a)
+        assert np.array_equal(unpack(disk.right), disk.dx > a)
+        assert np.array_equal(unpack(disk.up), disk.dy < -a)
+        assert np.array_equal(unpack(disk.down), disk.dy > a)
+        # the pad bits past K are set in every ``left`` row
+        assert np.unpackbits(disk.left, axis=1, bitorder="little")[:, disk.k:].all()
 
 
 class TestSweepOracle:
