@@ -221,18 +221,18 @@ def _load_map(path: str) -> GridMap:
 
 
 def render_ppm(grid: GridMap, robot: Cell | None,
-               frontier: list[Cell] | None = None) -> bytes:
+               frontier: np.ndarray | None = None) -> bytes:
     """Binary PPM snapshot, one pixel per cell.
 
-    Obstacles black, unscanned white, scanned gray, frontier blue, robot red.
+    Obstacles black, unscanned white, scanned gray, frontier blue (flat
+    indices, as :func:`frontier_cells` gives them), robot red.
     """
     img = np.empty((grid.height, grid.width, 3), dtype=np.uint8)
     img[grid.states == CellState.FREE_UNSCANNED] = (255, 255, 255)
     img[grid.states == CellState.FREE_SCANNED] = (160, 160, 160)
     img[grid.states == CellState.OBSTACLE] = (0, 0, 0)
-    if frontier:
-        for cell in frontier:
-            img[cell.y, cell.x] = (0, 0, 255)
+    if frontier is not None:
+        img.reshape(-1, 3)[frontier] = (0, 0, 255)
     if robot is not None:
         img[robot.y, robot.x] = (255, 0, 0)
     header = f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii")

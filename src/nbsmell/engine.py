@@ -24,7 +24,7 @@ from .grid import (
     Cell,
     GridMap,
     Pose,
-    cell_arrays,
+    cells_at,
     coverage_ratio,
     frontier_cells,
     heading_set,
@@ -99,13 +99,6 @@ def check_motion(connectivity: int, speed: float, target_coverage: float) -> Non
         raise ValueError(f"target_coverage must be in (0, 1], got {target_coverage}")
 
 
-def _positions(grid: GridMap, robot_cell: Cell, connectivity: int) -> list[Cell]:
-    """Candidate positions: the frontier, or the robot cell before the first scan."""
-    if grid.scanned_count() == 0:
-        return [robot_cell]
-    return frontier_cells(grid, connectivity)
-
-
 def select_best(raw: np.ndarray, measure: FuzzyMeasure) -> int:
     """Row of the best candidate.
 
@@ -149,41 +142,43 @@ class CoverageEngine:
         if self._done:
             return None
         started = time.perf_counter()
-        dist_field = shortest_distances(self.grid, self.robot.cell, self.connectivity)
-        positions = _positions(self.grid, self.robot.cell, self.connectivity)
-        xs, ys = cell_arrays(positions)
-        dist = dist_field[ys, xs]
-        reachable = np.flatnonzero(np.isfinite(dist))
-        cells = [positions[i] for i in reachable]
-        gain, sense = self.evaluator.scores(cells)
+        grid, robot = self.grid, self.robot.cell
+        dist = shortest_distances(grid, robot, self.connectivity).reshape(-1)
+        # candidate positions, as flat indices: the reachable frontier cells,
+        # or the robot cell before the first scan
+        idx = (frontier_cells(grid, self.connectivity) if grid.scanned_count()
+               else np.array([robot.y * grid.width + robot.x]))
+        idx = idx[np.isfinite(dist[idx])]
+        gain, sense = self.evaluator.scores(idx)
         # candidates in row-major cell order, headings ascending
         cand_cell, cand_heading = np.nonzero(gain >= 1)
         if cand_cell.size == 0:
             self._done = True
             return None
+        cand_idx = idx[cand_cell]
         raw = np.column_stack((
             gain[cand_cell, cand_heading],
-            dist[reachable[cand_cell]],
+            dist[cand_idx],
             sense[cand_cell, cand_heading],
         ))
         best = select_best(raw, self.measure)
         decision_time = time.perf_counter() - started
 
-        cell, h = cells[cand_cell[best]], cand_heading[best]
-        pose = Pose(cell, self.headings[h])
-        scan, new_cells = self.evaluator.sweep(cell, h)
+        i, h = int(cand_idx[best]), int(cand_heading[best])
+        pose = Pose(cells_at(grid, [i])[0], self.headings[h])
+        scan, new = self.evaluator.sweep(i, h)
         if (scan.info_gain, scan.sensing_time) != (raw[best, 0], raw[best, 2]):
             raise RuntimeError(
                 f"score cache out of sync at {pose}: cached gain {raw[best, 0]} "
                 f"and time {raw[best, 2]}, fresh {scan.info_gain} and {scan.sensing_time}"
             )
-        marked = mark_scanned(self.grid, new_cells)
+        marked = mark_scanned(grid, cells_at(grid, new))
         if marked != scan.info_gain:
             raise RuntimeError(
                 f"scan bookkeeping out of sync: marked {marked}, "
                 f"expected {scan.info_gain}"
             )
-        self.evaluator.mark_scanned(new_cells)
+        self.evaluator.mark_scanned(new)
         self.robot = pose
 
         record = StepRecord(
@@ -193,7 +188,7 @@ class CoverageEngine:
             info_gain=scan.info_gain,
             travel_time=travel_time(float(raw[best, 1]), self.speed),
             sensing_time=scan.sensing_time,
-            cumulative_coverage=coverage_ratio(self.grid),
+            cumulative_coverage=coverage_ratio(grid),
             candidates_evaluated=len(raw),
             decision_time=decision_time,
         )
@@ -250,19 +245,10 @@ def uncoverable_cells(
     """
     headings = heading_set(orientations)
     evaluator = FosEvaluator(grid, sensor, headings)
-    dist_field = shortest_distances(grid, grid.start, connectivity)
-    reachable = np.isfinite(dist_field)
-    disk = evaluator.disk
-
+    reachable = np.isfinite(shortest_distances(grid, grid.start, connectivity))
     window_any = evaluator.window_masks.any(axis=0)
-
-    coverable = np.zeros((grid.height, grid.width), dtype=bool)
-    ys, xs = np.nonzero(reachable)
-    for y, x in zip(ys, xs):
-        coverable[y, x] = True  # own cell is always covered by a scan there
-        vis = evaluator.visible(Cell(int(x), int(y)))
-        idx = np.nonzero(vis & window_any)[0]
-        coverable[disk.dy[idx] + y, disk.dx[idx] + x] = True
-
-    ys, xs = np.nonzero(grid.free_mask() & ~coverable)
-    return [Cell(int(x), int(y)) for y, x in zip(ys, xs)]
+    coverable = np.zeros(grid.width * grid.height, dtype=bool)
+    for i in np.flatnonzero(reachable).tolist():
+        coverable[i] = True  # own cell is always covered by a scan there
+        coverable[i + evaluator.end[evaluator.visible(i) & window_any]] = True
+    return cells_at(grid, np.flatnonzero(grid.free_mask().reshape(-1) & ~coverable))

@@ -21,7 +21,7 @@ __all__ = [
     "GridMap",
     "MapFormatError",
     "Pose",
-    "cell_arrays",
+    "cells_at",
     "coverage_ratio",
     "frontier_cells",
     "generate_random_grid",
@@ -63,12 +63,6 @@ _STATE_VALUES = tuple(int(state) for state in CellState)
 
 class MapFormatError(ValueError):
     """Raised when an ASCII map document cannot be parsed."""
-
-
-def cell_arrays(cells: Sequence[Cell]) -> tuple[np.ndarray, np.ndarray]:
-    """Column and row index arrays of a sequence of cells."""
-    xy = np.array(list(zip(*cells)), dtype=np.intp).reshape(2, -1)
-    return xy[0], xy[1]
 
 
 def heading_set(count: int) -> tuple[float, ...]:
@@ -143,12 +137,10 @@ class GridMap:
         return int(np.count_nonzero(self.states == CellState.FREE_SCANNED))
 
     def free_cells(self) -> list[Cell]:
-        ys, xs = np.nonzero(self.states != CellState.OBSTACLE)
-        return [Cell(int(x), int(y)) for y, x in zip(ys, xs)]
+        return cells_at(self, np.flatnonzero(self.states != CellState.OBSTACLE))
 
     def unscanned_cells(self) -> list[Cell]:
-        ys, xs = np.nonzero(self.states == CellState.FREE_UNSCANNED)
-        return [Cell(int(x), int(y)) for y, x in zip(ys, xs)]
+        return cells_at(self, np.flatnonzero(self.states == CellState.FREE_UNSCANNED))
 
     @classmethod
     def from_states(cls, states: np.ndarray, resolution: float) -> "GridMap":
@@ -312,17 +304,22 @@ def shifted(pad: np.ndarray, dx: int, dy: int) -> np.ndarray:
     return pad[1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx]
 
 
-def frontier_cells(grid: GridMap, connectivity: int) -> list[Cell]:
-    """Scanned free cells adjacent to at least one unscanned free cell.
+def cells_at(grid: GridMap, flat: np.ndarray | Sequence[int]) -> list[Cell]:
+    """The cells at the flat indices ``flat`` (``y * width + x``), in order."""
+    ys, xs = np.divmod(np.asarray(flat, dtype=np.intp), grid.width)
+    return list(map(Cell, xs.tolist(), ys.tolist()))
 
-    Returned in row-major order.
+
+def frontier_cells(grid: GridMap, connectivity: int) -> np.ndarray:
+    """Flat indices of the scanned free cells next to an unscanned free cell.
+
+    Ascending, so in row-major order; :func:`cells_at` gives the cells.
     """
     unscanned = padded(grid.unscanned_mask())
     near = np.zeros((grid.height, grid.width), dtype=bool)
     for dx, dy in neighbor_offsets(connectivity):
         near |= shifted(unscanned, dx, dy)
-    ys, xs = np.nonzero(grid.scanned_mask() & near)
-    return [Cell(int(x), int(y)) for y, x in zip(ys, xs)]
+    return np.flatnonzero(grid.scanned_mask() & near)
 
 
 def mark_scanned(grid: GridMap, cells: Iterable[Cell]) -> int:
@@ -334,7 +331,7 @@ def mark_scanned(grid: GridMap, cells: Iterable[Cell]) -> int:
     first), before any cell is written.
     """
     cells = list(cells)
-    xs, ys = cell_arrays(cells)
+    xs, ys = np.array(list(zip(*cells)), dtype=np.intp).reshape(2, -1)
     off_map = np.flatnonzero((xs < 0) | (xs >= grid.width) | (ys < 0) | (ys >= grid.height))
     if off_map.size:
         raise ValueError(f"cannot scan off-map cell {cells[off_map[0]]}")

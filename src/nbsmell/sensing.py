@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Cell, CellState, GridMap, Pose, cell_arrays
+from .grid import Cell, CellState, GridMap, Pose, cells_at
 
 __all__ = [
     "FosScore",
@@ -176,7 +176,9 @@ class _RayDisk:
         self.right, self.up, self.down = pack(self.dx > a), pack(self.dy < -a), pack(self.dy > a)
 
 
-@lru_cache(maxsize=16)
+# One disk: the runs on a map, or on one size of a batch, share a key, and a
+# disk can take up to K * ceil(K/8) bytes.
+@lru_cache(maxsize=1)
 def _ray_disk(r_max: float, resolution: float, extent: int) -> _RayDisk:
     return _RayDisk(r_max, resolution, extent)
 
@@ -224,17 +226,19 @@ _UNSCANNED = int(CellState.FREE_UNSCANNED)
 class FosEvaluator:
     """Vectorized field-of-smell evaluation over one grid.
 
-    Holds a padded copy of the grid's obstacles, a per-cell visibility cache
-    and a per-cell score cache.  Visibility depends only on obstacles, which
-    never change, so cached masks stay valid for the life of the evaluator.
-    A cache miss ORs the disk's ``through`` rows of the on-map obstacles in
-    the cell's window and the edge masks for its distance to each map edge.
-    Off-map cells raise ValueError.  The scan state is read from ``grid.states``
-    itself.  Scores (gain and sensing time per orientation) depend on it, so
-    every scan must be reported through :meth:`mark_scanned` to drop the
-    scores it changes.  A cell's sweeps come from one gather of a (3H, K)
-    table over its visible unscanned offsets (H orientations, K offsets)
-    and one row minimum and one row sum of the result.
+    Cells are addressed by their flat index ``i = y * width + x``; an index
+    outside ``0 <= i < width * height`` raises ValueError.  The cells at the
+    disk offsets of cell ``i`` are ``i + end``.  Holds a padded copy of the
+    grid's obstacles, a per-cell visibility cache and a per-cell score cache.
+    Visibility depends only on obstacles, which never change, so cached masks
+    stay valid for the life of the evaluator.  A cache miss ORs the disk's
+    ``through`` rows of the on-map obstacles in the cell's window and the edge
+    masks for its distance to each map edge.  The scan state is read from
+    ``grid.states`` itself.  Scores (gain and sensing time per orientation)
+    depend on it, so every scan must be reported through :meth:`mark_scanned`
+    to drop the scores it changes.  A cell's sweeps come from one gather of a
+    (3H, K) table over its visible unscanned offsets (H orientations, K
+    offsets) and one row minimum and one row sum of the result.
     """
 
     def __init__(self, grid: GridMap, sensor: SensorModel,
@@ -257,7 +261,7 @@ class FosEvaluator:
         # Visible offsets never leave the map (the edge masks hide off-map
         # offsets), so ``end`` needs no padding.
         self._states_flat = grid.states.reshape(-1)
-        self._end = self.disk.dy.astype(np.int64) * grid.width + self.disk.dx
+        self.end = self.disk.dy.astype(np.int64) * grid.width + self.disk.dx
 
         half = math.radians(sensor.phi_max) / 2.0
         rel = [_wrap_angles(self.disk.bearings - theta) for theta in self.orientations]
@@ -281,14 +285,17 @@ class FosEvaluator:
         self._gain = np.zeros((cells, len(self.orientations)), dtype=np.int64)
         self._time = np.zeros((cells, len(self.orientations)), dtype=np.float64)
 
-    def visible(self, cell: Cell) -> np.ndarray:
+    def _off_map(self, i: int) -> ValueError:
+        grid = self.grid
+        return ValueError(f"flat index {i} is off the {grid.width}x{grid.height} map")
+
+    def visible(self, i: int) -> np.ndarray:
         """Boolean mask over the ray disk: offset free and line of sight clear."""
-        if not self.grid.in_bounds(cell):
-            raise ValueError(f"cell {cell} is off the map")
-        x, y = cell
-        i = y * self.grid.width + x
+        if not 0 <= i < self._fresh.size:
+            raise self._off_map(i)
         disk = self.disk
         if not self._vis_known[i]:
+            y, x = divmod(i, self.grid.width)
             # rays to on-map offsets stay on the map, so only the window's
             # obstacles and the map edges hide offsets
             hit = disk.index[np.flatnonzero(self._obstacle[y:y + disk.span, x:x + disk.span])]
@@ -300,18 +307,18 @@ class FosEvaluator:
             self._vis_known[i] = True
         return np.unpackbits(self._vis_bits[i], count=disk.k, bitorder="little").view(bool)
 
-    def mark_scanned(self, cells: list[Cell]) -> None:
-        """Drop the cached scores that the newly scanned ``cells`` change.
+    def mark_scanned(self, idx: np.ndarray) -> None:
+        """Drop the cached scores that the newly scanned cells ``idx`` change.
 
         A cell's score depends only on whether it and the cells it sees are
         unscanned.  So a cached score goes stale exactly when the cell was
         scanned itself or sees a newly scanned cell ``n``; line of sight is
         symmetric, so the cell's own mask at offset ``n - cell`` decides.
         """
-        if not cells:
+        if not len(idx):
             return
-        nx, ny = cell_arrays(cells)
         width = self.grid.width
+        ny, nx = np.divmod(idx, width)
         cached = np.flatnonzero(self._fresh)
         cx, cy = cached % width, cached // width
         reach = self.disk.reach
@@ -327,17 +334,16 @@ class FosEvaluator:
             seen = (self._vis_bits[cached[c], k >> 3] >> (k & 7)) & 1
             stale[c[seen.astype(bool)]] = True
         self._fresh[cached[stale]] = False
-        self._fresh[ny * width + nx] = False
+        self._fresh[idx] = False
 
-    def _sweeps(self, cell: Cell) -> tuple[np.ndarray, list[FosScore]]:
-        """Trimmed sweep of every orientation at ``cell``, from the current scan state.
+    def _sweeps(self, i: int) -> tuple[np.ndarray, list[FosScore]]:
+        """Trimmed sweep of every orientation at cell ``i``, from the current scan state.
 
         Returns the disk indices of the visible unscanned cells and the
         score of every orientation.
         """
-        i = cell.y * self.grid.width + cell.x
-        seen = self.visible(cell).nonzero()[0]
-        new = seen[self._states_flat[i + self._end[seen]] == _UNSCANNED]
+        seen = self.visible(i).nonzero()[0]
+        new = seen[self._states_flat[i + self.end[seen]] == _UNSCANNED]
         held = self._sweep_table.take(new, axis=1)
         h = len(self.orientations)
         # the ufuncs directly: ``ndarray.min``/``sum`` add a Python-level call
@@ -354,52 +360,44 @@ class FosEvaluator:
             scores.append(_make_score((gain, phi, sweep_time(phi) if gain else 0.0)))
         return new, scores
 
-    def evaluate_cell(self, cell: Cell) -> list[FosScore]:
-        """Scores for every orientation at ``cell`` (orientation order).
+    def evaluate_cell(self, i: int) -> list[FosScore]:
+        """Scores for every orientation at cell ``i`` (orientation order).
 
         The gain and sensing time are cached until :meth:`mark_scanned`
         reports a scan that changes them; :meth:`scores` reads the cache.
         """
-        scores = self._sweeps(cell)[1]
+        scores = self._sweeps(i)[1]
         gain, _, time = zip(*scores)
-        i = cell.y * self.grid.width + cell.x
         self._gain[i] = gain
         self._time[i] = time
         self._fresh[i] = True
         return scores
 
-    def scores(self, cells: list[Cell]) -> tuple[np.ndarray, np.ndarray]:
-        """Gain and sensing time, each (len(cells), orientations).
+    def scores(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gain and sensing time at the cells ``idx``, each (len(idx), orientations).
 
         Cached entries are reused; cells without a valid entry are evaluated
-        through :meth:`evaluate_cell` first.  An off-map cell raises ValueError.
+        through :meth:`evaluate_cell` first.
         """
-        xs, ys = cell_arrays(cells)
-        off = (xs < 0) | (xs >= self.grid.width) | (ys < 0) | (ys >= self.grid.height)
-        if off.any():
-            raise ValueError(f"cell {cells[int(off.argmax())]} is off the map")
-        idx = ys * self.grid.width + xs
-        for i in np.flatnonzero(~self._fresh[idx]):
-            self.evaluate_cell(cells[i])
+        idx = np.asarray(idx, dtype=np.intp)
+        off = idx[(idx < 0) | (idx >= self._fresh.size)]
+        if off.size:
+            raise self._off_map(int(off[0]))
+        for i in idx[~self._fresh[idx]].tolist():
+            self.evaluate_cell(i)
         return self._gain[idx], self._time[idx]
 
-    def sweep(self, cell: Cell, h: int) -> tuple[FosScore, list[Cell]]:
-        """Fresh score of orientation ``h`` at ``cell`` and the cells it newly covers.
+    def sweep(self, i: int, h: int) -> tuple[FosScore, np.ndarray]:
+        """Fresh score of orientation ``h`` at cell ``i`` and the cells it newly covers.
 
-        The cells come in disk order, with ``cell`` itself last when it is
-        unscanned.
+        The cells come as flat indices in disk order, with ``i`` itself last
+        when it is unscanned.
         """
-        new, scores = self._sweeps(cell)
-        cells = self._cells(cell, new[self.window_masks[h, new]])
-        if self._states_flat.item(cell.y * self.grid.width + cell.x) == _UNSCANNED:
-            cells.append(cell)
+        new, scores = self._sweeps(i)
+        cells = i + self.end[new[self.window_masks[h, new]]]
+        if self._states_flat.item(i) == _UNSCANNED:
+            cells = np.append(cells, i)
         return scores[h], cells
-
-    def _cells(self, cell: Cell, idx: np.ndarray) -> list[Cell]:
-        """The cells at disk offsets ``idx`` from ``cell``."""
-        xs = (self.disk.dx[idx] + cell.x).tolist()
-        ys = (self.disk.dy[idx] + cell.y).tolist()
-        return [Cell(x, y) for x, y in zip(xs, ys)]
 
 
 def compute_fos(grid: GridMap, pose: Pose, sensor: SensorModel) -> ScanResult:
@@ -407,19 +405,17 @@ def compute_fos(grid: GridMap, pose: Pose, sensor: SensorModel) -> ScanResult:
     if not grid.is_free(pose.cell):
         raise ValueError(f"pose cell {pose.cell} is not a free cell")
     evaluator = FosEvaluator(grid, sensor, (pose.theta,))
-    score, new_cells = evaluator.sweep(pose.cell, 0)
-    new = frozenset(new_cells)
+    i = pose.cell.y * grid.width + pose.cell.x
+    score, new = evaluator.sweep(i, 0)
     # the sweep covers every visible cell of the window whose bearing lies
     # between the first and the last bearing of the cells it newly covers
-    seen = np.flatnonzero(evaluator.visible(pose.cell) & evaluator.window_masks[0])
-    cells = evaluator._cells(pose.cell, seen)
-    rel = evaluator.rel_bearings[0, seen].tolist()
-    held = [r for c, r in zip(cells, rel) if c in new]
-    lo, hi = (min(held), max(held)) if held else (math.inf, -math.inf)
-    covered = {c for c, r in zip(cells, rel) if lo <= r <= hi}
-    covered.add(pose.cell)
+    seen = np.flatnonzero(evaluator.visible(i) & evaluator.window_masks[0])
+    rel = evaluator.rel_bearings[0, seen]
+    held = rel[np.isin(i + evaluator.end[seen], new)]
+    covered = seen[(held.min(initial=math.inf) <= rel) & (rel <= held.max(initial=-math.inf))]
     return ScanResult(score.phi_used, score.sensing_time, score.info_gain,
-                      new, frozenset(covered))
+                      frozenset(cells_at(grid, new)),
+                      frozenset(cells_at(grid, [i, *(i + evaluator.end[covered])])))
 
 
 def visible_cells(grid: GridMap, cell: Cell, r_max: float) -> set[Cell]:
@@ -428,5 +424,8 @@ def visible_cells(grid: GridMap, cell: Cell, r_max: float) -> set[Cell]:
     Range and occlusion only; no angular window is applied and the cell
     itself is not included.
     """
+    if not grid.in_bounds(cell):
+        raise ValueError(f"cell {cell} is off the map")
     evaluator = FosEvaluator(grid, SensorModel(r_max=r_max), ())
-    return set(evaluator._cells(cell, np.flatnonzero(evaluator.visible(cell))))
+    i = cell.y * grid.width + cell.x
+    return set(cells_at(grid, i + evaluator.end[evaluator.visible(i)]))

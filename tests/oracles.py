@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nbsmell.grid import Cell, CellState, GridMap, Pose, frontier_cells, heading_set
+from nbsmell.grid import Cell, CellState, GridMap, Pose, cells_at, frontier_cells, heading_set
 from nbsmell.mcdm import FuzzyMeasure, choquet, normalize_utilities
 from nbsmell.planning import shortest_distances
 from nbsmell.sensing import FosEvaluator, FosScore, SensorModel
@@ -136,16 +136,17 @@ def enumerate_candidates(grid: GridMap, robot: Pose, orientations: int,
     if grid.scanned_count() == 0:
         positions = [robot.cell]
     else:
-        positions = frontier_cells(grid, connectivity)
+        positions = cells_at(grid, frontier_cells(grid, connectivity))
     candidates = []
     for cell in positions:
         distance = float(dist_field[cell.y, cell.x])
         if not math.isfinite(distance):
             continue
         for h, theta in enumerate(headings):
-            scan, new_cells = evaluator.sweep(cell, h)
+            scan, new = evaluator.sweep(cell.y * grid.width + cell.x, h)
             if scan.info_gain >= 1:
-                candidates.append(Candidate(Pose(cell, theta), distance, scan, new_cells))
+                candidates.append(
+                    Candidate(Pose(cell, theta), distance, scan, cells_at(grid, new)))
     return candidates
 
 

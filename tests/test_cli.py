@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -89,6 +90,29 @@ class TestExitPaths:
         monkeypatch.setattr(CoverageEngine, "run", broken_run)
         with pytest.raises(ValueError, match="broken run"):
             main(command_args(command, tiny_map, tmp_path / "o"))
+
+
+class TestGoldenOutputs:
+    # sha256 of each deterministic output; a change to any of them changes
+    # what the program computes (numpy 2.4.6, Python 3.11)
+    DIGESTS = {
+        "run.csv": "eaff397eb6b41fbbfa419a5c8c85bbe78a08a8c344e917e225c317b895c8d34e",
+        "sweep.csv": "0621042ca02cc1e4b00967f16c1aa214e9e978f480aa32a1527a7ece24adea08",
+        "randgrid.csv": "b55b36863d3619a454436920793227289a56026b2b3b202a3d08283526fc3039",
+    }
+
+    def test_outputs_match_pinned_digests(self, tmp_path):
+        corridor = str(Path(cli.__file__).parent / "maps" / "corridor_60x10.txt")
+        for argv in (
+            ["run", "--map", corridor, "--config", "F", "--orientations", "8",
+             "--rmax-m", "10"],
+            ["sweep", "--map", corridor, "--rmax-m", "10"],
+            ["randgrid", "--sizes", "3,10", "--grids-per-size", "2"],
+        ):
+            assert main([*argv, "--out", str(tmp_path / argv[0])]) == EXIT_OK
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.glob("*/*.csv")}
+        assert digests == self.DIGESTS
 
 
 class TestRunCommand:
@@ -390,7 +414,7 @@ class TestRenderPpm:
     def test_colors_and_dimensions(self):
         grid = parse_map("resolution 1.0\nS#\n..")
         mark_scanned(grid, [Cell(0, 0)])
-        data = render_ppm(grid, robot=Cell(0, 1), frontier=[Cell(0, 0)])
+        data = render_ppm(grid, robot=Cell(0, 1), frontier=[0])
         header = b"P6\n2 2\n255\n"
         assert data.startswith(header)
         pixels = data[len(header):]

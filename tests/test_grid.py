@@ -6,6 +6,7 @@ from nbsmell.grid import (
     CellState,
     GridMap,
     MapFormatError,
+    cells_at,
     coverage_ratio,
     frontier_cells,
     generate_random_grid,
@@ -122,36 +123,49 @@ class TestRandomGrid:
 class TestFrontier:
     def test_fresh_map_has_no_frontier(self):
         grid = parse_map("resolution 1.0\nS..\n...")
-        assert frontier_cells(grid, 4) == []
+        assert cells_at(grid, frontier_cells(grid, 4)) == []
 
     def test_single_boundary_cell_on_strip(self):
         grid = parse_map("resolution 1.0\nS..")
         mark_scanned(grid, [Cell(0, 0), Cell(1, 0)])
-        assert frontier_cells(grid, 4) == [Cell(1, 0)]
+        assert cells_at(grid, frontier_cells(grid, 4)) == [Cell(1, 0)]
 
     def test_fully_scanned_map_has_no_frontier(self):
         grid = parse_map("resolution 1.0\nS..")
         mark_scanned(grid, [Cell(0, 0), Cell(1, 0), Cell(2, 0)])
-        assert frontier_cells(grid, 4) == []
+        assert cells_at(grid, frontier_cells(grid, 4)) == []
 
     def test_diagonal_neighbor_counts_only_under_8(self):
         grid = parse_map("resolution 1.0\nS#\n#.")
         mark_scanned(grid, [Cell(0, 0)])
-        assert frontier_cells(grid, 4) == []
-        assert frontier_cells(grid, 8) == [Cell(0, 0)]
+        assert cells_at(grid, frontier_cells(grid, 4)) == []
+        assert cells_at(grid, frontier_cells(grid, 8)) == [Cell(0, 0)]
 
     def test_row_major_order(self):
         grid = parse_map("resolution 1.0\nS..\n...\n...")
         mark_scanned(grid, [Cell(2, 0), Cell(0, 1), Cell(1, 2)])
-        assert frontier_cells(grid, 4) == [Cell(2, 0), Cell(0, 1), Cell(1, 2)]
+        assert cells_at(grid, frontier_cells(grid, 4)) == [Cell(2, 0), Cell(0, 1), Cell(1, 2)]
 
     def test_frontier_cells_are_scanned_with_unscanned_neighbor(self):
         rng = np.random.default_rng(3)
-        grid = generate_random_grid(12, 0.2, 8)
+        # non-square maps too: the flat index is y * width + x, not y * height + x
+        wide, tall = (GridMap.from_states(
+            np.where(rng.random(shape) < 0.2, CellState.OBSTACLE,
+                     CellState.FREE_UNSCANNED).astype(np.uint8), 1.0)
+            for shape in ((3, 7), (7, 3)))
+        for grid, marked in ((generate_random_grid(12, 0.2, 8), 30), (wide, 6), (tall, 6)):
+            self._check_frontier(grid, marked, rng)
+
+    def _check_frontier(self, grid, marked, rng):
+        assert cells_at(grid, [y * grid.width + x for y in range(grid.height)
+                               for x in range(grid.width)]) == [
+            Cell(x, y) for y in range(grid.height) for x in range(grid.width)]
         free = grid.free_cells()
-        mark_scanned(grid, [free[i] for i in rng.choice(len(free), 30)])
+        mark_scanned(grid, [free[i] for i in rng.choice(len(free), marked)])
         for conn in (4, 8):
-            for cell in frontier_cells(grid, conn):
+            frontier = cells_at(grid, frontier_cells(grid, conn))
+            assert frontier  # a map without a frontier would check nothing
+            for cell in frontier:
                 assert grid.state(cell) == CellState.FREE_SCANNED
                 neighbors = [
                     Cell(cell.x + dx, cell.y + dy)

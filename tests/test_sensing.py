@@ -11,6 +11,7 @@ from nbsmell.grid import (
     CellState,
     GridMap,
     Pose,
+    cells_at,
     generate_random_grid,
     heading_set,
     mark_scanned,
@@ -20,6 +21,7 @@ from nbsmell.sensing import (
     FosEvaluator,
     SensorModel,
     _RayDisk,
+    _ray_disk,
     compute_fos,
     line_of_sight,
     sensing_time,
@@ -231,11 +233,11 @@ class TestScoreCache:
         grid = parse_map("resolution 1.0\nS#...")
         headings = heading_set(4)
         evaluator = FosEvaluator(grid, DEFAULT, headings)
-        occluded, scanned, seer = Cell(0, 0), Cell(2, 0), Cell(4, 0)
+        occluded, scanned, seer = 0, 2, 4  # flat indices on a one-row map
         cells = [occluded, scanned, seer]
         evaluator.scores(cells)
 
-        mark_scanned(grid, [scanned])
+        mark_scanned(grid, [Cell(scanned, 0)])
         evaluator.mark_scanned([scanned])
         recomputed = []
         evaluate = evaluator.evaluate_cell
@@ -255,28 +257,44 @@ class TestScoreCache:
         evaluator = FosEvaluator(grid, DEFAULT, heading_set(4))
         scanned = Cell(2, 0)
         mark_scanned(grid, [scanned])
-        score, new = evaluator.sweep(Cell(0, 0), 0)
-        assert scanned not in new
+        score, new = evaluator.sweep(0, 0)
+        assert scanned not in cells_at(grid, new)
         assert score.info_gain == 4
 
+    @staticmethod
+    def entry_points(evaluator):
+        return (evaluator.visible, evaluator.evaluate_cell,
+                lambda i: evaluator.sweep(i, 0), lambda i: evaluator.scores([0, i]))
+
     def test_off_map_cell_rejected_before_any_cache_lookup(self):
-        # on a 4x2 map, Cell(-1, 1) has the flat index of Cell(3, 0)
+        # on a 4x2 map numpy would read index -1 as 7 and index 8 as off the
+        # end; the last cell's entries are cached, so a wrapped -1 would hit them
         grid = parse_map("resolution 1.0\nS...\n....")
         evaluator = FosEvaluator(grid, DEFAULT, heading_set(4))
-        evaluator.evaluate_cell(Cell(3, 0))
-        off_map = Cell(-1, 1)
-        for call in (evaluator.visible, evaluator.evaluate_cell,
-                     lambda cell: evaluator.sweep(cell, 0),
-                     lambda cell: evaluator.scores([Cell(0, 0), cell])):
-            with pytest.raises(ValueError, match=r"Cell\(x=-1, y=1\) is off the map"):
-                call(off_map)
+        evaluator.evaluate_cell(7)
+        for off_map in (-1, 8):
+            for call in self.entry_points(evaluator):
+                with pytest.raises(ValueError, match=f"flat index {off_map} is off the 4x2 map"):
+                    call(off_map)
+        with pytest.raises(ValueError, match=r"Cell\(x=-1, y=1\) is off the map"):
+            visible_cells(grid, Cell(-1, 1), 5.0)
+        with pytest.raises(ValueError, match=r"Cell\(x=-1, y=1\) is not a free cell"):
+            compute_fos(grid, Pose(Cell(-1, 1), 0.0), DEFAULT)
 
     def test_off_map_cell_rejected_on_a_fresh_evaluator(self):
         grid = parse_map("resolution 1.0\nS...\n....")
-        with pytest.raises(ValueError, match=r"Cell\(x=-1, y=0\) is off the map"):
-            FosEvaluator(grid, DEFAULT, heading_set(4)).evaluate_cell(Cell(-1, 0))
+        for off_map in (-1, 8):
+            for call in self.entry_points(FosEvaluator(grid, DEFAULT, heading_set(4))):
+                with pytest.raises(ValueError, match=f"flat index {off_map} is off the 4x2 map"):
+                    call(off_map)
         with pytest.raises(ValueError, match=r"Cell\(x=4, y=0\) is off the map"):
             visible_cells(grid, Cell(4, 0), 5.0)
+
+    def test_one_ray_disk_stays_cached(self):
+        # a disk can take K * ceil(K/8) bytes; only the last map extent's is kept
+        for size in (5, 9):
+            FosEvaluator(generate_random_grid(size, 0.1, 1), DEFAULT, heading_set(4))
+        assert _ray_disk.cache_info().currsize == 1
 
 
 class TestShortRange:
@@ -339,8 +357,9 @@ class TestVisibleCells:
                 and line_of_sight(grid, origin, c)
             }
             assert visible_cells(grid, origin, r_max) == expected
-            first = evaluator.visible(origin)
-            assert np.array_equal(evaluator.visible(origin), first)  # served from the cache
+            i = origin.y * width + origin.x
+            first = evaluator.visible(i)
+            assert np.array_equal(evaluator.visible(i), first)  # served from the cache
 
 
 class TestRayDisk:
@@ -389,10 +408,11 @@ class TestSweepOracle:
         mark_scanned(grid, [c for c, s in zip(free, scanned) if s])
         sensor = SensorModel(r_max=r_max, phi_max=phi_max)
         evaluator = FosEvaluator(grid, sensor, heading_set(orientations))
-        for i in rng.choice(len(free), min(3, len(free)), replace=False):
-            cell = free[i]
+        for j in rng.choice(len(free), min(3, len(free)), replace=False):
+            cell = free[j]
+            i = cell.y * grid.width + cell.x
             expected = sampled_sweeps(grid, cell, sensor, evaluator)
-            scores = evaluator.evaluate_cell(cell)
+            scores = evaluator.evaluate_cell(i)
             for h, (score, (gain, phi, time, new)) in enumerate(zip(scores, expected)):
                 assert score.info_gain == gain
                 assert score.phi_used == pytest.approx(phi, abs=1e-9)
@@ -401,7 +421,8 @@ class TestSweepOracle:
                 # rounding overshoot above phi_max is one sensing_time rejects
                 if 0 < score.phi_used <= phi_max:
                     assert score.sensing_time == sensing_time(score.phi_used, sensor)
-                fresh, cells = evaluator.sweep(cell, h)
+                fresh, new_idx = evaluator.sweep(i, h)
+                cells = cells_at(grid, new_idx)
                 assert fresh == score
                 assert set(cells) == new and len(cells) == len(new)
                 if cell in new:
