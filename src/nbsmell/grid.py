@@ -85,7 +85,8 @@ class GridMap:
     taken; evaluators read it through a flat view.
     Obstacles never change; free cells transition monotonically from
     unscanned to scanned.  The map object is cheap to copy and safe to share
-    read-only; mutation happens only through :func:`mark_scanned`.
+    read-only; mutation happens only through :func:`mark_scanned`.  It holds
+    map data only: the motion graph is cached by layout in ``planning``.
     """
 
     resolution: float
@@ -93,7 +94,6 @@ class GridMap:
     start: Cell
     width: int = field(init=False)
     height: int = field(init=False)
-    _graphs: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.resolution < math.inf:
@@ -304,9 +304,18 @@ def shifted(pad: np.ndarray, dx: int, dy: int) -> np.ndarray:
     return pad[1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx]
 
 
+def on_map(grid: GridMap, flat: np.ndarray | Sequence[int]) -> np.ndarray:
+    """``flat`` as an index array; raises ValueError naming its first index off the map."""
+    flat = np.asarray(flat, dtype=np.intp)
+    off = flat[(flat < 0) | (flat >= grid.states.size)]
+    if off.size:
+        raise ValueError(f"flat index {off[0]} is off the {grid.width}x{grid.height} map")
+    return flat
+
+
 def cells_at(grid: GridMap, flat: np.ndarray | Sequence[int]) -> list[Cell]:
     """The cells at the flat indices ``flat`` (``y * width + x``), in order."""
-    ys, xs = np.divmod(np.asarray(flat, dtype=np.intp), grid.width)
+    ys, xs = np.divmod(on_map(grid, flat), grid.width)
     return list(map(Cell, xs.tolist(), ys.tolist()))
 
 

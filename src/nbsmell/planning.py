@@ -8,6 +8,7 @@ would squeeze between two obstacle cells touching at a corner is forbidden.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -18,47 +19,43 @@ from .grid import Cell, GridMap, neighbor_offsets, padded, shifted
 __all__ = ["shortest_distances", "travel_time"]
 
 
-def _motion_graph(grid: GridMap, connectivity: int) -> csr_matrix:
-    """Sparse free-cell adjacency; cached on the map (obstacles are static)."""
-    cached = grid._graphs.get(connectivity)
-    if cached is not None:
-        return cached
-    free = padded(grid.free_mask())
+# One graph: a map and its copies share a key, and the runs on one map follow
+# each other.
+@lru_cache(maxsize=1)
+def _motion_graph(free: bytes, width: int, resolution: float, connectivity: int) -> csr_matrix:
+    """Free-cell adjacency of the layout whose row-major free mask is ``free``.
+
+    Both directions of every edge are stored, so the graph is searched directed.
+    """
+    pad = padded(np.frombuffer(free, dtype=bool).reshape(-1, width))
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     data: list[np.ndarray] = []
     for dx, dy in neighbor_offsets(connectivity):
-        if (dy, dx) < (0, 0):
-            continue  # one direction per edge; the graph is used undirected
-        ok = shifted(free, 0, 0) & shifted(free, dx, dy)
+        ok = shifted(pad, 0, 0) & shifted(pad, dx, dy)
         if dx and dy:
             # no squeezing between two obstacles that touch at a corner
-            ok &= shifted(free, dx, 0) | shifted(free, 0, dy)
+            ok &= shifted(pad, dx, 0) | shifted(pad, 0, dy)
         src = np.flatnonzero(ok)
         rows.append(src)
-        cols.append(src + dy * grid.width + dx)
-        data.append(np.full(src.shape, math.hypot(dx, dy) * grid.resolution))
-
-    n = grid.height * grid.width
-    graph = csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    grid._graphs[connectivity] = graph
-    return graph
+        cols.append(src + dy * width + dx)
+        data.append(np.full(src.shape, math.hypot(dx, dy) * resolution))
+    return csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(len(free), len(free)))
 
 
 def shortest_distances(grid: GridMap, source: Cell, connectivity: int) -> np.ndarray:
     """Exact single-source shortest-path field in meters.
 
     Returns a (height, width) float array; unreachable cells (and
-    obstacles) hold +inf.
+    obstacles) hold +inf.  The motion graph is built once per layout (free
+    mask, width, resolution, connectivity), so every copy of a map shares it.
     """
     if not grid.is_free(source):
         raise ValueError(f"source {source} is not a free cell")
-    graph = _motion_graph(grid, connectivity)
-    flat = source.y * grid.width + source.x
-    dist = _sparse_dijkstra(graph, directed=False, indices=flat)
+    graph = _motion_graph(grid.free_mask().tobytes(), grid.width, grid.resolution,
+                          connectivity)
+    dist = _sparse_dijkstra(graph, indices=source.y * grid.width + source.x)
     return dist.reshape(grid.height, grid.width)
 
 

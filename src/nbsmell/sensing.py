@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Cell, CellState, GridMap, Pose, cells_at
+from .grid import Cell, CellState, GridMap, Pose, cells_at, on_map
 
 __all__ = [
     "FosScore",
@@ -139,8 +139,7 @@ class _RayDisk:
     """
 
     def __init__(self, r_max: float, resolution: float, extent: int) -> None:
-        rc2 = (r_max / resolution) ** 2
-        reach = min(int(math.floor(math.sqrt(rc2))), extent)
+        reach = math.floor(min(r_max / resolution, extent))
         self.reach = max(reach, 1)
         oy, ox = np.meshgrid(*[np.arange(-reach, reach + 1)] * 2, indexing="ij")
         inside = (ox * ox + oy * oy) * resolution * resolution <= r_max * r_max
@@ -285,14 +284,10 @@ class FosEvaluator:
         self._gain = np.zeros((cells, len(self.orientations)), dtype=np.int64)
         self._time = np.zeros((cells, len(self.orientations)), dtype=np.float64)
 
-    def _off_map(self, i: int) -> ValueError:
-        grid = self.grid
-        return ValueError(f"flat index {i} is off the {grid.width}x{grid.height} map")
-
     def visible(self, i: int) -> np.ndarray:
         """Boolean mask over the ray disk: offset free and line of sight clear."""
         if not 0 <= i < self._fresh.size:
-            raise self._off_map(i)
+            on_map(self.grid, [i])  # raises
         disk = self.disk
         if not self._vis_known[i]:
             y, x = divmod(i, self.grid.width)
@@ -379,10 +374,7 @@ class FosEvaluator:
         Cached entries are reused; cells without a valid entry are evaluated
         through :meth:`evaluate_cell` first.
         """
-        idx = np.asarray(idx, dtype=np.intp)
-        off = idx[(idx < 0) | (idx >= self._fresh.size)]
-        if off.size:
-            raise self._off_map(int(off[0]))
+        idx = on_map(self.grid, idx)
         for i in idx[~self._fresh[idx]].tolist():
             self.evaluate_cell(i)
         return self._gain[idx], self._time[idx]

@@ -160,6 +160,10 @@ class TestFrontier:
         assert cells_at(grid, [y * grid.width + x for y in range(grid.height)
                                for x in range(grid.width)]) == [
             Cell(x, y) for y in range(grid.height) for x in range(grid.width)]
+        for off in (-1, grid.width * grid.height):
+            with pytest.raises(ValueError, match=(
+                    f"flat index {off} is off the {grid.width}x{grid.height} map")):
+                cells_at(grid, [0, off])
         free = grid.free_cells()
         mark_scanned(grid, [free[i] for i in rng.choice(len(free), marked)])
         for conn in (4, 8):

@@ -1,17 +1,35 @@
 import math
 
+import numpy as np
 import pytest
 from oracles import dijkstra_oracle
 
-from nbsmell.grid import Cell, generate_random_grid, parse_map
+from nbsmell.grid import Cell, CellState, GridMap, generate_random_grid, parse_map
 from nbsmell.mapgen import empty_map, generate_map, rooms_map
-from nbsmell.planning import shortest_distances, travel_time
+from nbsmell.planning import _motion_graph, shortest_distances, travel_time
 
 SQRT2 = math.sqrt(2.0)
 
 # start corners of a 2x2 map whose diagonal to the opposite corner runs
 # down-right, down-left, up-right and up-left
 DIAGONAL_STARTS = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+def random_layout(width, height, seed, resolution=1.0):
+    """``width`` x ``height`` map with about a quarter obstacles and one cell kept free."""
+    rng = np.random.default_rng(seed)
+    states = np.where(rng.random((height, width)) < 0.25, CellState.OBSTACLE,
+                      CellState.FREE_UNSCANNED).astype(np.uint8)
+    states.flat[rng.integers(states.size)] = CellState.FREE_UNSCANNED
+    return GridMap.from_states(states, resolution)
+
+
+def assert_matches_oracle(grid, connectivity, label=None):
+    field = shortest_distances(grid, grid.start, connectivity)
+    oracle = dijkstra_oracle(grid, grid.start, connectivity)
+    for cell in grid.free_cells():
+        expected = oracle.get(cell, math.inf)
+        assert field[cell.y, cell.x] == pytest.approx(expected, abs=1e-9), (label, cell)
 
 
 def two_by_two(start, obstacles):
@@ -66,13 +84,10 @@ class TestShortestDistances:
         # single cell, single row and single column
         grids += [empty_map(1, 1), empty_map(7, 1), empty_map(1, 7),
                   generate_map("random", 1, 1), rooms_map(16, 16)]
+        # non-square layouts: the graph's column offsets depend on the width
+        grids += [random_layout(w, h, seed) for seed in range(3) for w, h in ((12, 5), (5, 12))]
         for i, grid in enumerate(grids):
-            field = shortest_distances(grid, grid.start, connectivity)
-            oracle = dijkstra_oracle(grid, grid.start, connectivity)
-            for cell in grid.free_cells():
-                expected = oracle.get(cell, math.inf)
-                assert field[cell.y, cell.x] == pytest.approx(expected, abs=1e-9), (
-                    i, cell)
+            assert_matches_oracle(grid, connectivity, i)
 
     def test_triangle_inequality(self):
         grid = generate_random_grid(9, 0.15, 3)
@@ -86,6 +101,31 @@ class TestShortestDistances:
                     dac = fields[a][c.y, c.x]
                     if all(map(math.isfinite, (dab, dbc, dac))):
                         assert dac <= dab + dbc + 1e-9
+
+
+class TestMotionGraphCache:
+    def test_map_and_copy_share_one_graph(self):
+        grid = random_layout(12, 5, 1)
+        _motion_graph.cache_clear()
+        shortest_distances(grid, grid.start, 4)
+        assert _motion_graph.cache_info().misses == 1
+        shortest_distances(grid.copy(), grid.start, 4)
+        info = _motion_graph.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    @pytest.mark.parametrize("pair", [
+        # all free: the free-mask bytes of 2x3 and 3x2 are identical
+        [(empty_map(2, 3), 8), (empty_map(3, 2), 8)],
+        [(random_layout(12, 5, 4, 0.5), 4), (random_layout(12, 5, 4, 1.0), 4)],
+        [(random_layout(5, 12, 4), 4), (random_layout(5, 12, 4), 8)],
+    ], ids=["width", "resolution", "connectivity"])
+    def test_back_to_back_layouts_match_the_oracle(self, pair):
+        # the cache holds one graph; a key that misses a field would serve the
+        # first map's graph to the second
+        _motion_graph.cache_clear()
+        for grid, connectivity in pair:
+            assert_matches_oracle(grid, connectivity)
+        assert _motion_graph.cache_info().misses == 2
 
 
 class TestTravelTime:

@@ -365,6 +365,8 @@ class TestVisibleCells:
 class TestRayDisk:
     @pytest.mark.parametrize("r_max, resolution, extent", [
         (30.0, 1.0, 89), (30.0, 1.0, 29), (10.0, 0.5, 59), (30.0, 1.0, 9), (15.0, 1.0, 79),
+        # a range far past the map, or a tiny cell: squaring the range overflowed
+        (1e160, 1.0, 9), (1.0, 1e-200, 9),
     ])
     def test_tables_match_plain_loops(self, r_max, resolution, extent):
         disk = _RayDisk(r_max, resolution, extent)
