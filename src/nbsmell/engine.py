@@ -105,10 +105,16 @@ def select_best(raw: np.ndarray, measure: FuzzyMeasure) -> int:
     ``raw`` is (n, 3): information gain, travel distance, sensing time.
     Rows are normalized over the set and scored by the Choquet integral.
     Ties on the score break deterministically: smaller distance, then
-    smaller sensing time, then the earlier row (lexsort is stable).
+    smaller sensing time, then the earlier row.  Each key filters the rows
+    left by the one before, so no sort is needed.
     """
     scores = choquet_batch(normalize_utilities(raw), measure)
-    return int(np.lexsort((raw[:, 2], raw[:, 1], -scores))[0])
+    rows = np.flatnonzero(scores == scores.max())
+    for col in (1, 2):
+        if rows.size > 1:
+            key = raw[rows, col]
+            rows = rows[key == key.min()]
+    return int(rows[0])
 
 
 class CoverageEngine:
@@ -136,6 +142,8 @@ class CoverageEngine:
         self.robot = Pose(grid.start, self.headings[0])
         self.records: list[StepRecord] = []
         self._done = False
+        # kept up to date from each scan's marked count, not recounted
+        self._free, self._scanned = grid.free_count(), grid.scanned_count()
 
     def step(self) -> StepRecord | None:
         """Execute one sensing operation; None when no candidate remains."""
@@ -146,7 +154,7 @@ class CoverageEngine:
         dist = shortest_distances(grid, robot, self.connectivity).reshape(-1)
         # candidate positions, as flat indices: the reachable frontier cells,
         # or the robot cell before the first scan
-        idx = (frontier_cells(grid, self.connectivity) if grid.scanned_count()
+        idx = (frontier_cells(grid, self.connectivity) if self._scanned
                else np.array([robot.y * grid.width + robot.x]))
         idx = idx[np.isfinite(dist[idx])]
         gain, sense = self.evaluator.scores(idx)
@@ -165,20 +173,21 @@ class CoverageEngine:
         decision_time = time.perf_counter() - started
 
         i, h = int(cand_idx[best]), int(cand_heading[best])
-        pose = Pose(cells_at(grid, [i])[0], self.headings[h])
+        pose = Pose(Cell(i % grid.width, i // grid.width), self.headings[h])
         scan, new = self.evaluator.sweep(i, h)
         if (scan.info_gain, scan.sensing_time) != (raw[best, 0], raw[best, 2]):
             raise RuntimeError(
                 f"score cache out of sync at {pose}: cached gain {raw[best, 0]} "
                 f"and time {raw[best, 2]}, fresh {scan.info_gain} and {scan.sensing_time}"
             )
-        marked = mark_scanned(grid, cells_at(grid, new))
+        marked = mark_scanned(grid, new)
         if marked != scan.info_gain:
             raise RuntimeError(
                 f"scan bookkeeping out of sync: marked {marked}, "
                 f"expected {scan.info_gain}"
             )
         self.evaluator.mark_scanned(new)
+        self._scanned += marked
         self.robot = pose
 
         record = StepRecord(
@@ -188,7 +197,7 @@ class CoverageEngine:
             info_gain=scan.info_gain,
             travel_time=travel_time(float(raw[best, 1]), self.speed),
             sensing_time=scan.sensing_time,
-            cumulative_coverage=coverage_ratio(grid),
+            cumulative_coverage=self._scanned / self._free,
             candidates_evaluated=len(raw),
             decision_time=decision_time,
         )

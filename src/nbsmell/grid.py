@@ -58,7 +58,7 @@ class CellState(IntEnum):
 
 
 # Plain ints: comparing a uint8 array with IntEnum members is slower.
-_STATE_VALUES = tuple(int(state) for state in CellState)
+_STATE_VALUES = _OBSTACLE, _UNSCANNED, _SCANNED = tuple(int(state) for state in CellState)
 
 
 class MapFormatError(ValueError):
@@ -119,28 +119,28 @@ class GridMap:
         return CellState(self.states[cell.y, cell.x])
 
     def is_free(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and self.states[cell.y, cell.x] != CellState.OBSTACLE
+        return self.in_bounds(cell) and self.states[cell.y, cell.x] != _OBSTACLE
 
     def free_mask(self) -> np.ndarray:
-        return self.states != CellState.OBSTACLE
+        return self.states != _OBSTACLE
 
     def unscanned_mask(self) -> np.ndarray:
-        return self.states == CellState.FREE_UNSCANNED
+        return self.states == _UNSCANNED
 
     def scanned_mask(self) -> np.ndarray:
-        return self.states == CellState.FREE_SCANNED
+        return self.states == _SCANNED
 
     def free_count(self) -> int:
-        return int(np.count_nonzero(self.states != CellState.OBSTACLE))
+        return int(np.count_nonzero(self.free_mask()))
 
     def scanned_count(self) -> int:
-        return int(np.count_nonzero(self.states == CellState.FREE_SCANNED))
+        return int(np.count_nonzero(self.scanned_mask()))
 
     def free_cells(self) -> list[Cell]:
-        return cells_at(self, np.flatnonzero(self.states != CellState.OBSTACLE))
+        return cells_at(self, np.flatnonzero(self.free_mask()))
 
     def unscanned_cells(self) -> list[Cell]:
-        return cells_at(self, np.flatnonzero(self.states == CellState.FREE_UNSCANNED))
+        return cells_at(self, np.flatnonzero(self.unscanned_mask()))
 
     @classmethod
     def from_states(cls, states: np.ndarray, resolution: float) -> "GridMap":
@@ -331,26 +331,31 @@ def frontier_cells(grid: GridMap, connectivity: int) -> np.ndarray:
     return np.flatnonzero(grid.scanned_mask() & near)
 
 
-def mark_scanned(grid: GridMap, cells: Iterable[Cell]) -> int:
+def mark_scanned(grid: GridMap, cells: Iterable[Cell] | np.ndarray) -> int:
     """Mark free cells as scanned; returns the number of distinct new transitions.
 
-    Idempotent on already-scanned cells, and a cell listed twice counts
-    once.  Marking an off-map cell or an obstacle is a contract violation:
-    it raises, naming the first such cell in input order (off-map cells
-    first), before any cell is written.
+    ``cells`` is an iterable of :class:`Cell` or an array of flat indices
+    ``y * width + x``.  Idempotent on already-scanned cells, and a cell listed
+    twice counts once.  Marking an off-map cell or an obstacle is a contract
+    violation: it raises, naming the first such cell in input order (off-map
+    cells first, flat ones by :func:`on_map`), before any cell is written.
     """
-    cells = list(cells)
-    xs, ys = np.array(list(zip(*cells)), dtype=np.intp).reshape(2, -1)
-    off_map = np.flatnonzero((xs < 0) | (xs >= grid.width) | (ys < 0) | (ys >= grid.height))
-    if off_map.size:
-        raise ValueError(f"cannot scan off-map cell {cells[off_map[0]]}")
-    states = grid.states[ys, xs]
-    obstacles = np.flatnonzero(states == CellState.OBSTACLE)
+    if isinstance(cells, np.ndarray):
+        flat = on_map(grid, cells)
+    else:
+        cells = list(cells)
+        xs, ys = np.array(list(zip(*cells)), dtype=np.intp).reshape(2, -1)
+        off_map = np.flatnonzero((xs < 0) | (xs >= grid.width) | (ys < 0) | (ys >= grid.height))
+        if off_map.size:
+            raise ValueError(f"cannot scan off-map cell {cells[off_map[0]]}")
+        flat = ys * grid.width + xs
+    states = grid.states.reshape(-1)
+    held = states[flat]
+    obstacles = np.flatnonzero(held == _OBSTACLE)
     if obstacles.size:
-        raise ValueError(f"cannot scan obstacle cell {cells[obstacles[0]]}")
-    unscanned = states == CellState.FREE_UNSCANNED
-    new = np.unique(ys[unscanned] * grid.width + xs[unscanned])
-    grid.states.flat[new] = CellState.FREE_SCANNED
+        raise ValueError(f"cannot scan obstacle cell {cells_at(grid, flat[obstacles[:1]])[0]}")
+    new = np.unique(flat[held == _UNSCANNED])
+    states[new] = _SCANNED
     return int(new.size)
 
 

@@ -216,20 +216,22 @@ def choquet(u: Sequence[float], measure: FuzzyMeasure) -> float:
 
 
 def choquet_batch(utilities: np.ndarray, measure: FuzzyMeasure) -> np.ndarray:
-    """Vectorized :func:`choquet` over an (n, 3) utility array."""
+    """Vectorized :func:`choquet` over an (n, 3) utility array, without a sort.
+
+    Levels are an exact min / median / max, the masks come from the argmin and
+    argmax; where a tie moves those from a stable sort's, the increment is 0.
+    """
     u = np.asarray(utilities, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != 3:
         raise ValueError(f"expected (n, 3) utilities, got shape {u.shape}")
     mu = measure.as_array()
-    order = np.argsort(u, axis=1, kind="stable")
-    u_sorted = np.take_along_axis(u, order, axis=1)
-    m2 = ALL_MASK ^ (1 << order[:, 0])
-    m3 = 1 << order[:, 2]
-    return (
-        u_sorted[:, 0] * mu[ALL_MASK]
-        + (u_sorted[:, 1] - u_sorted[:, 0]) * mu[m2]
-        + (u_sorted[:, 2] - u_sorted[:, 1]) * mu[m3]
-    )
+    a, b, c = u.T
+    ab_lo, ab_hi = np.minimum(a, b), np.maximum(a, b)
+    lo, hi = np.minimum(ab_lo, c), np.maximum(ab_hi, c)
+    mid = np.maximum(ab_lo, np.minimum(ab_hi, c))
+    m2 = ALL_MASK ^ (1 << u.argmin(axis=1))
+    m3 = 1 << u.argmax(axis=1)
+    return lo * mu[ALL_MASK] + (mid - lo) * mu[m2] + (hi - mid) * mu[m3]
 
 
 def normalize_utilities(raw: np.ndarray) -> np.ndarray:

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Cell, CellState, GridMap, Pose, cells_at, on_map
+from .grid import _UNSCANNED, Cell, CellState, GridMap, Pose, cells_at, on_map
 
 __all__ = [
     "FosScore",
@@ -119,13 +120,13 @@ def line_of_sight(grid: GridMap, a: Cell, b: Cell) -> bool:
 class _RayDisk:
     """Precomputed ray bundle to every cell offset within sensor range.
 
-    Offsets exclude (0, 0), satisfy ``(dx^2 + dy^2) * resolution^2 <=
-    r_max^2`` and lie at most ``extent`` cells away along each axis.  With
-    ``extent`` one less than the map's larger side, no dropped offset could
-    land inside the map, so the disk is bounded by the map, not by ``r_max``.
-    ``index`` maps a position in the (2*reach+1)^2 window centered on a cell,
-    flattened row-major from offset (-reach, -reach), to the offset's
-    position in the disk, or -1 outside it.
+    Offsets exclude (0, 0), satisfy ``(dx^2 + dy^2) * resolution^2 <= r_max^2``
+    exactly (:func:`_in_range`) and lie at most ``extent`` cells away along
+    each axis.  With ``extent`` one less than the map's larger side, no dropped
+    offset could land inside the map, so the disk is bounded by the map, not
+    by ``r_max``.  ``index`` maps a position in the (2*reach+1)^2 window
+    centered on a cell, flattened row-major from offset (-reach, -reach), to
+    the offset's position in the disk, or -1 outside it.
 
     The other tables are sets of offsets, bit-packed little-endian in rows of
     ceil(K/8) bytes.  Row ``j`` of ``through`` holds the offsets whose ray
@@ -142,7 +143,7 @@ class _RayDisk:
         reach = math.floor(min(r_max / resolution, extent))
         self.reach = max(reach, 1)
         oy, ox = np.meshgrid(*[np.arange(-reach, reach + 1)] * 2, indexing="ij")
-        inside = (ox * ox + oy * oy) * resolution * resolution <= r_max * r_max
+        inside = _in_range(ox * ox + oy * oy, r_max, resolution)
         inside[reach, reach] = False  # own cell handled separately
         self.dx, self.dy = ox[inside].astype(np.int32), oy[inside].astype(np.int32)
         k = self.k = self.dx.size
@@ -173,6 +174,20 @@ class _RayDisk:
         pack = partial(np.packbits, axis=1, bitorder="little")
         self.left = pack(np.hstack((self.dx < -a, np.ones((a.size, -k % 8), dtype=bool))))
         self.right, self.up, self.down = pack(self.dx > a), pack(self.dy < -a), pack(self.dy > a)
+
+
+def _in_range(d2: np.ndarray, r_max: float, resolution: float) -> np.ndarray:
+    """Whether ``d2 * resolution^2 <= r_max^2`` exactly, for integer squared lengths ``d2``.
+
+    Only lengths within a relative 1e-9 of the float ``(r_max / resolution)^2``
+    are settled with rationals; that ratio is capped past the longest offset.
+    """
+    q2 = min(r_max / resolution, math.sqrt(d2.max()) + 1.0) ** 2
+    inside = d2 <= q2
+    near = np.abs(d2 - q2) <= 1e-9 * q2
+    r2, res2 = Fraction(r_max) ** 2, Fraction(resolution) ** 2
+    inside[near] = [d * res2 <= r2 for d in d2[near].tolist()]
+    return inside
 
 
 # One disk: the runs on a map, or on one size of a batch, share a key, and a
@@ -217,9 +232,6 @@ _make_score = partial(tuple.__new__, FosScore)
 
 # Upper bound on the (cached cell, new cell) pairs ``mark_scanned`` tests at once.
 _PAIR_BLOCK = 1 << 14
-
-# A plain int: comparing a uint8 array with an IntEnum member is slower.
-_UNSCANNED = int(CellState.FREE_UNSCANNED)
 
 
 class FosEvaluator:

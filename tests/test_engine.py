@@ -18,7 +18,7 @@ from nbsmell.grid import (
     mark_scanned,
     parse_map,
 )
-from nbsmell.mcdm import named_measure
+from nbsmell.mcdm import choquet, named_measure, normalize_utilities
 from nbsmell.planning import travel_time
 from nbsmell.sensing import SensorModel
 from oracles import enumerate_candidates, select_best
@@ -116,6 +116,37 @@ class TestSelectBest:
         measure = named_measure("A")
         rows = [(5, 3.0, 20.0), (5, 2.0, 30.0), (5, 2.0, 25.0), (5, 2.0, 25.0), (4, 0.0, 6.0)]
         assert select_row(np.array(rows, dtype=np.float64), measure) == 2
+
+    def test_equal_score_and_distance_break_on_time(self):
+        # configuration B scores distance only, so rows at one distance tie
+        # on the score whatever their gain and time
+        measure = named_measure("B")
+        rows = [(9, 2.0, 36.0), (1, 2.0, 21.0), (4, 2.0, 6.5), (7, 2.0, 6.5), (9, 3.0, 6.0)]
+        assert select_row(np.array(rows, dtype=np.float64), measure) == 2
+
+    @pytest.mark.parametrize("base", [0.3, 3.0, 7.0])
+    def test_last_bit_differences_decide_exactly(self, base):
+        # gains a few ulps apart give utilities that differ in the last bit;
+        # their scores either tie exactly (then distance, time and row
+        # decide) or differ in the last bit (then the larger wins)
+        gains = [base]
+        for _ in range(3):
+            gains.append(float(np.nextafter(gains[-1], np.inf)))
+        rows = [(0.0, 2.0, 21.0)] + [(g, d, t) for t in (21.0, 6.0)
+                                      for d in (2.0, 1.0) for g in gains]
+        raw = np.array(rows)
+        tied_distinct = decided_by_bit = False
+        for config in ("A", "D", "F", "H", "L"):
+            measure = named_measure(config)
+            u = normalize_utilities(raw)
+            scores = [choquet(tuple(row), measure) for row in u]
+            top = [r for r, s in enumerate(scores) if s == max(scores)]
+            expected = min(top, key=lambda r: (rows[r][1], rows[r][2], r))
+            assert select_row(raw, measure) == expected, config
+            tied_distinct |= len({u[r, 0] for r in top}) > 1
+            decided_by_bit |= any(0 < max(scores) - s <= np.spacing(max(scores))
+                                  for s in scores)
+        assert tied_distinct and decided_by_bit
 
     def test_distance_scaling_leaves_choice_unchanged(self):
         grid = generate_random_grid(15, 0.1, 21)
@@ -227,6 +258,22 @@ class TestStepAndRun:
         with pytest.raises(ValueError, match=match):
             CoverageEngine(grid, "E", SENSOR, **options)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kept_coverage_equals_a_recount(self, seed):
+        # the engine counts scanned cells from each scan's marked count; on
+        # maps that start partly scanned the count must match the grid's
+        rng = np.random.default_rng(seed)
+        grid = generate_random_grid(int(rng.integers(4, 13)), 0.2, seed)
+        free = grid.free_cells()
+        mark_scanned(grid, [free[i] for i in rng.choice(len(free), len(free) // (seed + 2))])
+        engine = CoverageEngine(grid, "FLAB"[seed % 4], SensorModel(r_max=3.0),
+                                orientations=8 if seed % 2 else 4)
+        records = 0
+        while (record := engine.step()) is not None:
+            assert record.cumulative_coverage == coverage_ratio(grid)
+            records += 1
+        assert records
+
     def test_step_returns_none_when_done(self):
         grid = parse_map("resolution 1.0\nS")
         engine = CoverageEngine(grid, "E", SENSOR)
@@ -250,9 +297,9 @@ class TestStepAndRun:
     def test_engine_matches_contract_operations(self, width, height, ratio, seed,
                                                 connectivity, orientations, r_max,
                                                 phi_max, resolution, config):
-        # the engine reuses scores between steps and selects by lexsort; every
-        # record must equal a replay that evaluates all candidates from scratch
-        # at each step and selects by a plain sort key
+        # the engine reuses scores between steps and selects by filtering on
+        # its tie-break keys; every record must equal a replay that evaluates
+        # all candidates from scratch at each step and selects by a plain sort key
         rng = np.random.default_rng(seed)
         states = np.where(rng.random((height, width)) < ratio, CellState.OBSTACLE,
                           CellState.FREE_UNSCANNED).astype(np.uint8)

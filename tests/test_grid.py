@@ -227,6 +227,39 @@ class TestMarkScanned:
             mark_scanned(grid, [Cell(1, 0), cell, Cell(-2, 5)])
         assert np.array_equal(grid.states, before)
 
+    @pytest.mark.parametrize("off", [-1, 8])
+    def test_off_map_flat_index_rejected_before_any_write(self, off):
+        grid = parse_map("resolution 1.0\nS...\n....")
+        before = grid.states.copy()
+        with pytest.raises(ValueError, match=f"flat index {off} is off the 4x2 map"):
+            mark_scanned(grid, np.array([1, off, 2]))
+        assert np.array_equal(grid.states, before)
+
+    def test_flat_obstacle_named_as_cell_in_input_order(self):
+        grid = parse_map("resolution 1.0\nS.#.#")
+        before = grid.states.copy()
+        with pytest.raises(ValueError, match=r"obstacle cell Cell\(x=4, y=0\)"):
+            mark_scanned(grid, np.array([0, 4, 1, 2]))
+        assert np.array_equal(grid.states, before)
+
+    def test_flat_duplicates_count_once(self):
+        grid = parse_map("resolution 1.0\nS...")
+        assert mark_scanned(grid, np.array([1, 2, 1])) == 2
+        assert mark_scanned(grid, np.array([2, 3, 3])) == 1
+        assert grid.scanned_count() == 3
+
+    def test_cells_and_flat_indices_leave_the_same_states(self):
+        rng = np.random.default_rng(5)
+        for seed in range(5):
+            by_cell = generate_random_grid(9, 0.25, seed)
+            by_flat = by_cell.copy()
+            for grid in (by_cell, by_flat):  # the same cells scanned beforehand
+                mark_scanned(grid, by_cell.free_cells()[::3])
+            flat = rng.choice(np.flatnonzero(by_cell.free_mask()), 20)  # with repeats
+            assert (mark_scanned(by_cell, cells_at(by_cell, flat))
+                    == mark_scanned(by_flat, flat))
+            assert np.array_equal(by_cell.states, by_flat.states)
+
     def test_obstacles_never_change(self):
         grid = generate_random_grid(10, 0.3, 11)
         before = (grid.states == CellState.OBSTACLE).copy()

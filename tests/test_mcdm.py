@@ -211,6 +211,27 @@ class TestChoquet:
             for row, value in zip(u, batch):
                 assert value == pytest.approx(choquet(tuple(row), m), abs=1e-12)
 
+    @given(
+        st.lists(st.tuples(*[st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                                       st.floats(0, 1))] * 3),
+                 min_size=1, max_size=40),
+        st.sampled_from(NAMED_CONFIGS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_batch_equals_sorted_reference_bitwise(self, rows, name):
+        # the sort-free batch against a stable argsort and the scalar
+        # integral, on utilities full of ties
+        m = named_measure(name)
+        u = np.array(rows, dtype=np.float64)
+        mu = m.as_array()
+        order = np.argsort(u, axis=1, kind="stable")
+        s = np.take_along_axis(u, order, axis=1)
+        reference = (s[:, 0] * mu[0b111] + (s[:, 1] - s[:, 0]) * mu[0b111 ^ (1 << order[:, 0])]
+                     + (s[:, 2] - s[:, 1]) * mu[1 << order[:, 2]])
+        scalar = np.array([choquet(row, m) for row in rows])
+        batch = choquet_batch(u, m)
+        assert batch.tobytes() == reference.tobytes() == scalar.tobytes()
+
     def test_out_of_range_utilities_rejected(self):
         with pytest.raises(ValueError):
             choquet((1.2, 0.0, 0.0), named_measure("A"))

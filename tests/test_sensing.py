@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from nbsmell.grid import (
 from nbsmell.sensing import (
     FosEvaluator,
     SensorModel,
+    _in_range,
     _RayDisk,
     _ray_disk,
     compute_fos,
@@ -388,6 +390,29 @@ class TestRayDisk:
         assert np.array_equal(unpack(disk.down), disk.dy > a)
         # the pad bits past K are set in every ``left`` row
         assert np.unpackbits(disk.left, axis=1, bitorder="little")[:, disk.k:].all()
+
+
+    @pytest.mark.parametrize("resolution", [0.1, 0.2])
+    def test_membership_matches_exact_rationals(self, resolution):
+        # every range from 0.1 to 99.9 m in 0.1 m steps, on the squared
+        # offset lengths next to its boundary
+        float_rule_wrong = 0
+        for k in range(1, 1000):
+            r_max = k / 10
+            q2 = (r_max / resolution) ** 2
+            d2 = np.arange(max(1, math.floor(q2) - 2), math.ceil(q2) + 3)
+            exact = [Fraction(d) * Fraction(resolution) ** 2 <= Fraction(r_max) ** 2
+                     for d in d2.tolist()]
+            assert _in_range(d2, r_max, resolution).tolist() == exact, r_max
+            float_rule_wrong += sum((d2 * resolution * resolution <= r_max * r_max) != exact)
+        assert float_rule_wrong  # the float product rule errs on some of these
+
+    def test_membership_at_tiny_scales(self):
+        # (dx^2 + dy^2) * resolution^2 underflows to 0 <= 0 in floats
+        assert _in_range(np.array([1, 2]), 1e-200, 1e-200).tolist() == [True, False]
+        tiny, unit = _RayDisk(1e-200, 1e-200, 5), _RayDisk(1.0, 1.0, 5)
+        assert tiny.k == unit.k == 4
+        assert np.array_equal(tiny.dx, unit.dx) and np.array_equal(tiny.dy, unit.dy)
 
 
 class TestSweepOracle:
