@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 SIMPLEX_TOLERANCE = 1e-9
+_BENEFIT = np.array([[True], [False], [False]])  # per criterion: gain, distance, time
 ALL_MASK = 0b111
 
 
@@ -246,14 +247,11 @@ def normalize_utilities(raw: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (n, 3) raw values, got shape {values.shape}")
     if values.shape[0] == 0:
         raise ValueError("need at least one candidate")
-    lo = values.min(axis=0)
-    hi = values.max(axis=0)
+    # one row per criterion, so that every operation runs along contiguous memory
+    rows = np.ascontiguousarray(values.T)
+    lo, hi = rows.min(axis=1, keepdims=True), rows.max(axis=1, keepdims=True)
     span = hi - lo
-    out = np.ones_like(values)
-    for col, benefit in ((0, True), (1, False), (2, False)):
-        if span[col] > 0:
-            if benefit:
-                out[:, col] = (values[:, col] - lo[col]) / span[col]
-            else:
-                out[:, col] = (hi[col] - values[:, col]) / span[col]
-    return out
+    varies = span > 0
+    # gain rises from its minimum, the costs fall from their maximum
+    gap = np.where(_BENEFIT, rows - lo, hi - rows)
+    return np.where(varies, gap / np.where(varies, span, 1.0), 1.0).T.copy()

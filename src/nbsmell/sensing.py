@@ -249,7 +249,13 @@ class FosEvaluator:
     depend on it, so every scan must be reported through :meth:`mark_scanned`
     to drop the scores it changes.  A cell's sweeps come from one gather of a
     (3H, K) table over its visible unscanned offsets (H orientations, K
-    offsets) and one row minimum and one row sum of the result.
+    offsets) and one row minimum and one row sum of the result.  Each sweep
+    keeps those offsets as the cell's live list; a cell only ever goes from
+    unscanned to scanned, so the next sweep filters that list by the current
+    state and only a cell's first sweep reads its visibility mask.
+    :meth:`mark_scanned` finds a (cached, new) pair's disk offset in one
+    table over every map-relative offset: (2w-1)(2h-1) entries for a w x h
+    map, whatever ``r_max``.
     """
 
     def __init__(self, grid: GridMap, sensor: SensorModel,
@@ -295,6 +301,16 @@ class FosEvaluator:
         self._fresh = np.zeros(cells, dtype=bool)
         self._gain = np.zeros((cells, len(self.orientations)), dtype=np.int64)
         self._time = np.zeros((cells, len(self.orientations)), dtype=np.float64)
+        self._live: list[np.ndarray | None] = [None] * cells
+        # Disk index of the map-relative offset (dx, dy) at row
+        # (dy + h - 1) * (2w - 1) + dx + w - 1, else -1: the disk's window
+        # table cut or padded to every offset between two cells of the map.
+        w, h, r = grid.width, grid.height, self.disk.reach
+        ry, rx = min(r, h - 1), min(r, w - 1)
+        table = np.full((2 * h - 1, 2 * w - 1), -1, dtype=np.int64)
+        table[h - 1 - ry:h + ry, w - 1 - rx:w + rx] = self.disk.index.reshape(
+            self.disk.span, -1)[r - ry:r + ry + 1, r - rx:r + rx + 1]
+        self._offset_index = table.reshape(-1)
 
     def visible(self, i: int) -> np.ndarray:
         """Boolean mask over the ray disk: offset free and line of sight clear."""
@@ -324,20 +340,19 @@ class FosEvaluator:
         """
         if not len(idx):
             return
-        width = self.grid.width
-        ny, nx = np.divmod(idx, width)
+        idx = np.asarray(idx)
+        w, h = self.grid.width, self.grid.height
         cached = np.flatnonzero(self._fresh)
-        cx, cy = cached % width, cached // width
-        reach = self.disk.reach
-        span = self.disk.span
+        # cell (x, y) at y * (2w - 1) + x, so that a difference of two such
+        # positions, shifted by the zero offset's row, is a row of the table
+        at_new = idx + idx // w * (w - 1) + (h - 1) * (2 * w - 1) + w - 1
+        at_cached = cached + cached // w * (w - 1)
         stale = np.zeros(cached.size, dtype=bool)
         block = max(1, _PAIR_BLOCK // max(1, cached.size))
-        for lo in range(0, nx.size, block):
-            dx = nx[None, lo:lo + block] - cx[:, None]
-            dy = ny[None, lo:lo + block] - cy[:, None]
-            c, n = np.nonzero((np.abs(dx) <= reach) & (np.abs(dy) <= reach))
-            k = self.disk.index[(dy[c, n] + reach) * span + dx[c, n] + reach]
-            c, k = c[k >= 0], k[k >= 0]
+        for lo in range(0, idx.size, block):
+            k = self._offset_index.take(at_new[None, lo:lo + block] - at_cached[:, None])
+            c, n = np.nonzero(k >= 0)
+            k = k[c, n]
             seen = (self._vis_bits[cached[c], k >> 3] >> (k & 7)) & 1
             stale[c[seen.astype(bool)]] = True
         self._fresh[cached[stale]] = False
@@ -349,8 +364,12 @@ class FosEvaluator:
         Returns the disk indices of the visible unscanned cells and the
         score of every orientation.
         """
-        seen = self.visible(i).nonzero()[0]
-        new = seen[self._states_flat[i + self.end[seen]] == _UNSCANNED]
+        if not 0 <= i < self._fresh.size:
+            on_map(self.grid, [i])  # raises, before ``_live[-1]`` reads the last cell's list
+        live = self._live[i]
+        if live is None:  # first sweep of the cell
+            live = self.visible(i).nonzero()[0]
+        new = self._live[i] = live[self._states_flat[i + self.end[live]] == _UNSCANNED]
         held = self._sweep_table.take(new, axis=1)
         h = len(self.orientations)
         # the ufuncs directly: ``ndarray.min``/``sum`` add a Python-level call

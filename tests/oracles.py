@@ -80,6 +80,26 @@ def sampled_sweeps(grid, cell: Cell, sensor, evaluator):
     return sweeps
 
 
+def loop_normalize_utilities(raw) -> np.ndarray:
+    """Min-max normalization one criterion column at a time.
+
+    Gain (column 0) is a benefit, distance and sensing time are costs; a
+    constant column maps to utility 1.
+    """
+    values = np.asarray(raw, dtype=np.float64)
+    lo = values.min(axis=0)
+    hi = values.max(axis=0)
+    span = hi - lo
+    out = np.ones_like(values)
+    for col, benefit in ((0, True), (1, False), (2, False)):
+        if span[col] > 0:
+            if benefit:
+                out[:, col] = (values[:, col] - lo[col]) / span[col]
+            else:
+                out[:, col] = (hi[col] - values[:, col]) / span[col]
+    return out
+
+
 def dijkstra_oracle(grid, source: Cell, connectivity: int) -> dict[Cell, float]:
     """Heap Dijkstra over free cells with the no-corner-squeeze diagonal rule."""
     offsets = [(1, 0), (-1, 0), (0, 1), (0, -1)]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import loop_normalize_utilities
 
 from nbsmell.mcdm import (
     NAMED_CONFIGS,
@@ -260,3 +261,18 @@ class TestNormalizeUtilities:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             normalize_utilities(np.zeros((0, 3)))
+
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40),
+           constant=st.lists(st.booleans(), min_size=3, max_size=3))
+    @example(seed=0, rows=1, constant=[False, False, False])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_column_loop_bit_for_bit(self, seed, rows, constant):
+        # gains are counts, distances and times floats; some columns constant
+        rng = np.random.default_rng(seed)
+        raw = np.column_stack((rng.integers(0, 50, rows), rng.random(rows) * 90.0,
+                               6.0 + rng.random(rows) * 60.0))
+        raw[:, constant] = raw[0, constant]
+        out = normalize_utilities(raw)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == loop_normalize_utilities(raw).tobytes()
+        assert out.tobytes() == normalize_utilities(raw.tolist()).tobytes()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import sampled_line_of_sight, sampled_sweeps
 
@@ -254,14 +254,85 @@ class TestScoreCache:
         assert np.array_equal(time, cold_time)
 
     def test_scan_state_is_read_from_the_grid(self):
-        # a scan made only through the grid, without telling the evaluator
+        # a scan made only through the grid, without telling the evaluator;
+        # the warm evaluator swept cell 0 before it, so the scanned cell is
+        # still in cell 0's live list
         grid = parse_map("resolution 1.0\nS....")
+        warm = FosEvaluator(grid, DEFAULT, heading_set(4))
+        assert warm.evaluate_cell(0)[0].info_gain == 5
         evaluator = FosEvaluator(grid, DEFAULT, heading_set(4))
         scanned = Cell(2, 0)
         mark_scanned(grid, [scanned])
-        score, new = evaluator.sweep(0, 0)
-        assert scanned not in cells_at(grid, new)
-        assert score.info_gain == 4
+        for sweeper in (evaluator, warm):
+            score, new = sweeper.sweep(0, 0)
+            assert scanned not in cells_at(grid, new)
+            assert score.info_gain == 4
+
+    @given(
+        width=st.integers(1, 14),
+        height=st.integers(1, 14),
+        obstacle_ratio=st.floats(0.0, 0.4),
+        seed=st.integers(0, 10**6),
+        resolution=st.sampled_from([0.5, 1.0]),
+        r_max=st.sampled_from([0.9, 2.0, 3.5, 6.0, 40.0]),  # 40 m reaches past every map
+        orientations=st.sampled_from([4, 8]),
+    )
+    @example(width=1, height=14, obstacle_ratio=0.1, seed=3, resolution=1.0, r_max=40.0,
+             orientations=4)
+    @example(width=14, height=1, obstacle_ratio=0.1, seed=3, resolution=1.0, r_max=3.5,
+             orientations=4)
+    @example(width=13, height=4, obstacle_ratio=0.2, seed=5, resolution=1.0, r_max=40.0,
+             orientations=8)
+    @settings(max_examples=50, deadline=None)
+    def test_warm_cache_matches_a_cold_evaluator_across_scans(
+            self, width, height, obstacle_ratio, seed, resolution, r_max, orientations):
+        rng = np.random.default_rng(seed)
+        obstacle = rng.random((height, width)) < obstacle_ratio
+        obstacle.flat[rng.integers(obstacle.size)] = False  # keep one free cell
+        states = np.where(obstacle, CellState.OBSTACLE, CellState.FREE_UNSCANNED)
+        grid = GridMap.from_states(states.astype(np.uint8), resolution)
+        sensor, headings = SensorModel(r_max=r_max, phi_max=120.0), heading_set(orientations)
+        warm = FosEvaluator(grid, sensor, headings)
+        free = np.flatnonzero(~obstacle)
+        cell = dict(zip(free.tolist(), cells_at(grid, free)))
+        reach2 = Fraction(r_max) ** 2 / Fraction(resolution) ** 2
+
+        def sees(a, b):
+            da, db = cell[a], cell[b]
+            d2 = (da.x - db.x) ** 2 + (da.y - db.y) ** 2
+            return d2 <= reach2 and line_of_sight(grid, da, db)
+
+        warm.scores(free)
+        for _ in range(8):
+            unscanned = free[grid.states.reshape(-1)[free] == CellState.FREE_UNSCANNED]
+            if not unscanned.size:
+                break
+            for i in rng.choice(free, min(3, free.size), replace=False).tolist():
+                warm.sweep(i, int(rng.integers(orientations)))  # sweeps refresh live lists too
+            scan = rng.choice(unscanned, int(rng.integers(1, min(6, unscanned.size) + 1)),
+                              replace=False)
+            mark_scanned(grid, scan)
+            warm.mark_scanned(scan)
+
+            # every free cell was cached, so the cells evaluated again are the stale ones
+            recomputed = []
+            evaluate = warm.evaluate_cell
+            warm.evaluate_cell = lambda i: recomputed.append(i) or evaluate(i)
+            gain, time = warm.scores(free)
+            del warm.evaluate_cell
+            new = set(scan.tolist())
+            assert set(recomputed) == {
+                c for c in cell if c in new or any(sees(c, n) for n in new)
+            }
+
+            cold = FosEvaluator(grid, sensor, headings)
+            cold_gain, cold_time = cold.scores(free)
+            assert np.array_equal(gain, cold_gain) and np.array_equal(time, cold_time)
+            for i in free.tolist():
+                h = int(rng.integers(orientations))
+                score, covered = warm.sweep(i, h)
+                cold_score, cold_covered = cold.sweep(i, h)
+                assert score == cold_score and np.array_equal(covered, cold_covered)
 
     @staticmethod
     def entry_points(evaluator):
