@@ -142,6 +142,8 @@ class CoverageEngine:
         self.robot = Pose(grid.start, self.headings[0])
         self.records: list[StepRecord] = []
         self._done = False
+        # obstacles never change: the last distance field holds while the robot stays
+        self._field, self._field_from = None, None
         # kept up to date from each scan's marked count, not recounted
         self._free, self._scanned = grid.free_count(), grid.scanned_count()
 
@@ -151,7 +153,10 @@ class CoverageEngine:
             return None
         started = time.perf_counter()
         grid, robot = self.grid, self.robot.cell
-        dist = shortest_distances(grid, robot, self.connectivity).reshape(-1)
+        if robot != self._field_from:
+            self._field = shortest_distances(grid, robot, self.connectivity).reshape(-1)
+            self._field_from = robot
+        dist = self._field
         # candidate positions, as flat indices: the reachable frontier cells,
         # or the robot cell before the first scan
         idx = (frontier_cells(grid, self.connectivity) if self._scanned

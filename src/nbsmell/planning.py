@@ -63,6 +63,6 @@ def travel_time(distance: float, speed: float) -> float:
     """Seconds to travel ``distance`` meters at ``speed`` m/s."""
     if not (distance >= 0 and math.isfinite(distance)):
         raise ValueError(f"distance must be finite and >= 0, got {distance}")
-    if not speed > 0:
-        raise ValueError(f"speed must be > 0, got {speed}")
+    if not 0 < speed < math.inf:
+        raise ValueError(f"speed must be finite and > 0, got {speed}")
     return distance / speed

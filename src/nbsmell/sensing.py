@@ -71,7 +71,7 @@ class SensorModel:
 
 def sensing_time(phi: float, sensor: SensorModel) -> float:
     """Duration of a sweep of ``phi`` degrees; 0 when no scan is performed."""
-    if phi < 0 or phi > sensor.phi_max:
+    if not 0 <= phi <= sensor.phi_max:  # NaN fails too
         raise ValueError(f"phi {phi} outside [0, {sensor.phi_max}]")
     if phi == 0:
         return 0.0
@@ -197,6 +197,40 @@ def _ray_disk(r_max: float, resolution: float, extent: int) -> _RayDisk:
     return _RayDisk(r_max, resolution, extent)
 
 
+class _Layout:
+    """Everything visibility derives from one obstacle layout and one sensor disk.
+
+    ``obstacle`` is the row-major obstacle mask of a map ``width`` cells wide;
+    the disk is ``_ray_disk(r_max, resolution, extent)``.  Holds the mask
+    padded by the disk reach with free cells, so that the window of every
+    cell, ``[y : y + span, x : x + span]``, lies inside the array and holds
+    only the map's own obstacles; the bit-packed visibility mask of every
+    cell looked at so far (``known``, ``bits``: cells * ceil(K/8) bytes); and
+    ``offset_index``, the disk index of the map-relative offset (dx, dy) at
+    row (dy + h - 1) * (2w - 1) + dx + w - 1, else -1.
+    """
+
+    def __init__(self, obstacle: bytes, width: int, r_max: float, resolution: float,
+                 extent: int) -> None:
+        disk = self.disk = _ray_disk(r_max, resolution, extent)
+        w, h, r = width, len(obstacle) // width, disk.reach
+        self.obstacle = np.zeros((h + 2 * r, w + 2 * r), dtype=bool)
+        self.obstacle[r:r + h, r:r + w] = np.frombuffer(obstacle, dtype=bool).reshape(h, w)
+        self.known = np.zeros(w * h, dtype=bool)
+        self.bits = np.zeros((w * h, (disk.k + 7) // 8), dtype=np.uint8)
+        # the disk's window table cut or padded to every offset between two cells of the map
+        ry, rx = min(r, h - 1), min(r, w - 1)
+        table = np.full((2 * h - 1, 2 * w - 1), -1, dtype=np.int64)
+        table[h - 1 - ry:h + ry, w - 1 - rx:w + rx] = disk.index.reshape(
+            disk.span, -1)[r - ry:r + ry + 1, r - rx:r + rx + 1]
+        self.offset_index = table.reshape(-1)
+
+
+# One layout, by value: the runs on a map and its copies follow each other, and
+# the masks take cells * ceil(K/8) bytes.
+_layout = lru_cache(maxsize=1)(_Layout)
+
+
 def _wrap_angles(angles: np.ndarray) -> np.ndarray:
     return np.arctan2(np.sin(angles), np.cos(angles))
 
@@ -239,12 +273,15 @@ class FosEvaluator:
 
     Cells are addressed by their flat index ``i = y * width + x``; an index
     outside ``0 <= i < width * height`` raises ValueError.  The cells at the
-    disk offsets of cell ``i`` are ``i + end``.  Holds a padded copy of the
-    grid's obstacles, a per-cell visibility cache and a per-cell score cache.
-    Visibility depends only on obstacles, which never change, so cached masks
-    stay valid for the life of the evaluator.  A cache miss ORs the disk's
-    ``through`` rows of the on-map obstacles in the cell's window and the edge
-    masks for its distance to each map edge.  The scan state is read from
+    disk offsets of cell ``i`` are ``i + end``.  Visibility depends only on
+    the obstacles, which never change, and the sensor disk, so it lives in a
+    :class:`_Layout` cached by value: the evaluators on a map and its copies
+    with one ``r_max`` share its padded obstacles, visibility cache and offset
+    table.  Only the last layout stays cached, its cells * ceil(K/8) bytes of
+    masks included, also after its runs end; the score cache is per
+    evaluator.  A visibility miss ORs the disk's ``through`` rows of the
+    on-map obstacles in the cell's window and the edge masks for its
+    distance to each map edge.  The scan state is read from
     ``grid.states`` itself.  Scores (gain and sensing time per orientation)
     depend on it, so every scan must be reported through :meth:`mark_scanned`
     to drop the scores it changes.  A cell's sweeps come from one gather of a
@@ -253,9 +290,9 @@ class FosEvaluator:
     keeps those offsets as the cell's live list; a cell only ever goes from
     unscanned to scanned, so the next sweep filters that list by the current
     state and only a cell's first sweep reads its visibility mask.
-    :meth:`mark_scanned` finds a (cached, new) pair's disk offset in one
-    table over every map-relative offset: (2w-1)(2h-1) entries for a w x h
-    map, whatever ``r_max``.
+    :meth:`mark_scanned` finds a (cached, new) pair's disk offset in the
+    layout's table over every map-relative offset: (2w-1)(2h-1) entries for a
+    w x h map, whatever ``r_max``.
     """
 
     def __init__(self, grid: GridMap, sensor: SensorModel,
@@ -263,16 +300,9 @@ class FosEvaluator:
         self.grid = grid
         self.sensor = sensor
         self.orientations = tuple(orientations)
-        self.disk = _ray_disk(sensor.r_max, grid.resolution,
-                              max(grid.width, grid.height) - 1)
-        # Obstacles padded by the disk reach with free cells, so that the
-        # window of every cell, ``[y : y + span, x : x + span]``, lies inside
-        # the array and holds only the map's own obstacles.
-        pad = self.disk.reach
-        self._obstacle = np.zeros((grid.height + 2 * pad, grid.width + 2 * pad), dtype=bool)
-        self._obstacle[pad:pad + grid.height, pad:pad + grid.width] = (
-            grid.states == CellState.OBSTACLE
-        )
+        self._vis = _layout((grid.states == CellState.OBSTACLE).tobytes(), grid.width,
+                            sensor.r_max, grid.resolution, max(grid.width, grid.height) - 1)
+        self.disk = self._vis.disk
 
         # A view (``GridMap.states`` is C-contiguous), so scans show up here.
         # Visible offsets never leave the map (the edge masks hide off-map
@@ -294,41 +324,30 @@ class FosEvaluator:
             self.window_masks,
         ))
 
-        # Caches indexed by y * width + x; visibility masks are bit-packed.
+        # Score caches indexed by y * width + x.
         cells = grid.width * grid.height
-        self._vis_known = np.zeros(cells, dtype=bool)
-        self._vis_bits = np.zeros((cells, (self.disk.k + 7) // 8), dtype=np.uint8)
         self._fresh = np.zeros(cells, dtype=bool)
         self._gain = np.zeros((cells, len(self.orientations)), dtype=np.int64)
         self._time = np.zeros((cells, len(self.orientations)), dtype=np.float64)
         self._live: list[np.ndarray | None] = [None] * cells
-        # Disk index of the map-relative offset (dx, dy) at row
-        # (dy + h - 1) * (2w - 1) + dx + w - 1, else -1: the disk's window
-        # table cut or padded to every offset between two cells of the map.
-        w, h, r = grid.width, grid.height, self.disk.reach
-        ry, rx = min(r, h - 1), min(r, w - 1)
-        table = np.full((2 * h - 1, 2 * w - 1), -1, dtype=np.int64)
-        table[h - 1 - ry:h + ry, w - 1 - rx:w + rx] = self.disk.index.reshape(
-            self.disk.span, -1)[r - ry:r + ry + 1, r - rx:r + rx + 1]
-        self._offset_index = table.reshape(-1)
 
     def visible(self, i: int) -> np.ndarray:
         """Boolean mask over the ray disk: offset free and line of sight clear."""
         if not 0 <= i < self._fresh.size:
             on_map(self.grid, [i])  # raises
-        disk = self.disk
-        if not self._vis_known[i]:
+        disk, vis = self.disk, self._vis
+        if not vis.known[i]:
             y, x = divmod(i, self.grid.width)
             # rays to on-map offsets stay on the map, so only the window's
             # obstacles and the map edges hide offsets
-            hit = disk.index[np.flatnonzero(self._obstacle[y:y + disk.span, x:x + disk.span])]
+            hit = disk.index[np.flatnonzero(vis.obstacle[y:y + disk.span, x:x + disk.span])]
             blocked = np.bitwise_or.reduce(disk.through.take(hit[hit >= 0], axis=0), axis=0)
             r, right, down = disk.reach, self.grid.width - 1 - x, self.grid.height - 1 - y
             blocked |= (disk.left[min(x, r)] | disk.right[min(right, r)]
                         | disk.up[min(y, r)] | disk.down[min(down, r)])
-            np.invert(blocked, out=self._vis_bits[i])
-            self._vis_known[i] = True
-        return np.unpackbits(self._vis_bits[i], count=disk.k, bitorder="little").view(bool)
+            np.invert(blocked, out=vis.bits[i])
+            vis.known[i] = True
+        return np.unpackbits(vis.bits[i], count=disk.k, bitorder="little").view(bool)
 
     def mark_scanned(self, idx: np.ndarray) -> None:
         """Drop the cached scores that the newly scanned cells ``idx`` change.
@@ -350,10 +369,10 @@ class FosEvaluator:
         stale = np.zeros(cached.size, dtype=bool)
         block = max(1, _PAIR_BLOCK // max(1, cached.size))
         for lo in range(0, idx.size, block):
-            k = self._offset_index.take(at_new[None, lo:lo + block] - at_cached[:, None])
+            k = self._vis.offset_index.take(at_new[None, lo:lo + block] - at_cached[:, None])
             c, n = np.nonzero(k >= 0)
             k = k[c, n]
-            seen = (self._vis_bits[cached[c], k >> 3] >> (k & 7)) & 1
+            seen = (self._vis.bits[cached[c], k >> 3] >> (k & 7)) & 1
             stale[c[seen.astype(bool)]] = True
         self._fresh[cached[stale]] = False
         self._fresh[idx] = False

@@ -18,9 +18,10 @@ from nbsmell.grid import (
     mark_scanned,
     parse_map,
 )
-from nbsmell.mcdm import choquet, named_measure, normalize_utilities
+from nbsmell.mapgen import shipped_map
+from nbsmell.mcdm import NAMED_CONFIGS, choquet, named_measure, normalize_utilities
 from nbsmell.planning import travel_time
-from nbsmell.sensing import SensorModel
+from nbsmell.sensing import SensorModel, _layout
 from oracles import enumerate_candidates, select_best
 
 SENSOR = SensorModel(r_max=10.0)
@@ -332,6 +333,31 @@ class TestStepAndRun:
                 candidates_evaluated=len(expected),
             )
             assert record == replayed
+
+
+class TestSharedCaches:
+    def test_back_to_back_runs_match_cold_runs(self):
+        # the 13 runs share one visibility layout, and each run reuses its
+        # distance field while the robot stays; neither may carry state from
+        # one run or step into the next
+        corridor, sensor = shipped_map("corridor"), SensorModel(r_max=10.0)
+
+        def records(engine):
+            return [dataclasses.replace(r, decision_time=0.0) for r in engine.records]
+
+        warm = []
+        for config in NAMED_CONFIGS:
+            engine = CoverageEngine(corridor.copy(), config, sensor, orientations=8)
+            engine.run()
+            warm.append(records(engine))
+        for config, expected in zip(NAMED_CONFIGS, warm):
+            _layout.cache_clear()
+            engine = CoverageEngine(corridor.copy(), config, sensor, orientations=8)
+            while coverage_ratio(engine.grid) < 1.0:
+                engine._field = engine._field_from = None  # a fresh distance field every step
+                if engine.step() is None:
+                    break
+            assert records(engine) == expected, config
 
 
 class TestUncoverableCells:

@@ -145,3 +145,6 @@ class TestTravelTime:
             travel_time(math.inf, 1.0)
         with pytest.raises(ValueError):
             travel_time(1.0, 0.0)
+        for speed in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"speed must be finite and > 0, got {speed}"):
+                travel_time(5.0, speed)

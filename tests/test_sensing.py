@@ -18,10 +18,12 @@ from nbsmell.grid import (
     mark_scanned,
     parse_map,
 )
+from nbsmell.mapgen import empty_map
 from nbsmell.sensing import (
     FosEvaluator,
     SensorModel,
     _in_range,
+    _layout,
     _RayDisk,
     _ray_disk,
     compute_fos,
@@ -43,10 +45,9 @@ class TestSensorModel:
         assert sensing_time(0.0, DEFAULT) == 0.0
 
     def test_out_of_range_phi_rejected(self):
-        with pytest.raises(ValueError):
-            sensing_time(-1.0, DEFAULT)
-        with pytest.raises(ValueError):
-            sensing_time(181.0, DEFAULT)
+        for phi in (-1.0, 181.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=rf"phi {phi} outside \[0, 180.0\]"):
+                sensing_time(phi, DEFAULT)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -325,6 +326,7 @@ class TestScoreCache:
                 c for c in cell if c in new or any(sees(c, n) for n in new)
             }
 
+            _layout.cache_clear()  # so that `cold` builds its own visibility masks
             cold = FosEvaluator(grid, sensor, headings)
             cold_gain, cold_time = cold.scores(free)
             assert np.array_equal(gain, cold_gain) and np.array_equal(time, cold_time)
@@ -368,6 +370,49 @@ class TestScoreCache:
         for size in (5, 9):
             FosEvaluator(generate_random_grid(size, 0.1, 1), DEFAULT, heading_set(4))
         assert _ray_disk.cache_info().currsize == 1
+
+
+def moved_obstacle(grid):
+    """``grid`` with its first obstacle moved to its last free cell."""
+    states = grid.states.copy().reshape(-1)
+    states[np.flatnonzero(states == CellState.OBSTACLE)[0]] = CellState.FREE_UNSCANNED
+    states[np.flatnonzero(states == CellState.FREE_UNSCANNED)[-1]] = CellState.OBSTACLE
+    return GridMap.from_states(states.reshape(grid.states.shape), grid.resolution)
+
+
+class TestLayoutCache:
+    def test_map_and_copy_share_one_layout(self):
+        grid = generate_random_grid(9, 0.25, 1)
+        _layout.cache_clear()
+        FosEvaluator(grid, DEFAULT, heading_set(4))
+        assert _layout.cache_info().misses == 1
+        FosEvaluator(grid.copy(), DEFAULT, heading_set(8))
+        info = _layout.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    @pytest.mark.parametrize("pair", [
+        [(generate_random_grid(9, 0.25, 2), 4.0),
+         (moved_obstacle(generate_random_grid(9, 0.25, 2)), 4.0)],
+        # all free: the obstacle-mask bytes of 2x3 and 3x2 are identical
+        [(empty_map(2, 3), 5.0), (empty_map(3, 2), 5.0)],
+        [(generate_random_grid(9, 0.25, 3, 0.5), 3.0), (generate_random_grid(9, 0.25, 3), 3.0)],
+        [(generate_random_grid(9, 0.25, 4), 2.0), (generate_random_grid(9, 0.25, 4), 4.5)],
+    ], ids=["obstacle", "width", "resolution", "r_max"])
+    def test_back_to_back_layouts_match_the_oracle(self, pair):
+        # the cache holds one layout; a key that misses a field would serve the
+        # first map's masks to the second
+        _layout.cache_clear()
+        for grid, r_max in pair:
+            reach2 = Fraction(r_max) ** 2 / Fraction(grid.resolution) ** 2
+            free = grid.free_cells()
+            for origin in free:
+                assert visible_cells(grid, origin, r_max) == {
+                    c for c in free
+                    if c != origin and (c.x - origin.x) ** 2 + (c.y - origin.y) ** 2 <= reach2
+                    and line_of_sight(grid, origin, c)
+                }
+        info = _layout.cache_info()
+        assert (info.misses, info.currsize) == (2, 1)
 
 
 class TestShortRange:
