@@ -15,7 +15,7 @@ import numpy as np
 from nbsmell.grid import Cell, CellState, GridMap, Pose, cells_at, frontier_cells, heading_set
 from nbsmell.mcdm import FuzzyMeasure, choquet, normalize_utilities
 from nbsmell.planning import shortest_distances
-from nbsmell.sensing import FosEvaluator, FosScore, SensorModel
+from nbsmell.sensing import FosEvaluator, FosScore, SensorModel, _layout
 
 SQRT2 = math.sqrt(2.0)
 
@@ -148,9 +148,11 @@ def enumerate_candidates(grid: GridMap, robot: Pose, orientations: int,
 
     Positions are the frontier cells (or the robot cell before the first
     scan), iterated row-major with headings ascending.  Every call evaluates
-    every position with a fresh evaluator, so nothing is reused between steps.
+    every position with a fresh evaluator on a cleared layout cache, so
+    nothing is reused between steps or shared with the engine under test.
     """
     headings = heading_set(orientations)
+    _layout.cache_clear()  # so that the evaluator builds its own visibility masks
     evaluator = FosEvaluator(grid, sensor, headings)
     dist_field = shortest_distances(grid, robot.cell, connectivity)
     if grid.scanned_count() == 0:

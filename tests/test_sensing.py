@@ -250,6 +250,7 @@ class TestScoreCache:
         # the wall hides the scanned cell from `occluded`, so its entry stays;
         # the scanned cell itself and the cell that sees it are recomputed
         assert recomputed == [scanned, seer]
+        _layout.cache_clear()  # so that the cold evaluator builds its own visibility masks
         cold_gain, cold_time = FosEvaluator(grid, DEFAULT, headings).scores(cells)
         assert np.array_equal(gain, cold_gain)
         assert np.array_equal(time, cold_time)
