@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -231,8 +232,23 @@ class _Layout:
 _layout = lru_cache(maxsize=1)(_Layout)
 
 
-def _wrap_angles(angles: np.ndarray) -> np.ndarray:
-    return np.arctan2(np.sin(angles), np.cos(angles))
+# One set: the evaluators of a run, a sweep or a batch share the disk and headings.
+@lru_cache(maxsize=1)
+def _heading_tables(disk: _RayDisk, orientations: tuple[float, ...],
+                    phi_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(rel_bearings, window_masks, sweep_table)`` of ``disk`` (see FosEvaluator)."""
+    rel = [np.arctan2(np.sin(d), np.cos(d)) for d in (disk.bearings - t for t in orientations)]
+    rel = np.array(rel).reshape(len(rel), disk.k)
+    window = np.abs(rel) <= math.radians(phi_max) / 2.0
+    # Per orientation and offset: the relative bearing inside the window (else
+    # +inf), its negation (else +inf), and the 0/1 window flag, so that one
+    # gather and one row minimum give every sweep's edges; then a sentinel
+    # column with neither.  Rows, so the reductions read contiguous memory.
+    table = np.vstack((np.where(window, rel, np.inf), np.where(window, -rel, np.inf), window))
+    table = np.column_stack((table, np.repeat([np.inf, np.inf, 0.0], len(orientations))))
+    for a in (rel, window, table):
+        a.flags.writeable = False
+    return rel, window, table
 
 
 @dataclass(frozen=True)
@@ -260,12 +276,9 @@ class FosScore(NamedTuple):
     sensing_time: float  # seconds
 
 
-# ``FosScore._make`` without a Python-level call: the sweep kernel builds one
-# score per orientation for every cell it evaluates.
-_make_score = partial(tuple.__new__, FosScore)
-
-# Upper bound on the (cached cell, new cell) pairs ``mark_scanned`` tests at once.
-_PAIR_BLOCK = 1 << 14
+# Upper bounds on the (cached cell, new cell) pairs ``mark_scanned`` tests at once, and
+# on the offsets one block of the sweep kernel gathers (3H table rows of 8 bytes each).
+_PAIR_BLOCK, _SWEEP_BLOCK = 1 << 14, 1 << 12
 
 
 class FosEvaluator:
@@ -284,12 +297,14 @@ class FosEvaluator:
     distance to each map edge.  The scan state is read from
     ``grid.states`` itself.  Scores (gain and sensing time per orientation)
     depend on it, so every scan must be reported through :meth:`mark_scanned`
-    to drop the scores it changes.  A cell's sweeps come from one gather of a
-    (3H, K) table over its visible unscanned offsets (H orientations, K
-    offsets) and one row minimum and one row sum of the result.  Each sweep
-    keeps those offsets as the cell's live list; a cell only ever goes from
-    unscanned to scanned, so the next sweep filters that list by the current
-    state and only a cell's first sweep reads its visibility mask.
+    to drop the scores it changes.  One batched kernel sweeps a list of cells:
+    one gather of a (3H, K) table (H orientations, K offsets; shared per disk,
+    orientations and ``phi_max``) over all their visible unscanned offsets,
+    then one row minimum and sum per cell, in blocks of at most
+    ``_SWEEP_BLOCK`` offsets or one cell.  Each sweep keeps a cell's offsets
+    as its live list; a cell only ever goes from unscanned to scanned, so the
+    next sweep filters that list by the current state and only a cell's
+    first sweep reads its visibility mask.
     :meth:`mark_scanned` finds a (cached, new) pair's disk offset in the
     layout's table over every map-relative offset: (2w-1)(2h-1) entries for a
     w x h map, whatever ``r_max``.
@@ -310,19 +325,8 @@ class FosEvaluator:
         self._states_flat = grid.states.reshape(-1)
         self.end = self.disk.dy.astype(np.int64) * grid.width + self.disk.dx
 
-        half = math.radians(sensor.phi_max) / 2.0
-        rel = [_wrap_angles(self.disk.bearings - theta) for theta in self.orientations]
-        self.rel_bearings = np.array(rel).reshape(len(rel), self.disk.k)
-        self.window_masks = np.abs(self.rel_bearings) <= half
-        # Per orientation and offset: the relative bearing inside the window
-        # (else +inf), its negation (else +inf), and the 0/1 window flag, so
-        # that one gather and one row minimum give every sweep's edges.  Rows
-        # rather than columns, so the reductions run along contiguous memory.
-        self._sweep_table = np.vstack((
-            np.where(self.window_masks, self.rel_bearings, np.inf),
-            np.where(self.window_masks, -self.rel_bearings, np.inf),
-            self.window_masks,
-        ))
+        self.rel_bearings, self.window_masks, self._sweep_table = _heading_tables(
+            self.disk, self.orientations, sensor.phi_max)
 
         # Score caches indexed by y * width + x.
         cells = grid.width * grid.height
@@ -377,33 +381,49 @@ class FosEvaluator:
         self._fresh[cached[stale]] = False
         self._fresh[idx] = False
 
-    def _sweeps(self, i: int) -> tuple[np.ndarray, list[FosScore]]:
-        """Trimmed sweep of every orientation at cell ``i``, from the current scan state.
+    def _sweep_cells(self, cells: np.ndarray) -> np.ndarray:
+        """Sweep every orientation at the on-map ``cells`` from the current scan state.
 
-        Returns the disk indices of the visible unscanned cells and the
-        score of every orientation.
+        Refreshes their live lists and cached gain and time; returns the
+        swept angles, (len(cells), orientations).
         """
-        if not 0 <= i < self._fresh.size:
-            on_map(self.grid, [i])  # raises, before ``_live[-1]`` reads the last cell's list
-        live = self._live[i]
-        if live is None:  # first sweep of the cell
-            live = self.visible(i).nonzero()[0]
-        new = self._live[i] = live[self._states_flat[i + self.end[live]] == _UNSCANNED]
-        held = self._sweep_table.take(new, axis=1)
-        h = len(self.orientations)
-        # the ufuncs directly: ``ndarray.min``/``sum`` add a Python-level call
-        edges = np.minimum.reduce(held, axis=1, initial=np.inf).tolist()
-        counts = np.add.reduce(held[2 * h:], axis=1).tolist()
-        own_new = self._states_flat.item(i) == _UNSCANNED
-        sweep_time = self.sensor.sweep_time
-        scores = []
-        for lo, neg_hi, count in zip(edges[:h], edges[h:2 * h], counts):
-            # the sweep spans the unscanned cells the window holds; a
-            # zero-angle scan that still covers the own cell costs the setup time
-            phi = math.degrees(-neg_hi - lo) if count else 0.0
-            gain = int(count) + own_new
-            scores.append(_make_score((gain, phi, sweep_time(phi) if gain else 0.0)))
-        return new, scores
+        todo, h = cells.tolist(), len(self.orientations)
+        phi = np.empty((cells.size, h))
+        lo = 0
+        while lo < cells.size:
+            lists, total = [], 0  # live lists of at most _SWEEP_BLOCK offsets, or of one cell
+            for i in todo[lo:]:
+                if self._live[i] is None:  # first sweep of the cell
+                    self._live[i] = self.visible(i).nonzero()[0]
+                total += self._live[i].size
+                if lists and total > _SWEEP_BLOCK:
+                    break
+                lists.append(self._live[i])
+            hi, sizes = lo + len(lists), [a.size for a in lists]
+            block = cells[lo:hi]
+            joined = np.concatenate(lists)
+            keep = self._states_flat[block.repeat(sizes) + self.end[joined]] == _UNSCANNED
+            pos = keep.nonzero()[0]
+            new = joined[pos]
+            # each cell's segment of ``new``, copied, so that no cell pins the block
+            bounds = pos.searchsorted(list(accumulate(sizes, initial=0)))
+            at = bounds.tolist()
+            for i, a, b in zip(block.tolist(), at, at[1:]):
+                self._live[i] = new[a:b].copy()
+            # plus the sentinel column, which empty segments at the block's end point at
+            held = self._sweep_table.take(np.concatenate((new, [self.disk.k])), axis=1)
+            edges = np.minimum.reduceat(held[:2 * h], bounds[:-1], axis=1)
+            counts = np.add.reduceat(held[2 * h:], bounds[:-1], axis=1).T
+            counts[bounds[:-1] == bounds[1:]] = 0  # reduceat gives an element for an empty segment
+            # the sweep spans the window's unscanned cells (last minus first bearing, -inf
+            # if none); a zero-angle scan that still covers the own cell costs the setup time
+            gain = counts + (self._states_flat[block] == _UNSCANNED)[:, None]
+            swept = phi[lo:hi] = np.degrees(np.maximum(-edges[h:] - edges[:h], 0.0)).T
+            self._gain[block] = gain
+            self._time[block] = np.where(gain > 0, self.sensor.sweep_time(swept), 0.0)
+            self._fresh[block] = True
+            lo = hi
+        return phi
 
     def evaluate_cell(self, i: int) -> list[FosScore]:
         """Scores for every orientation at cell ``i`` (orientation order).
@@ -411,22 +431,19 @@ class FosEvaluator:
         The gain and sensing time are cached until :meth:`mark_scanned`
         reports a scan that changes them; :meth:`scores` reads the cache.
         """
-        scores = self._sweeps(i)[1]
-        gain, _, time = zip(*scores)
-        self._gain[i] = gain
-        self._time[i] = time
-        self._fresh[i] = True
-        return scores
+        if not 0 <= i < self._fresh.size:
+            on_map(self.grid, [i])  # raises, before ``_live[-1]`` reads the last cell's list
+        phi = self._sweep_cells(np.array([i]))[0].tolist()
+        return list(map(FosScore._make, zip(self._gain[i].tolist(), phi, self._time[i].tolist())))
 
     def scores(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gain and sensing time at the cells ``idx``, each (len(idx), orientations).
 
-        Cached entries are reused; cells without a valid entry are evaluated
-        through :meth:`evaluate_cell` first.
+        Cached entries are reused; cells without a valid entry are swept
+        first, all in one batch.
         """
         idx = on_map(self.grid, idx)
-        for i in idx[~self._fresh[idx]].tolist():
-            self.evaluate_cell(i)
+        self._sweep_cells(idx[~self._fresh[idx]])
         return self._gain[idx], self._time[idx]
 
     def sweep(self, i: int, h: int) -> tuple[FosScore, np.ndarray]:
@@ -435,11 +452,14 @@ class FosEvaluator:
         The cells come as flat indices in disk order, with ``i`` itself last
         when it is unscanned.
         """
-        new, scores = self._sweeps(i)
-        cells = i + self.end[new[self.window_masks[h, new]]]
+        if not 0 <= h < len(self.orientations):
+            raise ValueError(f"orientation index {h} outside [0, {len(self.orientations)})")
+        score = self.evaluate_cell(i)[h]
+        live = self._live[i]
+        cells = i + self.end[live[self.window_masks[h, live]]]
         if self._states_flat.item(i) == _UNSCANNED:
             cells = np.append(cells, i)
-        return scores[h], cells
+        return score, cells
 
 
 def compute_fos(grid: GridMap, pose: Pose, sensor: SensorModel) -> ScanResult:

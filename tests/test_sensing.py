@@ -20,8 +20,10 @@ from nbsmell.grid import (
 )
 from nbsmell.mapgen import empty_map
 from nbsmell.sensing import (
+    _SWEEP_BLOCK,
     FosEvaluator,
     SensorModel,
+    _heading_tables,
     _in_range,
     _layout,
     _RayDisk,
@@ -243,8 +245,8 @@ class TestScoreCache:
         mark_scanned(grid, [Cell(scanned, 0)])
         evaluator.mark_scanned([scanned])
         recomputed = []
-        evaluate = evaluator.evaluate_cell
-        evaluator.evaluate_cell = lambda cell: recomputed.append(cell) or evaluate(cell)
+        sweep = evaluator._sweep_cells
+        evaluator._sweep_cells = lambda stale: recomputed.extend(stale.tolist()) or sweep(stale)
         gain, time = evaluator.scores(cells)
 
         # the wall hides the scanned cell from `occluded`, so its entry stays;
@@ -318,10 +320,10 @@ class TestScoreCache:
 
             # every free cell was cached, so the cells evaluated again are the stale ones
             recomputed = []
-            evaluate = warm.evaluate_cell
-            warm.evaluate_cell = lambda i: recomputed.append(i) or evaluate(i)
+            sweep = warm._sweep_cells
+            warm._sweep_cells = lambda stale: recomputed.extend(stale.tolist()) or sweep(stale)
             gain, time = warm.scores(free)
-            del warm.evaluate_cell
+            del warm._sweep_cells
             new = set(scan.tolist())
             assert set(recomputed) == {
                 c for c in cell if c in new or any(sees(c, n) for n in new)
@@ -366,6 +368,19 @@ class TestScoreCache:
         with pytest.raises(ValueError, match=r"Cell\(x=4, y=0\) is off the map"):
             visible_cells(grid, Cell(4, 0), 5.0)
 
+    def test_orientation_index_out_of_range_rejected(self):
+        evaluator = FosEvaluator(parse_map("resolution 1.0\nS..."), DEFAULT, heading_set(4))
+        for h in (-1, 4):
+            with pytest.raises(ValueError, match=rf"orientation index {h} outside \[0, 4\)"):
+                evaluator.sweep(0, h)
+
+    def test_no_orientations_give_empty_score_rows(self):
+        grid = parse_map("resolution 1.0\nS.#.\n....")
+        evaluator = FosEvaluator(grid, DEFAULT, ())
+        gain, time = evaluator.scores([0, 3, 5])
+        assert gain.shape == time.shape == (3, 0)
+        assert evaluator.evaluate_cell(1) == []
+
     def test_one_ray_disk_stays_cached(self):
         # a disk can take K * ceil(K/8) bytes; only the last map extent's is kept
         for size in (5, 9):
@@ -390,6 +405,22 @@ class TestLayoutCache:
         FosEvaluator(grid.copy(), DEFAULT, heading_set(8))
         info = _layout.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_evaluators_share_heading_tables(self):
+        grid = generate_random_grid(9, 0.25, 1)
+        _heading_tables.cache_clear()
+        first = FosEvaluator(grid, DEFAULT, heading_set(8))
+        second = FosEvaluator(grid.copy(), DEFAULT, heading_set(8))
+        tables = ("rel_bearings", "window_masks", "_sweep_table")
+        for name in tables:
+            assert getattr(second, name) is getattr(first, name)
+            assert not getattr(first, name).flags.writeable
+        narrow = FosEvaluator(grid, SensorModel(r_max=10.0, phi_max=90.0), heading_set(8))
+        for name in tables:
+            assert getattr(narrow, name) is not getattr(first, name)
+        assert np.array_equal(narrow.rel_bearings, first.rel_bearings)
+        assert np.array_equal(narrow.window_masks, np.abs(first.rel_bearings) <= math.pi / 4)
+        assert _heading_tables.cache_info().misses == 2
 
     @pytest.mark.parametrize("pair", [
         [(generate_random_grid(9, 0.25, 2), 4.0),
@@ -552,7 +583,8 @@ class TestSweepOracle:
         mark_scanned(grid, [c for c, s in zip(free, scanned) if s])
         sensor = SensorModel(r_max=r_max, phi_max=phi_max)
         evaluator = FosEvaluator(grid, sensor, heading_set(orientations))
-        for j in rng.choice(len(free), min(3, len(free)), replace=False):
+        swept = rng.choice(len(free), min(3, len(free)), replace=False)
+        for j in swept:
             cell = free[j]
             i = cell.y * grid.width + cell.x
             expected = sampled_sweeps(grid, cell, sensor, evaluator)
@@ -571,3 +603,49 @@ class TestSweepOracle:
                 assert set(cells) == new and len(cells) == len(new)
                 if cell in new:
                     assert cells[-1] == cell
+
+        # one batch over every free cell after more scans: re-sweeps of the
+        # cells swept above, first sweeps, cells whose live list is empty and
+        # cells that cover only themselves; the oracle checks the swept cells,
+        # a sample, and a sample of the cells that gain at most their own
+        unscanned = [c for c in free if grid.states[c.y, c.x] == CellState.FREE_UNSCANNED]
+        more = [c for c in unscanned if rng.random() < 0.3]
+        mark_scanned(grid, more)
+        evaluator.mark_scanned(np.array([c.y * grid.width + c.x for c in more], dtype=np.int64))
+        batch = np.array([c.y * grid.width + c.x for c in free])
+        gain, time = evaluator.scores(batch)
+        low = np.flatnonzero(gain.max(axis=1) <= 1)
+        checked = {*swept.tolist(), *rng.choice(len(free), min(8, len(free)), replace=False).tolist(),
+                   *rng.choice(low, min(6, low.size), replace=False).tolist()}
+        for j in sorted(checked):
+            cell, i, gain_row, time_row = free[j], int(batch[j]), gain[j], time[j]
+            expected = sampled_sweeps(grid, cell, sensor, evaluator)
+            assert gain_row.tolist() == [g for g, _, _, _ in expected]
+            assert time_row.tolist() == pytest.approx([t for _, _, t, _ in expected], abs=1e-9)
+            h = int(rng.integers(orientations))  # the live list the batch stored
+            assert set(cells_at(grid, evaluator.sweep(i, h)[1])) == expected[h][3]
+
+    @pytest.mark.parametrize("block", [_SWEEP_BLOCK, 1])
+    def test_batch_past_the_block_bound_matches_single_cells(self, block, monkeypatch):
+        # block 1 puts every cell in a block of its own, past the bound
+        monkeypatch.setattr("nbsmell.sensing._SWEEP_BLOCK", block)
+        grid = generate_random_grid(30, 0.1, 5)
+        sensor, headings = SensorModel(r_max=10.0, phi_max=120.0), heading_set(8)
+        batched = FosEvaluator(grid, sensor, headings)
+        single = FosEvaluator(grid, sensor, headings)
+        free = np.flatnonzero(grid.free_mask().reshape(-1))
+        rng = np.random.default_rng(5)
+        for _ in range(2):  # first sweeps, then re-sweeps after a scan
+            gain, time = batched.scores(free)
+            assert sum(batched._live[i].size for i in free.tolist()) > 2 * _SWEEP_BLOCK
+            for i in free.tolist():
+                single.evaluate_cell(i)
+            single_gain, single_time = single.scores(free)
+            assert gain.tobytes() == single_gain.tobytes()
+            assert time.tobytes() == single_time.tobytes()
+            for i in free.tolist():
+                assert np.array_equal(batched._live[i], single._live[i])
+            scan = rng.choice(free, 200, replace=False)
+            mark_scanned(grid, scan)
+            batched.mark_scanned(scan)
+            single.mark_scanned(scan)
