@@ -3,6 +3,8 @@
 Motion is 4- or 8-connected over free cells. Axial steps cost one cell
 resolution, diagonal steps cost sqrt(2) times that. A diagonal step that
 would squeeze between two obstacle cells touching at a corner is forbidden.
+Both distance fields are exact: 4-connected ones come from breadth-first
+levels (every edge weighs one resolution), 8-connected ones from Dijkstra.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
+from scipy.sparse.csgraph import breadth_first_order, dijkstra as _sparse_dijkstra
 
 from .grid import Cell, GridMap, neighbor_offsets, padded, shifted
 
@@ -55,7 +57,21 @@ def shortest_distances(grid: GridMap, source: Cell, connectivity: int) -> np.nda
         raise ValueError(f"source {source} is not a free cell")
     graph = _motion_graph(grid.free_mask().tobytes(), grid.width, grid.resolution,
                           connectivity)
-    dist = _sparse_dijkstra(graph, indices=source.y * grid.width + source.x)
+    s = source.y * grid.width + source.x
+    if connectivity != 4:  # diagonal edges weigh sqrt(2) resolutions
+        return _sparse_dijkstra(graph, indices=s).reshape(grid.height, grid.width)
+    # A cell at BFS depth d is d resolutions away, added one at a time as
+    # Dijkstra adds them (d * res differs in the last bit at 0.1 m).
+    order, pred = breadth_first_order(graph, s, return_predecessors=True)
+    # the children of the BFS positions [0, b) fill the positions [1, 1 + below[b - 1])
+    below = np.bincount(pred[order[1:]], minlength=graph.shape[0])[order].cumsum()
+    bounds, b = [0, 1], 1  # the first position of each depth, then the end
+    while b < order.size:
+        b = 1 + below.item(b - 1)
+        bounds.append(b)
+    depth = np.concatenate(([0.0], np.full(len(bounds) - 2, grid.resolution))).cumsum()
+    dist = np.full(graph.shape[0], np.inf)
+    dist[order] = depth.repeat(np.diff(bounds))
     return dist.reshape(grid.height, grid.width)
 
 

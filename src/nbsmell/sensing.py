@@ -334,6 +334,8 @@ class FosEvaluator:
         self._gain = np.zeros((cells, len(self.orientations)), dtype=np.int64)
         self._time = np.zeros((cells, len(self.orientations)), dtype=np.float64)
         self._live: list[np.ndarray | None] = [None] * cells
+        # the sweep gather of one block: at most _SWEEP_BLOCK offsets, or one cell's K
+        self._held = np.empty(3 * len(self.orientations) * (max(_SWEEP_BLOCK, self.disk.k) + 1))
 
     def visible(self, i: int) -> np.ndarray:
         """Boolean mask over the ray disk: offset free and line of sight clear."""
@@ -381,15 +383,12 @@ class FosEvaluator:
         self._fresh[cached[stale]] = False
         self._fresh[idx] = False
 
-    def _sweep_cells(self, cells: np.ndarray) -> np.ndarray:
+    def _sweep_cells(self, cells: np.ndarray) -> None:
         """Sweep every orientation at the on-map ``cells`` from the current scan state.
 
-        Refreshes their live lists and cached gain and time; returns the
-        swept angles, (len(cells), orientations).
+        Refreshes their live lists and cached gain and time.
         """
-        todo, h = cells.tolist(), len(self.orientations)
-        phi = np.empty((cells.size, h))
-        lo = 0
+        todo, lo = cells.tolist(), 0
         while lo < cells.size:
             lists, total = [], 0  # live lists of at most _SWEEP_BLOCK offsets, or of one cell
             for i in todo[lo:]:
@@ -410,31 +409,41 @@ class FosEvaluator:
             at = bounds.tolist()
             for i, a, b in zip(block.tolist(), at, at[1:]):
                 self._live[i] = new[a:b].copy()
-            # plus the sentinel column, which empty segments at the block's end point at
-            held = self._sweep_table.take(np.concatenate((new, [self.disk.k])), axis=1)
-            edges = np.minimum.reduceat(held[:2 * h], bounds[:-1], axis=1)
-            counts = np.add.reduceat(held[2 * h:], bounds[:-1], axis=1).T
-            counts[bounds[:-1] == bounds[1:]] = 0  # reduceat gives an element for an empty segment
-            # the sweep spans the window's unscanned cells (last minus first bearing, -inf
-            # if none); a zero-angle scan that still covers the own cell costs the setup time
-            gain = counts + (self._states_flat[block] == _UNSCANNED)[:, None]
-            swept = phi[lo:hi] = np.degrees(np.maximum(-edges[h:] - edges[:h], 0.0)).T
-            self._gain[block] = gain
-            self._time[block] = np.where(gain > 0, self.sensor.sweep_time(swept), 0.0)
+            self._gain[block], _, self._time[block] = self._score_segments(new, bounds, block)
             self._fresh[block] = True
             lo = hi
-        return phi
+
+    def _score_segments(self, offsets: np.ndarray, bounds: np.ndarray,
+                        cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gain, angle and time, each (len(cells), orientations), of ``cells``; cell
+        ``j`` sees the unscanned disk offsets ``offsets[bounds[j]:bounds[j + 1]]``."""
+        h, m = len(self.orientations), offsets.size + 1
+        # plus the sentinel column for empty segments at the end; 'clip' fills ``out`` in place
+        held = self._sweep_table.take(np.append(offsets, self.disk.k), axis=1, mode="clip",
+                                      out=self._held[:3 * h * m].reshape(3 * h, m))
+        edges = np.minimum.reduceat(held[:2 * h], bounds[:-1], axis=1)
+        counts = np.add.reduceat(held[2 * h:], bounds[:-1], axis=1).T
+        counts[bounds[:-1] == bounds[1:]] = 0  # reduceat gives an element for an empty segment
+        # the sweep spans the window's unscanned cells (last minus first bearing, -inf
+        # if none); a zero-angle scan that still covers the own cell costs the setup time
+        gain = (counts + (self._states_flat[cells] == _UNSCANNED)[:, None]).astype(np.int64)
+        phi = np.degrees(np.maximum(-edges[h:] - edges[:h], 0.0)).T
+        return gain, phi, np.where(gain > 0, self.sensor.sweep_time(phi), 0.0)
 
     def evaluate_cell(self, i: int) -> list[FosScore]:
         """Scores for every orientation at cell ``i`` (orientation order).
 
-        The gain and sensing time are cached until :meth:`mark_scanned`
-        reports a scan that changes them; :meth:`scores` reads the cache.
+        Read from the cell's live list, filtered by the current state; a cell
+        whose cached scores are stale (see :meth:`mark_scanned`) is swept first.
         """
         if not 0 <= i < self._fresh.size:
             on_map(self.grid, [i])  # raises, before ``_live[-1]`` reads the last cell's list
-        phi = self._sweep_cells(np.array([i]))[0].tolist()
-        return list(map(FosScore._make, zip(self._gain[i].tolist(), phi, self._time[i].tolist())))
+        if not self._fresh[i]:
+            self._sweep_cells(np.array([i]))
+        live = self._live[i]
+        live = self._live[i] = live[self._states_flat[i + self.end[live]] == _UNSCANNED]
+        gain, phi, time = self._score_segments(live, np.array([0, live.size]), np.array([i]))
+        return list(map(FosScore._make, zip(gain[0].tolist(), phi[0].tolist(), time[0].tolist())))
 
     def scores(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gain and sensing time at the cells ``idx``, each (len(idx), orientations).

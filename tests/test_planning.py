@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from oracles import dijkstra_oracle
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
+from nbsmell import planning
 from nbsmell.grid import Cell, CellState, GridMap, generate_random_grid, parse_map
 from nbsmell.mapgen import empty_map, generate_map, rooms_map
 from nbsmell.planning import _motion_graph, shortest_distances, travel_time
@@ -101,6 +104,64 @@ class TestShortestDistances:
                     dac = fields[a][c.y, c.x]
                     if all(map(math.isfinite, (dab, dbc, dac))):
                         assert dac <= dab + dbc + 1e-9
+
+
+class TestBreadthFirstField:
+    """4-connected fields come from BFS levels; they must equal scipy's Dijkstra bit for bit."""
+
+    @staticmethod
+    def assert_same_bytes(grid, sources):
+        graph = _motion_graph(grid.free_mask().tobytes(), grid.width, grid.resolution, 4)
+        for i in sources:
+            field = shortest_distances(grid, Cell(i % grid.width, i // grid.width), 4)
+            expected = dijkstra(graph, indices=i).reshape(grid.height, grid.width)
+            assert field.dtype == expected.dtype and field.shape == expected.shape
+            assert field.tobytes() == expected.tobytes(), (grid.resolution, i)
+
+    @pytest.mark.parametrize("resolution", [1.0, 0.5, 0.3, 0.1, 0.7, 0.013])
+    def test_random_layouts_match_dijkstra(self, resolution):
+        rng = np.random.default_rng(int(resolution * 1000))
+        for seed, (w, h) in enumerate(((40, 25), (25, 40), (17, 9), (9, 17))):
+            grid = random_layout(w, h, seed, resolution)
+            free = np.flatnonzero(grid.free_mask().reshape(-1))
+            self.assert_same_bytes(grid, rng.choice(free, min(25, free.size), replace=False))
+
+    def test_depth_times_resolution_is_not_the_field(self):
+        # the field adds the resolution once per step, as Dijkstra does; a
+        # product ``depth * 0.1`` differs in the last bit at some depths
+        field = shortest_distances(empty_map(40, 1, 0.1), Cell(0, 0), 4)[0]
+        assert (field != np.arange(40) * 0.1).any()
+        assert field.tolist() == list(itertools.accumulate([0.0] + [0.1] * 39))
+
+    @pytest.mark.parametrize("resolution", [1.0, 0.1])
+    def test_every_source_on_small_maps(self, resolution):
+        grids = [empty_map(1, 1, resolution), empty_map(9, 1, resolution),
+                 empty_map(1, 9, resolution), random_layout(6, 4, 3, resolution),
+                 random_layout(4, 6, 4, resolution), rooms_map(16, 16, resolution=resolution)]
+        for grid in grids:
+            self.assert_same_bytes(grid, np.flatnonzero(grid.free_mask().reshape(-1)))
+
+    def test_walled_in_source_leaves_far_cells_unreachable(self):
+        grid = parse_map("resolution 0.1\nS.#....\n..#....\n###....\n.......")
+        field = shortest_distances(grid, Cell(0, 0), 4)
+        assert field[1, 1] == 0.1 + 0.1
+        assert np.isinf(field[:, 3:]).all() and np.isinf(field[3]).all()
+        self.assert_same_bytes(grid, [0, 1, 7, 8, 3, 27])
+
+    def test_only_eight_connected_fields_run_dijkstra(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(planning, "_sparse_dijkstra",
+                            lambda *a, **k: calls.append("dijkstra") or dijkstra(*a, **k))
+        monkeypatch.setattr(planning, "breadth_first_order",
+                            lambda *a, **k: calls.append("bfs") or breadth_first_order(*a, **k))
+        grid = random_layout(12, 5, 2)
+        shortest_distances(grid, grid.start, 8)
+        shortest_distances(grid, grid.start, 4)
+        assert calls == ["dijkstra", "bfs"]
+        for connectivity in (0, 3, 6):
+            with pytest.raises(ValueError, match=f"must be 4 or 8, got {connectivity}"):
+                shortest_distances(grid, grid.start, connectivity)
+        assert calls == ["dijkstra", "bfs"]
 
 
 class TestMotionGraphCache:

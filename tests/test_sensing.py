@@ -339,6 +339,45 @@ class TestScoreCache:
                 cold_score, cold_covered = cold.sweep(i, h)
                 assert score == cold_score and np.array_equal(covered, cold_covered)
 
+    def test_sweep_of_a_fresh_cell_reuses_its_live_list(self):
+        # after `scores`, the executed sweep of a cell must not sweep it again,
+        # yet give a cold evaluator's score and cells for every heading
+        grid = generate_random_grid(9, 0.2, 5)
+        rng = np.random.default_rng(5)
+        free = np.flatnonzero(grid.free_mask().reshape(-1))
+        mark_scanned(grid, rng.choice(free, free.size * 3 // 4, replace=False))
+        sensor, headings = SensorModel(r_max=3.0, phi_max=90.0), heading_set(8)
+        warm = FosEvaluator(grid, sensor, headings)
+        gain, time = warm.scores(free)
+        swept = []
+        sweep = warm._sweep_cells
+        warm._sweep_cells = lambda cells: swept.extend(cells.tolist()) or sweep(cells)
+        _layout.cache_clear()  # so that `cold` builds its own visibility masks
+        cold = FosEvaluator(grid, sensor, headings)
+        covers = set()
+        for row, i in enumerate(free.tolist()):
+            for h in range(len(headings)):
+                score, covered = warm.sweep(i, h)
+                cold_score, cold_covered = cold.sweep(i, h)
+                assert score == cold_score and np.array_equal(covered, cold_covered), (i, h)
+                assert (score.info_gain, score.sensing_time) == (gain[row, h], time[row, h])
+                covers.add("nothing" if not covered.size else
+                           "own cell only" if covered.tolist() == [i] else "others")
+        assert swept == []
+        assert covers == {"nothing", "own cell only", "others"}
+
+        # a cell that a scan made stale is swept once, and agrees with a cold sweep
+        stale = int(free[grid.states.reshape(-1)[free] == CellState.FREE_UNSCANNED][0])
+        mark_scanned(grid, np.array([stale]))
+        warm.mark_scanned(np.array([stale]))
+        _layout.cache_clear()
+        cold = FosEvaluator(grid, sensor, headings)
+        for h in range(len(headings)):
+            score, covered = warm.sweep(stale, h)
+            cold_score, cold_covered = cold.sweep(stale, h)
+            assert score == cold_score and np.array_equal(covered, cold_covered)
+        assert swept == [stale]
+
     @staticmethod
     def entry_points(evaluator):
         return (evaluator.visible, evaluator.evaluate_cell,
