@@ -14,6 +14,7 @@ weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Sequence
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 SIMPLEX_TOLERANCE = 1e-9
+_UTILITY_TOLERANCE = 1e-12  # how far past [0, 1] a utility may round
 _BENEFIT = np.array([[True], [False], [False]])  # per criterion: gain, distance, time
 ALL_MASK = 0b111
 
@@ -205,7 +207,7 @@ def choquet(u: Sequence[float], measure: FuzzyMeasure) -> float:
     if len(u) != 3:
         raise ValueError(f"expected 3 utilities, got {len(u)}")
     for value in u:
-        if not -1e-12 <= value <= 1.0 + 1e-12:
+        if not -_UTILITY_TOLERANCE <= value <= 1.0 + _UTILITY_TOLERANCE:
             raise ValueError(f"utility {value!r} outside [0, 1]")
     mu = measure.values
     order = sorted(range(3), key=lambda i: u[i])
@@ -221,6 +223,7 @@ def choquet_batch(utilities: np.ndarray, measure: FuzzyMeasure) -> np.ndarray:
 
     Levels are an exact min / median / max, the masks come from the argmin and
     argmax; where a tie moves those from a stable sort's, the increment is 0.
+    Utilities outside [0, 1] or NaN are rejected as :func:`choquet` rejects them.
     """
     u = np.asarray(utilities, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != 3:
@@ -229,6 +232,11 @@ def choquet_batch(utilities: np.ndarray, measure: FuzzyMeasure) -> np.ndarray:
     a, b, c = u.T
     ab_lo, ab_hi = np.minimum(a, b), np.maximum(a, b)
     lo, hi = np.minimum(ab_lo, c), np.maximum(ab_hi, c)
+    # NaN propagates into the levels, so a NaN anywhere fails this test too
+    if not (lo.min(initial=0.0) >= -_UTILITY_TOLERANCE
+            and hi.max(initial=1.0) <= 1.0 + _UTILITY_TOLERANCE):
+        bad = u[~((u >= -_UTILITY_TOLERANCE) & (u <= 1.0 + _UTILITY_TOLERANCE))]
+        raise ValueError(f"utility {bad[0].item()!r} outside [0, 1]")
     mid = np.maximum(ab_lo, np.minimum(ab_hi, c))
     m2 = ALL_MASK ^ (1 << u.argmin(axis=1))
     m3 = 1 << u.argmax(axis=1)
@@ -240,7 +248,8 @@ def normalize_utilities(raw: np.ndarray) -> np.ndarray:
 
     ``raw`` is (n, 3): information gain, travel distance, sensing time.
     Gain is a benefit criterion, the other two are costs (lower is better).
-    When a column is constant every candidate gets utility 1 for it.
+    When a column is constant every candidate gets utility 1 for it.  A NaN
+    or infinite value raises ValueError naming its criterion.
     """
     values = np.asarray(raw, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != 3:
@@ -250,6 +259,13 @@ def normalize_utilities(raw: np.ndarray) -> np.ndarray:
     # one row per criterion, so that every operation runs along contiguous memory
     rows = np.ascontiguousarray(values.T)
     lo, hi = rows.min(axis=1, keepdims=True), rows.max(axis=1, keepdims=True)
+    # NaN and +-inf propagate into a column's minimum or maximum; six Python
+    # floats test faster than numpy calls on a (3, 1) array
+    finite = [math.isfinite(a) and math.isfinite(b)
+              for a, b in zip(lo.ravel().tolist(), hi.ravel().tolist())]
+    if not all(finite):
+        name = Criterion(finite.index(False) + 1).name.lower().replace("_", " ")
+        raise ValueError(f"non-finite {name} among the raw values")
     span = hi - lo
     varies = span > 0
     # gain rises from its minimum, the costs fall from their maximum

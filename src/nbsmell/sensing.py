@@ -307,7 +307,9 @@ class FosEvaluator:
     first sweep reads its visibility mask.
     :meth:`mark_scanned` finds a (cached, new) pair's disk offset in the
     layout's table over every map-relative offset: (2w-1)(2h-1) entries for a
-    w x h map, whatever ``r_max``.
+    w x h map, whatever ``r_max``.  It tests the pairs in (new x cached)
+    blocks, the cached axis inner, and drops the cells found stale before
+    each later block; the stale set is that of a test of every pair.
     """
 
     def __init__(self, grid: GridMap, sensor: SensorModel,
@@ -362,26 +364,39 @@ class FosEvaluator:
         unscanned.  So a cached score goes stale exactly when the cell was
         scanned itself or sees a newly scanned cell ``n``; line of sight is
         symmetric, so the cell's own mask at offset ``n - cell`` decides.
+
+        The (cached cell, new cell) pairs are tested in blocks of at most
+        ``_PAIR_BLOCK``, each laid out as (new cells x cached cells) so that
+        the long cached axis is the inner one.  One seen new cell makes a
+        cell stale, so every later block tests only the cached cells not yet
+        found stale, and takes more new cells; the loop ends when none is
+        left.  The stale set is the one a test of every pair gives.
         """
         if not len(idx):
             return
         idx = np.asarray(idx)
         w, h = self.grid.width, self.grid.height
-        cached = np.flatnonzero(self._fresh)
+        fresh, vis = self._fresh, self._vis
+        nbytes, bits = vis.bits.shape[1], vis.bits.reshape(-1)
+        fresh[idx] = False
+        cached = np.flatnonzero(fresh)
         # cell (x, y) at y * (2w - 1) + x, so that a difference of two such
         # positions, shifted by the zero offset's row, is a row of the table
         at_new = idx + idx // w * (w - 1) + (h - 1) * (2 * w - 1) + w - 1
         at_cached = cached + cached // w * (w - 1)
-        stale = np.zeros(cached.size, dtype=bool)
-        block = max(1, _PAIR_BLOCK // max(1, cached.size))
-        for lo in range(0, idx.size, block):
-            k = self._vis.offset_index.take(at_new[None, lo:lo + block] - at_cached[:, None])
-            c, n = np.nonzero(k >= 0)
-            k = k[c, n]
-            seen = (self._vis.bits[cached[c], k >> 3] >> (k & 7)) & 1
-            stale[c[seen.astype(bool)]] = True
-        self._fresh[cached[stale]] = False
-        self._fresh[idx] = False
+        lo = 0
+        while cached.size:
+            hi = lo + max(1, _PAIR_BLOCK // cached.size)
+            k = vis.offset_index.take((at_new[lo:hi, None] - at_cached).ravel())
+            p = np.flatnonzero(k >= 0)
+            k, c = k[p], cached[p % cached.size]
+            seen = (bits.take(c * nbytes + (k >> 3)) >> (k & 7)) & 1
+            fresh[c[seen.astype(bool)]] = False
+            if hi >= idx.size:
+                break
+            keep = fresh[cached]  # a cell found stale needs no further test
+            cached, at_cached = cached[keep], at_cached[keep]
+            lo = hi
 
     def _sweep_cells(self, cells: np.ndarray) -> None:
         """Sweep every orientation at the on-map ``cells`` from the current scan state.

@@ -1,9 +1,13 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import loop_normalize_utilities
 
+from nbsmell.engine import select_best
 from nbsmell.mcdm import (
     NAMED_CONFIGS,
     Criterion,
@@ -237,6 +241,21 @@ class TestChoquet:
         with pytest.raises(ValueError):
             choquet((1.2, 0.0, 0.0), named_measure("A"))
 
+    @pytest.mark.parametrize("row", [
+        (0.5, 2.0, -1.0), (1.0 + 1e-11, 0.0, 0.0), (0.0, -1e-11, 1.0), (0.2, 0.3, math.nan),
+        (math.nan, 0.0, 0.0), (0.0, math.inf, 0.5), (1.0 + 1e-13, -1e-13, 0.5),
+    ])
+    def test_batch_rejects_what_the_scalar_rejects(self, row):
+        m = named_measure("F")
+        try:
+            expected = choquet(row, m)
+        except ValueError as e:
+            for rows in ([row], [(0.1, 0.2, 0.3), row, (0.4, 0.5, 0.6)]):
+                with pytest.raises(ValueError, match=re.escape(str(e))):
+                    choquet_batch(np.array(rows), m)
+        else:  # within the tolerance
+            assert choquet_batch(np.array([row]), m).tolist() == [expected]
+
 
 class TestNormalizeUtilities:
     def test_single_candidate_gets_all_ones(self):
@@ -261,6 +280,18 @@ class TestNormalizeUtilities:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             normalize_utilities(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("col, name", [(0, "information gain"), (1, "travel distance"),
+                                           (2, "sensing time")])
+    def test_non_finite_value_rejected(self, bad, col, name):
+        for row in (0, 1):
+            raw = np.array([[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]])
+            raw[row, col] = bad
+            with pytest.raises(ValueError, match=f"non-finite {name}"):
+                normalize_utilities(raw)
+            with pytest.raises(ValueError, match=f"non-finite {name}"):
+                select_best(raw, named_measure("F"))
 
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40),
            constant=st.lists(st.booleans(), min_size=3, max_size=3))

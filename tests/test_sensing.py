@@ -20,6 +20,7 @@ from nbsmell.grid import (
 )
 from nbsmell.mapgen import empty_map
 from nbsmell.sensing import (
+    _PAIR_BLOCK,
     _SWEEP_BLOCK,
     FosEvaluator,
     SensorModel,
@@ -425,6 +426,85 @@ class TestScoreCache:
         for size in (5, 9):
             FosEvaluator(generate_random_grid(size, 0.1, 1), DEFAULT, heading_set(4))
         assert _ray_disk.cache_info().currsize == 1
+
+
+class TestPairBlocks:
+    """The stale set across block boundaries of the (cached, new) pair test."""
+
+    @staticmethod
+    def seers(grid, r_max, cells, new):
+        """The ``cells`` that see a cell of ``new``, by the line-of-sight rule."""
+        reach2 = Fraction(r_max) ** 2 / Fraction(grid.resolution) ** 2
+        at = dict(zip([*cells, *new], cells_at(grid, [*cells, *new])))
+
+        def sees(a, b):
+            d2 = (at[a].x - at[b].x) ** 2 + (at[a].y - at[b].y) ** 2
+            return d2 <= reach2 and line_of_sight(grid, at[a], at[b])
+
+        return {c for c in cells if any(sees(c, n) for n in new)}
+
+    def scan_and_compare(self, grid, sensor, headings, warm, scan):
+        """Scan ``scan`` and check the cells swept again and every score against
+        the line-of-sight rule and a cold evaluator."""
+        free = np.flatnonzero(grid.free_mask().reshape(-1))
+        cached = [c for c in np.flatnonzero(warm._fresh).tolist() if c not in set(scan.tolist())]
+        mark_scanned(grid, scan)
+        warm.mark_scanned(scan)
+        recomputed = []
+        sweep = warm._sweep_cells
+        warm._sweep_cells = lambda stale: recomputed.extend(stale.tolist()) or sweep(stale)
+        gain, time = warm.scores(free)
+        del warm._sweep_cells
+        stale = set(recomputed) & set(cached)
+        assert stale == self.seers(grid, sensor.r_max, cached, scan.tolist())
+        _layout.cache_clear()  # so that `cold` builds its own visibility masks
+        cold_gain, cold_time = FosEvaluator(grid, sensor, headings).scores(free)
+        assert gain.tobytes() == cold_gain.tobytes() and time.tobytes() == cold_time.tobytes()
+        return cached
+
+    @pytest.mark.parametrize("block", [_PAIR_BLOCK, 1, 3])
+    def test_scans_over_several_blocks_match_the_oracle(self, block, monkeypatch):
+        monkeypatch.setattr("nbsmell.sensing._PAIR_BLOCK", block)
+        grid = generate_random_grid(24, 0.15, 3)
+        sensor, headings = SensorModel(r_max=8.0, phi_max=120.0), heading_set(4)
+        warm = FosEvaluator(grid, sensor, headings)
+        free = np.flatnonzero(grid.free_mask().reshape(-1))
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            warm.scores(free)
+            unscanned = free[grid.states.reshape(-1)[free] == CellState.FREE_UNSCANNED]
+            scan = rng.choice(unscanned, 80, replace=False)
+            before = [c for c in free.tolist() if c not in set(scan.tolist())]
+            first = max(1, block // len(before))  # the new cells of the first block
+            assert first < scan.size
+            # a cell found stale in the first block also sees new cells of later blocks
+            assert self.seers(grid, sensor.r_max, before, scan[:first].tolist()) & self.seers(
+                grid, sensor.r_max, before, scan[first:].tolist())
+            assert self.scan_and_compare(grid, sensor, headings, warm, scan) == before
+
+    @pytest.mark.parametrize("block", [_PAIR_BLOCK, 1, 3])
+    def test_every_cell_stale_in_the_first_block(self, block, monkeypatch):
+        # on an open map in range every cached cell sees the first new cell, so
+        # the loop runs out of cached cells before it runs out of new ones
+        monkeypatch.setattr("nbsmell.sensing._PAIR_BLOCK", block)
+        grid = empty_map(4, 3)
+        sensor, headings = SensorModel(r_max=10.0), heading_set(8)
+        warm = FosEvaluator(grid, sensor, headings)
+        for scan in ([0, 5, 6, 11], [1, 2, 3, 4, 7, 8, 9], [10]):
+            warm.scores(np.flatnonzero(grid.free_mask().reshape(-1)))
+            scan = np.array(scan)
+            cached = self.scan_and_compare(grid, sensor, headings, warm, scan)
+            assert self.seers(grid, sensor.r_max, cached, scan[:1].tolist()) == set(cached)
+
+    @pytest.mark.parametrize("block", [_PAIR_BLOCK, 1, 3])
+    def test_no_cached_cells(self, block, monkeypatch):
+        monkeypatch.setattr("nbsmell.sensing._PAIR_BLOCK", block)
+        grid = generate_random_grid(12, 0.2, 4)
+        sensor, headings = SensorModel(r_max=5.0), heading_set(4)
+        warm = FosEvaluator(grid, sensor, headings)
+        free = np.flatnonzero(grid.free_mask().reshape(-1))
+        scan = np.random.default_rng(4).choice(free, 10, replace=False)
+        assert self.scan_and_compare(grid, sensor, headings, warm, scan) == []
 
 
 def moved_obstacle(grid):
