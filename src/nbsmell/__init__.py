@@ -36,19 +36,11 @@ from .mcdm import (
     NAMED_CONFIGS,
     WeightConfig,
     build_measure,
-    choquet,
     named_measure,
     normalize_utilities,
     validate_measure,
 )
 from .planning import shortest_distances, travel_time
-from .sensing import (
-    ScanResult,
-    SensorModel,
-    compute_fos,
-    line_of_sight,
-    sensing_time,
-    visible_cells,
-)
+from .sensing import SensorModel
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,9 +115,6 @@ class GridMap:
     def in_bounds(self, cell: Cell) -> bool:
         return 0 <= cell.x < self.width and 0 <= cell.y < self.height
 
-    def state(self, cell: Cell) -> CellState:
-        return CellState(self.states[cell.y, cell.x])
-
     def is_free(self, cell: Cell) -> bool:
         return self.in_bounds(cell) and self.states[cell.y, cell.x] != _OBSTACLE
 
@@ -135,9 +132,6 @@ class GridMap:
 
     def scanned_count(self) -> int:
         return int(np.count_nonzero(self.scanned_mask()))
-
-    def free_cells(self) -> list[Cell]:
-        return cells_at(self, np.flatnonzero(self.free_mask()))
 
     def unscanned_cells(self) -> list[Cell]:
         return cells_at(self, np.flatnonzero(self.unscanned_mask()))
@@ -331,24 +325,19 @@ def frontier_cells(grid: GridMap, connectivity: int) -> np.ndarray:
     return np.flatnonzero(grid.scanned_mask() & near)
 
 
-def mark_scanned(grid: GridMap, cells: Iterable[Cell] | np.ndarray) -> int:
+def mark_scanned(grid: GridMap, flat: np.ndarray | Sequence[int]) -> int:
     """Mark free cells as scanned; returns the number of distinct new transitions.
 
-    ``cells`` is an iterable of :class:`Cell` or an array of flat indices
-    ``y * width + x``.  Idempotent on already-scanned cells, and a cell listed
-    twice counts once.  Marking an off-map cell or an obstacle is a contract
-    violation: it raises, naming the first such cell in input order (off-map
-    cells first, flat ones by :func:`on_map`), before any cell is written.
+    ``flat`` is a 1-D array of flat indices ``y * width + x``.  Idempotent on
+    already-scanned cells, and a cell listed twice counts once.  An off-map
+    cell or an obstacle raises ValueError naming the first in input order
+    (off-map ones by :func:`on_map`), and so does any other shape, such as a
+    list of :class:`Cell`; all before any cell is written.
     """
-    if isinstance(cells, np.ndarray):
-        flat = on_map(grid, cells)
-    else:
-        cells = list(cells)
-        xs, ys = np.array(list(zip(*cells)), dtype=np.intp).reshape(2, -1)
-        off_map = np.flatnonzero((xs < 0) | (xs >= grid.width) | (ys < 0) | (ys >= grid.height))
-        if off_map.size:
-            raise ValueError(f"cannot scan off-map cell {cells[off_map[0]]}")
-        flat = ys * grid.width + xs
+    flat = np.asarray(flat)
+    if flat.ndim != 1:
+        raise ValueError(f"expected a 1-D array of flat indices, got shape {flat.shape}")
+    flat = on_map(grid, flat)
     states = grid.states.reshape(-1)
     held = states[flat]
     obstacles = np.flatnonzero(held == _OBSTACLE)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "NAMED_CONFIGS",
     "WeightConfig",
     "build_measure",
-    "choquet",
     "choquet_batch",
     "named_measure",
     "normalize_utilities",
@@ -74,12 +72,6 @@ class FuzzyMeasure:
     def __post_init__(self) -> None:
         if len(self.values) != 8:
             raise ValueError("a fuzzy measure needs exactly 8 subset weights")
-
-    def weight(self, criteria: Iterable[Criterion]) -> float:
-        mask = 0
-        for c in criteria:
-            mask |= Criterion(c).bit
-        return self.values[mask]
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=np.float64)
@@ -196,34 +188,13 @@ def build_measure(config: WeightConfig) -> FuzzyMeasure:
     return measure
 
 
-def choquet(u: Sequence[float], measure: FuzzyMeasure) -> float:
-    """Discrete Choquet integral of a 3-component utility vector.
-
-    Utilities are sorted ascending; each increment is weighted by the
-    measure of the criteria whose utility is at least the current level.
-    Ties between equal utilities produce zero-width increments, so the
-    result does not depend on their permutation.
-    """
-    if len(u) != 3:
-        raise ValueError(f"expected 3 utilities, got {len(u)}")
-    for value in u:
-        if not -_UTILITY_TOLERANCE <= value <= 1.0 + _UTILITY_TOLERANCE:
-            raise ValueError(f"utility {value!r} outside [0, 1]")
-    mu = measure.values
-    order = sorted(range(3), key=lambda i: u[i])
-    u1, u2, u3 = (u[i] for i in order)
-    m1 = ALL_MASK
-    m2 = ALL_MASK ^ (1 << order[0])
-    m3 = 1 << order[2]
-    return u1 * mu[m1] + (u2 - u1) * mu[m2] + (u3 - u2) * mu[m3]
-
-
 def choquet_batch(utilities: np.ndarray, measure: FuzzyMeasure) -> np.ndarray:
-    """Vectorized :func:`choquet` over an (n, 3) utility array, without a sort.
+    """Discrete Choquet integral of each row of an (n, 3) utility array.
 
-    Levels are an exact min / median / max, the masks come from the argmin and
-    argmax; where a tie moves those from a stable sort's, the increment is 0.
-    Utilities outside [0, 1] or NaN are rejected as :func:`choquet` rejects them.
+    No sort: levels are an exact min / median / max, the masks come from the
+    argmin and argmax; where a tie moves those from a stable sort's, the
+    increment is 0.  NaN or a utility outside [0, 1] raises ValueError, as in
+    the scalar sorted form it is checked against (``tests/oracles.py``).
     """
     u = np.asarray(utilities, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != 3:

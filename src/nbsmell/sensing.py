@@ -10,7 +10,8 @@ Segment/cell intersection policy: a cell counts as crossed when the open
 segment passes through its interior. When the segment runs exactly through
 a lattice corner the traversal steps diagonally, so cells touched only at
 that corner point do not block. This rule is exact (integer arithmetic, no
-epsilon) and matches dense point-sampling of the segment.
+epsilon) and matches dense point-sampling of the segment; ``tests/oracles.py``
+holds both the scalar walk (``traverse_segment``) and the sampling oracle.
 """
 
 from __future__ import annotations
@@ -24,17 +25,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import _UNSCANNED, Cell, CellState, GridMap, Pose, cells_at, on_map
+from .grid import _UNSCANNED, CellState, GridMap, on_map
 
 __all__ = [
     "FosScore",
-    "ScanResult",
     "SensorModel",
-    "compute_fos",
-    "line_of_sight",
-    "sensing_time",
-    "traverse_segment",
-    "visible_cells",
     "FosEvaluator",
 ]
 
@@ -70,54 +65,6 @@ class SensorModel:
         return self.setup_time + self.sweep_rate * phi
 
 
-def sensing_time(phi: float, sensor: SensorModel) -> float:
-    """Duration of a sweep of ``phi`` degrees; 0 when no scan is performed."""
-    if not 0 <= phi <= sensor.phi_max:  # NaN fails too
-        raise ValueError(f"phi {phi} outside [0, {sensor.phi_max}]")
-    if phi == 0:
-        return 0.0
-    return sensor.sweep_time(phi)
-
-
-def traverse_segment(x0: int, y0: int, x1: int, y1: int) -> list[tuple[int, int]]:
-    """Cells whose interior the segment between cell centers crosses.
-
-    Exact integer walk: boundary crossings are ordered by comparing
-    ``(2*ix + 1) * ny`` against ``(2*iy + 1) * nx``; a tie means the segment
-    passes exactly through a lattice corner and the walk steps diagonally.
-    Includes both endpoint cells.
-    """
-    dx = x1 - x0
-    dy = y1 - y0
-    sx = 1 if dx > 0 else -1
-    sy = 1 if dy > 0 else -1
-    nx = abs(dx)
-    ny = abs(dy)
-    ix = iy = 0
-    cells = [(x0, y0)]
-    while ix < nx or iy < ny:
-        tx = (2 * ix + 1) * ny
-        ty = (2 * iy + 1) * nx
-        if tx < ty:
-            ix += 1
-        elif tx > ty:
-            iy += 1
-        else:
-            ix += 1
-            iy += 1
-        cells.append((x0 + sx * ix, y0 + sy * iy))
-    return cells
-
-
-def line_of_sight(grid: GridMap, a: Cell, b: Cell) -> bool:
-    """True when the segment between the cell centers crosses no obstacle."""
-    states = grid.states
-    for x, y in traverse_segment(a.x, a.y, b.x, b.y):
-        if states[y, x] == CellState.OBSTACLE:
-            return False
-    return True
-
-
 class _RayDisk:
     """Precomputed ray bundle to every cell offset within sensor range.
 
@@ -131,7 +78,7 @@ class _RayDisk:
 
     The other tables are sets of offsets, bit-packed little-endian in rows of
     ceil(K/8) bytes.  Row ``j`` of ``through`` holds the offsets whose ray
-    (the cells :func:`traverse_segment` crosses, endpoint included) crosses
+    (the cells ``oracles.traverse_segment`` crosses, endpoint included) crosses
     offset ``j``; the walk is monotone, so no ray leaves the disk.  It takes
     K * ceil(K/8) bytes: 1.0 MB at r_max 30 m with 1 m cells, up to about
     128 MB on a 90x90 map (r_max >= 127 m).  Row ``a`` of ``left``, ``right``,
@@ -153,8 +100,8 @@ class _RayDisk:
         self.index = np.full(span * span, -1, dtype=np.int64)
         self.index[(self.dy + self.reach) * span + self.dx + self.reach] = np.arange(k)
 
-        # the walk of ``traverse_segment`` for all rays at once, one step per
-        # pass, collecting (crossed offset, ray) pairs
+        # the walk of ``oracles.traverse_segment`` for all rays at once, one
+        # step per pass, collecting (crossed offset, ray) pairs
         ray, ix, iy = np.arange(k), np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
         nx, ny, sx, sy = np.abs(self.dx), np.abs(self.dy), np.sign(self.dx), np.sign(self.dy)
         crossed, rays = [ray[:0]], [ray[:0]]  # never empty, for the concatenation
@@ -249,23 +196,6 @@ def _heading_tables(disk: _RayDisk, orientations: tuple[float, ...],
     for a in (rel, window, table):
         a.flags.writeable = False
     return rel, window, table
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    """Outcome of one sensing operation at a fixed pose.
-
-    ``smellable_all`` is every free cell the trimmed sweep covers (always
-    including the pose's own cell); ``smellable_new`` is its previously
-    unscanned subset at evaluation time.  ``info_gain`` equals
-    ``len(smellable_new)``.
-    """
-
-    phi_used: float  # degrees
-    sensing_time: float  # seconds
-    info_gain: int
-    smellable_new: frozenset[Cell]
-    smellable_all: frozenset[Cell]
 
 
 class FosScore(NamedTuple):
@@ -372,9 +302,9 @@ class FosEvaluator:
         found stale, and takes more new cells; the loop ends when none is
         left.  The stale set is the one a test of every pair gives.
         """
-        if not len(idx):
+        idx = on_map(self.grid, idx)
+        if not idx.size:
             return
-        idx = np.asarray(idx)
         w, h = self.grid.width, self.grid.height
         fresh, vis = self._fresh, self._vis
         nbytes, bits = vis.bits.shape[1], vis.bits.reshape(-1)
@@ -484,34 +414,3 @@ class FosEvaluator:
         if self._states_flat.item(i) == _UNSCANNED:
             cells = np.append(cells, i)
         return score, cells
-
-
-def compute_fos(grid: GridMap, pose: Pose, sensor: SensorModel) -> ScanResult:
-    """Evaluate one sensing operation at ``pose`` against the current map."""
-    if not grid.is_free(pose.cell):
-        raise ValueError(f"pose cell {pose.cell} is not a free cell")
-    evaluator = FosEvaluator(grid, sensor, (pose.theta,))
-    i = pose.cell.y * grid.width + pose.cell.x
-    score, new = evaluator.sweep(i, 0)
-    # the sweep covers every visible cell of the window whose bearing lies
-    # between the first and the last bearing of the cells it newly covers
-    seen = np.flatnonzero(evaluator.visible(i) & evaluator.window_masks[0])
-    rel = evaluator.rel_bearings[0, seen]
-    held = rel[np.isin(i + evaluator.end[seen], new)]
-    covered = seen[(held.min(initial=math.inf) <= rel) & (rel <= held.max(initial=-math.inf))]
-    return ScanResult(score.phi_used, score.sensing_time, score.info_gain,
-                      frozenset(cells_at(grid, new)),
-                      frozenset(cells_at(grid, [i, *(i + evaluator.end[covered])])))
-
-
-def visible_cells(grid: GridMap, cell: Cell, r_max: float) -> set[Cell]:
-    """Free cells within metric range of ``cell`` with clear line of sight.
-
-    Range and occlusion only; no angular window is applied and the cell
-    itself is not included.
-    """
-    if not grid.in_bounds(cell):
-        raise ValueError(f"cell {cell} is off the map")
-    evaluator = FosEvaluator(grid, SensorModel(r_max=r_max), ())
-    i = cell.y * grid.width + cell.x
-    return set(cells_at(grid, i + evaluator.end[evaluator.visible(i)]))

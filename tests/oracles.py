@@ -1,9 +1,13 @@
-"""Independent reference implementations used by the test suite only.
+"""Reference implementations and helpers used by the test suite only.
 
-These deliberately avoid the production code paths: line of sight is
-checked by dense point sampling, shortest paths by a plain heap Dijkstra,
-and candidate selection by a from-scratch planner that scores every
-candidate with the scalar Choquet integral and sorts on a plain key.
+The references deliberately avoid the production code paths: line of sight
+is checked by an exact scalar segment walk and by dense point sampling,
+shortest paths by a plain heap Dijkstra, the Choquet integral by its scalar
+sorted form, and candidate selection by a from-scratch planner that scores
+every candidate with that scalar integral and sorts on a plain key.
+:func:`compute_fos` and :func:`visible_cells` are the exception: they give
+the cell-set view of the production :class:`FosEvaluator`, so that the
+geometry oracles test it.
 """
 
 import heapq
@@ -12,12 +16,136 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nbsmell.grid import Cell, CellState, GridMap, Pose, cells_at, frontier_cells, heading_set
-from nbsmell.mcdm import FuzzyMeasure, choquet, normalize_utilities
+from nbsmell.grid import (
+    Cell,
+    CellState,
+    GridMap,
+    Pose,
+    cells_at,
+    frontier_cells,
+    heading_set,
+    mark_scanned,
+)
+from nbsmell.mcdm import _UTILITY_TOLERANCE, ALL_MASK, FuzzyMeasure, normalize_utilities
 from nbsmell.planning import shortest_distances
 from nbsmell.sensing import FosEvaluator, FosScore, SensorModel, _layout
 
 SQRT2 = math.sqrt(2.0)
+
+
+def free_cells(grid: GridMap) -> list[Cell]:
+    """The free cells of ``grid`` in row-major order."""
+    return cells_at(grid, np.flatnonzero(grid.free_mask()))
+
+
+def mark_cells(grid: GridMap, cells) -> int:
+    """:func:`mark_scanned` of the on-map ``cells``, passed as flat indices."""
+    return mark_scanned(grid, np.array([c.y * grid.width + c.x for c in cells], dtype=np.intp))
+
+
+def traverse_segment(x0: int, y0: int, x1: int, y1: int) -> list[tuple[int, int]]:
+    """Cells whose interior the segment between cell centers crosses.
+
+    Exact integer walk: boundary crossings are ordered by comparing
+    ``(2*ix + 1) * ny`` against ``(2*iy + 1) * nx``; a tie means the segment
+    passes exactly through a lattice corner and the walk steps diagonally.
+    Includes both endpoint cells.
+    """
+    dx = x1 - x0
+    dy = y1 - y0
+    sx = 1 if dx > 0 else -1
+    sy = 1 if dy > 0 else -1
+    nx = abs(dx)
+    ny = abs(dy)
+    ix = iy = 0
+    cells = [(x0, y0)]
+    while ix < nx or iy < ny:
+        tx = (2 * ix + 1) * ny
+        ty = (2 * iy + 1) * nx
+        if tx < ty:
+            ix += 1
+        elif tx > ty:
+            iy += 1
+        else:
+            ix += 1
+            iy += 1
+        cells.append((x0 + sx * ix, y0 + sy * iy))
+    return cells
+
+
+def line_of_sight(grid: GridMap, a: Cell, b: Cell) -> bool:
+    """True when the segment between the cell centers crosses no obstacle."""
+    states = grid.states
+    for x, y in traverse_segment(a.x, a.y, b.x, b.y):
+        if states[y, x] == CellState.OBSTACLE:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class ScanResult:
+    """Outcome of one sensing operation at a fixed pose.
+
+    ``smellable_all`` is every free cell the trimmed sweep covers (always
+    including the pose's own cell); ``smellable_new`` is its previously
+    unscanned subset at evaluation time.  ``info_gain`` equals
+    ``len(smellable_new)``.
+    """
+
+    phi_used: float  # degrees
+    sensing_time: float  # seconds
+    info_gain: int
+    smellable_new: frozenset[Cell]
+    smellable_all: frozenset[Cell]
+
+
+def compute_fos(grid: GridMap, pose: Pose, sensor: SensorModel) -> ScanResult:
+    """One sensing operation at the free cell of ``pose``, by a production evaluator."""
+    evaluator = FosEvaluator(grid, sensor, (pose.theta,))
+    i = pose.cell.y * grid.width + pose.cell.x
+    score, new = evaluator.sweep(i, 0)
+    # the sweep covers every visible cell of the window whose bearing lies
+    # between the first and the last bearing of the cells it newly covers
+    seen = np.flatnonzero(evaluator.visible(i) & evaluator.window_masks[0])
+    rel = evaluator.rel_bearings[0, seen]
+    held = rel[np.isin(i + evaluator.end[seen], new)]
+    covered = seen[(held.min(initial=math.inf) <= rel) & (rel <= held.max(initial=-math.inf))]
+    return ScanResult(score.phi_used, score.sensing_time, score.info_gain,
+                      frozenset(cells_at(grid, new)),
+                      frozenset(cells_at(grid, [i, *(i + evaluator.end[covered])])))
+
+
+def visible_cells(grid: GridMap, cell: Cell, r_max: float) -> set[Cell]:
+    """Free cells within metric range of the on-map ``cell`` with clear line of sight.
+
+    Range and occlusion only, by a production evaluator; no angular window is
+    applied and the cell itself is not included.
+    """
+    evaluator = FosEvaluator(grid, SensorModel(r_max=r_max), ())
+    i = cell.y * grid.width + cell.x
+    return set(cells_at(grid, i + evaluator.end[evaluator.visible(i)]))
+
+
+def choquet(u, measure: FuzzyMeasure) -> float:
+    """Discrete Choquet integral of a 3-component utility vector.
+
+    Utilities are sorted ascending; each increment is weighted by the
+    measure of the criteria whose utility is at least the current level.
+    Ties between equal utilities produce zero-width increments, so the
+    result does not depend on their permutation.
+    """
+    if len(u) != 3:
+        raise ValueError(f"expected 3 utilities, got {len(u)}")
+    for value in u:
+        if not -_UTILITY_TOLERANCE <= value <= 1.0 + _UTILITY_TOLERANCE:
+            raise ValueError(f"utility {value!r} outside [0, 1]")
+    mu = measure.values
+    order = sorted(range(3), key=lambda i: u[i])
+    u1, u2, u3 = (u[i] for i in order)
+    m1 = ALL_MASK
+    m2 = ALL_MASK ^ (1 << order[0])
+    m3 = 1 << order[2]
+    return u1 * mu[m1] + (u2 - u1) * mu[m2] + (u3 - u2) * mu[m3]
 
 
 def sampled_line_of_sight(grid, a: Cell, b: Cell, samples: int = 1000) -> bool:
@@ -33,7 +161,7 @@ def sampled_line_of_sight(grid, a: Cell, b: Cell, samples: int = 1000) -> bool:
 def sampled_visible_set(grid, origin: Cell, r_max: float, samples: int = 1000):
     """All free cells within metric range whose sampled segment is clear."""
     out = set()
-    for c in grid.free_cells():
+    for c in free_cells(grid):
         if c == origin:
             continue
         if math.hypot(c.x - origin.x, c.y - origin.y) * grid.resolution > r_max:

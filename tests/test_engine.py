@@ -15,14 +15,13 @@ from nbsmell.grid import (
     Pose,
     coverage_ratio,
     generate_random_grid,
-    mark_scanned,
     parse_map,
 )
 from nbsmell.mapgen import shipped_map
-from nbsmell.mcdm import NAMED_CONFIGS, choquet, named_measure, normalize_utilities
+from nbsmell.mcdm import NAMED_CONFIGS, named_measure, normalize_utilities
 from nbsmell.planning import travel_time
 from nbsmell.sensing import SensorModel, _layout
-from oracles import enumerate_candidates, select_best
+from oracles import choquet, enumerate_candidates, free_cells, mark_cells, select_best
 
 SENSOR = SensorModel(r_max=10.0)
 
@@ -50,13 +49,13 @@ class TestEnumerateCandidates:
 
     def test_fully_scanned_map_yields_nothing(self):
         grid = parse_map(empty_text(3, 3))
-        mark_scanned(grid, grid.free_cells())
+        mark_cells(grid, free_cells(grid))
         cands = enumerate_candidates(grid, Pose(grid.start, 0.0), 4, SENSOR, 4)
         assert cands == []
 
     def test_strip_frontier_candidates_face_the_unscanned_cell(self):
         grid = parse_map("resolution 1.0\nS..")
-        mark_scanned(grid, [Cell(0, 0), Cell(1, 0)])
+        mark_cells(grid, [Cell(0, 0), Cell(1, 0)])
         cands = enumerate_candidates(grid, Pose(Cell(0, 0), 0.0), 4, SENSOR, 4)
         assert {c.pose.cell for c in cands} == {Cell(1, 0)}
         thetas = {c.pose.theta for c in cands}
@@ -69,7 +68,7 @@ class TestEnumerateCandidates:
     def test_unreachable_frontier_positions_are_dropped(self):
         # the right chamber is visible through the corner but not walkable
         grid = parse_map("resolution 1.0\nS#.\n#..\n...")
-        mark_scanned(grid, [Cell(0, 0)])
+        mark_cells(grid, [Cell(0, 0)])
         cands = enumerate_candidates(grid, Pose(Cell(0, 0), 0.0), 4, SENSOR, 4)
         assert cands == []
 
@@ -86,7 +85,7 @@ class TestSelectBest:
     def test_nearer_candidate_wins_on_equal_gain_and_time(self):
         grid = parse_map(empty_text(9, 1, start=(4, 0)))
         sensor = SensorModel(r_max=2.0)
-        mark_scanned(grid, [Cell(x, 0) for x in range(2, 7)])
+        mark_cells(grid, [Cell(x, 0) for x in range(2, 7)])
         robot = Pose(Cell(4, 0), 0.0)
         cands = enumerate_candidates(grid, robot, 4, sensor, 4)
         eastish = [c for c in cands if c.pose.cell == Cell(6, 0) and c.pose.theta == 0.0]
@@ -152,7 +151,7 @@ class TestSelectBest:
     def test_distance_scaling_leaves_choice_unchanged(self):
         grid = generate_random_grid(15, 0.1, 21)
         robot = Pose(grid.start, 0.0)
-        mark_scanned(grid, [grid.start])
+        mark_cells(grid, [grid.start])
         base = enumerate_candidates(grid, robot, 4, SENSOR, 4)
         if not base:
             pytest.skip("no candidates on this seed")
@@ -265,8 +264,8 @@ class TestStepAndRun:
         # maps that start partly scanned the count must match the grid's
         rng = np.random.default_rng(seed)
         grid = generate_random_grid(int(rng.integers(4, 13)), 0.2, seed)
-        free = grid.free_cells()
-        mark_scanned(grid, [free[i] for i in rng.choice(len(free), len(free) // (seed + 2))])
+        free = free_cells(grid)
+        mark_cells(grid, [free[i] for i in rng.choice(len(free), len(free) // (seed + 2))])
         engine = CoverageEngine(grid, "FLAB"[seed % 4], SensorModel(r_max=3.0),
                                 orientations=8 if seed % 2 else 4)
         records = 0
@@ -320,7 +319,7 @@ class TestStepAndRun:
                 assert expected == []
                 break
             best = select_best(expected, measure)
-            mark_scanned(grid_replay, best.new_cells)
+            mark_cells(grid_replay, best.new_cells)
             robot = best.pose
             replayed = dataclasses.replace(
                 record,

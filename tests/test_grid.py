@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import free_cells, mark_cells
 
 from nbsmell.grid import (
     Cell,
@@ -24,8 +25,8 @@ class TestParseMap:
         assert grid.resolution == 1.0
         assert grid.start == Cell(0, 0)
         assert grid.free_count() == 3
-        assert grid.state(Cell(1, 1)) == CellState.OBSTACLE
-        assert grid.state(Cell(0, 0)) == CellState.FREE_UNSCANNED
+        assert grid.states[1, 1] == CellState.OBSTACLE
+        assert grid.states[0, 0] == CellState.FREE_UNSCANNED
 
     def test_single_cell_map(self):
         grid = parse_map("resolution 0.5\nS")
@@ -127,23 +128,23 @@ class TestFrontier:
 
     def test_single_boundary_cell_on_strip(self):
         grid = parse_map("resolution 1.0\nS..")
-        mark_scanned(grid, [Cell(0, 0), Cell(1, 0)])
+        mark_scanned(grid, [0, 1])
         assert cells_at(grid, frontier_cells(grid, 4)) == [Cell(1, 0)]
 
     def test_fully_scanned_map_has_no_frontier(self):
         grid = parse_map("resolution 1.0\nS..")
-        mark_scanned(grid, [Cell(0, 0), Cell(1, 0), Cell(2, 0)])
+        mark_scanned(grid, [0, 1, 2])
         assert cells_at(grid, frontier_cells(grid, 4)) == []
 
     def test_diagonal_neighbor_counts_only_under_8(self):
         grid = parse_map("resolution 1.0\nS#\n#.")
-        mark_scanned(grid, [Cell(0, 0)])
+        mark_scanned(grid, [0])
         assert cells_at(grid, frontier_cells(grid, 4)) == []
         assert cells_at(grid, frontier_cells(grid, 8)) == [Cell(0, 0)]
 
     def test_row_major_order(self):
         grid = parse_map("resolution 1.0\nS..\n...\n...")
-        mark_scanned(grid, [Cell(2, 0), Cell(0, 1), Cell(1, 2)])
+        mark_cells(grid, [Cell(2, 0), Cell(0, 1), Cell(1, 2)])
         assert cells_at(grid, frontier_cells(grid, 4)) == [Cell(2, 0), Cell(0, 1), Cell(1, 2)]
 
     def test_frontier_cells_are_scanned_with_unscanned_neighbor(self):
@@ -164,13 +165,13 @@ class TestFrontier:
             with pytest.raises(ValueError, match=(
                     f"flat index {off} is off the {grid.width}x{grid.height} map")):
                 cells_at(grid, [0, off])
-        free = grid.free_cells()
-        mark_scanned(grid, [free[i] for i in rng.choice(len(free), marked)])
+        free = free_cells(grid)
+        mark_cells(grid, [free[i] for i in rng.choice(len(free), marked)])
         for conn in (4, 8):
             frontier = cells_at(grid, frontier_cells(grid, conn))
             assert frontier  # a map without a frontier would check nothing
             for cell in frontier:
-                assert grid.state(cell) == CellState.FREE_SCANNED
+                assert grid.states[cell.y, cell.x] == CellState.FREE_SCANNED
                 neighbors = [
                     Cell(cell.x + dx, cell.y + dy)
                     for dx, dy in (
@@ -180,7 +181,7 @@ class TestFrontier:
                     )
                 ]
                 assert any(
-                    grid.in_bounds(n) and grid.state(n) == CellState.FREE_UNSCANNED
+                    grid.in_bounds(n) and grid.states[n.y, n.x] == CellState.FREE_UNSCANNED
                     for n in neighbors
                 )
 
@@ -192,22 +193,22 @@ class TestMarkScanned:
 
     def test_idempotent(self):
         grid = parse_map("resolution 1.0\nS..")
-        assert mark_scanned(grid, [Cell(1, 0)]) == 1
-        assert mark_scanned(grid, [Cell(1, 0)]) == 0
+        assert mark_scanned(grid, [1]) == 1
+        assert mark_scanned(grid, [1]) == 0
 
     def test_counts_only_new_transitions(self):
         grid = parse_map("resolution 1.0\nS...")
-        mark_scanned(grid, [Cell(0, 0)])
-        assert mark_scanned(grid, [Cell(0, 0), Cell(1, 0), Cell(2, 0)]) == 2
+        mark_scanned(grid, [0])
+        assert mark_scanned(grid, [0, 1, 2]) == 2
 
     def test_obstacle_rejected(self):
         grid = parse_map("resolution 1.0\nS#")
         with pytest.raises(ValueError, match="obstacle"):
-            mark_scanned(grid, [Cell(1, 0)])
+            mark_scanned(grid, [1])
 
     def test_duplicates_count_once(self):
         grid = parse_map("resolution 1.0\nS...")
-        assert mark_scanned(grid, [Cell(1, 0), Cell(2, 0), Cell(1, 0)]) == 2
+        assert mark_scanned(grid, [1, 2, 1]) == 2
         assert grid.scanned_count() == 2
 
     def test_batch_with_obstacle_writes_nothing(self):
@@ -215,16 +216,25 @@ class TestMarkScanned:
         before = grid.states.copy()
         # the first obstacle in input order is named, not the first in the row
         with pytest.raises(ValueError, match=r"Cell\(x=4, y=0\)"):
-            mark_scanned(grid, [Cell(0, 0), Cell(4, 0), Cell(1, 0), Cell(2, 0)])
+            mark_scanned(grid, [0, 4, 1, 2])
         assert np.array_equal(grid.states, before)
 
     @pytest.mark.parametrize("cell", [Cell(-1, 0), Cell(0, -1), Cell(4, 0), Cell(0, 2)])
     def test_off_map_cell_rejected_before_any_write(self, cell):
-        # a negative index must not wrap around to the far edge of the map
+        # cells are not an input format: numpy would read them as (n, 2)
+        # indices, and a negative one would wrap around to the far edge
         grid = parse_map("resolution 1.0\nS...\n....")
         before = grid.states.copy()
-        with pytest.raises(ValueError, match=rf"off-map cell Cell\(x={cell.x}, y={cell.y}\)"):
+        with pytest.raises(ValueError, match=r"1-D array of flat indices, got shape \(3, 2\)"):
             mark_scanned(grid, [Cell(1, 0), cell, Cell(-2, 5)])
+        assert np.array_equal(grid.states, before)
+
+    def test_cell_list_rejected_before_any_write(self):
+        # on the map, so every value of the (1, 2) array is a valid flat index
+        grid = parse_map("resolution 1.0\nS...\n....")
+        before = grid.states.copy()
+        with pytest.raises(ValueError, match=r"1-D array of flat indices, got shape \(1, 2\)"):
+            mark_scanned(grid, [Cell(0, 0)])
         assert np.array_equal(grid.states, before)
 
     @pytest.mark.parametrize("off", [-1, 8])
@@ -249,21 +259,26 @@ class TestMarkScanned:
         assert grid.scanned_count() == 3
 
     def test_cells_and_flat_indices_leave_the_same_states(self):
+        # flat indices through mark_scanned against a plain loop over their cells
         rng = np.random.default_rng(5)
         for seed in range(5):
             by_cell = generate_random_grid(9, 0.25, seed)
             by_flat = by_cell.copy()
             for grid in (by_cell, by_flat):  # the same cells scanned beforehand
-                mark_scanned(grid, by_cell.free_cells()[::3])
+                mark_cells(grid, free_cells(by_cell)[::3])
             flat = rng.choice(np.flatnonzero(by_cell.free_mask()), 20)  # with repeats
-            assert (mark_scanned(by_cell, cells_at(by_cell, flat))
-                    == mark_scanned(by_flat, flat))
+            new = set()
+            for c in cells_at(by_cell, flat):
+                if by_cell.states[c.y, c.x] == CellState.FREE_UNSCANNED:
+                    by_cell.states[c.y, c.x] = CellState.FREE_SCANNED
+                    new.add(c)
+            assert mark_scanned(by_flat, flat) == len(new)
             assert np.array_equal(by_cell.states, by_flat.states)
 
     def test_obstacles_never_change(self):
         grid = generate_random_grid(10, 0.3, 11)
         before = (grid.states == CellState.OBSTACLE).copy()
-        mark_scanned(grid, grid.free_cells())
+        mark_cells(grid, free_cells(grid))
         assert np.array_equal(grid.states == CellState.OBSTACLE, before)
 
 
@@ -273,14 +288,14 @@ class TestCoverageRatio:
 
     def test_fully_scanned_is_one(self):
         grid = parse_map("resolution 1.0\nS..")
-        mark_scanned(grid, grid.free_cells())
+        mark_scanned(grid, [0, 1, 2])
         assert coverage_ratio(grid) == 1.0
 
     def test_partial_ratio(self):
         # 4868 of 6113 scanned is just under 80%
         assert 4868 / 6113 == pytest.approx(0.79634, abs=1e-5)
         grid = parse_map("resolution 1.0\nS...\n....\n..##")
-        mark_scanned(grid, [Cell(0, 0), Cell(1, 0), Cell(2, 0)])
+        mark_scanned(grid, [0, 1, 2])
         assert coverage_ratio(grid) == pytest.approx(0.3)
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import free_cells
 
 from nbsmell.grid import CellState, parse_map, serialize_map
 from nbsmell.mapgen import (
@@ -16,7 +17,7 @@ from nbsmell.planning import shortest_distances
 
 def all_free_reachable(grid, connectivity=4):
     field = shortest_distances(grid, grid.start, connectivity)
-    return all(math.isfinite(field[c.y, c.x]) for c in grid.free_cells())
+    return all(math.isfinite(field[c.y, c.x]) for c in free_cells(grid))
 
 
 class TestEmptyMap:

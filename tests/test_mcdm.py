@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import loop_normalize_utilities
+from oracles import choquet, loop_normalize_utilities
 
 from nbsmell.engine import select_best
 from nbsmell.mcdm import (
@@ -15,7 +15,6 @@ from nbsmell.mcdm import (
     InvalidConfigError,
     WeightConfig,
     build_measure,
-    choquet,
     choquet_batch,
     named_measure,
     normalize_utilities,
@@ -44,6 +43,16 @@ G2 = Criterion.TRAVEL_DISTANCE
 G3 = Criterion.SENSING_TIME
 
 
+def weight(measure, criteria):
+    """The measure's weight of the subset ``criteria``."""
+    return measure.values[sum(c.bit for c in criteria)]
+
+
+def integral(u, measure):
+    """:func:`choquet_batch` of the single utility vector ``u``."""
+    return choquet_batch(np.array([u], dtype=np.float64), measure).item()
+
+
 def simplex_points(n: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     raw = rng.dirichlet((1.0, 1.0, 1.0), size=n)
@@ -55,14 +64,14 @@ class TestNamedMeasures:
     def test_measure_matches_table(self, name):
         x1, x2, x3, m12, m13, m23 = EXPECTED_ROWS[name]
         m = named_measure(name)
-        assert m.weight([]) == 0.0
-        assert m.weight([G1]) == x1
-        assert m.weight([G2]) == x2
-        assert m.weight([G3]) == x3
-        assert m.weight([G1, G2]) == m12
-        assert m.weight([G1, G3]) == m13
-        assert m.weight([G2, G3]) == m23
-        assert m.weight([G1, G2, G3]) == 1.0
+        assert weight(m, []) == 0.0
+        assert weight(m, [G1]) == x1
+        assert weight(m, [G2]) == x2
+        assert weight(m, [G3]) == x3
+        assert weight(m, [G1, G2]) == m12
+        assert weight(m, [G1, G3]) == m13
+        assert weight(m, [G2, G3]) == m23
+        assert weight(m, [G1, G2, G3]) == 1.0
 
     @pytest.mark.parametrize("name", NAMED_CONFIGS)
     def test_all_named_measures_valid(self, name):
@@ -76,37 +85,37 @@ class TestNamedMeasures:
 class TestBuildMeasure:
     def test_named_config_d_uses_table_pairs(self):
         m = named_measure("D")
-        assert m.weight([G1, G2]) == 0.766
-        assert m.weight([G1, G3]) == 0.766
-        assert m.weight([G2, G3]) == 0.766
+        assert weight(m, [G1, G2]) == 0.766
+        assert weight(m, [G1, G3]) == 0.766
+        assert weight(m, [G2, G3]) == 0.766
 
     def test_named_config_a_pair_without_bonus(self):
         # row A assigns 0 to the pair of the two zero-weight criteria,
         # which the +0.1 bonus formula would not produce
         m = named_measure("A")
-        assert m.weight([G2, G3]) == 0.0
-        assert m.weight([G1, G2]) == 1.0
+        assert weight(m, [G2, G3]) == 0.0
+        assert weight(m, [G1, G2]) == 1.0
 
     def test_custom_weights_of_row_a_use_the_bonus(self):
         # custom weights are never mistaken for a named row
         m = build_measure(WeightConfig(1.0, 0.0, 0.0))
-        assert m.weight([G2, G3]) == 0.1
-        assert m.weight([G1, G2]) == 1.0
+        assert weight(m, [G2, G3]) == 0.1
+        assert weight(m, [G1, G2]) == 1.0
 
     def test_named_config_h_pair(self):
-        assert named_measure("H").weight([G2, G3]) == 0.956
+        assert weight(named_measure("H"), [G2, G3]) == 0.956
 
     def test_custom_pairs_use_synergy_bonus(self):
         config = WeightConfig(0.5, 0.3, 0.2)
         m = build_measure(config)
-        assert m.weight([G1, G2]) == pytest.approx(0.9)
-        assert m.weight([G1, G3]) == pytest.approx(0.8)
-        assert m.weight([G2, G3]) == pytest.approx(0.6)
+        assert weight(m, [G1, G2]) == pytest.approx(0.9)
+        assert weight(m, [G1, G3]) == pytest.approx(0.8)
+        assert weight(m, [G2, G3]) == pytest.approx(0.6)
         assert validate_measure(m) == []
 
     def test_custom_pair_capped_at_one(self):
         m = build_measure(WeightConfig(0.95, 0.05, 0.0))
-        assert m.weight([G1, G2]) == 1.0
+        assert weight(m, [G1, G2]) == 1.0
 
     def test_simplex_violation_rejected(self):
         with pytest.raises(InvalidConfigError, match="x1 \\+ x2 \\+ x3"):
@@ -145,20 +154,20 @@ class TestValidateMeasure:
 
 class TestChoquet:
     def test_hand_computed_value_config_d(self):
-        value = choquet((0.5, 0.3, 0.8), named_measure("D"))
+        value = integral((0.5, 0.3, 0.8), named_measure("D"))
         assert value == pytest.approx(0.5531, abs=1e-9)
 
     @pytest.mark.parametrize("name", NAMED_CONFIGS)
     def test_idempotence(self, name):
         m = named_measure(name)
         for v in (0.0, 0.25, 0.5531, 1.0):
-            assert choquet((v, v, v), m) == pytest.approx(v, abs=1e-12)
+            assert integral((v, v, v), m) == pytest.approx(v, abs=1e-12)
 
     def test_boundary(self):
         for name in NAMED_CONFIGS:
             m = named_measure(name)
-            assert choquet((0.0, 0.0, 0.0), m) == 0.0
-            assert choquet((1.0, 1.0, 1.0), m) == 1.0
+            assert integral((0.0, 0.0, 0.0), m) == 0.0
+            assert integral((1.0, 1.0, 1.0), m) == 1.0
 
     @staticmethod
     def _choquet_with_permutation(u, perm, measure):
@@ -185,7 +194,7 @@ class TestChoquet:
                 for perm in itertools.permutations(range(3))
                 if u[perm[0]] <= u[perm[1]] <= u[perm[2]]
             }
-            assert values == {choquet(u, m)}
+            assert values == {integral(u, m)}
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=200, deadline=None)
@@ -197,7 +206,7 @@ class TestChoquet:
         i = int(rng.integers(3))
         bumped = u.copy()
         bumped[i] = min(1.0, bumped[i] + float(rng.uniform(0, 1 - bumped[i] + 1e-9)))
-        assert choquet(tuple(bumped), m) >= choquet(tuple(u), m) - 1e-12
+        assert integral(bumped, m) >= integral(u, m) - 1e-12
 
     def test_additive_measure_equals_weighted_sum(self):
         rng = np.random.default_rng(42)
@@ -205,7 +214,7 @@ class TestChoquet:
             m = build_measure(WeightConfig(*x, synergy_bonus=0.0))
             u = rng.uniform(0, 1, 3)
             expected = float(np.dot(x, u))
-            assert choquet(tuple(u), m) == pytest.approx(expected, abs=1e-12)
+            assert integral(u, m) == pytest.approx(expected, abs=1e-12)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(7)
@@ -239,7 +248,7 @@ class TestChoquet:
 
     def test_out_of_range_utilities_rejected(self):
         with pytest.raises(ValueError):
-            choquet((1.2, 0.0, 0.0), named_measure("A"))
+            integral((1.2, 0.0, 0.0), named_measure("A"))
 
     @pytest.mark.parametrize("row", [
         (0.5, 2.0, -1.0), (1.0 + 1e-11, 0.0, 0.0), (0.0, -1e-11, 1.0), (0.2, 0.3, math.nan),

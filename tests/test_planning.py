@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import dijkstra_oracle
+from oracles import dijkstra_oracle, free_cells
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from nbsmell import planning
@@ -30,7 +30,7 @@ def random_layout(width, height, seed, resolution=1.0):
 def assert_matches_oracle(grid, connectivity, label=None):
     field = shortest_distances(grid, grid.start, connectivity)
     oracle = dijkstra_oracle(grid, grid.start, connectivity)
-    for cell in grid.free_cells():
+    for cell in free_cells(grid):
         expected = oracle.get(cell, math.inf)
         assert field[cell.y, cell.x] == pytest.approx(expected, abs=1e-9), (label, cell)
 
@@ -94,7 +94,7 @@ class TestShortestDistances:
 
     def test_triangle_inequality(self):
         grid = generate_random_grid(9, 0.15, 3)
-        free = grid.free_cells()
+        free = free_cells(grid)
         fields = {c: shortest_distances(grid, c, 8) for c in free[:12]}
         for a in list(fields)[:6]:
             for b in list(fields)[:6]:
