@@ -33,11 +33,13 @@ from .grid import (
 )
 from .mcdm import (
     FuzzyMeasure,
+    InvalidConfigError,
     WeightConfig,
     build_measure,
     choquet_batch,
     named_measure,
     normalize_utilities,
+    validate_measure,
 )
 from .planning import shortest_distances, travel_time
 from .sensing import FosEvaluator, SensorModel
@@ -83,7 +85,15 @@ class RunResult:
 
 
 def resolve_measure(config: str | WeightConfig | FuzzyMeasure) -> FuzzyMeasure:
+    """The fuzzy measure of a configuration name, custom weights or a measure.
+
+    A measure given as such must pass :func:`validate_measure`, else
+    InvalidConfigError lists its violations as :func:`build_measure` does.
+    """
     if isinstance(config, FuzzyMeasure):
+        violations = validate_measure(config)
+        if violations:
+            raise InvalidConfigError("; ".join(violations))
         return config
     if isinstance(config, WeightConfig):
         return build_measure(config)
@@ -102,11 +112,13 @@ def check_motion(connectivity: int, speed: float, target_coverage: float) -> Non
 def select_best(raw: np.ndarray, measure: FuzzyMeasure) -> int:
     """Row of the best candidate.
 
-    ``raw`` is (n, 3): information gain, travel distance, sensing time.
-    Rows are normalized over the set and scored by the Choquet integral.
-    Ties on the score break deterministically: smaller distance, then
-    smaller sensing time, then the earlier row.  Each key filters the rows
-    left by the one before, so no sort is needed.
+    ``raw`` is (n, 3): information gain, travel distance, sensing time, in
+    any memory layout; the step passes the transpose of a (3, n) array, one
+    contiguous row per criterion, which normalization reads in place.  Rows
+    are normalized over the set and scored by the Choquet integral.  Ties
+    on the score break deterministically: smaller distance, then smaller
+    sensing time, then the earlier row.  Each key filters the rows left by
+    the one before, so no sort is needed.
     """
     scores = choquet_batch(normalize_utilities(raw), measure)
     rows = np.flatnonzero(scores == scores.max())
@@ -163,21 +175,23 @@ class CoverageEngine:
                else np.array([robot.y * grid.width + robot.x]))
         idx = idx[np.isfinite(dist[idx])]
         gain, sense = self.evaluator.scores(idx)
-        # candidates in row-major cell order, headings ascending
-        cand_cell, cand_heading = np.nonzero(gain >= 1)
-        if cand_cell.size == 0:
+        # candidates in row-major cell order, headings ascending, as flat
+        # indices into the (cells, headings) block
+        flat = np.flatnonzero(gain >= 1)
+        if flat.size == 0:
             self._done = True
             return None
-        cand_idx = idx[cand_cell]
-        raw = np.column_stack((
-            gain[cand_cell, cand_heading],
-            dist[cand_idx],
-            sense[cand_cell, cand_heading],
-        ))
+        # one contiguous row per criterion: gain, distance, sensing time
+        criteria = np.empty((3, flat.size))
+        criteria[0] = gain.take(flat)
+        criteria[1] = dist.take(idx.take(flat // gain.shape[1]))
+        criteria[2] = sense.take(flat)
+        raw = criteria.T
         best = select_best(raw, self.measure)
         decision_time = time.perf_counter() - started
 
-        i, h = int(cand_idx[best]), int(cand_heading[best])
+        cell, h = divmod(int(flat[best]), gain.shape[1])
+        i = int(idx[cell])
         pose = Pose(Cell(i % grid.width, i // grid.width), self.headings[h])
         scan, new = self.evaluator.sweep(i, h)
         if (scan.info_gain, scan.sensing_time) != (raw[best, 0], raw[best, 2]):

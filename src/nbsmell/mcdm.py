@@ -35,7 +35,7 @@ __all__ = [
 
 SIMPLEX_TOLERANCE = 1e-9
 _UTILITY_TOLERANCE = 1e-12  # how far past [0, 1] a utility may round
-_BENEFIT = np.array([[True], [False], [False]])  # per criterion: gain, distance, time
+_BENEFIT = (True, False, False)  # per criterion: gain, distance, time
 ALL_MASK = 0b111
 
 
@@ -72,9 +72,6 @@ class FuzzyMeasure:
     def __post_init__(self) -> None:
         if len(self.values) != 8:
             raise ValueError("a fuzzy measure needs exactly 8 subset weights")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
 
 
 def validate_measure(measure: FuzzyMeasure) -> list[str]:
@@ -191,16 +188,21 @@ def build_measure(config: WeightConfig) -> FuzzyMeasure:
 def choquet_batch(utilities: np.ndarray, measure: FuzzyMeasure) -> np.ndarray:
     """Discrete Choquet integral of each row of an (n, 3) utility array.
 
-    No sort: levels are an exact min / median / max, the masks come from the
-    argmin and argmax; where a tie moves those from a stable sort's, the
-    increment is 0.  NaN or a utility outside [0, 1] raises ValueError, as in
-    the scalar sorted form it is checked against (``tests/oracles.py``).
+    No sort, and one contiguous row per criterion: a column-major input is
+    read in place, any other copied once.  The levels are each candidate's
+    exact min, median and max.  The middle increment weighs the criteria
+    left after the first one at the min, the top increment the first one at
+    the max; "first" comes from equality tests against the min and max
+    levels, the index ``argmin`` and ``argmax`` would return.  Where a tie
+    moves those from a stable sort's, the increment is 0.  NaN or a utility
+    outside [0, 1] raises ValueError, as in the scalar sorted form it is
+    checked against (``tests/oracles.py``).
     """
     u = np.asarray(utilities, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != 3:
         raise ValueError(f"expected (n, 3) utilities, got shape {u.shape}")
-    mu = measure.as_array()
-    a, b, c = u.T
+    mu = measure.values
+    a, b, c = np.ascontiguousarray(u.T)
     ab_lo, ab_hi = np.minimum(a, b), np.maximum(a, b)
     lo, hi = np.minimum(ab_lo, c), np.maximum(ab_hi, c)
     # NaN propagates into the levels, so a NaN anywhere fails this test too
@@ -209,9 +211,11 @@ def choquet_batch(utilities: np.ndarray, measure: FuzzyMeasure) -> np.ndarray:
         bad = u[~((u >= -_UTILITY_TOLERANCE) & (u <= 1.0 + _UTILITY_TOLERANCE))]
         raise ValueError(f"utility {bad[0].item()!r} outside [0, 1]")
     mid = np.maximum(ab_lo, np.minimum(ab_hi, c))
-    m2 = ALL_MASK ^ (1 << u.argmin(axis=1))
-    m3 = 1 << u.argmax(axis=1)
-    return lo * mu[ALL_MASK] + (mid - lo) * mu[m2] + (hi - mid) * mu[m3]
+    # subset weights: the two criteria after the first at the min, and the
+    # first at the max
+    w2 = np.where(a == lo, mu[0b110], np.where(b == lo, mu[0b101], mu[0b011]))
+    w3 = np.where(a == hi, mu[0b001], np.where(b == hi, mu[0b010], mu[0b100]))
+    return lo * mu[ALL_MASK] + (mid - lo) * w2 + (hi - mid) * w3
 
 
 def normalize_utilities(raw: np.ndarray) -> np.ndarray:
@@ -219,26 +223,35 @@ def normalize_utilities(raw: np.ndarray) -> np.ndarray:
 
     ``raw`` is (n, 3): information gain, travel distance, sensing time.
     Gain is a benefit criterion, the other two are costs (lower is better).
-    When a column is constant every candidate gets utility 1 for it.  A NaN
-    or infinite value raises ValueError naming its criterion.
+    Each criterion is normalized as one contiguous row (a column-major
+    ``raw`` is read in place, any other layout copied once): one
+    subtraction from its minimum (gain) or maximum (costs), then one
+    division by its span.  When a criterion is constant every candidate
+    gets utility 1 for it.  The result is a C-contiguous (n, 3) array.  A
+    NaN or infinite value raises ValueError naming its criterion.
     """
     values = np.asarray(raw, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != 3:
         raise ValueError(f"expected (n, 3) raw values, got shape {values.shape}")
     if values.shape[0] == 0:
         raise ValueError("need at least one candidate")
-    # one row per criterion, so that every operation runs along contiguous memory
     rows = np.ascontiguousarray(values.T)
-    lo, hi = rows.min(axis=1, keepdims=True), rows.max(axis=1, keepdims=True)
-    # NaN and +-inf propagate into a column's minimum or maximum; six Python
-    # floats test faster than numpy calls on a (3, 1) array
-    finite = [math.isfinite(a) and math.isfinite(b)
-              for a, b in zip(lo.ravel().tolist(), hi.ravel().tolist())]
+    lo, hi = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
+    # NaN and +-inf propagate into a criterion's minimum or maximum
+    finite = [math.isfinite(a) and math.isfinite(b) for a, b in zip(lo, hi)]
     if not all(finite):
         name = Criterion(finite.index(False) + 1).name.lower().replace("_", " ")
         raise ValueError(f"non-finite {name} among the raw values")
-    span = hi - lo
-    varies = span > 0
-    # gain rises from its minimum, the costs fall from their maximum
-    gap = np.where(_BENEFIT, rows - lo, hi - rows)
-    return np.where(varies, gap / np.where(varies, span, 1.0), 1.0).T.copy()
+    out = np.empty_like(rows)
+    for row, low, high, benefit, target in zip(rows, lo, hi, _BENEFIT, out):
+        span = high - low
+        if span > 0:
+            # gain rises from its minimum, the costs fall from their maximum
+            if benefit:
+                np.subtract(row, low, out=target)
+            else:
+                np.subtract(high, row, out=target)
+            target /= span
+        else:
+            target.fill(1.0)
+    return out.T.copy()

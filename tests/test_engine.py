@@ -18,7 +18,13 @@ from nbsmell.grid import (
     parse_map,
 )
 from nbsmell.mapgen import shipped_map
-from nbsmell.mcdm import NAMED_CONFIGS, named_measure, normalize_utilities
+from nbsmell.mcdm import (
+    NAMED_CONFIGS,
+    FuzzyMeasure,
+    InvalidConfigError,
+    named_measure,
+    normalize_utilities,
+)
 from nbsmell.planning import travel_time
 from nbsmell.sensing import SensorModel, _layout
 from oracles import choquet, enumerate_candidates, free_cells, mark_cells, select_best
@@ -115,14 +121,20 @@ class TestSelectBest:
         # configuration A scores gain only, so equal gains tie on the score
         measure = named_measure("A")
         rows = [(5, 3.0, 20.0), (5, 2.0, 30.0), (5, 2.0, 25.0), (5, 2.0, 25.0), (4, 0.0, 6.0)]
-        assert select_row(np.array(rows, dtype=np.float64), measure) == 2
+        raw = np.array(rows, dtype=np.float64)
+        # rows 2 and 3 tie on all three keys, also in the column-major
+        # layout the engine passes (the transpose of one row per criterion)
+        for layout in (raw, np.asfortranarray(raw)):
+            assert select_row(layout, measure) == 2
 
     def test_equal_score_and_distance_break_on_time(self):
         # configuration B scores distance only, so rows at one distance tie
         # on the score whatever their gain and time
         measure = named_measure("B")
         rows = [(9, 2.0, 36.0), (1, 2.0, 21.0), (4, 2.0, 6.5), (7, 2.0, 6.5), (9, 3.0, 6.0)]
-        assert select_row(np.array(rows, dtype=np.float64), measure) == 2
+        raw = np.array(rows, dtype=np.float64)
+        for layout in (raw, np.asfortranarray(raw)):
+            assert select_row(layout, measure) == 2
 
     @pytest.mark.parametrize("base", [0.3, 3.0, 7.0])
     def test_last_bit_differences_decide_exactly(self, base):
@@ -257,6 +269,22 @@ class TestStepAndRun:
         grid = parse_map("resolution 1.0\nS.")
         with pytest.raises(ValueError, match=match):
             CoverageEngine(grid, "E", SENSOR, **options)
+
+    @pytest.mark.parametrize("values,match", [
+        ((0.0, math.nan, 0.4, 0.9, 0.1, 0.6, 0.5, 1.0), r"range: mu\(\{1\}\) = nan"),
+        ((0.0, 0.4, 0.4, 0.9, 0.1, 0.6, 0.5, 5.0),
+         r"boundary: mu\(\{1,2,3\}\) = 5\.0, expected 1; range: mu\(\{1,2,3\}\) = 5\.0 outside"),
+        ((0.0, -0.2, 0.4, 0.9, 0.1, 0.6, 0.5, 1.0), r"range: mu\(\{1\}\) = -0\.2"),
+        ((0.0, 0.7, 0.4, 0.5, 0.1, 0.6, 0.5, 1.0), r"monotonicity: mu\(\{1\}\) = 0\.7 > mu\(\{1,2\}\)"),
+    ])
+    def test_invalid_fuzzy_measure_rejected_at_construction(self, values, match):
+        # unchecked, a NaN weight ends in a bare IndexError from select_best
+        # and the other measures run to completion
+        measure = FuzzyMeasure(values=values)
+        with pytest.raises(InvalidConfigError, match=match):
+            CoverageEngine(generate_random_grid(10, 0.1, 3), measure, SENSOR)
+        with pytest.raises(InvalidConfigError, match=match):
+            run_coverage(generate_random_grid(10, 0.1, 3), measure, SENSOR)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_kept_coverage_equals_a_recount(self, seed):

@@ -237,14 +237,16 @@ class TestChoquet:
         # integral, on utilities full of ties
         m = named_measure(name)
         u = np.array(rows, dtype=np.float64)
-        mu = m.as_array()
+        mu = np.array(m.values)
         order = np.argsort(u, axis=1, kind="stable")
         s = np.take_along_axis(u, order, axis=1)
         reference = (s[:, 0] * mu[0b111] + (s[:, 1] - s[:, 0]) * mu[0b111 ^ (1 << order[:, 0])]
                      + (s[:, 2] - s[:, 1]) * mu[1 << order[:, 2]])
         scalar = np.array([choquet(row, m) for row in rows])
-        batch = choquet_batch(u, m)
-        assert batch.tobytes() == reference.tobytes() == scalar.tobytes()
+        assert reference.tobytes() == scalar.tobytes()
+        # the engine passes column-major utilities, read without a copy
+        for layout in (u, np.asfortranarray(u)):
+            assert choquet_batch(layout, m).tobytes() == reference.tobytes()
 
     def test_out_of_range_utilities_rejected(self):
         with pytest.raises(ValueError):
@@ -312,7 +314,9 @@ class TestNormalizeUtilities:
         raw = np.column_stack((rng.integers(0, 50, rows), rng.random(rows) * 90.0,
                                6.0 + rng.random(rows) * 60.0))
         raw[:, constant] = raw[0, constant]
-        out = normalize_utilities(raw)
-        assert out.flags.c_contiguous
-        assert out.tobytes() == loop_normalize_utilities(raw).tobytes()
-        assert out.tobytes() == normalize_utilities(raw.tolist()).tobytes()
+        expected = loop_normalize_utilities(raw).tobytes()
+        # C-ordered, column-major (as the engine passes it) and a list
+        for layout in (raw, np.asfortranarray(raw), raw.tolist()):
+            out = normalize_utilities(layout)
+            assert out.flags.c_contiguous
+            assert out.tobytes() == expected
