@@ -109,24 +109,23 @@ def check_motion(connectivity: int, speed: float, target_coverage: float) -> Non
         raise ValueError(f"target_coverage must be in (0, 1], got {target_coverage}")
 
 
-def select_best(raw: np.ndarray, measure: FuzzyMeasure) -> int:
-    """Row of the best candidate.
+def select_best(criteria: np.ndarray, measure: FuzzyMeasure) -> int:
+    """Column of the best candidate.
 
-    ``raw`` is (n, 3): information gain, travel distance, sensing time, in
-    any memory layout; the step passes the transpose of a (3, n) array, one
-    contiguous row per criterion, which normalization reads in place.  Rows
-    are normalized over the set and scored by the Choquet integral.  Ties
-    on the score break deterministically: smaller distance, then smaller
-    sensing time, then the earlier row.  Each key filters the rows left by
-    the one before, so no sort is needed.
+    ``criteria`` is (3, n), one row per criterion: information gain, travel
+    distance, sensing time.  Each row is normalized over the set and every
+    column scored by the Choquet integral.  Ties on the score break
+    deterministically: smaller distance, then smaller sensing time, then the
+    earlier column.  Each key filters the columns left by the one before, so
+    no sort is needed.
     """
-    scores = choquet_batch(normalize_utilities(raw), measure)
-    rows = np.flatnonzero(scores == scores.max())
-    for col in (1, 2):
-        if rows.size > 1:
-            key = raw[rows, col]
-            rows = rows[key == key.min()]
-    return int(rows[0])
+    scores = choquet_batch(normalize_utilities(criteria), measure)
+    cols = np.flatnonzero(scores == scores.max())
+    for row in (1, 2):
+        if cols.size > 1:
+            key = criteria[row, cols]
+            cols = cols[key == key.min()]
+    return int(cols[0])
 
 
 class CoverageEngine:
@@ -186,18 +185,18 @@ class CoverageEngine:
         criteria[0] = gain.take(flat)
         criteria[1] = dist.take(idx.take(flat // gain.shape[1]))
         criteria[2] = sense.take(flat)
-        raw = criteria.T
-        best = select_best(raw, self.measure)
+        best = select_best(criteria, self.measure)
         decision_time = time.perf_counter() - started
 
         cell, h = divmod(int(flat[best]), gain.shape[1])
         i = int(idx[cell])
         pose = Pose(Cell(i % grid.width, i // grid.width), self.headings[h])
         scan, new = self.evaluator.sweep(i, h)
-        if (scan.info_gain, scan.sensing_time) != (raw[best, 0], raw[best, 2]):
+        cached_gain, distance, cached_time = criteria[:, best].tolist()
+        if (scan.info_gain, scan.sensing_time) != (cached_gain, cached_time):
             raise RuntimeError(
-                f"score cache out of sync at {pose}: cached gain {raw[best, 0]} "
-                f"and time {raw[best, 2]}, fresh {scan.info_gain} and {scan.sensing_time}"
+                f"score cache out of sync at {pose}: cached gain {cached_gain} "
+                f"and time {cached_time}, fresh {scan.info_gain} and {scan.sensing_time}"
             )
         marked = mark_scanned(grid, new)
         if marked != scan.info_gain:
@@ -214,10 +213,10 @@ class CoverageEngine:
             pose=pose,
             phi_used=scan.phi_used,
             info_gain=scan.info_gain,
-            travel_time=travel_time(float(raw[best, 1]), self.speed),
+            travel_time=travel_time(distance, self.speed),
             sensing_time=scan.sensing_time,
             cumulative_coverage=self._scanned / self._free,
-            candidates_evaluated=len(raw),
+            candidates_evaluated=flat.size,
             decision_time=decision_time,
         )
         self.records.append(record)

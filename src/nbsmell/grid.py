@@ -99,8 +99,10 @@ class GridMap:
         if not 0 < self.resolution < math.inf:
             raise ValueError(f"resolution must be finite and > 0, got {self.resolution}")
         self.states = np.ascontiguousarray(self.states)
-        if self.states.ndim != 2:
-            raise ValueError(f"states must be 2-D, got shape {self.states.shape}")
+        # not bool: it would store the scanned state (2) as True, i.e. unscanned
+        if self.states.ndim != 2 or not np.issubdtype(self.states.dtype, np.integer):
+            raise ValueError(f"states must be a 2-D integer array, got dtype "
+                             f"{self.states.dtype} and shape {self.states.shape}")
         known = np.logical_or.reduce([self.states == v for v in _STATE_VALUES])
         if not known.all():
             unknown = np.unique(self.states[~known]).tolist()

@@ -186,23 +186,23 @@ def build_measure(config: WeightConfig) -> FuzzyMeasure:
 
 
 def choquet_batch(utilities: np.ndarray, measure: FuzzyMeasure) -> np.ndarray:
-    """Discrete Choquet integral of each row of an (n, 3) utility array.
+    """Discrete Choquet integral of each column of a (3, n) utility array.
 
-    No sort, and one contiguous row per criterion: a column-major input is
-    read in place, any other copied once.  The levels are each candidate's
-    exact min, median and max.  The middle increment weighs the criteria
-    left after the first one at the min, the top increment the first one at
-    the max; "first" comes from equality tests against the min and max
-    levels, the index ``argmin`` and ``argmax`` would return.  Where a tie
-    moves those from a stable sort's, the increment is 0.  NaN or a utility
-    outside [0, 1] raises ValueError, as in the scalar sorted form it is
-    checked against (``tests/oracles.py``).
+    The rows are the criteria: information gain, travel distance, sensing
+    time.  No sort: the levels are each candidate's exact min, median and
+    max.  The middle increment weighs the criteria left after the first one
+    at the min, the top increment the first one at the max; "first" comes
+    from equality tests against the min and max levels, the index
+    ``argmin`` and ``argmax`` would return.  Where a tie moves those from a
+    stable sort's, the increment is 0.  NaN or a utility outside [0, 1]
+    raises ValueError, as in the scalar sorted form it is checked against
+    (``tests/oracles.py``).
     """
     u = np.asarray(utilities, dtype=np.float64)
-    if u.ndim != 2 or u.shape[1] != 3:
-        raise ValueError(f"expected (n, 3) utilities, got shape {u.shape}")
+    if u.ndim != 2 or u.shape[0] != 3:
+        raise ValueError(f"expected (3, n) utilities, got shape {u.shape}")
     mu = measure.values
-    a, b, c = np.ascontiguousarray(u.T)
+    a, b, c = u
     ab_lo, ab_hi = np.minimum(a, b), np.maximum(a, b)
     lo, hi = np.minimum(ab_lo, c), np.maximum(ab_hi, c)
     # NaN propagates into the levels, so a NaN anywhere fails this test too
@@ -221,29 +221,27 @@ def choquet_batch(utilities: np.ndarray, measure: FuzzyMeasure) -> np.ndarray:
 def normalize_utilities(raw: np.ndarray) -> np.ndarray:
     """Min-max normalization of raw criterion values over a candidate set.
 
-    ``raw`` is (n, 3): information gain, travel distance, sensing time.
-    Gain is a benefit criterion, the other two are costs (lower is better).
-    Each criterion is normalized as one contiguous row (a column-major
-    ``raw`` is read in place, any other layout copied once): one
-    subtraction from its minimum (gain) or maximum (costs), then one
-    division by its span.  When a criterion is constant every candidate
-    gets utility 1 for it.  The result is a C-contiguous (n, 3) array.  A
-    NaN or infinite value raises ValueError naming its criterion.
+    ``raw`` is (3, n), one row per criterion: information gain, travel
+    distance, sensing time; the result has the same shape.  Gain is a
+    benefit criterion, the other two are costs (lower is better).  Each row
+    takes one subtraction from its minimum (gain) or maximum (costs), then
+    one division by its span.  When a criterion is constant every candidate
+    gets utility 1 for it.  A NaN or infinite value raises ValueError naming
+    its criterion.
     """
     values = np.asarray(raw, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] != 3:
-        raise ValueError(f"expected (n, 3) raw values, got shape {values.shape}")
-    if values.shape[0] == 0:
+    if values.ndim != 2 or values.shape[0] != 3:
+        raise ValueError(f"expected (3, n) raw values, got shape {values.shape}")
+    if values.shape[1] == 0:
         raise ValueError("need at least one candidate")
-    rows = np.ascontiguousarray(values.T)
-    lo, hi = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
+    lo, hi = values.min(axis=1).tolist(), values.max(axis=1).tolist()
     # NaN and +-inf propagate into a criterion's minimum or maximum
     finite = [math.isfinite(a) and math.isfinite(b) for a, b in zip(lo, hi)]
     if not all(finite):
         name = Criterion(finite.index(False) + 1).name.lower().replace("_", " ")
         raise ValueError(f"non-finite {name} among the raw values")
-    out = np.empty_like(rows)
-    for row, low, high, benefit, target in zip(rows, lo, hi, _BENEFIT, out):
+    out = np.empty_like(values)
+    for row, low, high, benefit, target in zip(values, lo, hi, _BENEFIT, out):
         span = high - low
         if span > 0:
             # gain rises from its minimum, the costs fall from their maximum
@@ -254,4 +252,4 @@ def normalize_utilities(raw: np.ndarray) -> np.ndarray:
             target /= span
         else:
             target.fill(1.0)
-    return out.T.copy()
+    return out

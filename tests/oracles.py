@@ -3,8 +3,9 @@
 The references deliberately avoid the production code paths: line of sight
 is checked by an exact scalar segment walk and by dense point sampling,
 shortest paths by a plain heap Dijkstra, the Choquet integral by its scalar
-sorted form, and candidate selection by a from-scratch planner that scores
-every candidate with that scalar integral and sorts on a plain key.
+sorted form, and candidate selection by a from-scratch planner that
+normalizes one criterion column at a time, scores every candidate with that
+scalar integral and sorts on a plain key.
 :func:`compute_fos` and :func:`visible_cells` are the exception: they give
 the cell-set view of the production :class:`FosEvaluator`, so that the
 geometry oracles test it.
@@ -26,7 +27,7 @@ from nbsmell.grid import (
     heading_set,
     mark_scanned,
 )
-from nbsmell.mcdm import _UTILITY_TOLERANCE, ALL_MASK, FuzzyMeasure, normalize_utilities
+from nbsmell.mcdm import _UTILITY_TOLERANCE, ALL_MASK, FuzzyMeasure
 from nbsmell.planning import shortest_distances
 from nbsmell.sensing import FosEvaluator, FosScore, SensorModel, _layout
 
@@ -312,7 +313,7 @@ def select_best(candidates: list[Candidate], measure: FuzzyMeasure) -> Candidate
         [(c.scan.info_gain, c.distance, c.scan.sensing_time) for c in candidates],
         dtype=np.float64,
     )
-    for cand, u in zip(candidates, normalize_utilities(raw)):
+    for cand, u in zip(candidates, loop_normalize_utilities(raw)):
         cand.utilities = (float(u[0]), float(u[1]), float(u[2]))
         cand.score = choquet(cand.utilities, measure)
 

@@ -121,10 +121,10 @@ class TestSelectBest:
         # configuration A scores gain only, so equal gains tie on the score
         measure = named_measure("A")
         rows = [(5, 3.0, 20.0), (5, 2.0, 30.0), (5, 2.0, 25.0), (5, 2.0, 25.0), (4, 0.0, 6.0)]
-        raw = np.array(rows, dtype=np.float64)
-        # rows 2 and 3 tie on all three keys, also in the column-major
-        # layout the engine passes (the transpose of one row per criterion)
-        for layout in (raw, np.asfortranarray(raw)):
+        raw = np.array(rows, dtype=np.float64).T
+        # candidates 2 and 3 tie on all three keys, in the (3, n) rows the
+        # step builds and in a strided view of them
+        for layout in (np.ascontiguousarray(raw), raw):
             assert select_row(layout, measure) == 2
 
     def test_equal_score_and_distance_break_on_time(self):
@@ -132,8 +132,8 @@ class TestSelectBest:
         # on the score whatever their gain and time
         measure = named_measure("B")
         rows = [(9, 2.0, 36.0), (1, 2.0, 21.0), (4, 2.0, 6.5), (7, 2.0, 6.5), (9, 3.0, 6.0)]
-        raw = np.array(rows, dtype=np.float64)
-        for layout in (raw, np.asfortranarray(raw)):
+        raw = np.array(rows, dtype=np.float64).T
+        for layout in (np.ascontiguousarray(raw), raw):
             assert select_row(layout, measure) == 2
 
     @pytest.mark.parametrize("base", [0.3, 3.0, 7.0])
@@ -146,16 +146,16 @@ class TestSelectBest:
             gains.append(float(np.nextafter(gains[-1], np.inf)))
         rows = [(0.0, 2.0, 21.0)] + [(g, d, t) for t in (21.0, 6.0)
                                       for d in (2.0, 1.0) for g in gains]
-        raw = np.array(rows)
+        raw = np.array(rows).T
         tied_distinct = decided_by_bit = False
         for config in ("A", "D", "F", "H", "L"):
             measure = named_measure(config)
             u = normalize_utilities(raw)
-            scores = [choquet(tuple(row), measure) for row in u]
+            scores = [choquet(tuple(col), measure) for col in u.T]
             top = [r for r, s in enumerate(scores) if s == max(scores)]
             expected = min(top, key=lambda r: (rows[r][1], rows[r][2], r))
             assert select_row(raw, measure) == expected, config
-            tied_distinct |= len({u[r, 0] for r in top}) > 1
+            tied_distinct |= len({u[0, r] for r in top}) > 1
             decided_by_bit |= any(0 < max(scores) - s <= np.spacing(max(scores))
                                   for s in scores)
         assert tied_distinct and decided_by_bit

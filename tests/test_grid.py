@@ -84,6 +84,13 @@ class TestGridMap:
         with pytest.raises(ValueError, match="2-D"):
             GridMap(1.0, np.ones(shape, np.uint8), Cell(0, 0))
 
+    def test_states_must_have_an_integer_dtype(self):
+        for dtype in (bool, np.float64):
+            with pytest.raises(ValueError, match=f"integer array, got dtype {np.dtype(dtype)} "):
+                GridMap(1.0, np.ones((2, 2), dtype), Cell(0, 0))
+        for dtype in (np.uint8, np.int64):
+            assert GridMap(1.0, np.ones((2, 2), dtype), Cell(0, 0)).free_count() == 4
+
 
 class TestRandomGrid:
     def test_zero_ratio_all_free(self):

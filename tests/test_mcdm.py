@@ -50,7 +50,7 @@ def weight(measure, criteria):
 
 def integral(u, measure):
     """:func:`choquet_batch` of the single utility vector ``u``."""
-    return choquet_batch(np.array([u], dtype=np.float64), measure).item()
+    return choquet_batch(np.array([u], dtype=np.float64).T, measure).item()
 
 
 def simplex_points(n: int, seed: int = 0) -> np.ndarray:
@@ -221,7 +221,7 @@ class TestChoquet:
         u = rng.uniform(0, 1, (500, 3))
         for name in ("A", "D", "F", "M"):
             m = named_measure(name)
-            batch = choquet_batch(u, m)
+            batch = choquet_batch(u.T, m)
             for row, value in zip(u, batch):
                 assert value == pytest.approx(choquet(tuple(row), m), abs=1e-12)
 
@@ -244,8 +244,8 @@ class TestChoquet:
                      + (s[:, 2] - s[:, 1]) * mu[1 << order[:, 2]])
         scalar = np.array([choquet(row, m) for row in rows])
         assert reference.tobytes() == scalar.tobytes()
-        # the engine passes column-major utilities, read without a copy
-        for layout in (u, np.asfortranarray(u)):
+        # (3, n) rows as the step builds them, and a strided view of them
+        for layout in (np.ascontiguousarray(u.T), u.T):
             assert choquet_batch(layout, m).tobytes() == reference.tobytes()
 
     def test_out_of_range_utilities_rejected(self):
@@ -263,41 +263,48 @@ class TestChoquet:
         except ValueError as e:
             for rows in ([row], [(0.1, 0.2, 0.3), row, (0.4, 0.5, 0.6)]):
                 with pytest.raises(ValueError, match=re.escape(str(e))):
-                    choquet_batch(np.array(rows), m)
+                    choquet_batch(np.array(rows).T, m)
         else:  # within the tolerance
-            assert choquet_batch(np.array([row]), m).tolist() == [expected]
+            assert choquet_batch(np.array([row]).T, m).tolist() == [expected]
 
 
 class TestNormalizeUtilities:
     def test_single_candidate_gets_all_ones(self):
-        out = normalize_utilities([[10.0, 5.0, 30.0]])
-        assert np.array_equal(out, [[1.0, 1.0, 1.0]])
+        out = normalize_utilities([[10.0], [5.0], [30.0]])
+        assert np.array_equal(out, [[1.0], [1.0], [1.0]])
 
     def test_gain_is_benefit(self):
-        out = normalize_utilities([[10, 0, 0], [30, 0, 0], [50, 0, 0]])
-        assert out[:, 0] == pytest.approx([0.0, 0.5, 1.0])
+        out = normalize_utilities([[10, 30, 50], [0, 0, 0], [0, 0, 0]])
+        assert out[0] == pytest.approx([0.0, 0.5, 1.0])
 
     def test_costs_are_inverted(self):
-        out = normalize_utilities([[0, 2, 0], [0, 4, 0]])
-        assert out[:, 1] == pytest.approx([1.0, 0.0])
-        out = normalize_utilities([[0, 0, 6], [0, 0, 21], [0, 0, 36]])
-        assert out[:, 2] == pytest.approx([1.0, 0.5, 0.0])
+        out = normalize_utilities([[0, 0], [2, 4], [0, 0]])
+        assert out[1] == pytest.approx([1.0, 0.0])
+        out = normalize_utilities([[0, 0, 0], [0, 0, 0], [6, 21, 36]])
+        assert out[2] == pytest.approx([1.0, 0.5, 0.0])
 
     def test_constant_column_maps_to_one(self):
-        out = normalize_utilities([[5, 1, 7], [5, 2, 7]])
-        assert out[:, 0] == pytest.approx([1.0, 1.0])
-        assert out[:, 2] == pytest.approx([1.0, 1.0])
+        out = normalize_utilities([[5, 5], [1, 2], [7, 7]])
+        assert out[0] == pytest.approx([1.0, 1.0])
+        assert out[2] == pytest.approx([1.0, 1.0])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_utilities(np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="need at least one candidate"):
+            normalize_utilities(np.zeros((3, 0)))
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3)])
+    def test_other_shapes_rejected(self, shape):
+        # (n, 3) candidate rows with n != 3 fail loudly here
+        for f in (normalize_utilities, lambda x: choquet_batch(x, named_measure("F"))):
+            with pytest.raises(ValueError, match=re.escape("expected (3, n)")):
+                f(np.full(shape, 0.5))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("col, name", [(0, "information gain"), (1, "travel distance"),
+    @pytest.mark.parametrize("row, name", [(0, "information gain"), (1, "travel distance"),
                                            (2, "sensing time")])
-    def test_non_finite_value_rejected(self, bad, col, name):
-        for row in (0, 1):
-            raw = np.array([[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]])
+    def test_non_finite_value_rejected(self, bad, row, name):
+        for col in (0, 1):
+            raw = np.array([[1.0, 2.0], [2.0, 3.0], [3.0, 4.0]])
             raw[row, col] = bad
             with pytest.raises(ValueError, match=f"non-finite {name}"):
                 normalize_utilities(raw)
@@ -314,9 +321,7 @@ class TestNormalizeUtilities:
         raw = np.column_stack((rng.integers(0, 50, rows), rng.random(rows) * 90.0,
                                6.0 + rng.random(rows) * 60.0))
         raw[:, constant] = raw[0, constant]
-        expected = loop_normalize_utilities(raw).tobytes()
-        # C-ordered, column-major (as the engine passes it) and a list
-        for layout in (raw, np.asfortranarray(raw), raw.tolist()):
-            out = normalize_utilities(layout)
-            assert out.flags.c_contiguous
-            assert out.tobytes() == expected
+        expected = loop_normalize_utilities(raw).T.tobytes()
+        # (3, n) rows as the step builds them, a strided view and a list
+        for layout in (np.ascontiguousarray(raw.T), raw.T, raw.T.tolist()):
+            assert normalize_utilities(layout).tobytes() == expected
