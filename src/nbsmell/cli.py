@@ -27,7 +27,6 @@ import numpy as np
 from .engine import CoverageEngine, RunResult, check_motion, run_coverage
 from .grid import (
     Cell,
-    CellState,
     GridMap,
     MapFormatError,
     coverage_ratio,
@@ -60,6 +59,7 @@ RANDGRID_CSV_HEADER = [
     "coverage_satisfied", "sensing_ops", "travel_time_s", "scanning_time_s",
     "total_time_s",
 ]
+_PALETTE = np.array([(0, 0, 0), (255, 255, 255), (160, 160, 160)], np.uint8)  # RGB by state
 
 
 def _fmt(value: float) -> str:
@@ -224,13 +224,10 @@ def render_ppm(grid: GridMap, robot: Cell | None,
                frontier: np.ndarray | None = None) -> bytes:
     """Binary PPM snapshot, one pixel per cell.
 
-    Obstacles black, unscanned white, scanned gray, frontier blue (flat
-    indices, as :func:`frontier_cells` gives them), robot red.
+    Cells take the ``_PALETTE`` row at their state (obstacle black, unscanned white,
+    scanned gray), then frontier blue (:func:`frontier_cells` indices), robot red.
     """
-    img = np.empty((grid.height, grid.width, 3), dtype=np.uint8)
-    img[grid.states == CellState.FREE_UNSCANNED] = (255, 255, 255)
-    img[grid.states == CellState.FREE_SCANNED] = (160, 160, 160)
-    img[grid.states == CellState.OBSTACLE] = (0, 0, 0)
+    img = _PALETTE[grid.states]
     if frontier is not None:
         img.reshape(-1, 3)[frontier] = (0, 0, 255)
     if robot is not None:

@@ -119,6 +119,7 @@ def select_best(criteria: np.ndarray, measure: FuzzyMeasure) -> int:
     earlier column.  Each key filters the columns left by the one before, so
     no sort is needed.
     """
+    criteria = np.asarray(criteria, dtype=np.float64)
     scores = choquet_batch(normalize_utilities(criteria), measure)
     cols = np.flatnonzero(scores == scores.max())
     for row in (1, 2):

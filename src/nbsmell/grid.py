@@ -9,6 +9,7 @@ from the +x axis.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple, Sequence
@@ -35,6 +36,7 @@ __all__ = [
 FREE_CHAR = "."
 OBSTACLE_CHAR = "#"
 START_CHAR = "S"
+_ILLEGAL = re.compile(f"[^{re.escape(FREE_CHAR + OBSTACLE_CHAR + START_CHAR)}]")
 
 
 class Cell(NamedTuple):
@@ -59,6 +61,9 @@ class CellState(IntEnum):
 
 # Plain ints: comparing a uint8 array with IntEnum members is slower.
 _STATE_VALUES = _OBSTACLE, _UNSCANNED, _SCANNED = tuple(int(state) for state in CellState)
+# map byte -> state; parse_map looks up only the bytes of the three map characters
+_DECODE = np.full(256, _OBSTACLE, dtype=np.uint8)
+_DECODE[[ord(FREE_CHAR), ord(START_CHAR)]] = _UNSCANNED
 
 
 class MapFormatError(ValueError):
@@ -150,9 +155,10 @@ class GridMap:
 def parse_map(text: str) -> GridMap:
     """Parse an ASCII map document.
 
-    Format: a ``resolution <meters>`` header line followed by equal-length
-    rows over the alphabet ``.`` (free), ``#`` (obstacle), ``S`` (free start
-    cell, exactly one).
+    Format: a ``resolution <meters>`` header line, then equal-length rows over
+    ``.`` (free), ``#`` (obstacle), ``S`` (free start cell, exactly one).  The
+    first problem in reading order is reported: a second start, an illegal
+    character, a ragged row, no start.  Rows decode via the byte table ``_DECODE``.
     """
     lines = text.splitlines()
     if not lines:
@@ -176,33 +182,24 @@ def parse_map(text: str) -> GridMap:
     if width == 0:
         raise MapFormatError("line 2: empty map row")
 
-    states = np.empty((len(rows), width), dtype=np.uint8)
-    start: Cell | None = None
-    for y, row in enumerate(rows):
-        line_no = y + 2
-        if len(row) != width:
-            raise MapFormatError(
-                f"line {line_no}: ragged row (length {len(row)}, expected {width})"
-            )
-        for x, ch in enumerate(row):
-            if ch == FREE_CHAR:
-                states[y, x] = CellState.FREE_UNSCANNED
-            elif ch == OBSTACLE_CHAR:
-                states[y, x] = CellState.OBSTACLE
-            elif ch == START_CHAR:
-                if start is not None:
-                    raise MapFormatError(
-                        f"line {line_no}, column {x + 1}: multiple start cells"
-                    )
-                start = Cell(x, y)
-                states[y, x] = CellState.FREE_UNSCANNED
-            else:
-                raise MapFormatError(
-                    f"line {line_no}, column {x + 1}: illegal character {ch!r}"
-                )
-    if start is None:
+    # the rows before the first ragged one, as one string: (x, y) at y * width + x
+    ragged = next((y for y, row in enumerate(rows) if len(row) != width), len(rows))
+    body = "".join(rows[:ragged])
+    bad = _ILLEGAL.search(body)
+    end = bad.start() if bad else len(body)
+    first = body.find(START_CHAR, 0, end)
+    second = body.find(START_CHAR, first + 1, end)  # -1 also when first is
+    if second >= 0 or bad:
+        y, x = divmod(second if second >= 0 else end, width)
+        problem = "multiple start cells" if second >= 0 else f"illegal character {bad[0]!r}"
+        raise MapFormatError(f"line {y + 2}, column {x + 1}: {problem}")
+    if ragged < len(rows):
+        raise MapFormatError(f"line {ragged + 2}: ragged row "
+                             f"(length {len(rows[ragged])}, expected {width})")
+    if first < 0:
         raise MapFormatError("map document has no start cell 'S'")
-    return GridMap(resolution, states, start)
+    states = _DECODE[np.frombuffer(body.encode("ascii"), dtype=np.uint8)].reshape(-1, width)
+    return GridMap(resolution, states, Cell(first % width, first // width))
 
 
 def serialize_map(grid: GridMap) -> str:
@@ -301,12 +298,14 @@ def shifted(pad: np.ndarray, dx: int, dy: int) -> np.ndarray:
 
 
 def on_map(grid: GridMap, flat: np.ndarray | Sequence[int]) -> np.ndarray:
-    """``flat`` as an index array; raises ValueError naming its first index off the map."""
-    flat = np.asarray(flat, dtype=np.intp)
+    """``flat`` as intp indices; ValueError for a non-integer dtype or its first off-map index."""
+    flat = np.asarray(flat)
+    if flat.size and flat.dtype.kind not in "iu":  # signed or unsigned integers
+        raise ValueError(f"flat indices must have an integer dtype, got {flat.dtype}")
     off = flat[(flat < 0) | (flat >= grid.states.size)]
     if off.size:
         raise ValueError(f"flat index {off[0]} is off the {grid.width}x{grid.height} map")
-    return flat
+    return flat.astype(np.intp, copy=False)
 
 
 def cells_at(grid: GridMap, flat: np.ndarray | Sequence[int]) -> list[Cell]:
@@ -333,8 +332,8 @@ def mark_scanned(grid: GridMap, flat: np.ndarray | Sequence[int]) -> int:
     ``flat`` is a 1-D array of flat indices ``y * width + x``.  Idempotent on
     already-scanned cells, and a cell listed twice counts once.  An off-map
     cell or an obstacle raises ValueError naming the first in input order
-    (off-map ones by :func:`on_map`), and so does any other shape, such as a
-    list of :class:`Cell`; all before any cell is written.
+    (off-map ones by :func:`on_map`), and so does a non-integer dtype or any
+    other shape, such as a list of :class:`Cell`; all before any cell is written.
     """
     flat = np.asarray(flat)
     if flat.ndim != 1:

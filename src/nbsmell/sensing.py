@@ -406,6 +406,8 @@ class FosEvaluator:
         The cells come as flat indices in disk order, with ``i`` itself last
         when it is unscanned.
         """
+        if isinstance(h, bool) or not isinstance(h, (int, np.integer)):
+            raise ValueError(f"orientation index must be an integer, got {h!r}")
         if not 0 <= h < len(self.orientations):
             raise ValueError(f"orientation index {h} outside [0, {len(self.orientations)})")
         score = self.evaluate_cell(i)[h]

@@ -2,10 +2,11 @@
 
 The references deliberately avoid the production code paths: line of sight
 is checked by an exact scalar segment walk and by dense point sampling,
-shortest paths by a plain heap Dijkstra, the Choquet integral by its scalar
-sorted form, and candidate selection by a from-scratch planner that
-normalizes one criterion column at a time, scores every candidate with that
-scalar integral and sorts on a plain key.
+map documents are parsed by a per-character loop, shortest paths by a plain
+heap Dijkstra, the Choquet integral by its scalar sorted form, and candidate
+selection by a from-scratch planner that normalizes one criterion column at
+a time, scores every candidate with that scalar integral and sorts on a
+plain key.
 :func:`compute_fos` and :func:`visible_cells` are the exception: they give
 the cell-set view of the production :class:`FosEvaluator`, so that the
 geometry oracles test it.
@@ -18,9 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from nbsmell.grid import (
+    FREE_CHAR,
+    OBSTACLE_CHAR,
+    START_CHAR,
     Cell,
     CellState,
     GridMap,
+    MapFormatError,
     Pose,
     cells_at,
     frontier_cells,
@@ -207,6 +212,63 @@ def sampled_sweeps(grid, cell: Cell, sensor, evaluator):
         new = set(held) | ({cell} if own_new else set())
         sweeps.append((gain, phi, time, new))
     return sweeps
+
+
+def loop_parse_map(text: str) -> GridMap:
+    """:func:`nbsmell.grid.parse_map` one character at a time.
+
+    Rows are read in order, each checked for its length first and then
+    character by character, so the first problem met is the one raised.
+    """
+    lines = text.splitlines()
+    if not lines:
+        raise MapFormatError("empty map document (line 1)")
+    header = lines[0].split()
+    if len(header) != 2 or header[0] != "resolution":
+        raise MapFormatError(
+            f"line 1: expected 'resolution <meters>', got {lines[0]!r}"
+        )
+    try:
+        resolution = float(header[1])
+    except ValueError:
+        raise MapFormatError(f"line 1: invalid resolution {header[1]!r}") from None
+    if not math.isfinite(resolution) or resolution <= 0:
+        raise MapFormatError(f"line 1: resolution must be > 0, got {header[1]!r}")
+
+    rows = lines[1:]
+    if not rows:
+        raise MapFormatError("map document has no grid rows (line 2)")
+    width = len(rows[0])
+    if width == 0:
+        raise MapFormatError("line 2: empty map row")
+
+    states = np.empty((len(rows), width), dtype=np.uint8)
+    start: Cell | None = None
+    for y, row in enumerate(rows):
+        line_no = y + 2
+        if len(row) != width:
+            raise MapFormatError(
+                f"line {line_no}: ragged row (length {len(row)}, expected {width})"
+            )
+        for x, ch in enumerate(row):
+            if ch == FREE_CHAR:
+                states[y, x] = CellState.FREE_UNSCANNED
+            elif ch == OBSTACLE_CHAR:
+                states[y, x] = CellState.OBSTACLE
+            elif ch == START_CHAR:
+                if start is not None:
+                    raise MapFormatError(
+                        f"line {line_no}, column {x + 1}: multiple start cells"
+                    )
+                start = Cell(x, y)
+                states[y, x] = CellState.FREE_UNSCANNED
+            else:
+                raise MapFormatError(
+                    f"line {line_no}, column {x + 1}: illegal character {ch!r}"
+                )
+    if start is None:
+        raise MapFormatError("map document has no start cell 'S'")
+    return GridMap(resolution, states, start)
 
 
 def loop_normalize_utilities(raw) -> np.ndarray:

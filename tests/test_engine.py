@@ -136,6 +136,11 @@ class TestSelectBest:
         for layout in (np.ascontiguousarray(raw), raw):
             assert select_row(layout, measure) == 2
 
+    def test_nested_list_with_tied_scores(self):
+        # the tie keys are read from the rows, which a list cannot index by column
+        assert select_row([[5, 5], [1, 1], [6, 6]], named_measure("A")) == 0
+        assert select_row([[5, 5], [2, 1], [6, 6]], named_measure("A")) == 1
+
     @pytest.mark.parametrize("base", [0.3, 3.0, 7.0])
     def test_last_bit_differences_decide_exactly(self, base):
         # gains a few ulps apart give utilities that differ in the last bit;

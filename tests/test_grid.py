@@ -1,6 +1,10 @@
+from importlib.resources import files
+
 import numpy as np
 import pytest
-from oracles import free_cells, mark_cells
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import free_cells, loop_parse_map, mark_cells
 
 from nbsmell.grid import (
     Cell,
@@ -16,6 +20,7 @@ from nbsmell.grid import (
     parse_map,
     serialize_map,
 )
+from nbsmell.mapgen import SHIPPED_MAPS
 
 
 class TestParseMap:
@@ -68,6 +73,78 @@ class TestParseMap:
         assert np.array_equal(again.states, grid.states)
         assert again.start == grid.start
         assert again.resolution == grid.resolution
+
+
+def parse_outcome(parse, text):
+    """What ``parse`` makes of ``text``: the map's fields, or the error message."""
+    try:
+        grid = parse(text)
+    except MapFormatError as exc:
+        return str(exc)
+    return grid.states.tobytes(), grid.states.shape, grid.start, grid.resolution
+
+
+# map characters, and ones the format rejects: an ASCII letter, a space, a
+# tab and a non-ASCII letter
+MAP_ALPHABET = ".#S" + "x \té"
+
+
+@st.composite
+def map_documents(draw):
+    """A valid map document, then a few cells overwritten and maybe one row replaced.
+
+    The overwrites may add starts, remove the start or add illegal
+    characters; the replaced row has a random length, so it is often ragged.
+    """
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.sampled_from(".#"), min_size=width * height,
+                          max_size=width * height))
+    position = st.integers(0, width * height - 1)
+    cells[draw(position)] = "S"
+    for _ in range(draw(st.integers(0, 3))):
+        cells[draw(position)] = draw(st.sampled_from(MAP_ALPHABET))
+    rows = ["".join(cells[y * width:(y + 1) * width]) for y in range(height)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, height - 1))] = draw(st.text(st.sampled_from(MAP_ALPHABET),
+                                                              max_size=7))
+    header = draw(st.sampled_from(["resolution 1.0", "resolution 0.25"]))
+    return "\n".join([header, *rows]) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestParseMapAgainstLoop:
+    """``parse_map`` against the per-character loop it replaced."""
+
+    @given(map_documents())
+    @settings(max_examples=400, deadline=None)
+    def test_same_map_or_same_message(self, text):
+        assert parse_outcome(parse_map, text) == parse_outcome(loop_parse_map, text)
+
+    @pytest.mark.parametrize("rows, message", [
+        # a second start before an illegal character in its row, and after it
+        (["S.Sx."], "line 2, column 3: multiple start cells"),
+        (["S.xS."], "line 2, column 3: illegal character 'x'"),
+        # a second start in a later row
+        (["S..", "...", ".S."], "line 4, column 2: multiple start cells"),
+        # an illegal character in a row before a ragged one, and after it
+        (["S..", ".\u00e9.", ".."], "line 3, column 2: illegal character '\u00e9'"),
+        (["S..", "..", ".\t."], "line 3: ragged row (length 2, expected 3)"),
+        # a second start after a ragged row
+        (["S..", "..", "S.."], "line 3: ragged row (length 2, expected 3)"),
+        (["...", "#.#"], "map document has no start cell 'S'"),
+        ([".. ", "S.."], "line 2, column 3: illegal character ' '"),
+    ])
+    def test_first_problem_in_reading_order(self, rows, message):
+        text = "\n".join(["resolution 1.0", *rows])
+        with pytest.raises(MapFormatError) as exc:
+            parse_map(text)
+        assert str(exc.value) == message
+        assert parse_outcome(loop_parse_map, text) == message
+
+    def test_shipped_maps_match_the_loop_and_round_trip(self):
+        for filename in SHIPPED_MAPS.values():
+            text = (files("nbsmell") / "maps" / filename).read_text()
+            assert parse_outcome(parse_map, text) == parse_outcome(loop_parse_map, text)
+            assert serialize_map(parse_map(text)) == text
 
 
 class TestGridMap:
@@ -264,6 +341,29 @@ class TestMarkScanned:
         assert mark_scanned(grid, np.array([1, 2, 1])) == 2
         assert mark_scanned(grid, np.array([2, 3, 3])) == 1
         assert grid.scanned_count() == 3
+
+    @pytest.mark.parametrize("flat", [np.array([2.9]), np.array([True, False, False]),
+                                      [1.0, 2.0]])
+    def test_float_and_bool_indices_rejected_before_any_write(self, flat):
+        # numpy would cast 2.9 to cell 2, and [True, False, False] to cells 0 and 1
+        grid = parse_map("resolution 1.0\nS....\n.....\n.....\n.....\n.....")
+        dtype = np.asarray(flat).dtype
+        with pytest.raises(ValueError, match=f"integer dtype, got {dtype}"):
+            mark_scanned(grid, flat)
+        with pytest.raises(ValueError, match=f"integer dtype, got {dtype}"):
+            cells_at(grid, flat)
+        assert grid.scanned_count() == 0
+
+    def test_empty_index_array_of_any_dtype_accepted(self):
+        grid = parse_map("resolution 1.0\nS..")
+        for flat in ([], np.array([], dtype=bool), np.array([], dtype=np.float32)):
+            assert mark_scanned(grid, flat) == 0
+            assert cells_at(grid, flat) == []
+
+    def test_any_integer_dtype_accepted(self):
+        grid = parse_map("resolution 1.0\nS...")
+        assert mark_scanned(grid, np.array([1, 2], dtype=np.uint8)) == 2
+        assert cells_at(grid, np.array([3], dtype=np.int32)) == [Cell(3, 0)]
 
     def test_cells_and_flat_indices_leave_the_same_states(self):
         # flat indices through mark_scanned against a plain loop over their cells

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -404,6 +405,25 @@ class TestScoreCache:
         for h in (-1, 4):
             with pytest.raises(ValueError, match=rf"orientation index {h} outside \[0, 4\)"):
                 evaluator.sweep(0, h)
+
+    def test_float_and_bool_cells_rejected(self):
+        # numpy would cast 3.7 to cell 3, and True to cell 1
+        grid = parse_map("resolution 1.0\nS....\n.....\n.....\n.....\n.....")
+        evaluator = FosEvaluator(grid, DEFAULT, heading_set(4))
+        for flat in (np.array([3.7]), np.array([True, False])):
+            for call in (evaluator.scores, evaluator.mark_scanned):
+                with pytest.raises(ValueError, match=f"integer dtype, got {flat.dtype}"):
+                    call(flat)
+        assert not evaluator._fresh.any()
+
+    def test_bool_and_float_orientation_index_rejected(self):
+        evaluator = FosEvaluator(parse_map("resolution 1.0\nS..."), DEFAULT, heading_set(4))
+        for h in (True, np.True_, 1.0, 2.5):
+            with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {h!r}")):
+                evaluator.sweep(3, h)
+        score, cells = evaluator.sweep(3, np.int64(1))
+        assert score == evaluator.sweep(3, 1)[0]
+        assert np.array_equal(cells, evaluator.sweep(3, 1)[1])
 
     def test_no_orientations_give_empty_score_rows(self):
         grid = parse_map("resolution 1.0\nS.#.\n....")
