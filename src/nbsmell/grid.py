@@ -158,9 +158,12 @@ def parse_map(text: str) -> GridMap:
     Format: a ``resolution <meters>`` header line, then equal-length rows over
     ``.`` (free), ``#`` (obstacle), ``S`` (free start cell, exactly one).  The
     first problem in reading order is reported: a second start, an illegal
-    character, a ragged row, no start.  Rows decode via the byte table ``_DECODE``.
+    character, a ragged row, no start.  Lines end at a line feed, one carriage
+    return before it dropped.  Rows decode via the byte table ``_DECODE``.
     """
-    lines = text.splitlines()
+    lines = re.split(r"\r?\n", text)
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         raise MapFormatError("empty map document (line 1)")
     header = lines[0].split()

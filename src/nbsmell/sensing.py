@@ -68,11 +68,13 @@ class SensorModel:
 class _RayDisk:
     """Precomputed ray bundle to every cell offset within sensor range.
 
-    Offsets exclude (0, 0), satisfy ``(dx^2 + dy^2) * resolution^2 <= r_max^2``
-    exactly (:func:`_in_range`) and lie at most ``extent`` cells away along
-    each axis.  With ``extent`` one less than the map's larger side, no dropped
-    offset could land inside the map, so the disk is bounded by the map, not
-    by ``r_max``.  ``index`` maps a position in the (2*reach+1)^2 window
+    Offsets exclude (0, 0), satisfy ``dx^2 + dy^2 <= bound`` for the integer
+    ``bound = floor(r_max^2 / resolution^2)``, taken once in rationals on the
+    given floats, and lie at most ``extent`` cells away along each axis.  With
+    ``extent`` one less than the map's larger side, no dropped offset could
+    land inside the map, so the disk is bounded by the map, not by ``r_max``.
+    ``reach = min(isqrt(bound), extent)`` is the largest ``|dx|`` or ``|dy|``,
+    0 for an empty disk.  ``index`` maps a position in the (2*reach+1)^2 window
     centered on a cell, flattened row-major from offset (-reach, -reach), to
     the offset's position in the disk, or -1 outside it.
 
@@ -88,17 +90,17 @@ class _RayDisk:
     """
 
     def __init__(self, r_max: float, resolution: float, extent: int) -> None:
-        reach = math.floor(min(r_max / resolution, extent))
-        self.reach = max(reach, 1)
+        bound = math.floor(Fraction(r_max) ** 2 / Fraction(resolution) ** 2)
+        reach = self.reach = min(math.isqrt(bound), extent)
         oy, ox = np.meshgrid(*[np.arange(-reach, reach + 1)] * 2, indexing="ij")
-        inside = _in_range(ox * ox + oy * oy, r_max, resolution)
+        inside = ox * ox + oy * oy <= bound
         inside[reach, reach] = False  # own cell handled separately
         self.dx, self.dy = ox[inside].astype(np.int32), oy[inside].astype(np.int32)
         k = self.k = self.dx.size
         self.bearings = np.arctan2(self.dy.astype(np.float64), self.dx.astype(np.float64))
-        span = self.span = 2 * self.reach + 1
+        span = self.span = 2 * reach + 1
         self.index = np.full(span * span, -1, dtype=np.int64)
-        self.index[(self.dy + self.reach) * span + self.dx + self.reach] = np.arange(k)
+        self.index[(self.dy + reach) * span + self.dx + reach] = np.arange(k)
 
         # the walk of ``oracles.traverse_segment`` for all rays at once, one
         # step per pass, collecting (crossed offset, ray) pairs
@@ -108,7 +110,7 @@ class _RayDisk:
         while ray.size:
             tx, ty = (2 * ix + 1) * ny, (2 * iy + 1) * nx
             ix, iy = ix + (tx <= ty), iy + (tx >= ty)
-            crossed.append(self.index[(sy * iy + self.reach) * span + sx * ix + self.reach])
+            crossed.append(self.index[(sy * iy + reach) * span + sx * ix + reach])
             rays.append(ray)
             more = (ix < nx) | (iy < ny)
             ray, ix, iy, nx, ny, sx, sy = (a[more] for a in (ray, ix, iy, nx, ny, sx, sy))
@@ -118,24 +120,10 @@ class _RayDisk:
         self.through = np.zeros((k, nbytes), dtype=np.uint8)
         np.bitwise_or.at(self.through.reshape(-1), crossed * nbytes + (ray >> 3),
                          np.left_shift(1, ray & 7).astype(np.uint8))
-        a = np.arange(self.reach + 1)[:, None]
+        a = np.arange(reach + 1)[:, None]
         pack = partial(np.packbits, axis=1, bitorder="little")
         self.left = pack(np.hstack((self.dx < -a, np.ones((a.size, -k % 8), dtype=bool))))
         self.right, self.up, self.down = pack(self.dx > a), pack(self.dy < -a), pack(self.dy > a)
-
-
-def _in_range(d2: np.ndarray, r_max: float, resolution: float) -> np.ndarray:
-    """Whether ``d2 * resolution^2 <= r_max^2`` exactly, for integer squared lengths ``d2``.
-
-    Only lengths within a relative 1e-9 of the float ``(r_max / resolution)^2``
-    are settled with rationals; that ratio is capped past the longest offset.
-    """
-    q2 = min(r_max / resolution, math.sqrt(d2.max()) + 1.0) ** 2
-    inside = d2 <= q2
-    near = np.abs(d2 - q2) <= 1e-9 * q2
-    r2, res2 = Fraction(r_max) ** 2, Fraction(resolution) ** 2
-    inside[near] = [d * res2 <= r2 for d in d2[near].tolist()]
-    return inside
 
 
 # One disk: the runs on a map, or on one size of a batch, share a key, and a
@@ -182,8 +170,8 @@ _layout = lru_cache(maxsize=1)(_Layout)
 # One set: the evaluators of a run, a sweep or a batch share the disk and headings.
 @lru_cache(maxsize=1)
 def _heading_tables(disk: _RayDisk, orientations: tuple[float, ...],
-                    phi_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ``(rel_bearings, window_masks, sweep_table)`` of ``disk`` (see FosEvaluator)."""
+                    phi_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(window_masks, sweep_table)`` of ``disk`` (see FosEvaluator)."""
     rel = [np.arctan2(np.sin(d), np.cos(d)) for d in (disk.bearings - t for t in orientations)]
     rel = np.array(rel).reshape(len(rel), disk.k)
     window = np.abs(rel) <= math.radians(phi_max) / 2.0
@@ -193,9 +181,9 @@ def _heading_tables(disk: _RayDisk, orientations: tuple[float, ...],
     # column with neither.  Rows, so the reductions read contiguous memory.
     table = np.vstack((np.where(window, rel, np.inf), np.where(window, -rel, np.inf), window))
     table = np.column_stack((table, np.repeat([np.inf, np.inf, 0.0], len(orientations))))
-    for a in (rel, window, table):
+    for a in (window, table):
         a.flags.writeable = False
-    return rel, window, table
+    return window, table
 
 
 class FosScore(NamedTuple):
@@ -215,7 +203,8 @@ class FosEvaluator:
     """Vectorized field-of-smell evaluation over one grid.
 
     Cells are addressed by their flat index ``i = y * width + x``; an index
-    outside ``0 <= i < width * height`` raises ValueError.  The cells at the
+    outside ``0 <= i < width * height``, or a scalar one that is not a Python
+    or numpy integer (a bool, a float), raises ValueError.  The cells at the
     disk offsets of cell ``i`` are ``i + end``.  Visibility depends only on
     the obstacles, which never change, and the sensor disk, so it lives in a
     :class:`_Layout` cached by value: the evaluators on a map and its copies
@@ -257,7 +246,7 @@ class FosEvaluator:
         self._states_flat = grid.states.reshape(-1)
         self.end = self.disk.dy.astype(np.int64) * grid.width + self.disk.dx
 
-        self.rel_bearings, self.window_masks, self._sweep_table = _heading_tables(
+        self.window_masks, self._sweep_table = _heading_tables(
             self.disk, self.orientations, sensor.phi_max)
 
         # Score caches indexed by y * width + x.
@@ -269,10 +258,15 @@ class FosEvaluator:
         # the sweep gather of one block: at most _SWEEP_BLOCK offsets, or one cell's K
         self._held = np.empty(3 * len(self.orientations) * (max(_SWEEP_BLOCK, self.disk.k) + 1))
 
+    def _check_cell(self, i: int) -> None:
+        """ValueError, by :func:`on_map`, unless ``i`` is a Python or numpy integer on the map."""
+        integer = isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+        if not (integer and 0 <= i < self._fresh.size):
+            on_map(self.grid, [i])
+
     def visible(self, i: int) -> np.ndarray:
         """Boolean mask over the ray disk: offset free and line of sight clear."""
-        if not 0 <= i < self._fresh.size:
-            on_map(self.grid, [i])  # raises
+        self._check_cell(i)
         disk, vis = self.disk, self._vis
         if not vis.known[i]:
             y, x = divmod(i, self.grid.width)
@@ -381,8 +375,7 @@ class FosEvaluator:
         Read from the cell's live list, filtered by the current state; a cell
         whose cached scores are stale (see :meth:`mark_scanned`) is swept first.
         """
-        if not 0 <= i < self._fresh.size:
-            on_map(self.grid, [i])  # raises, before ``_live[-1]`` reads the last cell's list
+        self._check_cell(i)  # before ``_live[-1]`` reads the last cell's list
         if not self._fresh[i]:
             self._sweep_cells(np.array([i]))
         live = self._live[i]

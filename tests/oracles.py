@@ -113,7 +113,7 @@ def compute_fos(grid: GridMap, pose: Pose, sensor: SensorModel) -> ScanResult:
     # the sweep covers every visible cell of the window whose bearing lies
     # between the first and the last bearing of the cells it newly covers
     seen = np.flatnonzero(evaluator.visible(i) & evaluator.window_masks[0])
-    rel = evaluator.rel_bearings[0, seen]
+    rel = evaluator._sweep_table[0, seen]  # the relative bearings inside the window
     held = rel[np.isin(i + evaluator.end[seen], new)]
     covered = seen[(held.min(initial=math.inf) <= rel) & (rel <= held.max(initial=-math.inf))]
     return ScanResult(score.phi_used, score.sensing_time, score.info_gain,
@@ -182,8 +182,9 @@ def sampled_sweeps(grid, cell: Cell, sensor, evaluator):
 
     Visibility comes from :func:`sampled_visible_set` and the scan state from
     ``grid.states``.  Only the evaluator's geometry is used: its disk to find
-    an offset's column, and ``rel_bearings``/``window_masks`` so that cells on
-    a window boundary round the same way.  Trimming rule: the sweep spans the
+    an offset's column, ``window_masks``, and the relative bearings inside the
+    window from the first H rows of ``_sweep_table``, so that cells on a window
+    boundary round the same way.  Trimming rule: the sweep spans the
     first to the last bearing of the unscanned cells the window holds; a
     sweep that covers only the own cell has zero angle and costs the setup
     time, and one that covers nothing costs nothing.
@@ -201,7 +202,7 @@ def sampled_sweeps(grid, cell: Cell, sensor, evaluator):
         for c in unscanned:
             k = column[(c.x - cell.x, c.y - cell.y)]
             if evaluator.window_masks[h, k]:
-                held[c] = float(evaluator.rel_bearings[h, k])
+                held[c] = float(evaluator._sweep_table[h, k])
         gain = len(held) + int(own_new)
         if held:
             phi = math.degrees(max(held.values()) - min(held.values()))
@@ -219,8 +220,17 @@ def loop_parse_map(text: str) -> GridMap:
 
     Rows are read in order, each checked for its length first and then
     character by character, so the first problem met is the one raised.
+    Lines are cut at each line feed, dropping one carriage return before it.
     """
-    lines = text.splitlines()
+    lines, line = [], ""
+    for ch in text:
+        if ch == "\n":
+            lines.append(line.removesuffix("\r"))
+            line = ""
+        else:
+            line += ch
+    if line:  # the last line, when no line feed ends it
+        lines.append(line)
     if not lines:
         raise MapFormatError("empty map document (line 1)")
     header = lines[0].split()

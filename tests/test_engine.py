@@ -191,6 +191,18 @@ class TestStepAndRun:
         assert result.steps[0].travel_time == 0.0
         assert result.total_time == result.steps[0].sensing_time
 
+    @pytest.mark.parametrize("text, uncovered", [
+        ("resolution 1.0\nS", []), ("resolution 1.0\nS.", [Cell(1, 0)]),
+    ])
+    def test_empty_sensor_disk_scans_the_own_cell_once(self, text, uncovered):
+        # r 0.5 m with 1 m cells: reach 0, so one scan of the own cell, and
+        # then no candidate gains anything
+        grid = parse_map(text)
+        result = run_coverage(grid, "F", SensorModel(r_max=0.5))
+        assert [(s.pose, s.info_gain, s.phi_used, s.sensing_time) for s in result.steps] == [
+            (Pose(Cell(0, 0), 0.0), 1, 0.0, 6.0)]
+        assert (result.total_time, result.uncovered_cells) == (6.0, uncovered)
+
     def test_strip_covered_in_at_most_two_steps(self):
         grid = parse_map("resolution 1.0\n..S..")
         result = run_coverage(grid, "E", SensorModel(r_max=4.0))

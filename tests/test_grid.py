@@ -85,8 +85,9 @@ def parse_outcome(parse, text):
 
 
 # map characters, and ones the format rejects: an ASCII letter, a space, a
-# tab and a non-ASCII letter
-MAP_ALPHABET = ".#S" + "x \té"
+# tab, a non-ASCII letter, and line separators other than the line feed
+# (a carriage return is dropped only right before a line feed)
+MAP_ALPHABET = ".#S" + "x \té" + "\r\x0b\x0c\x1c\x85\u2028"
 
 
 @st.composite
@@ -95,6 +96,7 @@ def map_documents(draw):
 
     The overwrites may add starts, remove the start or add illegal
     characters; the replaced row has a random length, so it is often ragged.
+    Lines end in LF or CRLF.
     """
     width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     cells = draw(st.lists(st.sampled_from(".#"), min_size=width * height,
@@ -108,7 +110,8 @@ def map_documents(draw):
         rows[draw(st.integers(0, height - 1))] = draw(st.text(st.sampled_from(MAP_ALPHABET),
                                                               max_size=7))
     header = draw(st.sampled_from(["resolution 1.0", "resolution 0.25"]))
-    return "\n".join([header, *rows]) + draw(st.sampled_from(["", "\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([header, *rows]) + draw(st.sampled_from(["", newline]))
 
 
 class TestParseMapAgainstLoop:
@@ -140,11 +143,32 @@ class TestParseMapAgainstLoop:
         assert str(exc.value) == message
         assert parse_outcome(loop_parse_map, text) == message
 
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\r"])
+    def test_only_a_line_feed_ends_a_line(self, separator):
+        # characters that str.splitlines takes as line breaks, inside a row
+        text = f"resolution 1.0\nS.{separator}..\n"
+        message = f"line 2, column 3: illegal character {separator!r}"
+        assert parse_outcome(parse_map, text) == message
+        assert parse_outcome(loop_parse_map, text) == message
+
+    @pytest.mark.parametrize("text", [
+        "resolution 0.5\nS.#\n...\n",
+        "resolution 0.5\nS.#\n...",  # no final line feed
+        "resolution 1.0\n",  # no rows
+        "resolution 1.0\nS.\n.\n",  # ragged
+    ])
+    def test_crlf_document_parses_as_its_lf_twin(self, text):
+        crlf = text.replace("\n", "\r\n")
+        assert parse_outcome(parse_map, crlf) == parse_outcome(parse_map, text)
+        assert parse_outcome(loop_parse_map, crlf) == parse_outcome(parse_map, text)
+
     def test_shipped_maps_match_the_loop_and_round_trip(self):
         for filename in SHIPPED_MAPS.values():
             text = (files("nbsmell") / "maps" / filename).read_text()
             assert parse_outcome(parse_map, text) == parse_outcome(loop_parse_map, text)
             assert serialize_map(parse_map(text)) == text
+            crlf = text.replace("\n", "\r\n")
+            assert parse_outcome(parse_map, crlf) == parse_outcome(parse_map, text)
 
 
 class TestGridMap:

@@ -35,7 +35,6 @@ from nbsmell.sensing import (
     FosEvaluator,
     SensorModel,
     _heading_tables,
-    _in_range,
     _layout,
     _RayDisk,
     _ray_disk,
@@ -416,6 +415,20 @@ class TestScoreCache:
                     call(flat)
         assert not evaluator._fresh.any()
 
+    def test_float_and_bool_scalar_cells_rejected(self):
+        # numpy would raise a bare IndexError for 2.5, and read True as a mask
+        grid = parse_map("resolution 1.0\nS....\n.....\n.....\n.....\n.....")
+        _layout.cache_clear()
+        evaluator = FosEvaluator(grid, DEFAULT, heading_set(4))
+        calls = (evaluator.visible, evaluator.evaluate_cell, lambda j: evaluator.sweep(j, 0))
+        for i in (2.5, np.float64(3.0), True, np.True_):
+            for call in calls:
+                with pytest.raises(ValueError, match=f"integer dtype, got {np.asarray(i).dtype}"):
+                    call(i)
+        assert not evaluator._fresh.any() and not evaluator._vis.known.any()
+        assert evaluator.evaluate_cell(np.int64(3)) == evaluator.evaluate_cell(3)
+        assert np.array_equal(evaluator.visible(np.int64(3)), evaluator.visible(3))
+
     def test_bool_and_float_orientation_index_rejected(self):
         evaluator = FosEvaluator(parse_map("resolution 1.0\nS..."), DEFAULT, heading_set(4))
         for h in (True, np.True_, 1.0, 2.5):
@@ -541,15 +554,18 @@ class TestLayoutCache:
         _heading_tables.cache_clear()
         first = FosEvaluator(grid, DEFAULT, heading_set(8))
         second = FosEvaluator(grid.copy(), DEFAULT, heading_set(8))
-        tables = ("rel_bearings", "window_masks", "_sweep_table")
+        tables = ("window_masks", "_sweep_table")
         for name in tables:
             assert getattr(second, name) is getattr(first, name)
             assert not getattr(first, name).flags.writeable
         narrow = FosEvaluator(grid, SensorModel(r_max=10.0, phi_max=90.0), heading_set(8))
         for name in tables:
             assert getattr(narrow, name) is not getattr(first, name)
-        assert np.array_equal(narrow.rel_bearings, first.rel_bearings)
-        assert np.array_equal(narrow.window_masks, np.abs(first.rel_bearings) <= math.pi / 4)
+        # the first 8 rows hold the relative bearings inside the window, else +inf
+        rel = first._sweep_table[:8, :-1]
+        assert np.array_equal(narrow.window_masks, np.abs(rel) <= math.pi / 4)
+        narrow_rel = narrow._sweep_table[:8, :-1]
+        assert np.array_equal(narrow_rel, np.where(narrow.window_masks, rel, np.inf))
         assert _heading_tables.cache_info().misses == 2
 
     @pytest.mark.parametrize("pair", [
@@ -647,6 +663,8 @@ class TestRayDisk:
         (30.0, 1.0, 89), (30.0, 1.0, 29), (10.0, 0.5, 59), (30.0, 1.0, 9), (15.0, 1.0, 79),
         # a range far past the map, or a tiny cell: squaring the range overflowed
         (1e160, 1.0, 9), (1.0, 1e-200, 9),
+        # empty disks: a range below one cell, and a one-cell map
+        (0.5, 1.0, 9), (30.0, 1.0, 0),
     ])
     def test_tables_match_plain_loops(self, r_max, resolution, extent):
         disk = _RayDisk(r_max, resolution, extent)
@@ -672,25 +690,55 @@ class TestRayDisk:
 
     @pytest.mark.parametrize("resolution", [0.1, 0.2])
     def test_membership_matches_exact_rationals(self, resolution):
-        # every range from 0.1 to 99.9 m in 0.1 m steps, on the squared
-        # offset lengths next to its boundary
+        # every range in 0.1 m steps up to 17 cells, so that the boundary
+        # crosses the box of a 12-cell extent
+        box = range(-12, 13)
         float_rule_wrong = 0
-        for k in range(1, 1000):
+        for k in range(1, round(170 * resolution) + 1):
             r_max = k / 10
-            q2 = (r_max / resolution) ** 2
-            d2 = np.arange(max(1, math.floor(q2) - 2), math.ceil(q2) + 3)
-            exact = [Fraction(d) * Fraction(resolution) ** 2 <= Fraction(r_max) ** 2
-                     for d in d2.tolist()]
-            assert _in_range(d2, r_max, resolution).tolist() == exact, r_max
-            float_rule_wrong += sum((d2 * resolution * resolution <= r_max * r_max) != exact)
+            disk, exact = _RayDisk(r_max, resolution, 12), exact_offsets(r_max, resolution, 12)
+            assert list(zip(disk.dx.tolist(), disk.dy.tolist())) == exact, r_max
+            floats = {(dx, dy) for dy in box for dx in box if (dx, dy) != (0, 0)
+                      and (dx * dx + dy * dy) * resolution * resolution <= r_max * r_max}
+            float_rule_wrong += len(floats ^ set(exact))
         assert float_rule_wrong  # the float product rule errs on some of these
 
     def test_membership_at_tiny_scales(self):
         # (dx^2 + dy^2) * resolution^2 underflows to 0 <= 0 in floats
-        assert _in_range(np.array([1, 2]), 1e-200, 1e-200).tolist() == [True, False]
         tiny, unit = _RayDisk(1e-200, 1e-200, 5), _RayDisk(1.0, 1.0, 5)
-        assert tiny.k == unit.k == 4
+        assert tiny.k == unit.k == 4 and tiny.reach == unit.reach == 1
         assert np.array_equal(tiny.dx, unit.dx) and np.array_equal(tiny.dy, unit.dy)
+
+    def test_reach_is_the_farthest_offset(self):
+        # the float 0.5 / 0.1 rounds up to 5.0, but the doubles 0.5 and 0.1
+        # give 0.5^2 / 0.1^2 < 25, so the disk stops 4 cells away
+        disk = _RayDisk(0.5, 0.1, 9)
+        assert max(np.abs(disk.dx).max(), np.abs(disk.dy).max()) == 4
+        assert disk.reach == 4 and disk.span == 9
+
+    @given(
+        r_max=st.floats(1e-200, 1e160),
+        resolution=st.floats(1e-200, 1e160),
+        extent=st.integers(0, 12),
+        d2=st.none() | st.integers(1, 300),
+    )
+    @example(r_max=0.5, resolution=0.1, extent=9, d2=None)
+    @settings(max_examples=150, deadline=None)
+    def test_offsets_and_reach_match_a_rational_filter(self, r_max, resolution, extent, d2):
+        if d2 is not None:  # a range on, or a rounding away from, a squared length's boundary
+            r_max = resolution * math.sqrt(d2)
+        disk, exact = _RayDisk(r_max, resolution, extent), exact_offsets(r_max, resolution, extent)
+        assert list(zip(disk.dx.tolist(), disk.dy.tolist())) == exact
+        assert disk.reach == max((max(abs(dx), abs(dy)) for dx, dy in exact), default=0)
+
+
+def exact_offsets(r_max, resolution, extent):
+    """The offsets of the ``extent`` box but (0, 0), row by row, that
+    ``(dx^2 + dy^2) * resolution^2 <= r_max^2`` keeps in rationals."""
+    r2, res2 = Fraction(r_max) ** 2, Fraction(resolution) ** 2
+    box = range(-extent, extent + 1)
+    return [(dx, dy) for dy in box for dx in box
+            if (dx, dy) != (0, 0) and (dx * dx + dy * dy) * res2 <= r2]
 
 
 class TestSweepOracle:
