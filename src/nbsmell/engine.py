@@ -173,7 +173,7 @@ class CoverageEngine:
         # or the robot cell before the first scan
         idx = (frontier_cells(grid, self.connectivity) if self._scanned
                else np.array([robot.y * grid.width + robot.x]))
-        idx = idx[np.isfinite(dist[idx])]
+        idx = idx.compress(np.isfinite(dist.take(idx)))
         gain, sense = self.evaluator.scores(idx)
         # candidates in row-major cell order, headings ascending, as flat
         # indices into the (cells, headings) block

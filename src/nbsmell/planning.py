@@ -63,15 +63,15 @@ def shortest_distances(grid: GridMap, source: Cell, connectivity: int) -> np.nda
     # A cell at BFS depth d is d resolutions away, added one at a time as
     # Dijkstra adds them (d * res differs in the last bit at 0.1 m).
     order, pred = breadth_first_order(graph, s, return_predecessors=True)
+    order = order.astype(np.intp)  # scipy's int32 would be converted at every gather
     # the children of the BFS positions [0, b) fill the positions [1, 1 + below[b - 1])
-    below = np.bincount(pred[order[1:]], minlength=graph.shape[0])[order].cumsum()
-    bounds, b = [0, 1], 1  # the first position of each depth, then the end
+    below = np.bincount(pred.take(order[1:]), minlength=graph.shape[0]).take(order).cumsum()
+    depth, b = np.zeros(order.size), 1  # res at each depth's first position, 0.0 elsewhere
     while b < order.size:
+        depth[b] = grid.resolution
         b = 1 + below.item(b - 1)
-        bounds.append(b)
-    depth = np.concatenate(([0.0], np.full(len(bounds) - 2, grid.resolution))).cumsum()
     dist = np.full(graph.shape[0], np.inf)
-    dist[order] = depth.repeat(np.diff(bounds))
+    dist.put(order, depth.cumsum(out=depth))  # adding 0.0 keeps each running sum exact
     return dist.reshape(grid.height, grid.width)
 
 

@@ -214,9 +214,15 @@ class FosEvaluator:
     evaluator.  A visibility miss ORs the disk's ``through`` rows of the
     on-map obstacles in the cell's window and the edge masks for its
     distance to each map edge.  The scan state is read from
-    ``grid.states`` itself.  Scores (gain and sensing time per orientation)
-    depend on it, so every scan must be reported through :meth:`mark_scanned`
-    to drop the scores it changes.  One batched kernel sweeps a list of cells:
+    ``grid.states`` itself.  Scores (gain, angle and sensing time per
+    orientation) depend on it, so every scan must be reported through
+    :meth:`mark_scanned` to drop the scores it changes.  The executed sweep
+    (:meth:`evaluate_cell`, :meth:`sweep`) reads a fresh cell's cached scores
+    when the state filter removes no offset from its live list and its own
+    cell has the scan state it was scored with; else, after a scan made
+    through the grid only, it scores the cell again.  So a missed report
+    shows as a fresh score that differs from the cached one.  One batched
+    kernel sweeps a list of cells:
     one gather of a (3H, K) table (H orientations, K offsets; shared per disk,
     orientations and ``phi_max``) over all their visible unscanned offsets,
     then one row minimum and sum per cell, in blocks of at most
@@ -253,10 +259,14 @@ class FosEvaluator:
         cells = grid.width * grid.height
         self._fresh = np.zeros(cells, dtype=bool)
         self._gain = np.zeros((cells, len(self.orientations)), dtype=np.int64)
+        self._phi = np.zeros((cells, len(self.orientations)), dtype=np.float64)
         self._time = np.zeros((cells, len(self.orientations)), dtype=np.float64)
+        self._own = np.zeros(cells, dtype=bool)  # own cell unscanned when last scored
         self._live: list[np.ndarray | None] = [None] * cells
-        # the sweep gather of one block: at most _SWEEP_BLOCK offsets, or one cell's K
-        self._held = np.empty(3 * len(self.orientations) * (max(_SWEEP_BLOCK, self.disk.k) + 1))
+        # the sweep gather of one block (at most _SWEEP_BLOCK offsets, or one cell's K)
+        most = max(_SWEEP_BLOCK, self.disk.k) + 1
+        self._held = np.empty(3 * len(self.orientations) * most)
+        self._cols = np.empty(most, dtype=np.intp)  # its columns: the offsets, then K
 
     def _check_cell(self, i: int) -> None:
         """ValueError, by :func:`on_map`, unless ``i`` is a Python or numpy integer on the map."""
@@ -325,7 +335,7 @@ class FosEvaluator:
     def _sweep_cells(self, cells: np.ndarray) -> None:
         """Sweep every orientation at the on-map ``cells`` from the current scan state.
 
-        Refreshes their live lists and cached gain and time.
+        Refreshes their live lists and cached scores.
         """
         todo, lo = cells.tolist(), 0
         while lo < cells.size:
@@ -340,48 +350,60 @@ class FosEvaluator:
             hi, sizes = lo + len(lists), [a.size for a in lists]
             block = cells[lo:hi]
             joined = np.concatenate(lists)
-            keep = self._states_flat[block.repeat(sizes) + self.end[joined]] == _UNSCANNED
-            pos = keep.nonzero()[0]
-            new = joined[pos]
+            seen = block.repeat(sizes) + self.end.take(joined)  # the cells at the offsets
+            pos = (self._states_flat.take(seen) == _UNSCANNED).nonzero()[0]
+            new = joined.take(pos)
             # each cell's segment of ``new``, copied, so that no cell pins the block
             bounds = pos.searchsorted(list(accumulate(sizes, initial=0)))
             at = bounds.tolist()
             for i, a, b in zip(block.tolist(), at, at[1:]):
                 self._live[i] = new[a:b].copy()
-            self._gain[block], _, self._time[block] = self._score_segments(new, bounds, block)
+            self._score_segments(block, new, bounds)
             self._fresh[block] = True
             lo = hi
 
-    def _score_segments(self, offsets: np.ndarray, bounds: np.ndarray,
-                        cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gain, angle and time, each (len(cells), orientations), of ``cells``; cell
-        ``j`` sees the unscanned disk offsets ``offsets[bounds[j]:bounds[j + 1]]``."""
+    def _score_segments(self, cells: np.ndarray, offsets: np.ndarray,
+                        bounds: np.ndarray) -> None:
+        """Cache the gain, angle and time of every orientation at the on-map ``cells``,
+        and whether each cell itself is unscanned; cell ``j`` sees the unscanned
+        disk offsets ``offsets[bounds[j]:bounds[j + 1]]``."""
         h, m = len(self.orientations), offsets.size + 1
-        # plus the sentinel column for empty segments at the end; 'clip' fills ``out`` in place
-        held = self._sweep_table.take(np.append(offsets, self.disk.k), axis=1, mode="clip",
+        cols = self._cols[:m]
+        cols[:-1] = offsets
+        cols[-1] = self.disk.k  # the sentinel column, for empty segments at the end
+        # 'clip' fills ``out`` in place
+        held = self._sweep_table.take(cols, axis=1, mode="clip",
                                       out=self._held[:3 * h * m].reshape(3 * h, m))
         edges = np.minimum.reduceat(held[:2 * h], bounds[:-1], axis=1)
         counts = np.add.reduceat(held[2 * h:], bounds[:-1], axis=1).T
         counts[bounds[:-1] == bounds[1:]] = 0  # reduceat gives an element for an empty segment
         # the sweep spans the window's unscanned cells (last minus first bearing, -inf
         # if none); a zero-angle scan that still covers the own cell costs the setup time
-        gain = (counts + (self._states_flat[cells] == _UNSCANNED)[:, None]).astype(np.int64)
-        phi = np.degrees(np.maximum(-edges[h:] - edges[:h], 0.0)).T
-        return gain, phi, np.where(gain > 0, self.sensor.sweep_time(phi), 0.0)
+        own = self._own[cells] = self._states_flat.take(cells) == _UNSCANNED
+        gain = self._gain[cells] = counts + own[:, None]
+        phi = self._phi[cells] = np.degrees(np.maximum(-edges[h:] - edges[:h], 0.0)).T
+        self._time[cells] = np.where(gain > 0, self.sensor.sweep_time(phi), 0.0)
 
     def evaluate_cell(self, i: int) -> list[FosScore]:
         """Scores for every orientation at cell ``i`` (orientation order).
 
-        Read from the cell's live list, filtered by the current state; a cell
-        whose cached scores are stale (see :meth:`mark_scanned`) is swept first.
+        A cell whose cached scores are stale (see :meth:`mark_scanned`) is
+        swept first.  The cached scores are returned when the current state
+        removes no offset from the cell's live list and the cell itself is
+        as it was when they were computed; else a scan was made through the
+        grid only, and the cell is scored again from its filtered live list.
         """
         self._check_cell(i)  # before ``_live[-1]`` reads the last cell's list
         if not self._fresh[i]:
             self._sweep_cells(np.array([i]))
-        live = self._live[i]
-        live = self._live[i] = live[self._states_flat[i + self.end[live]] == _UNSCANNED]
-        gain, phi, time = self._score_segments(live, np.array([0, live.size]), np.array([i]))
-        return list(map(FosScore._make, zip(gain[0].tolist(), phi[0].tolist(), time[0].tolist())))
+        else:
+            live = self._live[i]
+            keep = self._states_flat.take(self.end.take(live) + i) == _UNSCANNED
+            if not keep.all() or self._own.item(i) != (self._states_flat.item(i) == _UNSCANNED):
+                live = self._live[i] = live.compress(keep)
+                self._score_segments(np.array([i]), live, np.array([0, live.size]))
+        return list(map(FosScore._make, zip(self._gain[i].tolist(), self._phi[i].tolist(),
+                                            self._time[i].tolist())))
 
     def scores(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gain and sensing time at the cells ``idx``, each (len(idx), orientations).
@@ -405,7 +427,8 @@ class FosEvaluator:
             raise ValueError(f"orientation index {h} outside [0, {len(self.orientations)})")
         score = self.evaluate_cell(i)[h]
         live = self._live[i]
-        cells = i + self.end[live[self.window_masks[h, live]]]
-        if self._states_flat.item(i) == _UNSCANNED:
-            cells = np.append(cells, i)
+        picked = live.compress(self.window_masks[h].take(live))
+        cells = np.empty(picked.size + self._own.item(i), dtype=np.intp)
+        cells[picked.size:] = i  # the own cell, when unscanned
+        np.add(self.end.take(picked), i, out=cells[:picked.size])
         return score, cells

@@ -215,6 +215,21 @@ def sampled_sweeps(grid, cell: Cell, sensor, evaluator):
     return sweeps
 
 
+def is_ascii_decimal(word: str) -> bool:
+    """True for ASCII digits with an optional sign, point and exponent, e.g. ``-1.5e+3``."""
+    digits = set("0123456789")
+
+    def unsigned(part: str) -> str:
+        return part[1:] if part[:1] in ("+", "-") else part
+
+    mantissa, e, exponent = unsigned(word).replace("E", "e").partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    if not (whole or fraction) or not set(whole + fraction) <= digits:
+        return False
+    exponent = unsigned(exponent)
+    return not e or (exponent != "" and set(exponent) <= digits)
+
+
 def loop_parse_map(text: str) -> GridMap:
     """:func:`nbsmell.grid.parse_map` one character at a time.
 
@@ -233,15 +248,14 @@ def loop_parse_map(text: str) -> GridMap:
         lines.append(line)
     if not lines:
         raise MapFormatError("empty map document (line 1)")
-    header = lines[0].split()
+    header = [word for word in lines[0].replace("\t", " ").split(" ") if word]
     if len(header) != 2 or header[0] != "resolution":
         raise MapFormatError(
             f"line 1: expected 'resolution <meters>', got {lines[0]!r}"
         )
-    try:
-        resolution = float(header[1])
-    except ValueError:
-        raise MapFormatError(f"line 1: invalid resolution {header[1]!r}") from None
+    if not is_ascii_decimal(header[1]):
+        raise MapFormatError(f"line 1: invalid resolution {header[1]!r}")
+    resolution = float(header[1])
     if not math.isfinite(resolution) or resolution <= 0:
         raise MapFormatError(f"line 1: resolution must be > 0, got {header[1]!r}")
 

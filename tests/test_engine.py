@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nbsmell.engine
 from nbsmell.engine import CoverageEngine, run_coverage, uncoverable_cells
 from nbsmell.engine import select_best as select_row
 from nbsmell.grid import (
@@ -15,6 +17,7 @@ from nbsmell.grid import (
     Pose,
     coverage_ratio,
     generate_random_grid,
+    mark_scanned,
     parse_map,
 )
 from nbsmell.mapgen import shipped_map
@@ -377,6 +380,40 @@ class TestStepAndRun:
                 candidates_evaluated=len(expected),
             )
             assert record == replayed
+
+
+class TestSelfChecks:
+    """The two checks each step makes on its own bookkeeping fire when it breaks."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_missed_stale_marks_raise_score_cache_out_of_sync(self, seed):
+        # an evaluator that is never told of a scan keeps every cached score;
+        # the executed sweep rescores the cell from the grid and disagrees
+        grid = generate_random_grid(12, 0.1, seed)
+        engine = CoverageEngine(grid, "F", SensorModel(r_max=4.0))
+        engine.evaluator.mark_scanned = lambda idx: None
+        with pytest.raises(RuntimeError) as exc:
+            engine.run()
+        found = re.fullmatch(r"score cache out of sync at (Pose\(.+\)): cached gain (\S+) "
+                             r"and time (\S+), fresh (\d+) and (\S+)", str(exc.value))
+        assert found, str(exc.value)
+        cached = float(found[2]), float(found[3])
+        assert cached != (float(found[4]), float(found[5]))
+        assert engine.records  # the first step, before any scan, is sound
+
+    def test_marked_count_out_of_line_with_the_scan_raises(self, monkeypatch):
+        grid = generate_random_grid(12, 0.1, 3)
+        twin = CoverageEngine(grid.copy(), "F", SensorModel(r_max=4.0))
+        first, second = twin.step(), twin.step()
+        engine = CoverageEngine(grid, "F", SensorModel(r_max=4.0))
+        assert engine.step().pose == first.pose
+        # the engine's own name, which the step calls; one cell fewer than the scan covers
+        monkeypatch.setattr(nbsmell.engine, "mark_scanned",
+                            lambda g, flat: mark_scanned(g, flat) - 1)
+        with pytest.raises(RuntimeError) as exc:
+            engine.step()
+        assert str(exc.value) == (f"scan bookkeeping out of sync: marked {second.info_gain - 1}, "
+                                  f"expected {second.info_gain}")
 
 
 class TestSharedCaches:

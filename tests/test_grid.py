@@ -2,7 +2,7 @@ from importlib.resources import files
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import free_cells, loop_parse_map, mark_cells
 
@@ -65,6 +65,62 @@ class TestParseMap:
         with pytest.raises(MapFormatError):
             parse_map("resolution -1\nS.")
 
+    @pytest.mark.parametrize("header, message", [
+        # digit separators and other scripts' digits, which float() reads
+        ("resolution 1_0", "line 1: invalid resolution '1_0'"),
+        ("resolution \u0661.\u0660", "line 1: invalid resolution '\u0661.\u0660'"),
+        ("resolution \uff11.0", "line 1: invalid resolution '\uff11.0'"),
+        # separators other than ASCII blanks, which str.split() takes
+        ("resolution\x0c1.0", "line 1: expected 'resolution <meters>', got 'resolution\\x0c1.0'"),
+        ("resolution\x851.0", "line 1: expected 'resolution <meters>', got 'resolution\\x851.0'"),
+        ("resolution\u20281.0",
+         "line 1: expected 'resolution <meters>', got 'resolution\\u20281.0'"),
+        ("resolution 1.0\x0b", "line 1: invalid resolution '1.0\\x0b'"),
+        ("\u3000resolution 1.0",
+         "line 1: expected 'resolution <meters>', got '\\u3000resolution 1.0'"),
+        # no digits, no exponent digits, or words float() reads but that are no decimal
+        ("resolution .", "line 1: invalid resolution '.'"),
+        ("resolution 1e", "line 1: invalid resolution '1e'"),
+        ("resolution 1e+", "line 1: invalid resolution '1e+'"),
+        ("resolution inf", "line 1: invalid resolution 'inf'"),
+        ("resolution nan", "line 1: invalid resolution 'nan'"),
+        ("resolution 0x10", "line 1: invalid resolution '0x10'"),
+        ("resolution +-1", "line 1: invalid resolution '+-1'"),
+        # decimals, but not a valid resolution
+        ("resolution -1", "line 1: resolution must be > 0, got '-1'"),
+        ("resolution 0e5", "line 1: resolution must be > 0, got '0e5'"),
+        ("resolution 1e999", "line 1: resolution must be > 0, got '1e999'"),
+    ])
+    def test_header_outside_the_ascii_rule_rejected(self, header, message):
+        text = f"{header}\nS."
+        with pytest.raises(MapFormatError) as exc:
+            parse_map(text)
+        assert str(exc.value) == message
+        assert parse_outcome(loop_parse_map, text) == message
+
+    @pytest.mark.parametrize("header, resolution", [
+        ("resolution 2", 2.0),
+        ("resolution 5.", 5.0),
+        ("resolution .25", 0.25),
+        ("resolution +0.5", 0.5),
+        ("resolution 1E-05", 1e-05),
+        ("\t resolution \t 2.5e+1 \t", 25.0),
+    ])
+    def test_header_with_ascii_blanks_and_decimal_accepted(self, header, resolution):
+        text = f"{header}\nS."
+        assert parse_map(text).resolution == resolution
+        assert loop_parse_map(text).resolution == resolution
+
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @example(1e-05)
+    @example(5e-324)
+    @example(1.7976931348623157e308)
+    @settings(max_examples=200, deadline=None)
+    def test_every_serialized_header_parses_back(self, resolution):
+        text = serialize_map(GridMap(resolution, np.ones((1, 2), np.uint8), Cell(0, 0)))
+        assert parse_map(text).resolution == resolution
+        assert loop_parse_map(text).resolution == resolution
+
     def test_roundtrip_identity(self):
         text = "resolution 0.5\n..#.S\n#...#\n.....\n"
         grid = parse_map(text)
@@ -109,7 +165,10 @@ def map_documents(draw):
     if draw(st.booleans()):
         rows[draw(st.integers(0, height - 1))] = draw(st.text(st.sampled_from(MAP_ALPHABET),
                                                               max_size=7))
-    header = draw(st.sampled_from(["resolution 1.0", "resolution 0.25"]))
+    header = draw(st.sampled_from(["resolution 1.0", "resolution 0.25", " resolution\t2e-1 ",
+                                   "resolution 1_0", "resolution \u0661", "resolution\x0c1",
+                                   "resolution 1\x85", "resolution -1", "resolution 1e",
+                                   "resolution inf", "resolution .5"]))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join([header, *rows]) + draw(st.sampled_from(["", newline]))
 

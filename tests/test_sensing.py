@@ -17,6 +17,7 @@ from oracles import (
     visible_cells,
 )
 
+from nbsmell.engine import CoverageEngine
 from nbsmell.grid import (
     Cell,
     CellState,
@@ -374,6 +375,85 @@ class TestScoreCache:
             cold_score, cold_covered = cold.sweep(stale, h)
             assert score == cold_score and np.array_equal(covered, cold_covered)
         assert swept == [stale]
+
+    def test_own_cell_scanned_through_the_grid_only_is_rescored(self):
+        # cell 2 was unscanned when swept; a scan through the grid only leaves
+        # its live list (cells 0, 1, 3, 4) whole, but its own cell now scanned
+        grid = parse_map("resolution 1.0\nS....")
+        warm = FosEvaluator(grid, DEFAULT, heading_set(4))
+        warm.scores([2])
+        before = [s.info_gain for s in warm.evaluate_cell(2)]
+        assert before[0] == 3  # cells 2, 3 and 4 to the east
+        mark_scanned(grid, [2])
+        assert [s.info_gain for s in warm.evaluate_cell(2)] == [g - 1 for g in before]
+        score, covered = warm.sweep(2, 0)
+        assert score.info_gain == 2 and covered.tolist() == [3, 4]
+        _layout.cache_clear()
+        cold = FosEvaluator(grid, DEFAULT, heading_set(4))
+        assert warm.evaluate_cell(2) == cold.evaluate_cell(2)
+
+    def test_executed_sweep_reuses_the_batch_scores(self):
+        # after `scores`, neither `evaluate_cell` nor `sweep` scores a cell again
+        # while the grid holds the state it was scored with
+        grid = generate_random_grid(9, 0.2, 5)
+        free = np.flatnonzero(grid.free_mask().reshape(-1))
+        mark_scanned(grid, free[::3])
+        sensor, headings = SensorModel(r_max=3.0, phi_max=90.0), heading_set(8)
+        warm = FosEvaluator(grid, sensor, headings)
+        gain, time = warm.scores(free)
+        scored = []
+        score = warm._score_segments
+        warm._score_segments = lambda cells, *a: scored.extend(cells.tolist()) or score(cells, *a)
+        for row, i in enumerate(free.tolist()):
+            cached = list(zip(gain[row], time[row]))
+            assert [(s.info_gain, s.sensing_time) for s in warm.evaluate_cell(i)] == cached
+            warm.sweep(i, 0)
+        assert scored == []
+        # a scan through the grid only: the cells whose live list loses an offset are rescored
+        seer = next(i for i in free.tolist() if warm._live[i].size)
+        gone = seer + warm.end[warm._live[seer][0]]
+        mark_scanned(grid, [gone])
+        warm.evaluate_cell(seer)
+        assert scored == [seer]
+
+    @given(
+        width=st.integers(1, 12),
+        height=st.integers(1, 12),
+        obstacle_ratio=st.floats(0.0, 0.4),
+        seed=st.integers(0, 10**6),
+        r_max=st.sampled_from([0.9, 2.0, 4.0, 30.0]),
+        orientations=st.sampled_from([4, 8]),
+        steps=st.integers(0, 10),
+        grid_only=st.integers(0, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reuse_after_engine_steps_matches_a_cold_evaluator(
+            self, width, height, obstacle_ratio, seed, r_max, orientations, steps, grid_only):
+        # random engine steps, every free cell scored, then maybe a few scans through
+        # the grid only; at every free cell, so at every candidate, the warm evaluator
+        # must give a cold one's scores
+        rng = np.random.default_rng(seed)
+        obstacle = rng.random((height, width)) < obstacle_ratio
+        obstacle.flat[rng.integers(obstacle.size)] = False  # keep one free cell
+        states = np.where(obstacle, CellState.OBSTACLE, CellState.FREE_UNSCANNED)
+        grid = GridMap.from_states(states.astype(np.uint8), 1.0)
+        sensor = SensorModel(r_max=r_max, phi_max=120.0)
+        engine = CoverageEngine(grid, "F", sensor, orientations=orientations)
+        for _ in range(steps):
+            if engine.step() is None:
+                break
+        free = np.flatnonzero(~obstacle)
+        engine.evaluator.scores(free)
+        unscanned = np.flatnonzero(grid.states == CellState.FREE_UNSCANNED)
+        mark_scanned(grid, rng.choice(unscanned, min(grid_only, unscanned.size), replace=False))
+        _layout.cache_clear()  # so that `cold` builds its own visibility masks
+        cold = FosEvaluator(grid.copy(), sensor, engine.headings)
+        for i in free.tolist():
+            assert engine.evaluator.evaluate_cell(i) == cold.evaluate_cell(i)
+            for h in range(orientations):
+                score, covered = engine.evaluator.sweep(i, h)
+                cold_score, cold_covered = cold.sweep(i, h)
+                assert score == cold_score and np.array_equal(covered, cold_covered)
 
     @staticmethod
     def entry_points(evaluator):
