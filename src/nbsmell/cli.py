@@ -32,6 +32,7 @@ from .grid import (
     coverage_ratio,
     frontier_cells,
     generate_random_grid,
+    on_map,
     parse_map,
     random_obstacle_count,
     serialize_map,
@@ -225,12 +226,15 @@ def render_ppm(grid: GridMap, robot: Cell | None,
     """Binary PPM snapshot, one pixel per cell.
 
     Cells take the ``_PALETTE`` row at their state (obstacle black, unscanned white,
-    scanned gray), then frontier blue (:func:`frontier_cells` indices), robot red.
+    scanned gray), then frontier blue (:func:`frontier_cells` indices), robot red;
+    an off-map frontier index or robot cell raises ValueError.
     """
     img = _PALETTE[grid.states]
     if frontier is not None:
-        img.reshape(-1, 3)[frontier] = (0, 0, 255)
+        img.reshape(-1, 3)[on_map(grid, frontier)] = (0, 0, 255)
     if robot is not None:
+        if not grid.in_bounds(robot):
+            raise ValueError(f"robot cell {robot} is off the {grid.width}x{grid.height} map")
         img[robot.y, robot.x] = (255, 0, 0)
     header = f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii")
     return header + img.tobytes()

@@ -277,6 +277,5 @@ def uncoverable_cells(
     window_any = evaluator.window_masks.any(axis=0)
     coverable = np.zeros(grid.width * grid.height, dtype=bool)
     for i in np.flatnonzero(reachable).tolist():
-        coverable[i] = True  # own cell is always covered by a scan there
         coverable[i + evaluator.end[evaluator.visible(i) & window_any]] = True
     return cells_at(grid, np.flatnonzero(grid.free_mask().reshape(-1) & ~coverable))

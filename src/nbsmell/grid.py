@@ -123,6 +123,8 @@ class GridMap:
             raise ValueError(f"start cell {self.start} is an obstacle")
 
     def in_bounds(self, cell: Cell) -> bool:
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in cell):
+            raise ValueError(f"cell coordinates must be integers, got {cell}")
         return 0 <= cell.x < self.width and 0 <= cell.y < self.height
 
     def is_free(self, cell: Cell) -> bool:

@@ -68,20 +68,22 @@ class SensorModel:
 class _RayDisk:
     """Precomputed ray bundle to every cell offset within sensor range.
 
-    Offsets exclude (0, 0), satisfy ``dx^2 + dy^2 <= bound`` for the integer
-    ``bound = floor(r_max^2 / resolution^2)``, taken once in rationals on the
-    given floats, and lie at most ``extent`` cells away along each axis.  With
-    ``extent`` one less than the map's larger side, no dropped offset could
-    land inside the map, so the disk is bounded by the map, not by ``r_max``.
-    ``reach = min(isqrt(bound), extent)`` is the largest ``|dx|`` or ``|dy|``,
-    0 for an empty disk.  ``index`` maps a position in the (2*reach+1)^2 window
-    centered on a cell, flattened row-major from offset (-reach, -reach), to
-    the offset's position in the disk, or -1 outside it.
+    Offsets satisfy ``dx^2 + dy^2 <= bound`` for the integer ``bound =
+    floor(r_max^2 / resolution^2)``, taken once in rationals on the given
+    floats, and lie at most ``extent`` cells away along each axis; row-major,
+    but the own cell (0, 0), which a scan covers like any other, comes last
+    (index K - 1).  With ``extent`` one less than the map's larger side, no
+    dropped offset could land inside the map, so the disk is bounded by the
+    map, not by ``r_max``.  ``reach = min(isqrt(bound), extent)`` is the
+    largest ``|dx|`` or ``|dy|``.  ``index`` maps a position in the
+    (2*reach+1)^2 window centered on a cell, flattened row-major from offset
+    (-reach, -reach), to the offset's position in the disk, or -1 outside it.
 
     The other tables are sets of offsets, bit-packed little-endian in rows of
     ceil(K/8) bytes.  Row ``j`` of ``through`` holds the offsets whose ray
     (the cells ``oracles.traverse_segment`` crosses, endpoint included) crosses
-    offset ``j``; the walk is monotone, so no ray leaves the disk.  It takes
+    offset ``j``: no ray leaves the disk (the walk is monotone), and only the
+    own cell's crosses it, so an obstacle cell does not see itself.  It takes
     K * ceil(K/8) bytes: 1.0 MB at r_max 30 m with 1 m cells, up to about
     128 MB on a 90x90 map (r_max >= 127 m).  Row ``a`` of ``left``, ``right``,
     ``up`` and ``down`` holds ``dx < -a``, ``dx > a``, ``dy < -a`` and
@@ -94,8 +96,8 @@ class _RayDisk:
         reach = self.reach = min(math.isqrt(bound), extent)
         oy, ox = np.meshgrid(*[np.arange(-reach, reach + 1)] * 2, indexing="ij")
         inside = ox * ox + oy * oy <= bound
-        inside[reach, reach] = False  # own cell handled separately
-        self.dx, self.dy = ox[inside].astype(np.int32), oy[inside].astype(np.int32)
+        inside[reach, reach] = False  # the own cell, appended last
+        self.dx, self.dy = (np.append(o[inside], 0).astype(np.int32) for o in (ox, oy))
         k = self.k = self.dx.size
         self.bearings = np.arctan2(self.dy.astype(np.float64), self.dx.astype(np.float64))
         span = self.span = 2 * reach + 1
@@ -143,7 +145,7 @@ class _Layout:
     only the map's own obstacles; the bit-packed visibility mask of every
     cell looked at so far (``known``, ``bits``: cells * ceil(K/8) bytes); and
     ``offset_index``, the disk index of the map-relative offset (dx, dy) at
-    row (dy + h - 1) * (2w - 1) + dx + w - 1, else -1.
+    row (dy + h - 1) * (2w - 1) + dx + w - 1, else -1 (K - 1 for (0, 0)).
     """
 
     def __init__(self, obstacle: bytes, width: int, r_max: float, resolution: float,
@@ -175,11 +177,13 @@ def _heading_tables(disk: _RayDisk, orientations: tuple[float, ...],
     rel = [np.arctan2(np.sin(d), np.cos(d)) for d in (disk.bearings - t for t in orientations)]
     rel = np.array(rel).reshape(len(rel), disk.k)
     window = np.abs(rel) <= math.radians(phi_max) / 2.0
+    window[:, -1] = True  # the own cell, offset K - 1, is in every window
     # Per orientation and offset: the relative bearing inside the window (else
     # +inf), its negation (else +inf), and the 0/1 window flag, so that one
     # gather and one row minimum give every sweep's edges; then a sentinel
     # column with neither.  Rows, so the reductions read contiguous memory.
     table = np.vstack((np.where(window, rel, np.inf), np.where(window, -rel, np.inf), window))
+    table[:2 * len(orientations), -1] = np.inf  # no bearing: it adds to gain, never to angle
     table = np.column_stack((table, np.repeat([np.inf, np.inf, 0.0], len(orientations))))
     for a in (window, table):
         a.flags.writeable = False
@@ -205,36 +209,36 @@ class FosEvaluator:
     Cells are addressed by their flat index ``i = y * width + x``; an index
     outside ``0 <= i < width * height``, or a scalar one that is not a Python
     or numpy integer (a bool, a float), raises ValueError.  The cells at the
-    disk offsets of cell ``i`` are ``i + end``.  Visibility depends only on
-    the obstacles, which never change, and the sensor disk, so it lives in a
-    :class:`_Layout` cached by value: the evaluators on a map and its copies
-    with one ``r_max`` share its padded obstacles, visibility cache and offset
-    table.  Only the last layout stays cached, its cells * ceil(K/8) bytes of
-    masks included, also after its runs end; the score cache is per
-    evaluator.  A visibility miss ORs the disk's ``through`` rows of the
-    on-map obstacles in the cell's window and the edge masks for its
-    distance to each map edge.  The scan state is read from
-    ``grid.states`` itself.  Scores (gain, angle and sensing time per
+    disk offsets of cell ``i`` are ``i + end``, the cell itself last.
+    Visibility depends only on the obstacles, which never change, and the
+    sensor disk, so it lives in a :class:`_Layout` cached by value: the
+    evaluators on a map and its copies with one ``r_max`` share its padded
+    obstacles, visibility cache and offset table.  Only the last layout stays
+    cached, its cells * ceil(K/8) bytes of masks included, also after its runs
+    end; the score cache is per evaluator.  A visibility miss ORs the disk's
+    ``through`` rows of the on-map obstacles in the cell's window and the
+    edge masks for its distance to each map edge.  The scan state is read
+    from ``grid.states`` itself.  Scores (gain, angle and sensing time per
     orientation) depend on it, so every scan must be reported through
     :meth:`mark_scanned` to drop the scores it changes.  The executed sweep
     (:meth:`evaluate_cell`, :meth:`sweep`) reads a fresh cell's cached scores
-    when the state filter removes no offset from its live list and its own
-    cell has the scan state it was scored with; else, after a scan made
-    through the grid only, it scores the cell again.  So a missed report
-    shows as a fresh score that differs from the cached one.  One batched
-    kernel sweeps a list of cells:
-    one gather of a (3H, K) table (H orientations, K offsets; shared per disk,
-    orientations and ``phi_max``) over all their visible unscanned offsets,
-    then one row minimum and sum per cell, in blocks of at most
+    when the state filter removes no offset, the own cell included, from its
+    live list; else, after a scan made through the grid only, it scores the
+    cell again.  So a missed report shows as a fresh score that differs from
+    the cached one.  One batched kernel sweeps a list of cells: one gather of
+    a (3H, K + 1) table (H orientations, K offsets, a sentinel; shared per
+    disk, orientations and ``phi_max``) over all their visible unscanned
+    offsets, then one row minimum and sum per cell, in blocks of at most
     ``_SWEEP_BLOCK`` offsets or one cell.  Each sweep keeps a cell's offsets
     as its live list; a cell only ever goes from unscanned to scanned, so the
     next sweep filters that list by the current state and only a cell's
     first sweep reads its visibility mask.
     :meth:`mark_scanned` finds a (cached, new) pair's disk offset in the
     layout's table over every map-relative offset: (2w-1)(2h-1) entries for a
-    w x h map, whatever ``r_max``.  It tests the pairs in (new x cached)
-    blocks, the cached axis inner, and drops the cells found stale before
-    each later block; the stale set is that of a test of every pair.
+    w x h map, whatever ``r_max``; a scanned cached cell pairs with itself.
+    It tests the pairs in (new x cached) blocks, the cached axis inner, and
+    drops the cells found stale before each later block; the stale set is
+    that of a test of every pair.
     """
 
     def __init__(self, grid: GridMap, sensor: SensorModel,
@@ -261,7 +265,6 @@ class FosEvaluator:
         self._gain = np.zeros((cells, len(self.orientations)), dtype=np.int64)
         self._phi = np.zeros((cells, len(self.orientations)), dtype=np.float64)
         self._time = np.zeros((cells, len(self.orientations)), dtype=np.float64)
-        self._own = np.zeros(cells, dtype=bool)  # own cell unscanned when last scored
         self._live: list[np.ndarray | None] = [None] * cells
         # the sweep gather of one block (at most _SWEEP_BLOCK offsets, or one cell's K)
         most = max(_SWEEP_BLOCK, self.disk.k) + 1
@@ -275,7 +278,7 @@ class FosEvaluator:
             on_map(self.grid, [i])
 
     def visible(self, i: int) -> np.ndarray:
-        """Boolean mask over the ray disk: offset free and line of sight clear."""
+        """Boolean mask over the ray disk, own cell last: offset free and line of sight clear."""
         self._check_cell(i)
         disk, vis = self.disk, self._vis
         if not vis.known[i]:
@@ -294,9 +297,9 @@ class FosEvaluator:
     def mark_scanned(self, idx: np.ndarray) -> None:
         """Drop the cached scores that the newly scanned cells ``idx`` change.
 
-        A cell's score depends only on whether it and the cells it sees are
-        unscanned.  So a cached score goes stale exactly when the cell was
-        scanned itself or sees a newly scanned cell ``n``; line of sight is
+        A cell's score depends only on whether the cells it sees, itself at the
+        disk's zero offset included, are unscanned.  So a cached score goes stale
+        exactly when the cell sees a newly scanned cell ``n``; line of sight is
         symmetric, so the cell's own mask at offset ``n - cell`` decides.
 
         The (cached cell, new cell) pairs are tested in blocks of at most
@@ -307,12 +310,9 @@ class FosEvaluator:
         left.  The stale set is the one a test of every pair gives.
         """
         idx = on_map(self.grid, idx)
-        if not idx.size:
-            return
         w, h = self.grid.width, self.grid.height
         fresh, vis = self._fresh, self._vis
         nbytes, bits = vis.bits.shape[1], vis.bits.reshape(-1)
-        fresh[idx] = False
         cached = np.flatnonzero(fresh)
         # cell (x, y) at y * (2w - 1) + x, so that a difference of two such
         # positions, shifted by the zero offset's row, is a row of the table
@@ -364,9 +364,8 @@ class FosEvaluator:
 
     def _score_segments(self, cells: np.ndarray, offsets: np.ndarray,
                         bounds: np.ndarray) -> None:
-        """Cache the gain, angle and time of every orientation at the on-map ``cells``,
-        and whether each cell itself is unscanned; cell ``j`` sees the unscanned
-        disk offsets ``offsets[bounds[j]:bounds[j + 1]]``."""
+        """Cache the gain, angle and time of every orientation at the on-map ``cells``;
+        cell ``j`` sees the unscanned disk offsets ``offsets[bounds[j]:bounds[j + 1]]``."""
         h, m = len(self.orientations), offsets.size + 1
         cols = self._cols[:m]
         cols[:-1] = offsets
@@ -379,19 +378,18 @@ class FosEvaluator:
         counts[bounds[:-1] == bounds[1:]] = 0  # reduceat gives an element for an empty segment
         # the sweep spans the window's unscanned cells (last minus first bearing, -inf
         # if none); a zero-angle scan that still covers the own cell costs the setup time
-        own = self._own[cells] = self._states_flat.take(cells) == _UNSCANNED
-        gain = self._gain[cells] = counts + own[:, None]
+        self._gain[cells] = counts
         phi = self._phi[cells] = np.degrees(np.maximum(-edges[h:] - edges[:h], 0.0)).T
-        self._time[cells] = np.where(gain > 0, self.sensor.sweep_time(phi), 0.0)
+        self._time[cells] = np.where(counts > 0, self.sensor.sweep_time(phi), 0.0)
 
     def evaluate_cell(self, i: int) -> list[FosScore]:
         """Scores for every orientation at cell ``i`` (orientation order).
 
         A cell whose cached scores are stale (see :meth:`mark_scanned`) is
         swept first.  The cached scores are returned when the current state
-        removes no offset from the cell's live list and the cell itself is
-        as it was when they were computed; else a scan was made through the
-        grid only, and the cell is scored again from its filtered live list.
+        removes no offset from the cell's live list, which holds the cell
+        itself while it is unscanned; else a scan was made through the grid
+        only, and the cell is scored again from its filtered live list.
         """
         self._check_cell(i)  # before ``_live[-1]`` reads the last cell's list
         if not self._fresh[i]:
@@ -399,7 +397,7 @@ class FosEvaluator:
         else:
             live = self._live[i]
             keep = self._states_flat.take(self.end.take(live) + i) == _UNSCANNED
-            if not keep.all() or self._own.item(i) != (self._states_flat.item(i) == _UNSCANNED):
+            if not keep.all():
                 live = self._live[i] = live.compress(keep)
                 self._score_segments(np.array([i]), live, np.array([0, live.size]))
         return list(map(FosScore._make, zip(self._gain[i].tolist(), self._phi[i].tolist(),
@@ -418,17 +416,13 @@ class FosEvaluator:
     def sweep(self, i: int, h: int) -> tuple[FosScore, np.ndarray]:
         """Fresh score of orientation ``h`` at cell ``i`` and the cells it newly covers.
 
-        The cells come as flat indices in disk order, with ``i`` itself last
-        when it is unscanned.
+        The cells come as flat indices in disk order, so ``i`` itself, the
+        disk's last offset, comes last when it is unscanned.
         """
         if isinstance(h, bool) or not isinstance(h, (int, np.integer)):
             raise ValueError(f"orientation index must be an integer, got {h!r}")
         if not 0 <= h < len(self.orientations):
             raise ValueError(f"orientation index {h} outside [0, {len(self.orientations)})")
         score = self.evaluate_cell(i)[h]
-        live = self._live[i]
-        picked = live.compress(self.window_masks[h].take(live))
-        cells = np.empty(picked.size + self._own.item(i), dtype=np.intp)
-        cells[picked.size:] = i  # the own cell, when unscanned
-        np.add(self.end.take(picked), i, out=cells[:picked.size])
-        return score, cells
+        live = self._live[i]  # as evaluate_cell left it
+        return score, self.end.take(live.compress(self.window_masks[h].take(live))) + i

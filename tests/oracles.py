@@ -9,7 +9,9 @@ a time, scores every candidate with that scalar integral and sorts on a
 plain key.
 :func:`compute_fos` and :func:`visible_cells` are the exception: they give
 the cell-set view of the production :class:`FosEvaluator`, so that the
-geometry oracles test it.
+geometry oracles test it.  They and :func:`sampled_sweeps` drop the
+evaluator's last disk offset, the cell itself, and add the own cell by their
+own rule, so that the tests still compare two separate rules.
 """
 
 import heapq
@@ -110,9 +112,10 @@ def compute_fos(grid: GridMap, pose: Pose, sensor: SensorModel) -> ScanResult:
     evaluator = FosEvaluator(grid, sensor, (pose.theta,))
     i = pose.cell.y * grid.width + pose.cell.x
     score, new = evaluator.sweep(i, 0)
-    # the sweep covers every visible cell of the window whose bearing lies
-    # between the first and the last bearing of the cells it newly covers
-    seen = np.flatnonzero(evaluator.visible(i) & evaluator.window_masks[0])
+    # the sweep covers its own cell and every visible other cell of the window
+    # whose bearing lies between the first and the last bearing of the other
+    # cells it newly covers
+    seen = np.flatnonzero(evaluator.visible(i)[:-1] & evaluator.window_masks[0, :-1])
     rel = evaluator._sweep_table[0, seen]  # the relative bearings inside the window
     held = rel[np.isin(i + evaluator.end[seen], new)]
     covered = seen[(held.min(initial=math.inf) <= rel) & (rel <= held.max(initial=-math.inf))]
@@ -125,11 +128,11 @@ def visible_cells(grid: GridMap, cell: Cell, r_max: float) -> set[Cell]:
     """Free cells within metric range of the on-map ``cell`` with clear line of sight.
 
     Range and occlusion only, by a production evaluator; no angular window is
-    applied and the cell itself is not included.
+    applied and the cell itself, the disk's last offset, is not included.
     """
     evaluator = FosEvaluator(grid, SensorModel(r_max=r_max), ())
     i = cell.y * grid.width + cell.x
-    return set(cells_at(grid, i + evaluator.end[evaluator.visible(i)]))
+    return set(cells_at(grid, i + evaluator.end[:-1][evaluator.visible(i)[:-1]]))
 
 
 def choquet(u, measure: FuzzyMeasure) -> float:
@@ -184,13 +187,14 @@ def sampled_sweeps(grid, cell: Cell, sensor, evaluator):
     ``grid.states``.  Only the evaluator's geometry is used: its disk to find
     an offset's column, ``window_masks``, and the relative bearings inside the
     window from the first H rows of ``_sweep_table``, so that cells on a window
-    boundary round the same way.  Trimming rule: the sweep spans the
-    first to the last bearing of the unscanned cells the window holds; a
-    sweep that covers only the own cell has zero angle and costs the setup
-    time, and one that covers nothing costs nothing.
+    boundary round the same way; the disk's last offset, the own cell, is left
+    out.  Trimming rule: the sweep spans the first to the last bearing of the
+    other unscanned cells the window holds, and covers the own cell when it is
+    unscanned; a sweep that covers only the own cell has zero angle and costs
+    the setup time, and one that covers nothing costs nothing.
     """
     disk = evaluator.disk
-    column = {(int(dx), int(dy)): k for k, (dx, dy) in enumerate(zip(disk.dx, disk.dy))}
+    column = {(int(dx), int(dy)): k for k, (dx, dy) in enumerate(zip(disk.dx[:-1], disk.dy[:-1]))}
     unscanned = [
         c for c in sampled_visible_set(grid, cell, sensor.r_max)
         if grid.states[c.y, c.x] == CellState.FREE_UNSCANNED

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -424,3 +425,25 @@ class TestRenderPpm:
         assert px[1] == (0, 0, 0)        # obstacle
         assert px[2] == (255, 0, 0)      # robot
         assert px[3] == (255, 255, 255)  # unscanned
+
+    @pytest.mark.parametrize("robot", [Cell(-1, 0), Cell(3, 0), Cell(0, -1), Cell(0, 2)])
+    def test_off_map_robot_rejected_naming_it(self, robot):
+        grid = parse_map("resolution 1.0\nS..\n...")
+        with pytest.raises(ValueError, match=re.escape(f"robot cell {robot} is off the 3x2 map")):
+            render_ppm(grid, robot)
+
+    @pytest.mark.parametrize("frontier, message", [
+        ([-1], "flat index -1 is off the 3x2 map"),
+        ([6], "flat index 6 is off the 3x2 map"),
+        ([1.5], "integer dtype, got float64"),
+        ([True, False], "integer dtype, got bool"),
+    ])
+    def test_off_map_or_non_integer_frontier_rejected(self, frontier, message):
+        grid = parse_map("resolution 1.0\nS..\n...")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            render_ppm(grid, None, frontier)
+
+    def test_non_integer_robot_rejected(self):
+        grid = parse_map("resolution 1.0\nS..\n...")
+        with pytest.raises(ValueError, match="integers"):
+            render_ppm(grid, Cell(1.5, 0))

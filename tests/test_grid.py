@@ -1,3 +1,4 @@
+import re
 from importlib.resources import files
 
 import numpy as np
@@ -250,6 +251,19 @@ class TestGridMap:
                 GridMap(1.0, np.ones((2, 2), dtype), Cell(0, 0))
         for dtype in (np.uint8, np.int64):
             assert GridMap(1.0, np.ones((2, 2), dtype), Cell(0, 0)).free_count() == 4
+
+    @pytest.mark.parametrize("start", [Cell(1.5, 0), Cell(True, 0), Cell(0, False),
+                                       Cell(1.0, 0), Cell(np.bool_(True), 0)])
+    def test_non_integer_start_rejected_naming_it(self, start):
+        with pytest.raises(ValueError, match=f"integers, got {re.escape(str(start))}"):
+            GridMap(1.0, np.ones((2, 2), np.uint8), start)
+
+    def test_numpy_integer_cells_accepted(self):
+        grid = GridMap(1.0, np.ones((2, 2), np.uint8), Cell(np.int64(1), np.int32(0)))
+        assert grid.is_free(Cell(np.int64(1), np.int64(1)))
+        assert not grid.in_bounds(Cell(np.int64(2), 0))
+        with pytest.raises(ValueError, match="integers"):
+            grid.is_free(Cell(0.5, 0))
 
 
 class TestRandomGrid:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,14 @@ class TestShortestDistances:
         grid = parse_map("resolution 1.0\nS..\n...\n...")
         field = shortest_distances(grid, Cell(0, 0), 4)
         assert field[0, 0] == 0.0
+
+    @pytest.mark.parametrize("source", [Cell(1.5, 0), Cell(True, 0), Cell(0, 1.0)])
+    def test_non_integer_source_rejected_naming_it(self, source):
+        grid = parse_map("resolution 1.0\nS..\n...\n...")
+        with pytest.raises(ValueError, match=re.escape(f"integers, got {source}")):
+            shortest_distances(grid, source, 4)
+        field = shortest_distances(grid, Cell(np.int64(1), np.int64(0)), 4)
+        assert field[0, 1] == 0.0
 
     def test_manhattan_corner_to_corner(self):
         grid = parse_map("resolution 1.0\nS..\n...\n...")

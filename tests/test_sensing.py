@@ -549,9 +549,10 @@ class TestPairBlocks:
 
     def scan_and_compare(self, grid, sensor, headings, warm, scan):
         """Scan ``scan`` and check the cells swept again and every score against
-        the line-of-sight rule and a cold evaluator."""
+        the line-of-sight rule and a cold evaluator.  A scanned cell sees
+        itself, so a cached one must come out stale through the pair test."""
         free = np.flatnonzero(grid.free_mask().reshape(-1))
-        cached = [c for c in np.flatnonzero(warm._fresh).tolist() if c not in set(scan.tolist())]
+        cached = np.flatnonzero(warm._fresh).tolist()
         mark_scanned(grid, scan)
         warm.mark_scanned(scan)
         recomputed = []
@@ -561,6 +562,7 @@ class TestPairBlocks:
         del warm._sweep_cells
         stale = set(recomputed) & set(cached)
         assert stale == self.seers(grid, sensor.r_max, cached, scan.tolist())
+        assert set(scan.tolist()) & set(cached) <= stale
         _layout.cache_clear()  # so that `cold` builds its own visibility masks
         cold_gain, cold_time = FosEvaluator(grid, sensor, headings).scores(free)
         assert gain.tobytes() == cold_gain.tobytes() and time.tobytes() == cold_time.tobytes()
@@ -578,7 +580,7 @@ class TestPairBlocks:
             warm.scores(free)
             unscanned = free[grid.states.reshape(-1)[free] == CellState.FREE_UNSCANNED]
             scan = rng.choice(unscanned, 80, replace=False)
-            before = [c for c in free.tolist() if c not in set(scan.tolist())]
+            before = free.tolist()  # every free cell is cached, the scanned ones too
             first = max(1, block // len(before))  # the new cells of the first block
             assert first < scan.size
             # a cell found stale in the first block also sees new cells of later blocks
@@ -641,11 +643,22 @@ class TestLayoutCache:
         narrow = FosEvaluator(grid, SensorModel(r_max=10.0, phi_max=90.0), heading_set(8))
         for name in tables:
             assert getattr(narrow, name) is not getattr(first, name)
+        # columns: the K - 1 offsets but the own cell, the own cell, the sentinel
+        k = first.disk.k
+        assert first._sweep_table.shape == narrow._sweep_table.shape == (24, k + 1)
         # the first 8 rows hold the relative bearings inside the window, else +inf
-        rel = first._sweep_table[:8, :-1]
-        assert np.array_equal(narrow.window_masks, np.abs(rel) <= math.pi / 4)
-        narrow_rel = narrow._sweep_table[:8, :-1]
-        assert np.array_equal(narrow_rel, np.where(narrow.window_masks, rel, np.inf))
+        rel = first._sweep_table[:8, :k - 1]
+        assert np.array_equal(narrow.window_masks[:, :-1], np.abs(rel) <= math.pi / 4)
+        narrow_rel = narrow._sweep_table[:8, :k - 1]
+        assert np.array_equal(narrow_rel, np.where(narrow.window_masks[:, :-1], rel, np.inf))
+        for evaluator in (first, narrow):
+            table = evaluator._sweep_table
+            # the own cell is in every window, with +inf in both edge rows
+            assert evaluator.window_masks[:, -1].all()
+            assert table[:16, k - 1].tolist() == [math.inf] * 16
+            assert table[16:, k - 1].tolist() == [1.0] * 8
+            # the sentinel is in no window, with +inf in both edge rows
+            assert table[:, k].tolist() == [math.inf] * 16 + [0.0] * 8
         assert _heading_tables.cache_info().misses == 2
 
     @pytest.mark.parametrize("pair", [
@@ -689,9 +702,10 @@ class TestShortRange:
 
 class TestVisibleCells:
     def test_matches_line_of_sight_definition(self):
-        # a 100 m range on a 5x3 map: the sensor disk is clipped to the map
+        # a 100 m range on a 5x3 map: the sensor disk is clipped to the 9x9
+        # box of offsets between two cells of the map, the own cell included
         small = parse_map("resolution 1.0\n..#..\n.S#..\n.....")
-        assert FosEvaluator(small, SensorModel(r_max=100.0), ()).disk.k <= 80
+        assert FosEvaluator(small, SensorModel(r_max=100.0), ()).disk.k <= 81
         for grid, r_max in ((generate_random_grid(9, 0.2, 4), 5.0), (small, 100.0)):
             # every free cell, so corner and edge windows reach into the padding
             for origin in free_cells(grid):
@@ -737,6 +751,28 @@ class TestVisibleCells:
             first = evaluator.visible(i)
             assert np.array_equal(evaluator.visible(i), first)  # served from the cache
 
+    @given(
+        width=st.integers(1, 12),
+        height=st.integers(1, 12),
+        obstacle_ratio=st.floats(0.0, 0.6),
+        seed=st.integers(0, 10**6),
+        r_max=st.floats(0.5, 20.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_cell_sees_itself_exactly_when_free(self, width, height, obstacle_ratio, seed,
+                                                   r_max):
+        # the disk's last offset is the cell itself: seen from a free cell, and
+        # hidden at an obstacle, whose own ray is blocked by the cell itself
+        rng = np.random.default_rng(seed)
+        obstacle = rng.random((height, width)) < obstacle_ratio
+        obstacle.flat[rng.integers(obstacle.size)] = False  # keep one free cell
+        states = np.where(obstacle, CellState.OBSTACLE, CellState.FREE_UNSCANNED)
+        grid = GridMap.from_states(states.astype(np.uint8), 1.0)
+        evaluator = FosEvaluator(grid, SensorModel(r_max=r_max), ())
+        assert (evaluator.disk.dx[-1], evaluator.disk.dy[-1], evaluator.end[-1]) == (0, 0, 0)
+        own = [bool(evaluator.visible(i)[-1]) for i in range(width * height)]
+        assert own == (~obstacle).reshape(-1).tolist()
+
 
 class TestRayDisk:
     @pytest.mark.parametrize("r_max, resolution, extent", [
@@ -749,11 +785,16 @@ class TestRayDisk:
     def test_tables_match_plain_loops(self, r_max, resolution, extent):
         disk = _RayDisk(r_max, resolution, extent)
         offsets = list(zip(disk.dx.tolist(), disk.dy.tolist()))
+        assert offsets[-1] == (0, 0) and (0, 0) not in offsets[:-1]
         position = {offset: j for j, offset in enumerate(offsets)}
         through = np.zeros((disk.k, disk.k), dtype=bool)
         for k, (dx, dy) in enumerate(offsets):
-            for cell in traverse_segment(0, 0, dx, dy)[1:]:
+            # the cells past the start that the ray crosses, and its endpoint:
+            # the own cell's ray is the own cell alone
+            for cell in {*traverse_segment(0, 0, dx, dy)[1:], (dx, dy)}:
                 through[position[cell], k] = True
+        assert through[-1].tolist() == [False] * (disk.k - 1) + [True]
+        assert not through[:-1, -1].any()
         assert disk.through.shape == (disk.k, (disk.k + 7) // 8)
         assert np.array_equal(disk.through, np.packbits(through, axis=1, bitorder="little"))
 
@@ -764,6 +805,9 @@ class TestRayDisk:
         assert np.array_equal(unpack(disk.right), disk.dx > a)
         assert np.array_equal(unpack(disk.up), disk.dy < -a)
         assert np.array_equal(unpack(disk.down), disk.dy > a)
+        # no map edge hides the own cell
+        for rows in (disk.left, disk.right, disk.up, disk.down):
+            assert not unpack(rows)[:, -1].any()
         # the pad bits past K are set in every ``left`` row
         assert np.unpackbits(disk.left, axis=1, bitorder="little")[:, disk.k:].all()
 
@@ -778,15 +822,15 @@ class TestRayDisk:
             r_max = k / 10
             disk, exact = _RayDisk(r_max, resolution, 12), exact_offsets(r_max, resolution, 12)
             assert list(zip(disk.dx.tolist(), disk.dy.tolist())) == exact, r_max
-            floats = {(dx, dy) for dy in box for dx in box if (dx, dy) != (0, 0)
-                      and (dx * dx + dy * dy) * resolution * resolution <= r_max * r_max}
+            floats = {(dx, dy) for dy in box for dx in box
+                      if (dx * dx + dy * dy) * resolution * resolution <= r_max * r_max}
             float_rule_wrong += len(floats ^ set(exact))
         assert float_rule_wrong  # the float product rule errs on some of these
 
     def test_membership_at_tiny_scales(self):
         # (dx^2 + dy^2) * resolution^2 underflows to 0 <= 0 in floats
         tiny, unit = _RayDisk(1e-200, 1e-200, 5), _RayDisk(1.0, 1.0, 5)
-        assert tiny.k == unit.k == 4 and tiny.reach == unit.reach == 1
+        assert tiny.k == unit.k == 5 and tiny.reach == unit.reach == 1
         assert np.array_equal(tiny.dx, unit.dx) and np.array_equal(tiny.dy, unit.dy)
 
     def test_reach_is_the_farthest_offset(self):
@@ -809,16 +853,17 @@ class TestRayDisk:
             r_max = resolution * math.sqrt(d2)
         disk, exact = _RayDisk(r_max, resolution, extent), exact_offsets(r_max, resolution, extent)
         assert list(zip(disk.dx.tolist(), disk.dy.tolist())) == exact
-        assert disk.reach == max((max(abs(dx), abs(dy)) for dx, dy in exact), default=0)
+        assert disk.reach == max(max(abs(dx), abs(dy)) for dx, dy in exact)
 
 
 def exact_offsets(r_max, resolution, extent):
     """The offsets of the ``extent`` box but (0, 0), row by row, that
-    ``(dx^2 + dy^2) * resolution^2 <= r_max^2`` keeps in rationals."""
+    ``(dx^2 + dy^2) * resolution^2 <= r_max^2`` keeps in rationals; then the
+    own cell (0, 0), which every range keeps."""
     r2, res2 = Fraction(r_max) ** 2, Fraction(resolution) ** 2
     box = range(-extent, extent + 1)
     return [(dx, dy) for dy in box for dx in box
-            if (dx, dy) != (0, 0) and (dx * dx + dy * dy) * res2 <= r2]
+            if (dx, dy) != (0, 0) and (dx * dx + dy * dy) * res2 <= r2] + [(0, 0)]
 
 
 class TestSweepOracle:
