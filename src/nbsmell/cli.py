@@ -200,7 +200,9 @@ def _batch_sizes(args: argparse.Namespace) -> list[int]:
     if _grid_seed(args, min(sizes), 0) < 0:
         raise InvalidConfigError(
             f"--seed {args.seed} gives a negative per-grid seed for size {min(sizes)}")
-    for size in sizes:
+    for j, size in enumerate(sizes):
+        if size in sizes[:j]:  # its grids would run, and be written, twice
+            raise InvalidConfigError(f"--sizes repeats size {size}")
         random_obstacle_count(size, args.obstacle_ratio)
     if args.jobs < 1:
         raise InvalidConfigError(f"--jobs must be >= 1, got {args.jobs}")

@@ -174,7 +174,7 @@ class CoverageEngine:
         idx = (frontier_cells(grid, self.connectivity) if self._scanned
                else np.array([robot.y * grid.width + robot.x]))
         idx = idx.compress(np.isfinite(dist.take(idx)))
-        gain, sense = self.evaluator.scores(idx)
+        gain, phi = self.evaluator.scores(idx)
         # candidates in row-major cell order, headings ascending, as flat
         # indices into the (cells, headings) block
         flat = np.flatnonzero(gain >= 1)
@@ -185,7 +185,7 @@ class CoverageEngine:
         criteria = np.empty((3, flat.size))
         criteria[0] = gain.take(flat)
         criteria[1] = dist.take(idx.take(flat // gain.shape[1]))
-        criteria[2] = sense.take(flat)
+        criteria[2] = self.sensor.sweep_time(phi.take(flat))
         best = select_best(criteria, self.measure)
         decision_time = time.perf_counter() - started
 
@@ -271,8 +271,7 @@ def uncoverable_cells(
     bearing falls inside the opening-angle window of at least one
     orientation.  Every free cell trivially covers itself.
     """
-    headings = heading_set(orientations)
-    evaluator = FosEvaluator(grid, sensor, headings)
+    evaluator = FosEvaluator(grid, sensor, heading_set(orientations))
     reachable = np.isfinite(shortest_distances(grid, grid.start, connectivity))
     window_any = evaluator.window_masks.any(axis=0)
     coverable = np.zeros(grid.width * grid.height, dtype=bool)

@@ -77,11 +77,17 @@ def heading_set(count: int) -> tuple[float, ...]:
     """Equally spaced headings in [0, 2*pi), starting at 0.
 
     Only 4 or 8 orientations are supported (axis directions, plus the
-    45-degree diagonals for 8).
+    45-degree diagonals for 8), as a Python or numpy integer.
     """
-    if count not in (4, 8):
-        raise ValueError(f"orientation count must be 4 or 8, got {count}")
+    count = _four_or_eight("orientation count", count)
     return tuple(2.0 * math.pi * k / count for k in range(count))
+
+
+def _four_or_eight(what: str, count: int) -> int:
+    """``count`` as an int; ValueError naming it unless it is a Python or numpy integer 4 or 8."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count not in (4, 8):
+        raise ValueError(f"{what} must be 4 or 8, got {count!r}")
+    return int(count)
 
 
 @dataclass(eq=False)
@@ -281,11 +287,7 @@ _NEIGHBORS_8 = _NEIGHBORS_4 + ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def neighbor_offsets(connectivity: int) -> tuple[tuple[int, int], ...]:
-    if connectivity == 4:
-        return _NEIGHBORS_4
-    if connectivity == 8:
-        return _NEIGHBORS_8
-    raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+    return _NEIGHBORS_4 if _four_or_eight("connectivity", connectivity) == 4 else _NEIGHBORS_8
 
 
 def padded(mask: np.ndarray) -> np.ndarray:
@@ -306,11 +308,14 @@ def shifted(pad: np.ndarray, dx: int, dy: int) -> np.ndarray:
 
 
 def on_map(grid: GridMap, flat: np.ndarray | Sequence[int]) -> np.ndarray:
-    """``flat`` as intp indices; ValueError for a non-integer dtype or its first off-map index.
+    """``flat`` as 1-D intp indices; ValueError for any other shape (a scalar, a list
+    of :class:`Cell`), a non-integer dtype or the first off-map index.
 
     A mask finds that index: below about a thousand indices it is cheaper than ``min`` and ``max``.
     """
     flat = np.asarray(flat)
+    if flat.ndim != 1:
+        raise ValueError(f"expected a 1-D array of flat indices, got shape {flat.shape}")
     if flat.size and flat.dtype.kind not in "iu":  # signed or unsigned integers
         raise ValueError(f"flat indices must have an integer dtype, got {flat.dtype}")
     off = flat[(flat < 0) | (flat >= grid.states.size)]
@@ -337,26 +342,27 @@ def frontier_cells(grid: GridMap, connectivity: int) -> np.ndarray:
     return np.flatnonzero(grid.scanned_mask() & near)
 
 
+def _free_on_map(grid: GridMap, flat: np.ndarray | Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``on_map(grid, flat)`` and the states there; ValueError naming the first obstacle."""
+    flat = on_map(grid, flat)
+    held = grid.states.take(flat)  # ``take`` reads the flattened array
+    if np.count_nonzero(held) < held.size:  # an obstacle: state 0, so argmin finds the first
+        raise ValueError(f"cannot scan obstacle cell {cells_at(grid, [flat[held.argmin()]])[0]}")
+    return flat, held
+
+
 def mark_scanned(grid: GridMap, flat: np.ndarray | Sequence[int]) -> int:
     """Mark free cells as scanned; returns the number of distinct new transitions.
 
     ``flat`` is a 1-D array of flat indices ``y * width + x``.  Idempotent on
-    already-scanned cells, and a cell listed twice counts once.  An off-map
-    cell or an obstacle raises ValueError naming the first in input order
-    (off-map ones by :func:`on_map`), and so does a non-integer dtype or any
-    other shape, such as a list of :class:`Cell`; all before any cell is written.
+    already-scanned cells, and a cell listed twice counts once.  Any other
+    shape, a non-integer dtype or an off-map cell (all by :func:`on_map`), else
+    an obstacle, raises ValueError naming the first in input order, before any
+    cell is written.
     """
-    flat = np.asarray(flat)
-    if flat.ndim != 1:
-        raise ValueError(f"expected a 1-D array of flat indices, got shape {flat.shape}")
-    flat = on_map(grid, flat)
-    states = grid.states.reshape(-1)
-    held = states.take(flat)
-    if not held.all():  # an obstacle: state 0
-        first = flat[held == _OBSTACLE][:1]
-        raise ValueError(f"cannot scan obstacle cell {cells_at(grid, first)[0]}")
+    flat, held = _free_on_map(grid, flat)
     new = np.sort(flat.compress(held == _UNSCANNED))
-    states.put(new, _SCANNED)
+    grid.states.put(new, _SCANNED)  # ``put`` writes the flattened array
     return int(np.count_nonzero(new[1:] != new[:-1])) + bool(new.size)  # distinct cells
 
 

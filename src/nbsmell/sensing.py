@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import _UNSCANNED, CellState, GridMap, on_map
+from .grid import _UNSCANNED, CellState, GridMap, _free_on_map, on_map
 
 __all__ = [
     "FosScore",
@@ -207,9 +207,11 @@ class FosEvaluator:
     """Vectorized field-of-smell evaluation over one grid.
 
     Cells are addressed by their flat index ``i = y * width + x``; an index
-    outside ``0 <= i < width * height``, or a scalar one that is not a Python
-    or numpy integer (a bool, a float), raises ValueError.  The cells at the
-    disk offsets of cell ``i`` are ``i + end``, the cell itself last.
+    outside ``0 <= i < width * height``, a scalar one that is not a Python or
+    numpy integer (a bool, a float) or an index array that is not 1-D raises
+    ValueError by :func:`on_map`, and an obstacle cell does too everywhere but
+    in :meth:`visible`, by the rule of ``grid.mark_scanned``.  The cells at
+    the disk offsets of cell ``i`` are ``i + end``, the cell itself last.
     Visibility depends only on the obstacles, which never change, and the
     sensor disk, so it lives in a :class:`_Layout` cached by value: the
     evaluators on a map and its copies with one ``r_max`` share its padded
@@ -218,27 +220,23 @@ class FosEvaluator:
     end; the score cache is per evaluator.  A visibility miss ORs the disk's
     ``through`` rows of the on-map obstacles in the cell's window and the
     edge masks for its distance to each map edge.  The scan state is read
-    from ``grid.states`` itself.  Scores (gain, angle and sensing time per
-    orientation) depend on it, so every scan must be reported through
-    :meth:`mark_scanned` to drop the scores it changes.  The executed sweep
-    (:meth:`evaluate_cell`, :meth:`sweep`) reads a fresh cell's cached scores
-    when the state filter removes no offset, the own cell included, from its
-    live list; else, after a scan made through the grid only, it scores the
-    cell again.  So a missed report shows as a fresh score that differs from
-    the cached one.  One batched kernel sweeps a list of cells: one gather of
-    a (3H, K + 1) table (H orientations, K offsets, a sentinel; shared per
-    disk, orientations and ``phi_max``) over all their visible unscanned
-    offsets, then one row minimum and sum per cell, in blocks of at most
-    ``_SWEEP_BLOCK`` offsets or one cell.  Each sweep keeps a cell's offsets
-    as its live list; a cell only ever goes from unscanned to scanned, so the
-    next sweep filters that list by the current state and only a cell's
-    first sweep reads its visibility mask.
-    :meth:`mark_scanned` finds a (cached, new) pair's disk offset in the
-    layout's table over every map-relative offset: (2w-1)(2h-1) entries for a
-    w x h map, whatever ``r_max``; a scanned cached cell pairs with itself.
-    It tests the pairs in (new x cached) blocks, the cached axis inner, and
-    drops the cells found stale before each later block; the stale set is
-    that of a test of every pair.
+    from ``grid.states`` itself.  The cached scores, gain and sweep angle per
+    orientation, depend on it, so every scan must be reported through
+    :meth:`mark_scanned` to drop the scores it changes; sensing time is not
+    cached but priced from the angle by ``SensorModel.sweep_time``.  The
+    executed sweep (:meth:`evaluate_cell`) checks a fresh cell's live list
+    against the grid, so a missed report shows as a fresh score that differs
+    from the cached one.  One batched kernel sweeps a list of cells: one
+    gather of a (3H, K + 1) table (H orientations, K offsets, a sentinel;
+    shared per disk, orientations and ``phi_max``) over all their visible
+    unscanned offsets, then one row minimum and sum per cell, in blocks of at
+    most ``_SWEEP_BLOCK`` offsets or one cell.  Each sweep keeps a cell's
+    offsets as its live list; a cell only ever goes from unscanned to
+    scanned, so the next sweep filters that list by the current state and
+    only a cell's first sweep reads its visibility mask.  :meth:`mark_scanned`
+    finds a (cached, new) pair's disk offset in the layout's table over every
+    map-relative offset: (2w-1)(2h-1) entries for a w x h map, whatever
+    ``r_max``; a scanned cached cell pairs with itself.
     """
 
     def __init__(self, grid: GridMap, sensor: SensorModel,
@@ -264,7 +262,6 @@ class FosEvaluator:
         self._fresh = np.zeros(cells, dtype=bool)
         self._gain = np.zeros((cells, len(self.orientations)), dtype=np.int64)
         self._phi = np.zeros((cells, len(self.orientations)), dtype=np.float64)
-        self._time = np.zeros((cells, len(self.orientations)), dtype=np.float64)
         self._live: list[np.ndarray | None] = [None] * cells
         # the sweep gather of one block (at most _SWEEP_BLOCK offsets, or one cell's K)
         most = max(_SWEEP_BLOCK, self.disk.k) + 1
@@ -309,7 +306,7 @@ class FosEvaluator:
         found stale, and takes more new cells; the loop ends when none is
         left.  The stale set is the one a test of every pair gives.
         """
-        idx = on_map(self.grid, idx)
+        idx = _free_on_map(self.grid, idx)[0]
         w, h = self.grid.width, self.grid.height
         fresh, vis = self._fresh, self._vis
         nbytes, bits = vis.bits.shape[1], vis.bits.reshape(-1)
@@ -364,7 +361,7 @@ class FosEvaluator:
 
     def _score_segments(self, cells: np.ndarray, offsets: np.ndarray,
                         bounds: np.ndarray) -> None:
-        """Cache the gain, angle and time of every orientation at the on-map ``cells``;
+        """Cache the gain and angle of every orientation at the on-map ``cells``;
         cell ``j`` sees the unscanned disk offsets ``offsets[bounds[j]:bounds[j + 1]]``."""
         h, m = len(self.orientations), offsets.size + 1
         cols = self._cols[:m]
@@ -376,42 +373,37 @@ class FosEvaluator:
         edges = np.minimum.reduceat(held[:2 * h], bounds[:-1], axis=1)
         counts = np.add.reduceat(held[2 * h:], bounds[:-1], axis=1).T
         counts[bounds[:-1] == bounds[1:]] = 0  # reduceat gives an element for an empty segment
-        # the sweep spans the window's unscanned cells (last minus first bearing, -inf
-        # if none); a zero-angle scan that still covers the own cell costs the setup time
+        # the sweep spans the window's unscanned cells (last minus first bearing, -inf if none)
         self._gain[cells] = counts
-        phi = self._phi[cells] = np.degrees(np.maximum(-edges[h:] - edges[:h], 0.0)).T
-        self._time[cells] = np.where(counts > 0, self.sensor.sweep_time(phi), 0.0)
+        self._phi[cells] = np.degrees(np.maximum(-edges[h:] - edges[:h], 0.0)).T
 
     def evaluate_cell(self, i: int) -> list[FosScore]:
-        """Scores for every orientation at cell ``i`` (orientation order).
+        """Scores for every orientation at the free cell ``i`` (orientation order).
 
-        A cell whose cached scores are stale (see :meth:`mark_scanned`) is
-        swept first.  The cached scores are returned when the current state
-        removes no offset from the cell's live list, which holds the cell
-        itself while it is unscanned; else a scan was made through the grid
-        only, and the cell is scored again from its filtered live list.
+        The cached gain and angle are returned when they are fresh (see
+        :meth:`mark_scanned`) and the current state removes no offset from the
+        cell's live list, which holds the cell itself while it is unscanned;
+        else the kernel sweeps the cell again.  An orientation costs
+        ``SensorModel.sweep_time`` of its angle, or 0 s if it covers no cell.
         """
         self._check_cell(i)  # before ``_live[-1]`` reads the last cell's list
-        if not self._fresh[i]:
+        if not self._fresh[i]:  # a fresh cell was checked free before its sweep, as here
+            self._sweep_cells(_free_on_map(self.grid, [i])[0])
+        elif not (self._states_flat.take(self.end.take(self._live[i]) + i) == _UNSCANNED).all():
             self._sweep_cells(np.array([i]))
-        else:
-            live = self._live[i]
-            keep = self._states_flat.take(self.end.take(live) + i) == _UNSCANNED
-            if not keep.all():
-                live = self._live[i] = live.compress(keep)
-                self._score_segments(np.array([i]), live, np.array([0, live.size]))
-        return list(map(FosScore._make, zip(self._gain[i].tolist(), self._phi[i].tolist(),
-                                            self._time[i].tolist())))
+        # a zero-angle scan that still covers the own cell costs the setup time
+        return [FosScore(gain, phi, self.sensor.sweep_time(phi) if gain else 0.0)
+                for gain, phi in zip(self._gain[i].tolist(), self._phi[i].tolist())]
 
     def scores(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gain and sensing time at the cells ``idx``, each (len(idx), orientations).
+        """Gain and sweep angle at the free cells ``idx``, each (len(idx), orientations).
 
-        Cached entries are reused; cells without a valid entry are swept
-        first, all in one batch.
+        Cached entries are reused, cells without one swept first in one batch;
+        a covering orientation takes ``SensorModel.sweep_time`` of its angle.
         """
-        idx = on_map(self.grid, idx)
+        idx = _free_on_map(self.grid, idx)[0]
         self._sweep_cells(idx[~self._fresh[idx]])
-        return self._gain[idx], self._time[idx]
+        return self._gain[idx], self._phi[idx]
 
     def sweep(self, i: int, h: int) -> tuple[FosScore, np.ndarray]:
         """Fresh score of orientation ``h`` at cell ``i`` and the cells it newly covers.

@@ -296,6 +296,21 @@ class TestRandgridCommand:
             "randgrid", "--sizes", "0", "--out", str(tmp_path / "o")
         ]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("sizes,repeated", [("3,3", 3), ("5,3,05", 5)])
+    def test_repeated_size_exit_config_before_any_grid_runs(
+            self, tmp_path, capsys, monkeypatch, sizes, repeated):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a grid ran before the batch was validated")
+
+        monkeypatch.setattr(cli, "run_coverage", no_run)
+        assert main([
+            "randgrid", "--sizes", sizes, "--grids-per-size", "2",
+            "--out", str(tmp_path / "o"),
+        ]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"invalid configuration: --sizes repeats size {repeated}\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("sizes,ratio", [("3,2", "0.9"), ("1", "0.6")])
     def test_ratio_leaving_no_free_cell_exit_config_before_any_grid_runs(
             self, tmp_path, capsys, monkeypatch, sizes, ratio):

@@ -284,11 +284,37 @@ class TestStepAndRun:
         ({"connectivity": 6}, "connectivity"),
         ({"speed": 0.0}, "speed"),
         ({"target_coverage": 1.5}, "target_coverage"),
+        # 4.0 == 4: it reached range() as a heading count, and passed as a connectivity
+        ({"orientations": 4.0}, r"orientation count must be 4 or 8, got 4\.0"),
+        ({"connectivity": 4.0}, r"connectivity must be 4 or 8, got 4\.0"),
+        ({"connectivity": True}, "connectivity must be 4 or 8, got True"),
     ])
     def test_invalid_motion_rejected_at_construction(self, options, match):
         grid = parse_map("resolution 1.0\nS.")
         with pytest.raises(ValueError, match=match):
             CoverageEngine(grid, "E", SENSOR, **options)
+
+    @pytest.mark.parametrize("orientations,connectivity,match", [
+        (4.0, 4, "orientation count must be 4 or 8, got 4.0"),
+        (np.float64(8.0), 4, "orientation count must be 4 or 8, got np.float64(8.0)"),
+        (4, 4.0, "connectivity must be 4 or 8, got 4.0"),
+    ])
+    def test_non_integer_counts_rejected_by_uncoverable_cells(self, orientations, connectivity,
+                                                             match):
+        grid = parse_map("resolution 1.0\nS.\n..")
+        with pytest.raises(ValueError, match=re.escape(match)):
+            uncoverable_cells(grid, SENSOR, orientations, connectivity)
+
+    def test_numpy_integer_counts_run_like_python_ints(self):
+        grid = generate_random_grid(8, 0.1, 2)
+        numpy_counts = run_coverage(grid.copy(), "F", SENSOR, orientations=np.int64(8),
+                                    connectivity=np.int64(8))
+        python_counts = run_coverage(grid.copy(), "F", SENSOR, orientations=8, connectivity=8)
+        assert [(s.pose, s.info_gain, s.sensing_time) for s in numpy_counts.steps] == [
+            (s.pose, s.info_gain, s.sensing_time) for s in python_counts.steps]
+        assert all(type(s.pose.theta) is float for s in numpy_counts.steps)
+        assert uncoverable_cells(grid, SENSOR, np.int64(8), np.int64(8)) == uncoverable_cells(
+            grid, SENSOR, 8, 8)
 
     @pytest.mark.parametrize("values,match", [
         ((0.0, math.nan, 0.4, 0.9, 0.1, 0.6, 0.5, 1.0), r"range: mu\(\{1\}\) = nan"),

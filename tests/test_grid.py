@@ -18,6 +18,7 @@ from nbsmell.grid import (
     generate_random_grid,
     heading_set,
     mark_scanned,
+    neighbor_offsets,
     parse_map,
     serialize_map,
 )
@@ -518,3 +519,19 @@ class TestHeadings:
     def test_invalid_count_rejected(self):
         with pytest.raises(ValueError):
             heading_set(6)
+
+    @pytest.mark.parametrize("count", [4.0, 8.0, np.float64(4.0), True, np.True_, "4"])
+    def test_non_integer_count_rejected_by_name(self, count):
+        # 4.0 == 4, so a membership test alone let it through to range()
+        with pytest.raises(ValueError, match=re.escape(
+                f"orientation count must be 4 or 8, got {count!r}")):
+            heading_set(count)
+        with pytest.raises(ValueError, match=re.escape(
+                f"connectivity must be 4 or 8, got {count!r}")):
+            neighbor_offsets(count)
+
+    def test_numpy_integer_count_accepted(self):
+        headings = heading_set(np.int64(8))
+        assert headings == heading_set(8) and all(type(h) is float for h in headings)
+        assert neighbor_offsets(np.int64(8)) == neighbor_offsets(8)
+        assert neighbor_offsets(np.int32(4)) == neighbor_offsets(4)

@@ -245,15 +245,15 @@ class TestScoreCache:
         recomputed = []
         sweep = evaluator._sweep_cells
         evaluator._sweep_cells = lambda stale: recomputed.extend(stale.tolist()) or sweep(stale)
-        gain, time = evaluator.scores(cells)
+        gain, phi = evaluator.scores(cells)
 
         # the wall hides the scanned cell from `occluded`, so its entry stays;
         # the scanned cell itself and the cell that sees it are recomputed
         assert recomputed == [scanned, seer]
         _layout.cache_clear()  # so that the cold evaluator builds its own visibility masks
-        cold_gain, cold_time = FosEvaluator(grid, DEFAULT, headings).scores(cells)
+        cold_gain, cold_phi = FosEvaluator(grid, DEFAULT, headings).scores(cells)
         assert np.array_equal(gain, cold_gain)
-        assert np.array_equal(time, cold_time)
+        assert np.array_equal(phi, cold_phi)
 
     def test_scan_state_is_read_from_the_grid(self):
         # a scan made only through the grid, without telling the evaluator;
@@ -320,7 +320,7 @@ class TestScoreCache:
             recomputed = []
             sweep = warm._sweep_cells
             warm._sweep_cells = lambda stale: recomputed.extend(stale.tolist()) or sweep(stale)
-            gain, time = warm.scores(free)
+            gain, phi = warm.scores(free)
             del warm._sweep_cells
             new = set(scan.tolist())
             assert set(recomputed) == {
@@ -329,8 +329,8 @@ class TestScoreCache:
 
             _layout.cache_clear()  # so that `cold` builds its own visibility masks
             cold = FosEvaluator(grid, sensor, headings)
-            cold_gain, cold_time = cold.scores(free)
-            assert np.array_equal(gain, cold_gain) and np.array_equal(time, cold_time)
+            cold_gain, cold_phi = cold.scores(free)
+            assert np.array_equal(gain, cold_gain) and np.array_equal(phi, cold_phi)
             for i in free.tolist():
                 h = int(rng.integers(orientations))
                 score, covered = warm.sweep(i, h)
@@ -346,7 +346,7 @@ class TestScoreCache:
         mark_scanned(grid, rng.choice(free, free.size * 3 // 4, replace=False))
         sensor, headings = SensorModel(r_max=3.0, phi_max=90.0), heading_set(8)
         warm = FosEvaluator(grid, sensor, headings)
-        gain, time = warm.scores(free)
+        gain, phi = warm.scores(free)
         swept = []
         sweep = warm._sweep_cells
         warm._sweep_cells = lambda cells: swept.extend(cells.tolist()) or sweep(cells)
@@ -358,7 +358,10 @@ class TestScoreCache:
                 score, covered = warm.sweep(i, h)
                 cold_score, cold_covered = cold.sweep(i, h)
                 assert score == cold_score and np.array_equal(covered, cold_covered), (i, h)
-                assert (score.info_gain, score.sensing_time) == (gain[row, h], time[row, h])
+                assert (score.info_gain, score.phi_used) == (gain[row, h], phi[row, h])
+                # the step prices a candidate from its cached angle alone
+                if score.info_gain:
+                    assert score.sensing_time == sensor.sweep_time(phi[row, h])
                 covers.add("nothing" if not covered.size else
                            "own cell only" if covered.tolist() == [i] else "others")
         assert swept == []
@@ -400,13 +403,15 @@ class TestScoreCache:
         mark_scanned(grid, free[::3])
         sensor, headings = SensorModel(r_max=3.0, phi_max=90.0), heading_set(8)
         warm = FosEvaluator(grid, sensor, headings)
-        gain, time = warm.scores(free)
+        gain, phi = warm.scores(free)
         scored = []
         score = warm._score_segments
         warm._score_segments = lambda cells, *a: scored.extend(cells.tolist()) or score(cells, *a)
         for row, i in enumerate(free.tolist()):
-            cached = list(zip(gain[row], time[row]))
-            assert [(s.info_gain, s.sensing_time) for s in warm.evaluate_cell(i)] == cached
+            scores = warm.evaluate_cell(i)
+            assert [(s.info_gain, s.phi_used) for s in scores] == list(zip(gain[row], phi[row]))
+            assert [s.sensing_time for s in scores] == [
+                sensor.sweep_time(p) if g else 0.0 for g, p in zip(gain[row], phi[row])]
             warm.sweep(i, 0)
         assert scored == []
         # a scan through the grid only: the cells whose live list loses an offset are rescored
@@ -495,6 +500,31 @@ class TestScoreCache:
                     call(flat)
         assert not evaluator._fresh.any()
 
+    def test_two_dimensional_index_arrays_rejected(self):
+        # numpy would index with the array as it is, and return (1, 2, H) score arrays
+        grid = parse_map("resolution 1.0\nS....\n.....")
+        evaluator = FosEvaluator(grid, DEFAULT, heading_set(4))
+        for call in (evaluator.scores, evaluator.mark_scanned):
+            with pytest.raises(ValueError, match=re.escape(
+                    "expected a 1-D array of flat indices, got shape (1, 2)")):
+                call(np.array([[0, 2]]))
+        assert not evaluator._fresh.any()
+
+    def test_obstacle_cells_rejected_but_visible(self):
+        # a robot never stands on an obstacle: unchecked, the obstacle here scored
+        # gain 3, angle 90 and 36 s, and a reported scan of it passed
+        grid = parse_map("resolution 1.0\nS#.\n...")
+        evaluator = FosEvaluator(grid, SensorModel(r_max=5.0), (0.0,))
+        named = re.escape("cannot scan obstacle cell Cell(x=1, y=0)")
+        for call in self.entry_points(evaluator)[1:]:  # all but visible
+            with pytest.raises(ValueError, match=named):
+                call(1)
+        assert not evaluator._fresh.any()
+        with pytest.raises(ValueError, match=named):  # the grid's scan: the same rule and words
+            mark_scanned(grid, [1])
+        visible = evaluator.visible(1)
+        assert not visible[-1] and visible.any()  # not itself, but the cells in its line of sight
+
     def test_float_and_bool_scalar_cells_rejected(self):
         # numpy would raise a bare IndexError for 2.5, and read True as a mask
         grid = parse_map("resolution 1.0\nS....\n.....\n.....\n.....\n.....")
@@ -521,8 +551,8 @@ class TestScoreCache:
     def test_no_orientations_give_empty_score_rows(self):
         grid = parse_map("resolution 1.0\nS.#.\n....")
         evaluator = FosEvaluator(grid, DEFAULT, ())
-        gain, time = evaluator.scores([0, 3, 5])
-        assert gain.shape == time.shape == (3, 0)
+        gain, phi = evaluator.scores([0, 3, 5])
+        assert gain.shape == phi.shape == (3, 0)
         assert evaluator.evaluate_cell(1) == []
 
     def test_one_ray_disk_stays_cached(self):
@@ -558,14 +588,14 @@ class TestPairBlocks:
         recomputed = []
         sweep = warm._sweep_cells
         warm._sweep_cells = lambda stale: recomputed.extend(stale.tolist()) or sweep(stale)
-        gain, time = warm.scores(free)
+        gain, phi = warm.scores(free)
         del warm._sweep_cells
         stale = set(recomputed) & set(cached)
         assert stale == self.seers(grid, sensor.r_max, cached, scan.tolist())
         assert set(scan.tolist()) & set(cached) <= stale
         _layout.cache_clear()  # so that `cold` builds its own visibility masks
-        cold_gain, cold_time = FosEvaluator(grid, sensor, headings).scores(free)
-        assert gain.tobytes() == cold_gain.tobytes() and time.tobytes() == cold_time.tobytes()
+        cold_gain, cold_phi = FosEvaluator(grid, sensor, headings).scores(free)
+        assert gain.tobytes() == cold_gain.tobytes() and phi.tobytes() == cold_phi.tobytes()
         return cached
 
     @pytest.mark.parametrize("block", [_PAIR_BLOCK, 1, 3])
@@ -915,15 +945,18 @@ class TestSweepOracle:
         mark_cells(grid, more)
         evaluator.mark_scanned(np.array([c.y * grid.width + c.x for c in more], dtype=np.int64))
         batch = np.array([c.y * grid.width + c.x for c in free])
-        gain, time = evaluator.scores(batch)
+        gain, phi = evaluator.scores(batch)
         low = np.flatnonzero(gain.max(axis=1) <= 1)
         checked = {*swept.tolist(), *rng.choice(len(free), min(8, len(free)), replace=False).tolist(),
                    *rng.choice(low, min(6, low.size), replace=False).tolist()}
         for j in sorted(checked):
-            cell, i, gain_row, time_row = free[j], int(batch[j]), gain[j], time[j]
+            cell, i, gain_row, phi_row = free[j], int(batch[j]), gain[j].tolist(), phi[j].tolist()
             expected = sampled_sweeps(grid, cell, sensor, evaluator)
-            assert gain_row.tolist() == [g for g, _, _, _ in expected]
-            assert time_row.tolist() == pytest.approx([t for _, _, t, _ in expected], abs=1e-9)
+            assert gain_row == [g for g, _, _, _ in expected]
+            assert phi_row == pytest.approx([p for _, p, _, _ in expected], abs=1e-9)
+            # a covering heading is timed by the sensor's one rule on its cached angle
+            assert [sensor.sweep_time(p) for g, p in zip(gain_row, phi_row) if g] == (
+                pytest.approx([t for g, _, t, _ in expected if g], abs=1e-9))
             h = int(rng.integers(orientations))  # the live list the batch stored
             assert set(cells_at(grid, evaluator.sweep(i, h)[1])) == expected[h][3]
 
@@ -938,13 +971,13 @@ class TestSweepOracle:
         free = np.flatnonzero(grid.free_mask().reshape(-1))
         rng = np.random.default_rng(5)
         for _ in range(2):  # first sweeps, then re-sweeps after a scan
-            gain, time = batched.scores(free)
+            gain, phi = batched.scores(free)
             assert sum(batched._live[i].size for i in free.tolist()) > 2 * _SWEEP_BLOCK
             for i in free.tolist():
                 single.evaluate_cell(i)
-            single_gain, single_time = single.scores(free)
+            single_gain, single_phi = single.scores(free)
             assert gain.tobytes() == single_gain.tobytes()
-            assert time.tobytes() == single_time.tobytes()
+            assert phi.tobytes() == single_phi.tobytes()
             for i in free.tolist():
                 assert np.array_equal(batched._live[i], single._live[i])
             scan = rng.choice(free, 200, replace=False)
