@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import CoverageEngine, RunResult, check_motion, run_coverage
+from .engine import CoverageEngine, RunResult, check_motion, resolve_measure, run_coverage
 from .grid import (
     Cell,
     GridMap,
@@ -38,7 +38,7 @@ from .grid import (
     serialize_map,
 )
 from .mapgen import generate_map
-from .mcdm import NAMED_CONFIGS, InvalidConfigError, WeightConfig, named_measure
+from .mcdm import NAMED_CONFIGS, InvalidConfigError, WeightConfig
 from .sensing import SensorModel
 
 EXIT_OK = 0
@@ -151,6 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> str | WeightConfig:
+    """The custom weights, or the upper-cased name, checked as the engine checks them."""
     if args.weights is not None:
         parts = args.weights.split(",")
         if len(parts) != 3:
@@ -164,12 +165,12 @@ def _resolve_config(args: argparse.Namespace) -> str | WeightConfig:
                 f"--weights expects numbers, got {args.weights!r}"
             ) from None
         config = WeightConfig(x1, x2, x3, synergy_bonus=args.synergy_bonus)
-        config.validate()
-        return config
-    if args.config.upper() == "CUSTOM":
+    elif args.config.upper() == "CUSTOM":
         raise InvalidConfigError("--config custom requires --weights")
-    named_measure(args.config)  # rejects an unknown name
-    return args.config.upper()
+    else:
+        config = args.config  # an unknown name is reported as typed
+    resolve_measure(config)
+    return config if isinstance(config, WeightConfig) else config.upper()
 
 
 def _validated(args: argparse.Namespace) -> tuple[str | WeightConfig | None, SensorModel]:
@@ -236,8 +237,9 @@ def render_ppm(grid: GridMap, robot: Cell | None,
         img.reshape(-1, 3)[on_map(grid, frontier)] = (0, 0, 255)
     if robot is not None:
         if not grid.in_bounds(robot):
-            raise ValueError(f"robot cell {robot} is off the {grid.width}x{grid.height} map")
-        img[robot.y, robot.x] = (255, 0, 0)
+            raise ValueError(f"robot cell {robot!r} is off the {grid.width}x{grid.height} map")
+        x, y = robot
+        img[y, x] = (255, 0, 0)
     header = f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii")
     return header + img.tobytes()
 

@@ -124,17 +124,21 @@ class GridMap:
         # stored, not a property: the per-cell code reads them very often
         self.height, self.width = self.states.shape
         if not self.in_bounds(self.start):
-            raise ValueError(f"start cell {self.start} out of bounds")
-        if self.states[self.start.y, self.start.x] == CellState.OBSTACLE:
-            raise ValueError(f"start cell {self.start} is an obstacle")
+            raise ValueError(f"start cell {self.start!r} out of bounds")
+        if not self.is_free(self.start):
+            raise ValueError(f"start cell {self.start!r} is an obstacle")
+        self.start = Cell(*self.start)
 
-    def in_bounds(self, cell: Cell) -> bool:
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in cell):
-            raise ValueError(f"cell coordinates must be integers, got {cell}")
-        return 0 <= cell.x < self.width and 0 <= cell.y < self.height
+    def in_bounds(self, cell: tuple[int, int]) -> bool:
+        """Whether ``cell``, (x, y) as a :class:`Cell` or any other sequence of two Python or
+        numpy integers, lies on the map; ValueError naming any other value."""
+        x, y = cell if isinstance(cell, Sequence) and len(cell) == 2 else (None, None)
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (x, y)):
+            raise ValueError(f"a cell (x, y) must be a pair of integers, got {cell!r}")
+        return 0 <= x < self.width and 0 <= y < self.height
 
-    def is_free(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and self.states[cell.y, cell.x] != _OBSTACLE
+    def is_free(self, cell: tuple[int, int]) -> bool:
+        return self.in_bounds(cell) and self.states[cell[1], cell[0]] != _OBSTACLE
 
     def free_mask(self) -> np.ndarray:
         return self.states != _OBSTACLE
@@ -311,14 +315,14 @@ def on_map(grid: GridMap, flat: np.ndarray | Sequence[int]) -> np.ndarray:
     """``flat`` as 1-D intp indices; ValueError for any other shape (a scalar, a list
     of :class:`Cell`), a non-integer dtype or the first off-map index.
 
-    A mask finds that index: below about a thousand indices it is cheaper than ``min`` and ``max``.
+    One unsigned comparison finds that index: a negative one wraps past every on-map one.
     """
     flat = np.asarray(flat)
     if flat.ndim != 1:
         raise ValueError(f"expected a 1-D array of flat indices, got shape {flat.shape}")
     if flat.size and flat.dtype.kind not in "iu":  # signed or unsigned integers
         raise ValueError(f"flat indices must have an integer dtype, got {flat.dtype}")
-    off = flat[(flat < 0) | (flat >= grid.states.size)]
+    off = flat[flat.astype(np.uintp, copy=False) >= grid.states.size]
     if off.size:
         raise ValueError(f"flat index {off[0]} is off the {grid.width}x{grid.height} map")
     return flat.astype(np.intp, copy=False)

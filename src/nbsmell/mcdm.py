@@ -151,12 +151,12 @@ def _measure_from_row(row: tuple[float, ...]) -> FuzzyMeasure:
 
 
 def named_measure(name: str) -> FuzzyMeasure:
-    try:
-        return _measure_from_row(_NAMED_ROWS[name.upper()])
-    except KeyError:
+    """Measure of a configuration name, in any case; InvalidConfigError naming any other value."""
+    row = _NAMED_ROWS.get(name.upper()) if isinstance(name, str) else None
+    if row is None:
         raise InvalidConfigError(
-            f"unknown configuration {name!r}; expected one of {', '.join(NAMED_CONFIGS)}"
-        ) from None
+            f"unknown configuration {name!r}; expected one of {', '.join(NAMED_CONFIGS)}")
+    return _measure_from_row(row)
 
 
 def build_measure(config: WeightConfig) -> FuzzyMeasure:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra as _sparse_dijkstra
 
-from .grid import Cell, GridMap, neighbor_offsets, padded, shifted
+from .grid import GridMap, neighbor_offsets, padded, shifted
 
 __all__ = ["shortest_distances", "travel_time"]
 
@@ -46,7 +46,7 @@ def _motion_graph(free: bytes, width: int, resolution: float, connectivity: int)
                       shape=(len(free), len(free)))
 
 
-def shortest_distances(grid: GridMap, source: Cell, connectivity: int) -> np.ndarray:
+def shortest_distances(grid: GridMap, source: tuple[int, int], connectivity: int) -> np.ndarray:
     """Exact single-source shortest-path field in meters.
 
     Returns a (height, width) float array; unreachable cells (and
@@ -57,7 +57,7 @@ def shortest_distances(grid: GridMap, source: Cell, connectivity: int) -> np.nda
         raise ValueError(f"source {source} is not a free cell")
     graph = _motion_graph(grid.free_mask().tobytes(), grid.width, grid.resolution,
                           connectivity)
-    s = source.y * grid.width + source.x
+    s = source[1] * grid.width + source[0]
     if connectivity != 4:  # diagonal edges weigh sqrt(2) resolutions
         return _sparse_dijkstra(graph, indices=s).reshape(grid.height, grid.width)
     # A cell at BFS depth d is d resolutions away, added one at a time as

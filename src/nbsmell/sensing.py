@@ -226,7 +226,8 @@ class FosEvaluator:
     cached but priced from the angle by ``SensorModel.sweep_time``.  The
     executed sweep (:meth:`evaluate_cell`) checks a fresh cell's live list
     against the grid, so a missed report shows as a fresh score that differs
-    from the cached one.  One batched kernel sweeps a list of cells: one
+    from the cached one.  One batched kernel, :meth:`_sweep_cells`, sweeps a
+    list of cells, for :meth:`scores` and :meth:`evaluate_cell` alike: one
     gather of a (3H, K + 1) table (H orientations, K offsets, a sentinel;
     shared per disk, orientations and ``phi_max``) over all their visible
     unscanned offsets, then one row minimum and sum per cell, in blocks of at
@@ -332,9 +333,10 @@ class FosEvaluator:
     def _sweep_cells(self, cells: np.ndarray) -> None:
         """Sweep every orientation at the on-map ``cells`` from the current scan state.
 
-        Refreshes their live lists and cached scores.
+        The one sweep kernel (see the class docstring): refreshes their live
+        lists and cached gains and angles.
         """
-        todo, lo = cells.tolist(), 0
+        h, todo, lo = len(self.orientations), cells.tolist(), 0
         while lo < cells.size:
             lists, total = [], 0  # live lists of at most _SWEEP_BLOCK offsets, or of one cell
             for i in todo[lo:]:
@@ -349,33 +351,24 @@ class FosEvaluator:
             joined = np.concatenate(lists)
             seen = block.repeat(sizes) + self.end.take(joined)  # the cells at the offsets
             pos = (self._states_flat.take(seen) == _UNSCANNED).nonzero()[0]
-            new = joined.take(pos)
+            cols = self._cols[:pos.size + 1]
+            new = joined.take(pos, out=cols[:-1])
+            cols[-1] = self.disk.k  # the sentinel column, for empty segments at the end
             # each cell's segment of ``new``, copied, so that no cell pins the block
             bounds = pos.searchsorted(list(accumulate(sizes, initial=0)))
             at = bounds.tolist()
             for i, a, b in zip(block.tolist(), at, at[1:]):
                 self._live[i] = new[a:b].copy()
-            self._score_segments(block, new, bounds)
+            held = self._held[:3 * h * cols.size].reshape(3 * h, cols.size)
+            self._sweep_table.take(cols, axis=1, mode="clip", out=held)  # 'clip' fills it in place
+            edges = np.minimum.reduceat(held[:2 * h], bounds[:-1], axis=1)
+            counts = np.add.reduceat(held[2 * h:], bounds[:-1], axis=1).T
+            counts[bounds[:-1] == bounds[1:]] = 0  # reduceat gives an element for an empty segment
+            # the sweep spans the window's unscanned cells (last minus first bearing, -inf if none)
+            self._gain[block] = counts
+            self._phi[block] = np.degrees(np.maximum(-edges[h:] - edges[:h], 0.0)).T
             self._fresh[block] = True
             lo = hi
-
-    def _score_segments(self, cells: np.ndarray, offsets: np.ndarray,
-                        bounds: np.ndarray) -> None:
-        """Cache the gain and angle of every orientation at the on-map ``cells``;
-        cell ``j`` sees the unscanned disk offsets ``offsets[bounds[j]:bounds[j + 1]]``."""
-        h, m = len(self.orientations), offsets.size + 1
-        cols = self._cols[:m]
-        cols[:-1] = offsets
-        cols[-1] = self.disk.k  # the sentinel column, for empty segments at the end
-        # 'clip' fills ``out`` in place
-        held = self._sweep_table.take(cols, axis=1, mode="clip",
-                                      out=self._held[:3 * h * m].reshape(3 * h, m))
-        edges = np.minimum.reduceat(held[:2 * h], bounds[:-1], axis=1)
-        counts = np.add.reduceat(held[2 * h:], bounds[:-1], axis=1).T
-        counts[bounds[:-1] == bounds[1:]] = 0  # reduceat gives an element for an empty segment
-        # the sweep spans the window's unscanned cells (last minus first bearing, -inf if none)
-        self._gain[cells] = counts
-        self._phi[cells] = np.degrees(np.maximum(-edges[h:] - edges[:h], 0.0)).T
 
     def evaluate_cell(self, i: int) -> list[FosScore]:
         """Scores for every orientation at the free cell ``i`` (orientation order).
@@ -383,14 +376,13 @@ class FosEvaluator:
         The cached gain and angle are returned when they are fresh (see
         :meth:`mark_scanned`) and the current state removes no offset from the
         cell's live list, which holds the cell itself while it is unscanned;
-        else the kernel sweeps the cell again.  An orientation costs
-        ``SensorModel.sweep_time`` of its angle, or 0 s if it covers no cell.
+        else the kernel sweeps it again, after the obstacle check of :meth:`scores`.
+        An orientation costs ``SensorModel.sweep_time`` of its angle, or 0 s if it covers no cell.
         """
         self._check_cell(i)  # before ``_live[-1]`` reads the last cell's list
-        if not self._fresh[i]:  # a fresh cell was checked free before its sweep, as here
+        if not (self._fresh[i] and (self._states_flat.take(
+                self.end.take(self._live[i]) + i) == _UNSCANNED).all()):
             self._sweep_cells(_free_on_map(self.grid, [i])[0])
-        elif not (self._states_flat.take(self.end.take(self._live[i]) + i) == _UNSCANNED).all():
-            self._sweep_cells(np.array([i]))
         # a zero-angle scan that still covers the own cell costs the setup time
         return [FosScore(gain, phi, self.sensor.sweep_time(phi) if gain else 0.0)
                 for gain, phi in zip(self._gain[i].tolist(), self._phi[i].tolist())]

@@ -82,6 +82,27 @@ class TestExitPaths:
         assert code == (EXIT_MAP if prefix == "map error: " else EXIT_CONFIG)
         assert capsys.readouterr().err.startswith(prefix)
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--config", "z"], "unknown configuration 'z'; expected one of "
+                            "A, B, C, D, E, F, G, H, I, J, K, L, M"),
+        (["--config", "custom"], "--config custom requires --weights"),
+        (["--weights", "0.5,0.5"], "--weights expects 'x1,x2,x3', got '0.5,0.5'"),
+        (["--weights", "a,b,c"], "--weights expects numbers, got 'a,b,c'"),
+        (["--weights", "0.5,0.5,0.5"],
+         "weights must satisfy x1 + x2 + x3 = 1 (got 1.5, tolerance 1e-09)"),
+        (["--weights", "1.5,-0.5,0"], "x1 = 1.5 outside [0, 1]"),
+        (["--weights", "0.2,0.3,0.5", "--synergy-bonus", "-1"],
+         "synergy_bonus must be >= 0, got -1.0"),
+    ], ids=["unknown", "custom", "two-parts", "non-numeric", "off-simplex", "range",
+            "negative-bonus"])
+    @pytest.mark.parametrize("command", ["run", "randgrid"])
+    def test_configuration_error_lines(self, tiny_map, tmp_path, capsys, command, flags,
+                                       message):
+        argv = command_args(command, tiny_map, tmp_path / "o")
+        assert main([*argv, *flags]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["run", "sweep", "randgrid"])
     def test_error_inside_coverage_run_propagates(self, tiny_map, tmp_path, monkeypatch,
                                                   command):
@@ -457,6 +478,12 @@ class TestRenderPpm:
         grid = parse_map("resolution 1.0\nS..\n...")
         with pytest.raises(ValueError, match=re.escape(message)):
             render_ppm(grid, None, frontier)
+
+    def test_plain_pair_robot_matches_cell(self):
+        grid = parse_map("resolution 1.0\nS..\n...")
+        assert render_ppm(grid, (1, 1)) == render_ppm(grid, Cell(1, 1))
+        with pytest.raises(ValueError, match=re.escape("robot cell (3, 0) is off the 3x2 map")):
+            render_ppm(grid, (3, 0))
 
     def test_non_integer_robot_rejected(self):
         grid = parse_map("resolution 1.0\nS..\n...")

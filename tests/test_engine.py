@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nbsmell.engine
-from nbsmell.engine import CoverageEngine, run_coverage, uncoverable_cells
+from nbsmell.cli import render_ppm
+from nbsmell.engine import CoverageEngine, resolve_measure, run_coverage, uncoverable_cells
 from nbsmell.engine import select_best as select_row
 from nbsmell.grid import (
     Cell,
@@ -25,10 +26,11 @@ from nbsmell.mcdm import (
     NAMED_CONFIGS,
     FuzzyMeasure,
     InvalidConfigError,
+    WeightConfig,
     named_measure,
     normalize_utilities,
 )
-from nbsmell.planning import travel_time
+from nbsmell.planning import shortest_distances, travel_time
 from nbsmell.sensing import SensorModel, _layout
 from oracles import choquet, enumerate_candidates, free_cells, mark_cells, select_best
 
@@ -440,6 +442,43 @@ class TestSelfChecks:
             engine.step()
         assert str(exc.value) == (f"scan bookkeeping out of sync: marked {second.info_gain - 1}, "
                                   f"expected {second.info_gain}")
+
+
+CELL_CALLS = {
+    "in_bounds": lambda grid, cell: grid.in_bounds(cell),
+    "is_free": lambda grid, cell: grid.is_free(cell),
+    "GridMap": lambda grid, cell: GridMap(grid.resolution, grid.states, cell),
+    "shortest_distances": lambda grid, cell: shortest_distances(grid, cell, 4),
+    "render_ppm": render_ppm,
+}
+CELLS = [Cell(2, 1), (2, 1), [0, 1], (np.int64(2), np.int32(0)), (1, 0), (3, 0), (0, -1),
+         (1, 2, 3), (1,), (), None, 5, (True, False), (1.5, 0), "ab", np.array([1, 1])]
+CONFIG_CALLS = {
+    "named_measure": lambda grid, config: named_measure(config),
+    "resolve_measure": lambda grid, config: resolve_measure(config),
+    "CoverageEngine": lambda grid, config: CoverageEngine(grid, config, SENSOR),
+}
+CONFIGS = ["F", "f", "custom", "z", "", None, 5, 1.5, ("A",), b"A",
+           WeightConfig(0.2, 0.3, 0.5), named_measure("E")]
+
+
+class TestEntryPointArguments:
+    """A result, or a ValueError (InvalidConfigError is one) naming the argument.
+
+    Never a bare AttributeError or TypeError, from every entry point that takes
+    a cell or a weight configuration.
+    """
+
+    @pytest.mark.parametrize("call,value", [
+        pytest.param(calls[name], value, id=f"{name}-{value!r}")
+        for calls, values in ((CELL_CALLS, CELLS), (CONFIG_CALLS, CONFIGS))
+        for name in calls for value in values])
+    def test_result_or_value_error_naming_the_argument(self, call, value):
+        grid = parse_map("resolution 1.0\nS#.\n...")
+        try:
+            call(grid, value)
+        except ValueError as exc:
+            assert repr(value) in str(exc)
 
 
 class TestSharedCaches:

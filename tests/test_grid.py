@@ -259,6 +259,26 @@ class TestGridMap:
         with pytest.raises(ValueError, match=f"integers, got {re.escape(str(start))}"):
             GridMap(1.0, np.ones((2, 2), np.uint8), start)
 
+    def test_plain_pairs_accepted_and_start_stored_as_cell(self):
+        states = np.ones((2, 3), np.uint8)
+        states[0, 1] = CellState.OBSTACLE
+        grid = GridMap(1.0, states, (np.int64(2), 1))
+        assert type(grid.start) is Cell and grid.start == Cell(2, 1)
+        assert grid.start.x == 2 and grid.copy().start == grid.start
+        assert grid.in_bounds((1, 1)) and grid.in_bounds([2, 0])
+        assert not grid.in_bounds((3, 0)) and not grid.in_bounds((0, -1))
+        assert grid.is_free((0, 0)) and not grid.is_free((1, 0)) and not grid.is_free((0, 2))
+
+    @pytest.mark.parametrize("cell", [(1, 2, 3), (1,), None, 5, (True, False), "ab"],
+                             ids=["three", "one", "none", "int", "bools", "str"])
+    def test_anything_but_a_pair_of_integers_rejected_naming_it(self, cell):
+        grid = GridMap(1.0, np.ones((3, 3), np.uint8), Cell(0, 0))
+        message = re.escape(f"a cell (x, y) must be a pair of integers, got {cell!r}")
+        for call in (grid.in_bounds, grid.is_free,
+                     lambda cell: GridMap(1.0, grid.states, cell)):
+            with pytest.raises(ValueError, match=message):
+                call(cell)
+
     def test_numpy_integer_cells_accepted(self):
         grid = GridMap(1.0, np.ones((2, 2), np.uint8), Cell(np.int64(1), np.int32(0)))
         assert grid.is_free(Cell(np.int64(1), np.int64(1)))

@@ -81,6 +81,11 @@ class TestNamedMeasures:
         with pytest.raises(InvalidConfigError):
             named_measure("Z")
 
+    @pytest.mark.parametrize("name", [5, None, 1.5, ("A",)])
+    def test_non_string_rejected_naming_it(self, name):
+        with pytest.raises(InvalidConfigError, match=re.escape(f"configuration {name!r}; ")):
+            named_measure(name)
+
 
 class TestBuildMeasure:
     def test_named_config_d_uses_table_pairs(self):

@@ -56,6 +56,14 @@ class TestShortestDistances:
         field = shortest_distances(grid, Cell(np.int64(1), np.int64(0)), 4)
         assert field[0, 1] == 0.0
 
+    def test_plain_pair_source_matches_cell(self):
+        grid = parse_map("resolution 1.0\nS.#\n...\n...")
+        field = shortest_distances(grid, Cell(1, 2), 4)
+        for source in ((1, 2), [1, 2], (np.int32(1), np.int64(2))):
+            assert np.array_equal(shortest_distances(grid, source, 4), field)
+        with pytest.raises(ValueError, match=re.escape("source (2, 0) is not a free cell")):
+            shortest_distances(grid, (2, 0), 4)
+
     def test_manhattan_corner_to_corner(self):
         grid = parse_map("resolution 1.0\nS..\n...\n...")
         field = shortest_distances(grid, Cell(0, 0), 4)

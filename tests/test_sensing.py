@@ -405,8 +405,8 @@ class TestScoreCache:
         warm = FosEvaluator(grid, sensor, headings)
         gain, phi = warm.scores(free)
         scored = []
-        score = warm._score_segments
-        warm._score_segments = lambda cells, *a: scored.extend(cells.tolist()) or score(cells, *a)
+        sweep = warm._sweep_cells
+        warm._sweep_cells = lambda cells: scored.extend(cells.tolist()) or sweep(cells)
         for row, i in enumerate(free.tolist()):
             scores = warm.evaluate_cell(i)
             assert [(s.info_gain, s.phi_used) for s in scores] == list(zip(gain[row], phi[row]))
