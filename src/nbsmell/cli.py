@@ -193,7 +193,10 @@ def _validated(args: argparse.Namespace) -> tuple[str | WeightConfig | None, Sen
 
 
 def _batch_sizes(args: argparse.Namespace) -> list[int]:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        sizes = []  # reported as typed
     if not sizes or any(s < 1 for s in sizes):
         raise InvalidConfigError(f"invalid --sizes {args.sizes!r}")
     if args.grids_per_size < 1:
@@ -415,12 +418,13 @@ def cmd_randgrid(args: argparse.Namespace) -> int:
 
 
 def cmd_genmap(args: argparse.Namespace) -> int:
+    w, x, h = args.size.partition("x")
     try:
-        if "x" in args.size:
-            w_str, h_str = args.size.split("x", 1)
-            width, height = int(w_str), int(h_str)
-        else:
-            width = height = int(args.size)
+        width, height = int(w), int(h if x else w)
+    except ValueError:
+        raise InvalidConfigError(
+            f"--size expects WxH or one side length, got {args.size!r}") from None
+    try:
         grid = generate_map(
             args.kind, width, height,
             seed=args.seed,

@@ -13,7 +13,6 @@ copy to keep the original pristine.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -24,6 +23,7 @@ from .grid import (
     Cell,
     GridMap,
     Pose,
+    _checked,
     cells_at,
     coverage_ratio,  # unused; bench/spans.py hooks nbsmell.engine.coverage_ratio
     frontier_cells,
@@ -100,13 +100,11 @@ def resolve_measure(config: str | WeightConfig | FuzzyMeasure) -> FuzzyMeasure:
     return named_measure(config)
 
 
-def check_motion(connectivity: int, speed: float, target_coverage: float) -> None:
-    """Raise ValueError unless the motion settings of a run are valid."""
+def check_motion(connectivity: int, speed: float, target_coverage: float) -> float:
+    """``target_coverage`` as a Python number; ValueError for invalid motion settings."""
     neighbor_offsets(connectivity)
-    if not 0 < speed < math.inf:
-        raise ValueError(f"speed must be finite and > 0, got {speed}")
-    if not 0.0 < target_coverage <= 1.0:
-        raise ValueError(f"target_coverage must be in (0, 1], got {target_coverage}")
+    travel_time(0.0, speed)
+    return _checked("target_coverage", target_coverage, "in (0, 1]", lambda c: 0 < c <= 1)
 
 
 def select_best(criteria: np.ndarray, measure: FuzzyMeasure) -> int:
@@ -142,13 +140,12 @@ class CoverageEngine:
         speed: float = 1.0,
         target_coverage: float = 1.0,
     ) -> None:
-        check_motion(connectivity, speed, target_coverage)
+        self.target_coverage = check_motion(connectivity, speed, target_coverage)
         self.grid = grid
         self.measure = resolve_measure(config)
         self.sensor = sensor
         self.connectivity = connectivity
-        self.speed = speed
-        self.target_coverage = target_coverage
+        self.speed = speed  # travel_time takes it as a Python number
         self.headings = heading_set(orientations)
         self.evaluator = FosEvaluator(grid, sensor, self.headings)
         self.robot = Pose(grid.start, self.headings[0])

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,6 +73,22 @@ class MapFormatError(ValueError):
     """Raised when an ASCII map document cannot be parsed."""
 
 
+def _is_number(value: object, integer: bool = False) -> bool:
+    """Whether ``value`` is a Python or numpy integer, or real number; never a bool."""
+    kind = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _checked(name: str, value: Any, rule: str, test: Callable[[Any], bool],
+             integer: bool = False, error: type[ValueError] = ValueError) -> Any:
+    """The one check of a numeric argument: ``value``, a numpy scalar as its Python number, if
+    a number (:func:`_is_number`) that ``test`` maps to True (NaN to False); else raises
+    ``error(f"{name} must be {rule}, got {value!r}")``."""
+    if not (_is_number(value, integer) and test(value)):
+        raise error(f"{name} must be {rule}, got {value!r}")
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def heading_set(count: int) -> tuple[float, ...]:
     """Equally spaced headings in [0, 2*pi), starting at 0.
 
@@ -84,10 +100,8 @@ def heading_set(count: int) -> tuple[float, ...]:
 
 
 def _four_or_eight(what: str, count: int) -> int:
-    """``count`` as an int; ValueError naming it unless it is a Python or numpy integer 4 or 8."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count not in (4, 8):
-        raise ValueError(f"{what} must be 4 or 8, got {count!r}")
-    return int(count)
+    """``count`` as an int, by :func:`_checked`: a Python or numpy integer 4 or 8."""
+    return _checked(what, count, "4 or 8", lambda n: n in (4, 8), integer=True)
 
 
 @dataclass(eq=False)
@@ -110,8 +124,8 @@ class GridMap:
     height: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 0 < self.resolution < math.inf:
-            raise ValueError(f"resolution must be finite and > 0, got {self.resolution}")
+        self.resolution = _checked("resolution", self.resolution, "finite and > 0",
+                                   lambda r: 0 < r < math.inf)
         self.states = np.ascontiguousarray(self.states)
         # not bool: it would store the scanned state (2) as True, i.e. unscanned
         if self.states.ndim != 2 or not np.issubdtype(self.states.dtype, np.integer):
@@ -133,7 +147,7 @@ class GridMap:
         """Whether ``cell``, (x, y) as a :class:`Cell` or any other sequence of two Python or
         numpy integers, lies on the map; ValueError naming any other value."""
         x, y = cell if isinstance(cell, Sequence) and len(cell) == 2 else (None, None)
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (x, y)):
+        if not (_is_number(x, integer=True) and _is_number(y, integer=True)):
             raise ValueError(f"a cell (x, y) must be a pair of integers, got {cell!r}")
         return 0 <= x < self.width and 0 <= y < self.height
 
@@ -177,6 +191,8 @@ def parse_map(text: str) -> GridMap:
     character, a ragged row, no start.  Lines end at a line feed, one carriage
     return before it dropped.  Rows decode via the byte table ``_DECODE``.
     """
+    if not isinstance(text, str):
+        raise MapFormatError(f"a map document must be a string, got {text!r}")
     lines = re.split(r"\r?\n", text)
     if lines[-1] == "":
         lines.pop()
@@ -250,22 +266,19 @@ def generate_random_grid(size: int, obstacle_ratio: float, seed: int,
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
-    """numpy's PCG64 generator seeded with ``seed``; a negative seed raises ValueError."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    """numpy's PCG64 generator seeded with ``seed``, an integer >= 0 (:func:`_checked`)."""
+    seed = _checked("seed", seed, ">= 0", lambda n: n >= 0, integer=True)
     return np.random.Generator(np.random.PCG64(seed))
 
 
 def random_obstacle_count(size: int, obstacle_ratio: float) -> int:
     """Obstacles in a random ``size`` x ``size`` grid.
 
-    Raises ValueError for a size below 1, a ratio outside [0, 1), or a
-    ratio that leaves no free cell.
+    Raises ValueError (:func:`_checked`) unless ``size`` is an integer >= 1 and
+    ``obstacle_ratio`` a number in [0, 1), and for a ratio that leaves no free cell.
     """
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    if not 0.0 <= obstacle_ratio < 1.0:
-        raise ValueError(f"obstacle_ratio must be in [0, 1), got {obstacle_ratio}")
+    size = _checked("size", size, "an integer >= 1", lambda n: n >= 1, integer=True)
+    obstacle_ratio = _checked("obstacle_ratio", obstacle_ratio, "in [0, 1)", lambda r: 0 <= r < 1)
     n_obstacles = round(obstacle_ratio * size * size)
     if n_obstacles >= size * size:
         raise ValueError(

@@ -10,7 +10,7 @@ from importlib import resources
 
 import numpy as np
 
-from .grid import CellState, GridMap, generate_random_grid, parse_map, seeded_rng
+from .grid import CellState, GridMap, _checked, generate_random_grid, parse_map, seeded_rng
 
 __all__ = ["corridor_map", "empty_map", "generate_map", "rooms_map", "shipped_map"]
 
@@ -22,19 +22,23 @@ SHIPPED_MAPS = {
 
 def shipped_map(name: str) -> GridMap:
     """Load one of the packaged benchmark maps ('corridor' or 'rooms')."""
-    try:
-        filename = SHIPPED_MAPS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown shipped map {name!r}; expected one of {sorted(SHIPPED_MAPS)}"
-        ) from None
+    filename = SHIPPED_MAPS.get(name) if isinstance(name, str) else None
+    if filename is None:
+        raise ValueError(f"unknown shipped map {name!r}; expected one of {sorted(SHIPPED_MAPS)}")
     text = (resources.files("nbsmell") / "maps" / filename).read_text()
     return parse_map(text)
 
 
+def _free_states(kind: str, width: int, height: int, least: tuple[int, int]) -> np.ndarray:
+    """(height, width) free cells; ValueError (``grid._checked``) for a side below ``least``."""
+    for name, n, low in zip(("width", "height"), (width, height), least):
+        _checked(f"{kind} map {name}", n, f"an integer >= {low}", lambda n: n >= low, integer=True)
+    return np.full((height, width), CellState.FREE_UNSCANNED, dtype=np.uint8)
+
+
 def empty_map(width: int, height: int, resolution: float = 1.0) -> GridMap:
-    states = np.full((height, width), CellState.FREE_UNSCANNED, dtype=np.uint8)
-    return GridMap.from_states(states, resolution)
+    """An obstacle-free map; a side of 0 leaves no free cell, which raises ValueError."""
+    return GridMap.from_states(_free_states("empty", width, height, (0, 0)), resolution)
 
 
 def corridor_map(width: int, height: int, seed: int = 0,
@@ -43,12 +47,10 @@ def corridor_map(width: int, height: int, seed: int = 0,
 
     A two-row corridor runs the full width at mid-height; the bands above
     and below are partitioned into rooms by one-cell walls, each room
-    connected to the corridor by a short door gap.
+    connected to the corridor by a short door gap.  At least 8x7 cells.
     """
-    if width < 8 or height < 7:
-        raise ValueError(f"corridor maps need at least 8x7 cells, got {width}x{height}")
+    states = _free_states("corridor", width, height, (8, 7))
     rng = seeded_rng(seed)
-    states = np.full((height, width), CellState.FREE_UNSCANNED, dtype=np.uint8)
     cy = height // 2 - 1  # corridor occupies rows cy and cy+1
 
     def build_band(wall_row: int, interior_rows: slice) -> None:
@@ -79,11 +81,9 @@ def corridor_map(width: int, height: int, seed: int = 0,
 
 def rooms_map(width: int, height: int, seed: int = 0,
               resolution: float = 1.0) -> GridMap:
-    """Large connected open rooms separated by walls with wide doorways."""
-    if width < 16 or height < 16:
-        raise ValueError(f"rooms maps need at least 16x16 cells, got {width}x{height}")
+    """Large connected open rooms separated by walls with wide doorways (16x16 at least)."""
+    states = _free_states("rooms", width, height, (16, 16))
     rng = seeded_rng(seed)
-    states = np.full((height, width), CellState.FREE_UNSCANNED, dtype=np.uint8)
     nx = max(2, round(width / 28))
     ny = max(2, round(height / 28))
     wall_xs = [i * width // nx for i in range(1, nx)]
@@ -129,6 +129,6 @@ def generate_map(kind: str, width: int, height: int, seed: int = 0,
         return rooms_map(width, height, seed=seed, **cell_size)
     if kind == "random":
         if width != height:
-            raise ValueError("random maps are square; width must equal height")
+            raise ValueError(f"random maps are square, got {width!r}x{height!r}")
         return generate_random_grid(width, obstacle_ratio, seed, **cell_size)
     raise ValueError(f"unknown map kind {kind!r}")

@@ -20,6 +20,8 @@ from enum import IntEnum
 
 import numpy as np
 
+from .grid import _checked
+
 __all__ = [
     "Criterion",
     "FuzzyMeasure",
@@ -108,20 +110,23 @@ class WeightConfig:
     x3: float
     synergy_bonus: float = 0.1
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[float, float, float, float]:
+        """x1-x3 and the bonus as Python numbers (``grid._checked``); InvalidConfigError unless
+        x1-x3 lie in [0, 1] and sum to 1 and ``synergy_bonus`` is >= 0."""
+        xs = []
         for label, x in (("x1", self.x1), ("x2", self.x2), ("x3", self.x3)):
-            if not 0.0 <= x <= 1.0:
-                raise InvalidConfigError(f"{label} = {x!r} outside [0, 1]")
-        total = self.x1 + self.x2 + self.x3
+            try:
+                xs.append(_checked(label, x, "in [0, 1]", lambda x: 0 <= x <= 1))
+            except ValueError:  # the CLI prints this wording
+                raise InvalidConfigError(f"{label} = {x!r} outside [0, 1]") from None
+        total = sum(xs)
         if abs(total - 1.0) > SIMPLEX_TOLERANCE:
             raise InvalidConfigError(
                 f"weights must satisfy x1 + x2 + x3 = 1 "
                 f"(got {total!r}, tolerance {SIMPLEX_TOLERANCE})"
             )
-        if not self.synergy_bonus >= 0:
-            raise InvalidConfigError(
-                f"synergy_bonus must be >= 0, got {self.synergy_bonus!r}"
-            )
+        return (*xs, _checked("synergy_bonus", self.synergy_bonus, ">= 0", lambda b: b >= 0,
+                              error=InvalidConfigError))
 
 
 # Named configurations: (x1, x2, x3, mu12, mu13, mu23), shipped verbatim.
@@ -160,29 +165,14 @@ def named_measure(name: str) -> FuzzyMeasure:
 
 
 def build_measure(config: WeightConfig) -> FuzzyMeasure:
-    """Measure for custom weights.
+    """Measure for custom weights, which must pass :meth:`WeightConfig.validate`.
 
-    Singleton weights are used as given and pairs as
-    ``min(1, x_i + x_j + synergy_bonus)``; the result must pass
-    :func:`validate_measure`.
+    Singletons are the checked weights and pairs ``min(1, x_i + x_j + synergy_bonus)``,
+    between either singleton and 1, so the measure passes :func:`validate_measure`.
     """
-    config.validate()
-    bonus = config.synergy_bonus
+    x1, x2, x3, bonus = config.validate()
     pair = lambda a, b: min(1.0, a + b + bonus)
-    measure = FuzzyMeasure(values=(
-        0.0,
-        config.x1,
-        config.x2,
-        pair(config.x1, config.x2),
-        config.x3,
-        pair(config.x1, config.x3),
-        pair(config.x2, config.x3),
-        1.0,
-    ))
-    violations = validate_measure(measure)
-    if violations:
-        raise InvalidConfigError("; ".join(violations))
-    return measure
+    return FuzzyMeasure(values=(0.0, x1, x2, pair(x1, x2), x3, pair(x1, x3), pair(x2, x3), 1.0))
 
 
 def choquet_batch(utilities: np.ndarray, measure: FuzzyMeasure) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra as _sparse_dijkstra
 
-from .grid import GridMap, neighbor_offsets, padded, shifted
+from .grid import GridMap, _checked, neighbor_offsets, padded, shifted
 
 __all__ = ["shortest_distances", "travel_time"]
 
@@ -76,9 +76,7 @@ def shortest_distances(grid: GridMap, source: tuple[int, int], connectivity: int
 
 
 def travel_time(distance: float, speed: float) -> float:
-    """Seconds to travel ``distance`` meters at ``speed`` m/s."""
-    if not (distance >= 0 and math.isfinite(distance)):
-        raise ValueError(f"distance must be finite and >= 0, got {distance}")
-    if not 0 < speed < math.inf:
-        raise ValueError(f"speed must be finite and > 0, got {speed}")
-    return distance / speed
+    """Seconds to travel ``distance`` meters at ``speed`` m/s; ValueError (``grid._checked``)
+    unless the distance is a finite number >= 0 and the speed a finite number > 0."""
+    distance = _checked("distance", distance, "finite and >= 0", lambda d: 0 <= d < math.inf)
+    return distance / _checked("speed", speed, "finite and > 0", lambda s: 0 < s < math.inf)

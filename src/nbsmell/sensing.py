@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import _UNSCANNED, CellState, GridMap, _free_on_map, on_map
+from .grid import _UNSCANNED, CellState, GridMap, _checked, _free_on_map, _is_number, on_map
 
 __all__ = [
     "FosScore",
@@ -42,7 +42,7 @@ class SensorModel:
     angle in degrees.  The sweep time is linear in the executed angle:
     ``setup_time + sweep_rate * phi``.  The defaults reproduce a pan-tilt
     TDLAS unit that needs 21 s for a 45-degree sweep and 36 s for 90
-    degrees.
+    degrees.  Each field is checked by ``grid._checked`` and stored as a Python number.
     """
 
     r_max: float
@@ -51,14 +51,12 @@ class SensorModel:
     sweep_rate: float = 1.0 / 3.0  # seconds per degree
 
     def __post_init__(self) -> None:
-        if not 0 < self.r_max < math.inf:
-            raise ValueError(f"r_max must be finite and > 0, got {self.r_max}")
-        if not 0 < self.phi_max <= 180:
-            raise ValueError(f"phi_max must be in (0, 180], got {self.phi_max}")
-        if not 0 <= self.setup_time < math.inf:
-            raise ValueError(f"setup_time must be finite and >= 0, got {self.setup_time}")
-        if not 0 < self.sweep_rate < math.inf:
-            raise ValueError(f"sweep_rate must be finite and > 0, got {self.sweep_rate}")
+        for name, rule, test in (("r_max", "finite and > 0", lambda v: 0 < v < math.inf),
+                                 ("phi_max", "in (0, 180]", lambda v: 0 < v <= 180),
+                                 ("setup_time", "finite and >= 0", lambda v: 0 <= v < math.inf),
+                                 ("sweep_rate", "finite and > 0", lambda v: 0 < v < math.inf)):
+            # Python numbers: the ray disk takes Fraction(r_max), which refuses numpy floats
+            object.__setattr__(self, name, _checked(name, getattr(self, name), rule, test))
 
     def sweep_time(self, phi: float) -> float:
         """Seconds a scan sweeping ``phi`` degrees takes (the setup time at 0)."""
@@ -270,9 +268,8 @@ class FosEvaluator:
         self._cols = np.empty(most, dtype=np.intp)  # its columns: the offsets, then K
 
     def _check_cell(self, i: int) -> None:
-        """ValueError, by :func:`on_map`, unless ``i`` is a Python or numpy integer on the map."""
-        integer = isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-        if not (integer and 0 <= i < self._fresh.size):
+        """ValueError by :func:`on_map` unless ``i`` is an on-map integer (``grid._is_number``)."""
+        if not (_is_number(i, integer=True) and 0 <= i < self._fresh.size):
             on_map(self.grid, [i])
 
     def visible(self, i: int) -> np.ndarray:
@@ -403,8 +400,7 @@ class FosEvaluator:
         The cells come as flat indices in disk order, so ``i`` itself, the
         disk's last offset, comes last when it is unscanned.
         """
-        if isinstance(h, bool) or not isinstance(h, (int, np.integer)):
-            raise ValueError(f"orientation index must be an integer, got {h!r}")
+        h = _checked("orientation index", h, "an integer", lambda h: True, integer=True)
         if not 0 <= h < len(self.orientations):
             raise ValueError(f"orientation index {h} outside [0, {len(self.orientations)})")
         score = self.evaluate_cell(i)[h]

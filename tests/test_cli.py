@@ -82,6 +82,30 @@ class TestExitPaths:
         assert code == (EXIT_MAP if prefix == "map error: " else EXIT_CONFIG)
         assert capsys.readouterr().err.startswith(prefix)
 
+    @pytest.mark.parametrize("argv,message", [
+        (["genmap", "--kind", "empty", "--size", "3x"],
+         "--size expects WxH or one side length, got '3x'"),
+        (["genmap", "--kind", "empty", "--size", "abc"],
+         "--size expects WxH or one side length, got 'abc'"),
+        (["genmap", "--kind", "empty", "--size", "3xabc"],
+         "--size expects WxH or one side length, got '3xabc'"),
+        (["genmap", "--kind", "empty", "--size=-3x4"],
+         "empty map width must be an integer >= 0, got -3"),
+        (["genmap", "--kind", "rooms", "--size", "20x8"],
+         "rooms map height must be an integer >= 16, got 8"),
+        (["genmap", "--kind", "random", "--size", "5x6"], "random maps are square, got 5x6"),
+        (["randgrid", "--sizes", "a"], "invalid --sizes 'a'"),
+        (["randgrid", "--sizes", "3,a"], "invalid --sizes '3,a'"),
+    ], ids=["size-no-height", "size-word", "size-height-word", "size-negative", "size-small",
+            "size-not-square", "sizes-word", "sizes-one-word"])
+    def test_size_error_lines(self, tmp_path, capsys, argv, message):
+        # the flag and the value as typed, or the argument the value became
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out / "map.txt" if argv[0] == "genmap" else out)]) == (
+            EXIT_CONFIG)
+        assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags,message", [
         (["--config", "z"], "unknown configuration 'z'; expected one of "
                             "A, B, C, D, E, F, G, H, I, J, K, L, M"),

@@ -18,15 +18,17 @@ from nbsmell.grid import (
     Pose,
     coverage_ratio,
     generate_random_grid,
+    heading_set,
     mark_scanned,
     parse_map,
 )
-from nbsmell.mapgen import shipped_map
+from nbsmell.mapgen import corridor_map, empty_map, generate_map, rooms_map, shipped_map
 from nbsmell.mcdm import (
     NAMED_CONFIGS,
     FuzzyMeasure,
     InvalidConfigError,
     WeightConfig,
+    build_measure,
     named_measure,
     normalize_utilities,
 )
@@ -460,6 +462,49 @@ CONFIG_CALLS = {
 }
 CONFIGS = ["F", "f", "custom", "z", "", None, 5, 1.5, ("A",), b"A",
            WeightConfig(0.2, 0.3, 0.5), named_measure("E")]
+# every numeric argument of the exported entry points, as a call of its value
+NUMBER_CALLS = {
+    "SensorModel-r_max": lambda v: SensorModel(r_max=v),
+    "SensorModel-phi_max": lambda v: SensorModel(10.0, phi_max=v),
+    "SensorModel-setup_time": lambda v: SensorModel(10.0, setup_time=v),
+    "SensorModel-sweep_rate": lambda v: SensorModel(10.0, sweep_rate=v),
+    "GridMap-resolution": lambda v: GridMap(v, np.ones((2, 2), np.uint8), Cell(0, 0)),
+    "generate_random_grid-size": lambda v: generate_random_grid(v, 0.1, 1),
+    "generate_random_grid-obstacle_ratio": lambda v: generate_random_grid(5, v, 1),
+    "generate_random_grid-seed": lambda v: generate_random_grid(5, 0.1, v),
+    "generate_random_grid-resolution": lambda v: generate_random_grid(5, 0.1, 1, resolution=v),
+    "empty_map-width": lambda v: empty_map(v, 2),
+    "empty_map-height": lambda v: empty_map(2, v),
+    "corridor_map-width": lambda v: corridor_map(v, 10),
+    "corridor_map-height": lambda v: corridor_map(60, v),
+    "corridor_map-seed": lambda v: corridor_map(60, 10, seed=v),
+    "rooms_map-width": lambda v: rooms_map(v, 20),
+    "rooms_map-height": lambda v: rooms_map(20, v),
+    "rooms_map-seed": lambda v: rooms_map(20, 20, seed=v),
+    **{f"generate_map-{kind}-size": lambda v, kind=kind: generate_map(kind, v, v)
+       for kind in ("empty", "corridor", "rooms", "random")},
+    "generate_map-seed": lambda v: generate_map("random", 5, 5, seed=v),
+    "generate_map-obstacle_ratio": lambda v: generate_map("random", 5, 5, obstacle_ratio=v),
+    "travel_time-distance": lambda v: travel_time(v, 1.0),
+    "travel_time-speed": lambda v: travel_time(1.0, v),
+    "heading_set": heading_set,
+    **{f"CoverageEngine-{name}": lambda v, name=name: CoverageEngine(
+        parse_map("resolution 1.0\nS."), "E", SENSOR, **{name: v})
+       for name in ("orientations", "connectivity", "speed", "target_coverage")},
+    "build_measure-x1": lambda v: build_measure(WeightConfig(v, 0.0, 0.0)),
+    "build_measure-x2": lambda v: build_measure(WeightConfig(0.0, v, 0.0)),
+    "build_measure-x3": lambda v: build_measure(WeightConfig(0.0, 0.0, v)),
+    "build_measure-synergy_bonus": lambda v: build_measure(WeightConfig(1.0, 0.0, 0.0, v)),
+}
+NUMBERS = [-1, 1.5, math.nan, math.inf, -math.inf]
+NOT_NUMBERS = ["3", None, True, False, np.True_, []]  # a bool is no number here
+# numpy numbers equal to Python ones; each run keeps to Python arithmetic
+NUMPY_RUN = {"size": np.int64(8), "obstacle_ratio": np.float64(0.1), "seed": np.int64(2),
+             "resolution": np.float32(0.5), "r_max": np.float32(3.0),
+             "phi_max": np.float64(90.0), "setup_time": np.int64(6),
+             "sweep_rate": np.float32(0.25), "speed": np.float32(0.5),
+             "target_coverage": np.float16(0.75), "x1": np.float32(0.5),
+             "x2": np.float16(0.25), "x3": np.float64(0.25), "synergy_bonus": np.float32(0.1)}
 
 
 class TestEntryPointArguments:
@@ -479,6 +524,44 @@ class TestEntryPointArguments:
             call(grid, value)
         except ValueError as exc:
             assert repr(value) in str(exc)
+
+    @pytest.mark.parametrize("call,value,number", [
+        pytest.param(NUMBER_CALLS[name], value, number, id=f"{name}-{value!r}")
+        for name in NUMBER_CALLS
+        for values, number in ((NUMBERS, True), (NOT_NUMBERS, False)) for value in values])
+    def test_number_gives_a_result_or_value_error_naming_it(self, call, value, number):
+        try:
+            call(value)
+        except ValueError as exc:
+            assert repr(value) in str(exc)
+        else:
+            assert number, "a value that is no number gave a result"
+
+    @pytest.mark.parametrize("call", [parse_map, shipped_map], ids=["parse_map", "shipped_map"])
+    @pytest.mark.parametrize("value", [None, ["x"], 5, b"rooms"],
+                             ids=["None", "list", "int", "bytes"])
+    def test_string_argument_rejected_naming_it(self, call, value):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            call(value)
+
+    def test_numpy_numbers_run_like_the_equal_python_numbers(self):
+        python = {name: value.item() for name, value in NUMPY_RUN.items()}
+        records, measures = [], []
+        for numbers in (NUMPY_RUN, python):
+            grid = generate_random_grid(numbers["size"], numbers["obstacle_ratio"],
+                                        numbers["seed"], resolution=numbers["resolution"])
+            sensor = SensorModel(numbers["r_max"], numbers["phi_max"], numbers["setup_time"],
+                                 numbers["sweep_rate"])
+            config = WeightConfig(*(numbers[x] for x in ("x1", "x2", "x3", "synergy_bonus")))
+            measures.append(build_measure(config).values)
+            result = run_coverage(grid, config, sensor, speed=numbers["speed"],
+                                  target_coverage=numbers["target_coverage"])
+            records.append([dataclasses.replace(r, decision_time=0.0) for r in result.steps])
+        assert records[0] == records[1] and len(records[0]) > 1
+        # the pair weights in Python floats: float32 gives 0.85000002 for 0.5 + 0.25 + 0.1
+        assert [(v, type(v)) for v in measures[0]] == [(v, type(v)) for v in measures[1]]
+        assert all(type(v) is float for r in records[0]
+                   for v in (r.phi_used, r.travel_time, r.sensing_time, r.cumulative_coverage))
 
 
 class TestSharedCaches:

@@ -140,6 +140,19 @@ class TestBuildMeasure:
         with pytest.raises(InvalidConfigError):
             build_measure(WeightConfig(0.5, 0.3, 0.2, synergy_bonus=bonus))
 
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.one_of(st.just(0.0), st.floats(0.0, 1e300), st.just(math.inf)))
+    @example(1.0, 0.0, 0.0)
+    @example(0.0, 1.0, math.inf)
+    @example(0.5, 0.5, 1e300)
+    @settings(max_examples=300, deadline=None)
+    def test_every_valid_configuration_gives_a_valid_measure(self, a, b, bonus):
+        # build_measure does not re-check its measure: the pair formula keeps every axiom
+        x1, x2 = a, (1.0 - a) * b
+        config = WeightConfig(x1, x2, 1.0 - x1 - x2, synergy_bonus=bonus)
+        config.validate()
+        assert validate_measure(build_measure(config)) == []
+
 
 class TestValidateMeasure:
     def test_bad_boundary_reported(self):
