@@ -26,9 +26,12 @@ import numpy as np
 
 from .engine import CoverageEngine, RunResult, check_motion, resolve_measure, run_coverage
 from .grid import (
+    _DECIMAL,
+    _INTEGER,
     Cell,
     GridMap,
     MapFormatError,
+    _checked,
     coverage_ratio,
     frontier_cells,
     generate_random_grid,
@@ -79,8 +82,8 @@ def _add_sensor_flags(parser: argparse.ArgumentParser, rmax_default: float) -> N
 
 
 def _add_motion_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--orientations", type=int, choices=(4, 8), default=4)
-    parser.add_argument("--connectivity", type=int, choices=(4, 8), default=4)
+    parser.add_argument("--orientations", type=int, metavar="{4,8}", default=4)
+    parser.add_argument("--connectivity", type=int, metavar="{4,8}", default=4)
     parser.add_argument("--speed-mps", type=float, default=1.0)
     parser.add_argument("--target-coverage", type=float, default=1.0)
 
@@ -155,16 +158,10 @@ def _resolve_config(args: argparse.Namespace) -> str | WeightConfig:
     if args.weights is not None:
         parts = args.weights.split(",")
         if len(parts) != 3:
-            raise InvalidConfigError(
-                f"--weights expects 'x1,x2,x3', got {args.weights!r}"
-            )
-        try:
-            x1, x2, x3 = (float(p) for p in parts)
-        except ValueError:
-            raise InvalidConfigError(
-                f"--weights expects numbers, got {args.weights!r}"
-            ) from None
-        config = WeightConfig(x1, x2, x3, synergy_bonus=args.synergy_bonus)
+            raise InvalidConfigError(f"--weights expects 'x1,x2,x3', got {args.weights!r}")
+        if not all(_DECIMAL.fullmatch(p.strip()) for p in parts):
+            raise InvalidConfigError(f"--weights expects numbers, got {args.weights!r}")
+        config = WeightConfig(*map(float, parts), synergy_bonus=args.synergy_bonus)
     elif args.config.upper() == "CUSTOM":
         raise InvalidConfigError("--config custom requires --weights")
     else:
@@ -184,7 +181,7 @@ def _validated(args: argparse.Namespace) -> tuple[str | WeightConfig | None, Sen
         config = _resolve_config(args) if "config" in args else None
         sensor = SensorModel(r_max=args.rmax_m, phi_max=args.phimax_deg,
                              setup_time=args.setup_s, sweep_rate=args.sweep_s_per_deg)
-        check_motion(args.connectivity, args.speed_mps, args.target_coverage)
+        check_motion(**_motion(args))
         if "sizes" in args:
             args.sizes = _batch_sizes(args)
     except ValueError as exc:
@@ -193,23 +190,22 @@ def _validated(args: argparse.Namespace) -> tuple[str | WeightConfig | None, Sen
 
 
 def _batch_sizes(args: argparse.Namespace) -> list[int]:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError:
-        sizes = []  # reported as typed
-    if not sizes or any(s < 1 for s in sizes):
+    """``--sizes`` (ASCII integers, blank items skipped) as ints.  ValueError for the first
+    bad one of them, ``--grids-per-size``, each size (:func:`random_obstacle_count`), the
+    per-grid seed and ``--jobs``."""
+    items = [s for s in args.sizes.split(",") if s.strip()]
+    if not items or not all(_INTEGER.fullmatch(s.strip()) for s in items):
         raise InvalidConfigError(f"invalid --sizes {args.sizes!r}")
-    if args.grids_per_size < 1:
-        raise InvalidConfigError("--grids-per-size must be >= 1")
-    if _grid_seed(args, min(sizes), 0) < 0:
-        raise InvalidConfigError(
-            f"--seed {args.seed} gives a negative per-grid seed for size {min(sizes)}")
+    sizes = list(map(int, items))
+    _checked("--grids-per-size", args.grids_per_size, ">= 1", lambda n: n >= 1)
     for j, size in enumerate(sizes):
         if size in sizes[:j]:  # its grids would run, and be written, twice
             raise InvalidConfigError(f"--sizes repeats size {size}")
         random_obstacle_count(size, args.obstacle_ratio)
-    if args.jobs < 1:
-        raise InvalidConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    if _grid_seed(args, min(sizes), 0) < 0:
+        raise InvalidConfigError(
+            f"--seed {args.seed} gives a negative per-grid seed for size {min(sizes)}")
+    _checked("--jobs", args.jobs, ">= 1", lambda n: n >= 1)
     return sizes
 
 
@@ -289,12 +285,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     grid = _load_map(args.map)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    snap_dir = out_dir / "snapshots"
-    if args.snapshots:
-        snap_dir.mkdir(exist_ok=True)
-
     engine = CoverageEngine(grid, config, sensor, **_motion(args))
     if args.snapshots:
+        snap_dir = out_dir / "snapshots"
+        snap_dir.mkdir(exist_ok=True)
         for record in engine:
             ppm = render_ppm(grid, engine.robot.cell,
                              frontier_cells(grid, args.connectivity))
@@ -419,11 +413,10 @@ def cmd_randgrid(args: argparse.Namespace) -> int:
 
 def cmd_genmap(args: argparse.Namespace) -> int:
     w, x, h = args.size.partition("x")
-    try:
-        width, height = int(w), int(h if x else w)
-    except ValueError:
-        raise InvalidConfigError(
-            f"--size expects WxH or one side length, got {args.size!r}") from None
+    sides = [w, h if x else w]
+    if not all(_INTEGER.fullmatch(s.strip()) for s in sides):
+        raise InvalidConfigError(f"--size expects WxH or one side length, got {args.size!r}")
+    width, height = map(int, sides)
     try:
         grid = generate_map(
             args.kind, width, height,

@@ -100,11 +100,15 @@ def resolve_measure(config: str | WeightConfig | FuzzyMeasure) -> FuzzyMeasure:
     return named_measure(config)
 
 
-def check_motion(connectivity: int, speed: float, target_coverage: float) -> float:
-    """``target_coverage`` as a Python number; ValueError for invalid motion settings."""
+def check_motion(orientations: int, connectivity: int, speed: float,
+                 target_coverage: float) -> tuple[tuple[float, ...], float]:
+    """:func:`heading_set` of ``orientations``, and ``target_coverage`` as a Python number;
+    ValueError for the first bad value, in :class:`CoverageEngine`'s argument order."""
+    headings = heading_set(orientations)
     neighbor_offsets(connectivity)
     travel_time(0.0, speed)
-    return _checked("target_coverage", target_coverage, "in (0, 1]", lambda c: 0 < c <= 1)
+    return headings, _checked("target_coverage", target_coverage, "in (0, 1]",
+                              lambda c: 0 < c <= 1)
 
 
 def select_best(criteria: np.ndarray, measure: FuzzyMeasure) -> int:
@@ -140,13 +144,13 @@ class CoverageEngine:
         speed: float = 1.0,
         target_coverage: float = 1.0,
     ) -> None:
-        self.target_coverage = check_motion(connectivity, speed, target_coverage)
+        self.headings, self.target_coverage = check_motion(
+            orientations, connectivity, speed, target_coverage)
         self.grid = grid
         self.measure = resolve_measure(config)
         self.sensor = sensor
         self.connectivity = connectivity
         self.speed = speed  # travel_time takes it as a Python number
-        self.headings = heading_set(orientations)
         self.evaluator = FosEvaluator(grid, sensor, self.headings)
         self.robot = Pose(grid.start, self.headings[0])
         self.records: list[StepRecord] = []

@@ -39,7 +39,8 @@ START_CHAR = "S"
 _ILLEGAL = re.compile(f"[^{re.escape(FREE_CHAR + OBSTACLE_CHAR + START_CHAR)}]")
 # line 1: two words between ASCII blanks, the second an ASCII decimal
 _HEADER = re.compile(r"[ \t]*resolution[ \t]+([^ \t]+)[ \t]*")
-_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")  # also cli --weights
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # cli --size and --sizes items
 
 
 class Cell(NamedTuple):

@@ -41,6 +41,16 @@ def empty_map(width: int, height: int, resolution: float = 1.0) -> GridMap:
     return GridMap.from_states(_free_states("empty", width, height, (0, 0)), resolution)
 
 
+def _door(rng: np.random.Generator, lo: int, hi: int, width: int) -> slice:
+    """The slice of a ``width``-cell door whose start is drawn from ``[lo, hi - width]``.
+
+    Every door fits, else ``rng.integers`` would raise: corridor dividers are 8-13 cells
+    apart and the last is 5 or more from the edge; a rooms side of 16 or more cells splits
+    into rooms of 8 or more."""
+    at = int(rng.integers(lo, hi - width + 1))
+    return slice(at, at + width)
+
+
 def corridor_map(width: int, height: int, seed: int = 0,
                  resolution: float = 0.5) -> GridMap:
     """Long thin corridor with side rooms opening onto it through doors.
@@ -68,11 +78,7 @@ def corridor_map(width: int, height: int, seed: int = 0,
         # one door per room through the wall row
         for left, right in zip(edges, edges[1:]):
             lo = left + 1 if left > 0 else 0
-            hi = right - 1
-            if hi - lo < 2:
-                continue
-            door = int(rng.integers(lo, hi - 1))
-            states[wall_row, door:door + 2] = CellState.FREE_UNSCANNED
+            states[wall_row, _door(rng, lo, right - 1, 2)] = CellState.FREE_UNSCANNED
 
     build_band(cy - 1, slice(0, cy - 1))
     build_band(cy + 2, slice(cy + 3, height))
@@ -88,28 +94,13 @@ def rooms_map(width: int, height: int, seed: int = 0,
     ny = max(2, round(height / 28))
     wall_xs = [i * width // nx for i in range(1, nx)]
     wall_ys = [i * height // ny for i in range(1, ny)]
-    for x in wall_xs:
-        states[:, x] = CellState.OBSTACLE
-    for y in wall_ys:
-        states[y, :] = CellState.OBSTACLE
-
-    door = 4
-    y_edges = [0] + wall_ys + [height]
-    x_edges = [0] + wall_xs + [width]
-    for x in wall_xs:  # doorway per vertical wall segment
-        for top, bottom in zip(y_edges, y_edges[1:]):
-            lo, hi = top + 1, bottom - 1
-            if hi - lo < door:
-                continue
-            at = int(rng.integers(lo, hi - door + 1))
-            states[at:at + door, x] = CellState.FREE_UNSCANNED
-    for y in wall_ys:  # doorway per horizontal wall segment
-        for left, right in zip(x_edges, x_edges[1:]):
-            lo, hi = left + 1, right - 1
-            if hi - lo < door:
-                continue
-            at = int(rng.integers(lo, hi - door + 1))
-            states[y, at:at + door] = CellState.FREE_UNSCANNED
+    # vertical walls are rows of states.T; a doorway per segment, strictly between crossings
+    for plane, walls, cuts in ((states.T, wall_xs, wall_ys), (states, wall_ys, wall_xs)):
+        plane[walls] = CellState.OBSTACLE
+        edges = [0, *cuts, plane.shape[1]]
+        for wall in walls:
+            for start, end in zip(edges, edges[1:]):
+                plane[wall, _door(rng, start + 1, end - 1, 4)] = CellState.FREE_UNSCANNED
     return GridMap.from_states(states, resolution)
 
 

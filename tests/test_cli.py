@@ -96,15 +96,29 @@ class TestExitPaths:
         (["genmap", "--kind", "random", "--size", "5x6"], "random maps are square, got 5x6"),
         (["randgrid", "--sizes", "a"], "invalid --sizes 'a'"),
         (["randgrid", "--sizes", "3,a"], "invalid --sizes '3,a'"),
+        # sizes are ASCII integers: Python's int also reads digit separators and other scripts
+        (["genmap", "--kind", "empty", "--size", "1_0x٣"],
+         "--size expects WxH or one side length, got '1_0x٣'"),
+        (["randgrid", "--sizes", "1_0"], "invalid --sizes '1_0'"),
+        (["randgrid", "--sizes", "٣"], "invalid --sizes '٣'"),
+        (["randgrid", "--sizes", "3", "--grids-per-size", "0"],
+         "--grids-per-size must be >= 1, got 0"),
+        (["genmap", "--kind", "empty", "--size", " 3"], None),
+        (["randgrid", "--sizes", " 3, 10", "--grids-per-size", "1"], None),
     ], ids=["size-no-height", "size-word", "size-height-word", "size-negative", "size-small",
-            "size-not-square", "sizes-word", "sizes-one-word"])
+            "size-not-square", "sizes-word", "sizes-one-word", "size-not-ascii",
+            "sizes-separator", "sizes-not-ascii", "grids-per-size", "size-blanks",
+            "sizes-blanks"])
     def test_size_error_lines(self, tmp_path, capsys, argv, message):
-        # the flag and the value as typed, or the argument the value became
+        # the flag and the value as typed, or the argument the value became;
+        # no message: blanks around a number, which must keep working
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out / "map.txt" if argv[0] == "genmap" else out)]) == (
-            EXIT_CONFIG)
-        assert capsys.readouterr().err == f"invalid configuration: {message}\n"
-        assert not out.exists()
+            EXIT_CONFIG if message else EXIT_OK)
+        err = capsys.readouterr().err
+        if message:
+            assert err == f"invalid configuration: {message}\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("flags,message", [
         (["--config", "z"], "unknown configuration 'z'; expected one of "
@@ -117,15 +131,26 @@ class TestExitPaths:
         (["--weights", "1.5,-0.5,0"], "x1 = 1.5 outside [0, 1]"),
         (["--weights", "0.2,0.3,0.5", "--synergy-bonus", "-1"],
          "synergy_bonus must be >= 0, got -1.0"),
+        (["--weights", "٠.٥,٠.٥,٠"], "--weights expects numbers, got '٠.٥,٠.٥,٠'"),
+        (["--orientations", "6"], "orientation count must be 4 or 8, got 6"),
+        (["--connectivity", "6"], "connectivity must be 4 or 8, got 6"),
+        # the configuration is checked before the motion flags
+        (["--config", "Q", "--connectivity", "6"], "unknown configuration 'Q'; expected one "
+                                                   "of A, B, C, D, E, F, G, H, I, J, K, L, M"),
+        (["--weights", "0.5, 0.3, 0.2"], None),
     ], ids=["unknown", "custom", "two-parts", "non-numeric", "off-simplex", "range",
-            "negative-bonus"])
+            "negative-bonus", "not-ascii", "orientations", "connectivity", "config-first",
+            "blanks"])
     @pytest.mark.parametrize("command", ["run", "randgrid"])
     def test_configuration_error_lines(self, tiny_map, tmp_path, capsys, command, flags,
                                        message):
+        # no message: blanks around a number, which must keep working
         argv = command_args(command, tiny_map, tmp_path / "o")
-        assert main([*argv, *flags]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"invalid configuration: {message}\n"
-        assert not (tmp_path / "o").exists()
+        assert main([*argv, *flags]) == (EXIT_CONFIG if message else EXIT_OK)
+        err = capsys.readouterr().err
+        if message:
+            assert err == f"invalid configuration: {message}\n"
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep", "randgrid"])
     def test_error_inside_coverage_run_propagates(self, tiny_map, tmp_path, monkeypatch,

@@ -33,7 +33,7 @@ from nbsmell.mcdm import (
     normalize_utilities,
 )
 from nbsmell.planning import shortest_distances, travel_time
-from nbsmell.sensing import SensorModel, _layout
+from nbsmell.sensing import FosEvaluator, SensorModel, _layout
 from oracles import choquet, enumerate_candidates, free_cells, mark_cells, select_best
 
 SENSOR = SensorModel(r_max=10.0)
@@ -496,6 +496,17 @@ NUMBER_CALLS = {
     "build_measure-x3": lambda v: build_measure(WeightConfig(0.0, 0.0, v)),
     "build_measure-synergy_bonus": lambda v: build_measure(WeightConfig(1.0, 0.0, 0.0, v)),
 }
+# every cell or orientation index argument of FosEvaluator's methods, as a call of its value
+EVALUATOR_CALLS = {
+    "scores": lambda evaluator, v: evaluator.scores(v),
+    "mark_scanned": lambda evaluator, v: evaluator.mark_scanned(v),
+    "visible": lambda evaluator, v: evaluator.visible(v),
+    "evaluate_cell": lambda evaluator, v: evaluator.evaluate_cell(v),
+    "sweep-i": lambda evaluator, v: evaluator.sweep(v, 0),
+    "sweep-h": lambda evaluator, v: evaluator.sweep(0, v),
+}
+NOT_INDICES = [None, "ab", b"\x00", {}, [[1]], [1.5], [True], [None], [-1], [2**70],
+               np.array([0.0]), np.array(["a"]), 1.5, True, "3"]
 NUMBERS = [-1, 1.5, math.nan, math.inf, -math.inf]
 NOT_NUMBERS = ["3", None, True, False, np.True_, []]  # a bool is no number here
 # numpy numbers equal to Python ones; each run keeps to Python arithmetic
@@ -536,6 +547,16 @@ class TestEntryPointArguments:
             assert repr(value) in str(exc)
         else:
             assert number, "a value that is no number gave a result"
+
+    @pytest.mark.parametrize("call,value", [
+        pytest.param(EVALUATOR_CALLS[name], value, id=f"{name}-{value!r}")
+        for name in EVALUATOR_CALLS for value in NOT_INDICES])
+    def test_evaluator_index_rejected_with_value_error(self, call, value):
+        # none of these is an on-map free cell or orientation index; numpy
+        # alone would raise TypeError or IndexError for some, or cast others
+        evaluator = FosEvaluator(parse_map("resolution 1.0\nS#.\n..."), SENSOR, heading_set(4))
+        with pytest.raises(ValueError):
+            call(evaluator, value)
 
     @pytest.mark.parametrize("call", [parse_map, shipped_map], ids=["parse_map", "shipped_map"])
     @pytest.mark.parametrize("value", [None, ["x"], 5, b"rooms"],

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -88,6 +89,47 @@ class TestRoomsMap:
     def test_negative_seed_rejected_naming_it(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             rooms_map(40, 40, seed=-1)
+
+
+class TestGeneratorBytes:
+    # sha256 of serialize_map: the smallest sizes, odd sizes, and both sides
+    # of the rooms count change (2 rooms per side up to 70 cells, 3 at 71)
+    DIGESTS = [
+        (corridor_map, 8, 7, 0,
+         "dff0030f579e1c1fa8f6667cc6618e5d49a5d38129c5836a4af925b8c3026e83"),
+        (corridor_map, 8, 7, 1,
+         "1f26365b506cc8d8b2f85ff94bb584f1843079328470ea3397bb2fdec92bada2"),
+        (corridor_map, 9, 8, 2,
+         "05912ee5b7f2ef33ee7309a020af9191725b9b9e89bf6d856b9b08a71ae9f9f0"),
+        (corridor_map, 23, 11, 3,
+         "f5f36055dd2261048d33d83d8eef2eea7f8ce262039d71cc147220bbc98ef157"),
+        (corridor_map, 61, 13, 5,
+         "df1fd74bd1a44fe59a28f01939be3a063f8fa0381ae9b9b30f6990a9bc0e7e82"),
+        (corridor_map, 128, 40, 2,
+         "ecf6b092fd7bd77fa180523ff5a4f874f1cb663cd112903b9ef6f17a53994838"),
+        (rooms_map, 16, 16, 0,
+         "f7ef29f9c08915945a1df2909df5f3f8764d49638ee5365c2aa400719dba29f7"),
+        (rooms_map, 16, 16, 1,
+         "9a91278e3e0ad82bffae8cca7312bd0fcd55541337e42707fae7040b43aa3f60"),
+        (rooms_map, 17, 19, 2,
+         "800ab743fb6a0388160bdaa1baa317c5ac6a09e874a186b173b5da77f7b48ccf"),
+        (rooms_map, 70, 70, 3,
+         "a9f37be24f02e81909a00ba0c20f404f11e8d9a33a4432dd0eff34fb0d47380a"),
+        (rooms_map, 71, 71, 3,
+         "4782ee0141bc46118d6e2ad28dee20517fddf2e6582d2f1abf7985f054b0a1ce"),
+        (rooms_map, 70, 71, 4,
+         "b2942132c31ed3bf46205c92c7587dba5c890f6ef86df2d8c297a42ea6de76f3"),
+        (rooms_map, 43, 99, 5,
+         "ed5cfcb3dc9405ee50bbfde7f38fd0c0bf32a2e8fa194e20d0a2cc56ac406960"),
+        (rooms_map, 126, 31, 6,
+         "b1b39ac7bcce48ae7fb029ba52492514e17b8dff7187684442fc24498ea45dfb"),
+    ]
+
+    def test_serialized_maps_match_pinned_digests(self):
+        digests = [(make, w, h, seed, hashlib.sha256(
+            serialize_map(make(w, h, seed)).encode()).hexdigest())
+            for make, w, h, seed, _ in self.DIGESTS]
+        assert digests == self.DIGESTS
 
 
 class TestShippedMaps:
