@@ -18,9 +18,11 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -70,22 +72,37 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
+def _ascii(cast: type, pattern: re.Pattern) -> Callable[[str], int | float]:
+    """An argparse ``type``: ``cast`` of text that ``pattern`` matches, blanks around it aside."""
+    def parse(text: str) -> int | float:
+        if not pattern.fullmatch(text.strip()):
+            raise ValueError(text)
+        return cast(text)
+    parse.__name__ = cast.__name__  # argparse's error: "argument --x: invalid float value: ..."
+    return parse
+
+
+# ASCII numbers, as in a map header; nan and inf go on to the library's finiteness checks
+_INT, _FLOAT = _ascii(int, _INTEGER), _ascii(float, re.compile(
+    rf"{_DECIMAL.pattern}|[+-]?(nan|inf|infinity)", re.IGNORECASE))
+
+
 def _add_sensor_flags(parser: argparse.ArgumentParser, rmax_default: float) -> None:
-    parser.add_argument("--rmax-m", type=float, default=rmax_default,
+    parser.add_argument("--rmax-m", type=_FLOAT, default=rmax_default,
                         help="sensor range in meters")
-    parser.add_argument("--phimax-deg", type=float, default=SensorModel.phi_max,
+    parser.add_argument("--phimax-deg", type=_FLOAT, default=SensorModel.phi_max,
                         help="maximum opening angle in degrees")
-    parser.add_argument("--setup-s", type=float, default=SensorModel.setup_time,
+    parser.add_argument("--setup-s", type=_FLOAT, default=SensorModel.setup_time,
                         help="sweep setup time in seconds")
-    parser.add_argument("--sweep-s-per-deg", type=float, default=SensorModel.sweep_rate,
+    parser.add_argument("--sweep-s-per-deg", type=_FLOAT, default=SensorModel.sweep_rate,
                         help="sweep rate in seconds per degree")
 
 
 def _add_motion_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--orientations", type=int, metavar="{4,8}", default=4)
-    parser.add_argument("--connectivity", type=int, metavar="{4,8}", default=4)
-    parser.add_argument("--speed-mps", type=float, default=1.0)
-    parser.add_argument("--target-coverage", type=float, default=1.0)
+    parser.add_argument("--orientations", type=_INT, metavar="{4,8}", default=4)
+    parser.add_argument("--connectivity", type=_INT, metavar="{4,8}", default=4)
+    parser.add_argument("--speed-mps", type=_FLOAT, default=1.0)
+    parser.add_argument("--target-coverage", type=_FLOAT, default=1.0)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, default: str = "E") -> None:
@@ -93,7 +110,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, default: str = "E") -> No
                         help="named weight configuration A..M, or 'custom'")
     parser.add_argument("--weights", default=None,
                         help="custom weights as 'x1,x2,x3' (implies --config custom)")
-    parser.add_argument("--synergy-bonus", type=float, default=WeightConfig.synergy_bonus)
+    parser.add_argument("--synergy-bonus", type=_FLOAT, default=WeightConfig.synergy_bonus)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,14 +142,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_rand = sub.add_parser("randgrid", help="random-grid scaling experiment")
     p_rand.add_argument("--sizes", default="3,10,30,50,70,90",
                         help="comma-separated grid sizes")
-    p_rand.add_argument("--grids-per-size", type=int, default=10)
-    p_rand.add_argument("--obstacle-ratio", type=float, default=0.1)
-    p_rand.add_argument("--seed", type=int, default=1,
+    p_rand.add_argument("--grids-per-size", type=_INT, default=10)
+    p_rand.add_argument("--obstacle-ratio", type=_FLOAT, default=0.1)
+    p_rand.add_argument("--seed", type=_INT, default=1,
                         help="master seed; per-grid seed = seed + 1000*size + index")
     _add_config_flags(p_rand, default="F")
     _add_sensor_flags(p_rand, rmax_default=30.0)
     _add_motion_flags(p_rand)
-    p_rand.add_argument("--jobs", type=int, default=1,
+    p_rand.add_argument("--jobs", type=_INT, default=1,
                         help="parallel worker processes (at most one per grid and CPU)")
     p_rand.add_argument("--out", required=True)
     p_rand.add_argument("--timing-out", default=None,
@@ -144,9 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("empty", "corridor", "rooms", "random"))
     p_gen.add_argument("--size", required=True,
                        help="WxH (e.g. 60x10) or a single side length")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--obstacle-ratio", type=float, default=0.1)
-    p_gen.add_argument("--resolution", type=float, default=None)
+    p_gen.add_argument("--seed", type=_INT, default=0)
+    p_gen.add_argument("--obstacle-ratio", type=_FLOAT, default=0.1)
+    p_gen.add_argument("--resolution", type=_FLOAT, default=None)
     p_gen.add_argument("--out", required=True, help="output map path")
     p_gen.set_defaults(func=cmd_genmap)
 

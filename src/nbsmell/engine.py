@@ -144,10 +144,10 @@ class CoverageEngine:
         speed: float = 1.0,
         target_coverage: float = 1.0,
     ) -> None:
+        self.measure = resolve_measure(config)  # before motion, in the CLI's order
         self.headings, self.target_coverage = check_motion(
             orientations, connectivity, speed, target_coverage)
         self.grid = grid
-        self.measure = resolve_measure(config)
         self.sensor = sensor
         self.connectivity = connectivity
         self.speed = speed  # travel_time takes it as a Python number
@@ -198,14 +198,11 @@ class CoverageEngine:
         if (scan.info_gain, scan.sensing_time) != (cached_gain, cached_time):
             raise RuntimeError(
                 f"score cache out of sync at {pose}: cached gain {cached_gain} "
-                f"and time {cached_time}, fresh {scan.info_gain} and {scan.sensing_time}"
-            )
+                f"and time {cached_time}, fresh {scan.info_gain} and {scan.sensing_time}")
         marked = mark_scanned(grid, new)
         if marked != scan.info_gain:
             raise RuntimeError(
-                f"scan bookkeeping out of sync: marked {marked}, "
-                f"expected {scan.info_gain}"
-            )
+                f"scan bookkeeping out of sync: marked {marked}, expected {scan.info_gain}")
         self.evaluator.mark_scanned(new)
         self._scanned += marked
         self.robot = pose

@@ -150,18 +150,14 @@ _NAMED_ROWS: dict[str, tuple[float, float, float, float, float, float]] = {
 NAMED_CONFIGS: tuple[str, ...] = tuple(_NAMED_ROWS)
 
 
-def _measure_from_row(row: tuple[float, ...]) -> FuzzyMeasure:
-    x1, x2, x3, m12, m13, m23 = row
-    return FuzzyMeasure(values=(0.0, x1, x2, m12, x3, m13, m23, 1.0))
-
-
 def named_measure(name: str) -> FuzzyMeasure:
     """Measure of a configuration name, in any case; InvalidConfigError naming any other value."""
     row = _NAMED_ROWS.get(name.upper()) if isinstance(name, str) else None
     if row is None:
         raise InvalidConfigError(
             f"unknown configuration {name!r}; expected one of {', '.join(NAMED_CONFIGS)}")
-    return _measure_from_row(row)
+    x1, x2, x3, m12, m13, m23 = row
+    return FuzzyMeasure(values=(0.0, x1, x2, m12, x3, m13, m23, 1.0))
 
 
 def build_measure(config: WeightConfig) -> FuzzyMeasure:

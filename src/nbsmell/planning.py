@@ -30,20 +30,17 @@ def _motion_graph(free: bytes, width: int, resolution: float, connectivity: int)
     Both directions of every edge are stored, so the graph is searched directed.
     """
     pad = padded(np.frombuffer(free, dtype=bool).reshape(-1, width))
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
+    edges = []  # (sources, targets, weights) per neighbor offset
     for dx, dy in neighbor_offsets(connectivity):
         ok = shifted(pad, 0, 0) & shifted(pad, dx, dy)
         if dx and dy:
             # no squeezing between two obstacles that touch at a corner
             ok &= shifted(pad, dx, 0) | shifted(pad, 0, dy)
         src = np.flatnonzero(ok)
-        rows.append(src)
-        cols.append(src + dy * width + dx)
-        data.append(np.full(src.shape, math.hypot(dx, dy) * resolution))
-    return csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(len(free), len(free)))
+        weight = math.hypot(dx, dy) * resolution
+        edges.append((src, src + dy * width + dx, np.full(src.size, weight)))
+    rows, cols, data = map(np.concatenate, zip(*edges))
+    return csr_matrix((data, (rows, cols)), shape=(len(free), len(free)))
 
 
 def shortest_distances(grid: GridMap, source: tuple[int, int], connectivity: int) -> np.ndarray:

@@ -75,18 +75,21 @@ class _RayDisk:
     map, not by ``r_max``.  ``reach = min(isqrt(bound), extent)`` is the
     largest ``|dx|`` or ``|dy|``.  ``index`` maps a position in the
     (2*reach+1)^2 window centered on a cell, flattened row-major from offset
-    (-reach, -reach), to the offset's position in the disk, or -1 outside it.
+    (-reach, -reach), to the offset's position in the disk, or K outside it.
 
     The other tables are sets of offsets, bit-packed little-endian in rows of
-    ceil(K/8) bytes.  Row ``j`` of ``through`` holds the offsets whose ray
-    (the cells ``oracles.traverse_segment`` crosses, endpoint included) crosses
-    offset ``j``: no ray leaves the disk (the walk is monotone), and only the
-    own cell's crosses it, so an obstacle cell does not see itself.  It takes
-    K * ceil(K/8) bytes: 1.0 MB at r_max 30 m with 1 m cells, up to about
-    128 MB on a 90x90 map (r_max >= 127 m).  Row ``a`` of ``left``, ``right``,
-    ``up`` and ``down`` holds ``dx < -a``, ``dx > a``, ``dy < -a`` and
-    ``dy > a``: the offsets past a map edge ``a`` cells away.  ``left`` also
-    sets the pad bits past K, so a complement of an OR with it clears them.
+    ceil(K/8) bytes, whose pad bits include bit K, as K is odd (the offsets
+    but the own cell pair up as (dx, dy) and (-dx, -dy)).  Row ``j`` of
+    ``through`` holds the offsets whose ray (the cells
+    ``oracles.traverse_segment`` crosses, endpoint included) crosses offset
+    ``j``: no ray leaves the disk (the walk is monotone), and only the own
+    cell's crosses it, so an obstacle cell does not see itself; a miss ORs
+    the rows of the obstacles in the disk.  It takes K * ceil(K/8) bytes:
+    1.0 MB at r_max 30 m with 1 m cells, up to about 128 MB on a 90x90 map
+    (r_max >= 127 m).  Row ``a`` of ``left``, ``right``, ``up`` and ``down``
+    holds ``dx < -a``, ``dx > a``, ``dy < -a`` and ``dy > a``: the offsets
+    past a map edge ``a`` cells away.  ``left`` also sets the pad bits, so a
+    complement of an OR with it clears them.
     """
 
     def __init__(self, r_max: float, resolution: float, extent: int) -> None:
@@ -99,7 +102,7 @@ class _RayDisk:
         k = self.k = self.dx.size
         self.bearings = np.arctan2(self.dy.astype(np.float64), self.dx.astype(np.float64))
         span = self.span = 2 * reach + 1
-        self.index = np.full(span * span, -1, dtype=np.int64)
+        self.index = np.full(span * span, k, dtype=np.int64)
         self.index[(self.dy + reach) * span + self.dx + reach] = np.arange(k)
 
         # the walk of ``oracles.traverse_segment`` for all rays at once, one
@@ -115,11 +118,11 @@ class _RayDisk:
             more = (ix < nx) | (iy < ny)
             ray, ix, iy, nx, ny, sx, sy = (a[more] for a in (ray, ix, iy, nx, ny, sx, sy))
         crossed, ray = np.concatenate(crossed), np.concatenate(rays)
-        assert (crossed >= 0).all(), "a ray left its disk"
+        assert (crossed < k).all(), "a ray left its disk"
         nbytes = (k + 7) // 8
         self.through = np.zeros((k, nbytes), dtype=np.uint8)
         np.bitwise_or.at(self.through.reshape(-1), crossed * nbytes + (ray >> 3),
-                         np.left_shift(1, ray & 7).astype(np.uint8))
+                         _BIT.take(ray & 7))
         a = np.arange(reach + 1)[:, None]
         pack = partial(np.packbits, axis=1, bitorder="little")
         self.left = pack(np.hstack((self.dx < -a, np.ones((a.size, -k % 8), dtype=bool))))
@@ -128,35 +131,36 @@ class _RayDisk:
 
 # One disk: the runs on a map, or on one size of a batch, share a key, and a
 # disk can take up to K * ceil(K/8) bytes.
-@lru_cache(maxsize=1)
-def _ray_disk(r_max: float, resolution: float, extent: int) -> _RayDisk:
-    return _RayDisk(r_max, resolution, extent)
+_ray_disk = lru_cache(maxsize=1)(_RayDisk)
 
 
 class _Layout:
     """Everything visibility derives from one obstacle layout and one sensor disk.
 
     ``obstacle`` is the row-major obstacle mask of a map ``width`` cells wide;
-    the disk is ``_ray_disk(r_max, resolution, extent)``.  Holds the mask
-    padded by the disk reach with free cells, so that the window of every
-    cell, ``[y : y + span, x : x + span]``, lies inside the array and holds
-    only the map's own obstacles; the bit-packed visibility mask of every
-    cell looked at so far (``known``, ``bits``: cells * ceil(K/8) bytes); and
-    ``offset_index``, the disk index of the map-relative offset (dx, dy) at
-    row (dy + h - 1) * (2w - 1) + dx + w - 1, else -1 (K - 1 for (0, 0)).
+    the disk is ``_ray_disk(r_max, resolution, extent)``.  Cell (x, y) stands
+    at y * (2w - 1) + x, so that the difference of two such positions plus
+    ``zero`` is a row of ``offset_index``: the disk index of that offset,
+    else K (8 bytes each, (2w-1)(2h-1) for a w x h map, whatever ``r_max``).
+    ``obstacles`` holds the obstacles' positions, row-major (8 bytes each),
+    ``rows[y]`` the first of row ``y`` (h + 1 ints), and ``known`` and
+    ``bits`` the visibility mask of every cell looked at so far (cells *
+    ceil(K/8) bytes).
     """
 
     def __init__(self, obstacle: bytes, width: int, r_max: float, resolution: float,
                  extent: int) -> None:
         disk = self.disk = _ray_disk(r_max, resolution, extent)
         w, h, r = width, len(obstacle) // width, disk.reach
-        self.obstacle = np.zeros((h + 2 * r, w + 2 * r), dtype=bool)
-        self.obstacle[r:r + h, r:r + w] = np.frombuffer(obstacle, dtype=bool).reshape(h, w)
+        self.zero = (h - 1) * (2 * w - 1) + w - 1
+        flat = np.frombuffer(obstacle, dtype=bool).nonzero()[0]
+        self.obstacles = flat + flat // w * (w - 1)
+        self.rows = flat.searchsorted(np.arange(0, w * h + 1, w)).tolist()
         self.known = np.zeros(w * h, dtype=bool)
         self.bits = np.zeros((w * h, (disk.k + 7) // 8), dtype=np.uint8)
         # the disk's window table cut or padded to every offset between two cells of the map
         ry, rx = min(r, h - 1), min(r, w - 1)
-        table = np.full((2 * h - 1, 2 * w - 1), -1, dtype=np.int64)
+        table = np.full((2 * h - 1, 2 * w - 1), disk.k, dtype=np.int64)
         table[h - 1 - ry:h + ry, w - 1 - rx:w + rx] = disk.index.reshape(
             disk.span, -1)[r - ry:r + ry + 1, r - rx:r + rx + 1]
         self.offset_index = table.reshape(-1)
@@ -199,6 +203,7 @@ class FosScore(NamedTuple):
 # Upper bounds on the (cached cell, new cell) pairs ``mark_scanned`` tests at once, and
 # on the offsets one block of the sweep kernel gathers (3H table rows of 8 bytes each).
 _PAIR_BLOCK, _SWEEP_BLOCK = 1 << 14, 1 << 12
+_BIT = (1 << np.arange(8)).astype(np.uint8)  # the byte value of bit j of a packed row
 
 
 class FosEvaluator:
@@ -211,31 +216,28 @@ class FosEvaluator:
     in :meth:`visible`, by the rule of ``grid.mark_scanned``.  The cells at
     the disk offsets of cell ``i`` are ``i + end``, the cell itself last.
     Visibility depends only on the obstacles, which never change, and the
-    sensor disk, so it lives in a :class:`_Layout` cached by value: the
-    evaluators on a map and its copies with one ``r_max`` share its padded
-    obstacles, visibility cache and offset table.  Only the last layout stays
-    cached, its cells * ceil(K/8) bytes of masks included, also after its runs
-    end; the score cache is per evaluator.  A visibility miss ORs the disk's
-    ``through`` rows of the on-map obstacles in the cell's window and the
-    edge masks for its distance to each map edge.  The scan state is read
-    from ``grid.states`` itself.  The cached scores, gain and sweep angle per
-    orientation, depend on it, so every scan must be reported through
-    :meth:`mark_scanned` to drop the scores it changes; sensing time is not
-    cached but priced from the angle by ``SensorModel.sweep_time``.  The
-    executed sweep (:meth:`evaluate_cell`) checks a fresh cell's live list
-    against the grid, so a missed report shows as a fresh score that differs
-    from the cached one.  One batched kernel, :meth:`_sweep_cells`, sweeps a
-    list of cells, for :meth:`scores` and :meth:`evaluate_cell` alike: one
-    gather of a (3H, K + 1) table (H orientations, K offsets, a sentinel;
-    shared per disk, orientations and ``phi_max``) over all their visible
-    unscanned offsets, then one row minimum and sum per cell, in blocks of at
-    most ``_SWEEP_BLOCK`` offsets or one cell.  Each sweep keeps a cell's
-    offsets as its live list; a cell only ever goes from unscanned to
-    scanned, so the next sweep filters that list by the current state and
-    only a cell's first sweep reads its visibility mask.  :meth:`mark_scanned`
-    finds a (cached, new) pair's disk offset in the layout's table over every
-    map-relative offset: (2w-1)(2h-1) entries for a w x h map, whatever
-    ``r_max``; a scanned cached cell pairs with itself.
+    sensor disk, so it lives in a :class:`_Layout` cached by value, shared by
+    the evaluators on a map and its copies with one ``r_max``.  Only the last
+    layout stays cached, masks included, also after its runs end; the score
+    cache is per evaluator.  A visibility miss maps the obstacles in the
+    rows within ``reach`` to disk offsets through the layout's offset table,
+    and ORs the ``through`` rows of those in the disk (ceil(K/8) bytes each)
+    and the edge masks for the cell's distance to each map edge.  The scan
+    state is read from ``grid.states`` itself.  The cached scores, gain and
+    sweep angle per orientation, depend on it, so every scan must be
+    reported through :meth:`mark_scanned`, which reads each (cached, new)
+    pair's offset in the same table; sensing time is priced from the angle
+    by ``SensorModel.sweep_time``.  The executed sweep (:meth:`evaluate_cell`)
+    checks a fresh cell's live list against the grid, so a missed report
+    shows as a fresh score that differs from the cached one.  One batched
+    kernel, :meth:`_sweep_cells`, sweeps a list of cells, for :meth:`scores`
+    and :meth:`evaluate_cell` alike: one gather of a (3H, K + 1) table (H
+    orientations, K offsets, a sentinel; shared per disk, orientations and
+    ``phi_max``) over all their visible unscanned offsets, then one row
+    minimum and sum per cell, in blocks of at most ``_SWEEP_BLOCK`` offsets
+    or one cell.  Each sweep keeps a cell's offsets as its live list; a cell
+    only ever goes from unscanned to scanned, so the next sweep filters that
+    list by the current state and only a cell's first sweep reads its mask.
     """
 
     def __init__(self, grid: GridMap, sensor: SensorModel,
@@ -277,14 +279,15 @@ class FosEvaluator:
         self._check_cell(i)
         disk, vis = self.disk, self._vis
         if not vis.known[i]:
-            y, x = divmod(i, self.grid.width)
-            # rays to on-map offsets stay on the map, so only the window's
-            # obstacles and the map edges hide offsets
-            hit = disk.index[np.flatnonzero(vis.obstacle[y:y + disk.span, x:x + disk.span])]
-            blocked = np.bitwise_or.reduce(disk.through.take(hit[hit >= 0], axis=0), axis=0)
-            r, right, down = disk.reach, self.grid.width - 1 - x, self.grid.height - 1 - y
-            blocked |= (disk.left[min(x, r)] | disk.right[min(right, r)]
-                        | disk.up[min(y, r)] | disk.down[min(down, r)])
+            w, h, r = self.grid.width, self.grid.height, disk.reach
+            y, x = divmod(i, w)
+            # rays to on-map offsets stay on the map, so only the obstacles in
+            # the disk's rows and the map edges hide offsets
+            rows = vis.obstacles[vis.rows[max(y - r, 0)]:vis.rows[min(y + r + 1, h)]]
+            hit = vis.offset_index.take(rows - (i + y * (w - 1) - vis.zero))
+            blocked = np.bitwise_or.reduce(disk.through.take(hit[hit < disk.k], axis=0), axis=0)
+            blocked |= (disk.left[min(x, r)] | disk.right[min(w - 1 - x, r)]
+                        | disk.up[min(y, r)] | disk.down[min(h - 1 - y, r)])
             np.invert(blocked, out=vis.bits[i])
             vis.known[i] = True
         return np.unpackbits(vis.bits[i], count=disk.k, bitorder="little").view(bool)
@@ -295,36 +298,26 @@ class FosEvaluator:
         A cell's score depends only on whether the cells it sees, itself at the
         disk's zero offset included, are unscanned.  So a cached score goes stale
         exactly when the cell sees a newly scanned cell ``n``; line of sight is
-        symmetric, so the cell's own mask at offset ``n - cell`` decides.
-
-        The (cached cell, new cell) pairs are tested in blocks of at most
-        ``_PAIR_BLOCK``, each laid out as (new cells x cached cells) so that
-        the long cached axis is the inner one.  One seen new cell makes a
-        cell stale, so every later block tests only the cached cells not yet
-        found stale, and takes more new cells; the loop ends when none is
-        left.  The stale set is the one a test of every pair gives.
+        symmetric, so the cell's own mask at offset ``n - cell`` decides, and an
+        offset outside the disk reads its always-clear bit K.  The pairs are
+        tested in (new x cached) blocks of at most ``_PAIR_BLOCK``, the long
+        cached axis inner.  One seen new cell makes a cell stale, so every later
+        block tests only the cached cells not yet found stale, and takes more
+        new cells, until none is left: the stale set of a test of every pair.
         """
         idx = _free_on_map(self.grid, idx)[0]
-        w, h = self.grid.width, self.grid.height
-        fresh, vis = self._fresh, self._vis
+        w, vis = self.grid.width, self._vis
         nbytes, bits = vis.bits.shape[1], vis.bits.reshape(-1)
-        cached = np.flatnonzero(fresh)
-        # cell (x, y) at y * (2w - 1) + x, so that a difference of two such
-        # positions, shifted by the zero offset's row, is a row of the table
-        at_new = idx + idx // w * (w - 1) + (h - 1) * (2 * w - 1) + w - 1
-        at_cached = cached + cached // w * (w - 1)
-        lo = 0
+        cached, lo = np.flatnonzero(self._fresh), 0
+        at_new, at_cached = idx + idx // w * (w - 1) + vis.zero, cached + cached // w * (w - 1)
         while cached.size:
             hi = lo + max(1, _PAIR_BLOCK // cached.size)
-            k = vis.offset_index.take((at_new[lo:hi, None] - at_cached).ravel())
-            p = np.flatnonzero(k >= 0)
-            k, c = k[p], cached[p % cached.size]
-            seen = (bits.take(c * nbytes + (k >> 3)) >> (k & 7)) & 1
-            fresh[c[seen.astype(bool)]] = False
+            k = vis.offset_index.take(at_new[lo:hi, None] - at_cached)
+            stale = (bits.take(cached * nbytes + (k >> 3)) & _BIT.take(k & 7)).any(axis=0)
+            self._fresh[cached[stale]] = False
             if hi >= idx.size:
                 break
-            keep = fresh[cached]  # a cell found stale needs no further test
-            cached, at_cached = cached[keep], at_cached[keep]
+            cached, at_cached = cached[~stale], at_cached[~stale]  # the rest need more tests
             lo = hi
 
     def _sweep_cells(self, cells: np.ndarray) -> None:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -119,6 +120,35 @@ class TestExitPaths:
         if message:
             assert err == f"invalid configuration: {message}\n"
             assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("run", "--rmax-m", "1_0"),
+        ("run", "--phimax-deg", "٩٠"),
+        ("run", "--setup-s", "６"),
+        ("run", "--sweep-s-per-deg", "0_5"),
+        ("run", "--orientations", "٤"),
+        ("run", "--connectivity", "٨"),
+        ("run", "--speed-mps", "1_0"),
+        ("run", "--target-coverage", "٠.٥"),
+        ("run", "--synergy-bonus", "0_1"),
+        ("randgrid", "--grids-per-size", "1_0"),
+        ("randgrid", "--obstacle-ratio", "٠.١"),
+        ("randgrid", "--seed", "٧"),
+        ("randgrid", "--jobs", "２"),
+        ("genmap", "--seed", "٧"),
+        ("genmap", "--obstacle-ratio", "0_1"),
+        ("genmap", "--resolution", "١"),
+    ])
+    def test_typed_flags_take_only_ascii_numbers(self, tiny_map, tmp_path, capsys, command,
+                                                 flag, value):
+        # Python's int and float read digit separators and other scripts' digits
+        assert math.isfinite(float(value))
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command_args(command, tiny_map, out), flag, value])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert f"error: argument {flag}: invalid " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags,message", [
         (["--config", "z"], "unknown configuration 'z'; expected one of "
@@ -282,6 +312,9 @@ class TestRunCommand:
         ("--sweep-s-per-deg", "inf"),
         ("--rmax-m", "inf"),
         ("--speed-mps", "inf"),
+        # the other spellings Python's float reads reach the library check as well
+        ("--phimax-deg", " Infinity"),
+        ("--target-coverage", "+NaN"),
     ])
     def test_non_finite_value_exit_config(self, tiny_map, tmp_path, flag, value):
         out = tmp_path / "o"

@@ -298,6 +298,14 @@ class TestStepAndRun:
         with pytest.raises(ValueError, match=match):
             CoverageEngine(grid, "E", SENSOR, **options)
 
+    @pytest.mark.parametrize("options", [{"orientations": 6}, {"connectivity": 6},
+                                         {"speed": 0.0}, {"target_coverage": 1.5}])
+    def test_configuration_checked_before_motion(self, options):
+        # the order of `nbsmell run --config Q --orientations 6`
+        grid = parse_map("resolution 1.0\nS.")
+        with pytest.raises(InvalidConfigError, match="unknown configuration 'Q'"):
+            CoverageEngine(grid, "Q", SENSOR, **options)
+
     @pytest.mark.parametrize("orientations,connectivity,match", [
         (4.0, 4, "orientation count must be 4 or 8, got 4.0"),
         (np.float64(8.0), 4, "orientation count must be 4 or 8, got np.float64(8.0)"),

@@ -633,6 +633,28 @@ class TestPairBlocks:
             assert self.seers(grid, sensor.r_max, cached, scan[:1].tolist()) == set(cached)
 
     @pytest.mark.parametrize("block", [_PAIR_BLOCK, 1, 3])
+    def test_most_pairs_outside_the_disk(self, block, monkeypatch):
+        # a long map and a short range: most (new, cached) offsets are off the
+        # disk and read the always-clear bit K of the cached cell's mask
+        monkeypatch.setattr("nbsmell.sensing._PAIR_BLOCK", block)
+        grid = generate_random_grid(40, 0.15, 5)
+        grid = GridMap.from_states(grid.states[:4].copy(), grid.resolution)
+        sensor, headings = SensorModel(r_max=3.0), heading_set(8)
+        warm = FosEvaluator(grid, sensor, headings)
+        free = np.flatnonzero(grid.free_mask().reshape(-1))
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            warm.scores(free)
+            unscanned = free[grid.states.reshape(-1)[free] == CellState.FREE_UNSCANNED]
+            scan = rng.choice(unscanned, 6, replace=False)
+            cached = np.flatnonzero(warm._fresh)
+            vis, w = warm._vis, grid.width
+            k = vis.offset_index[(scan + scan // w * (w - 1) + vis.zero)[:, None]
+                                 - (cached + cached // w * (w - 1))]
+            assert (k == warm.disk.k).mean() > 0.8
+            self.scan_and_compare(grid, sensor, headings, warm, scan)
+
+    @pytest.mark.parametrize("block", [_PAIR_BLOCK, 1, 3])
     def test_no_cached_cells(self, block, monkeypatch):
         monkeypatch.setattr("nbsmell.sensing._PAIR_BLOCK", block)
         grid = generate_random_grid(12, 0.2, 4)
@@ -747,6 +769,30 @@ class TestVisibleCells:
                         if line_of_sight(grid, origin, c):
                             expected.add(c)
                 assert visible_cells(grid, origin, r_max) == expected
+
+    @pytest.mark.parametrize("r_max", [2.0, 3.5, 5.0, 6.0])
+    def test_masks_on_a_map_wider_and_taller_than_the_disk(self, r_max):
+        # a miss reads only the obstacles of the rows within reach: the ones in
+        # farther rows, and those on every map edge, must leave no trace
+        _layout.cache_clear()  # so that every mask below is a miss
+        rng = np.random.default_rng(int(r_max * 2))
+        obstacle = rng.random((25, 40)) < 0.15
+        for edge in (obstacle[0], obstacle[-1], obstacle[:, 0], obstacle[:, -1]):
+            edge[rng.integers(2)::3] = True
+        grid = GridMap.from_states(
+            np.where(obstacle, CellState.OBSTACLE, CellState.FREE_UNSCANNED).astype(np.uint8), 1.0)
+        evaluator = FosEvaluator(grid, SensorModel(r_max=r_max), ())
+        disk = evaluator.disk
+        assert 2 * disk.reach + 1 < grid.height < grid.width
+        for i in np.flatnonzero(~obstacle.reshape(-1)).tolist():
+            y, x = divmod(i, grid.width)
+            expected = [0 <= x + dx < grid.width and 0 <= y + dy < grid.height
+                        and line_of_sight(grid, Cell(x, y), Cell(x + dx, y + dy))
+                        for dx, dy in zip(disk.dx.tolist(), disk.dy.tolist())]
+            assert evaluator.visible(i).tolist() == expected
+        # bit K, which the pair test reads for an offset outside the disk, stays clear
+        assert disk.k % 8 and not np.unpackbits(
+            evaluator._vis.bits, axis=1, bitorder="little")[:, disk.k:].any()
 
     @given(
         width=st.integers(1, 16),
@@ -884,6 +930,7 @@ class TestRayDisk:
         disk, exact = _RayDisk(r_max, resolution, extent), exact_offsets(r_max, resolution, extent)
         assert list(zip(disk.dx.tolist(), disk.dy.tolist())) == exact
         assert disk.reach == max(max(abs(dx), abs(dy)) for dx, dy in exact)
+        assert disk.k % 2  # so that rows of ceil(K/8) bytes hold the always-clear bit K
 
 
 def exact_offsets(r_max, resolution, extent):
