@@ -85,6 +85,8 @@ def _ascii(cast: type, pattern: re.Pattern) -> Callable[[str], int | float]:
 # ASCII numbers, as in a map header; nan and inf go on to the library's finiteness checks
 _INT, _FLOAT = _ascii(int, _INTEGER), _ascii(float, re.compile(
     rf"{_DECIMAL.pattern}|[+-]?(nan|inf|infinity)", re.IGNORECASE))
+# a flag, and a value after it that argparse would take for an option (-inf, -1e-3, -3,4)
+_FLAG, _NEGATIVE = re.compile(r"--\w[\w-]*"), re.compile(r"-(\d|\.|nan|inf)", re.IGNORECASE)
 
 
 def _add_sensor_flags(parser: argparse.ArgumentParser, rmax_default: float) -> None:
@@ -187,23 +189,24 @@ def _resolve_config(args: argparse.Namespace) -> str | WeightConfig:
     return config if isinstance(config, WeightConfig) else config.upper()
 
 
-def _validated(args: argparse.Namespace) -> tuple[str | WeightConfig | None, SensorModel]:
-    """The configuration (None without config flags) and sensor the flags ask for.
+def _validated(args: argparse.Namespace) -> tuple[
+        str | WeightConfig | None, SensorModel, list[int] | None]:
+    """The configuration (None without config flags), sensor and batch sizes (None
+    without ``--sizes``) the flags ask for; ``args`` itself is left as parsed.
 
     Checks run in a fixed order: configuration, sensor, motion, then the
-    batch flags of ``randgrid``, whose sizes are parsed into ``args.sizes``.
-    Every rejection is raised as :class:`InvalidConfigError`, before any run.
+    batch flags of ``randgrid`` (:func:`_batch_sizes`).  Every rejection is
+    raised as :class:`InvalidConfigError`, before any run.
     """
     try:
         config = _resolve_config(args) if "config" in args else None
         sensor = SensorModel(r_max=args.rmax_m, phi_max=args.phimax_deg,
                              setup_time=args.setup_s, sweep_rate=args.sweep_s_per_deg)
         check_motion(**_motion(args))
-        if "sizes" in args:
-            args.sizes = _batch_sizes(args)
+        sizes = _batch_sizes(args) if "sizes" in args else None
     except ValueError as exc:
         raise InvalidConfigError(str(exc)) from exc
-    return config, sensor
+    return config, sensor, sizes
 
 
 def _batch_sizes(args: argparse.Namespace) -> list[int]:
@@ -297,8 +300,8 @@ def _summary_line(label: str, result: RunResult) -> str:
     )
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    config, sensor = _validated(args)
+def cmd_run(args: argparse.Namespace) -> None:
+    config, sensor, _ = _validated(args)
     grid = _load_map(args.map)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -341,11 +344,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(_summary_line(f"config={label}", result))
     print(f"planning wall-clock: {result.total_decision_time:.3f} s",
           file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    _, sensor = _validated(args)
+def cmd_sweep(args: argparse.Namespace) -> None:
+    _, sensor, _ = _validated(args)
     base_grid = _load_map(args.map)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -362,73 +364,63 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ])
         print(_summary_line(name, result))
     _write_csv(out_dir / "sweep.csv", SWEEP_CSV_HEADER, rows)
-    return EXIT_OK
 
 
 def _grid_seed(args: argparse.Namespace, size: int, index: int) -> int:
     return args.seed + 1000 * size + index
 
 
-def _randgrid_task(task: tuple) -> tuple:
+def _randgrid_task(task: tuple) -> tuple[tuple[int, int, int], bool, tuple]:
     """One random-grid run; a top-level function so pools can pickle it.
 
-    Returns size, grid index, seed, free cells, covered cells, coverage
-    satisfied, sensing ops, travel s, scanning s, total s and planning s.
+    Returns the grid's key (size, grid index, seed), its coverage flag and the numbers averaged
+    per size: free and covered cells, sensing ops, travel, scanning, total and planning seconds.
     """
     args, config, sensor, size, index = task
     seed = _grid_seed(args, size, index)
     grid = generate_random_grid(size, args.obstacle_ratio, seed)
     result = run_coverage(grid, config, sensor, **_motion(args))
-    return (size, index, seed, grid.free_count(), grid.scanned_count(),
-            result.coverage_satisfied, result.total_sensing_ops, result.total_travel_time,
-            result.total_sensing_time, result.total_time, result.total_decision_time)
+    return (size, index, seed), result.coverage_satisfied, (
+        grid.free_count(), grid.scanned_count(), result.total_sensing_ops,
+        result.total_travel_time, result.total_sensing_time, result.total_time,
+        result.total_decision_time)
 
 
-def _size_means(results: list[tuple], size: int) -> tuple[int, list[float]]:
-    """Grid count and the means of the columns from free cells on, for one size."""
-    group = [r for r in results if r[0] == size]
-    return len(group), [float(np.mean(column)) for column in list(zip(*group))[3:]]
-
-
-def cmd_randgrid(args: argparse.Namespace) -> int:
-    config, sensor = _validated(args)
-    sizes = args.sizes
-    tasks = [(args, config, sensor, size, i)
-             for size in sizes for i in range(args.grids_per_size)]
+def cmd_randgrid(args: argparse.Namespace) -> None:
+    config, sensor, sizes = _validated(args)
+    tasks = [(args, config, sensor, size, i) for size in sizes for i in range(args.grids_per_size)]
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_randgrid_task, tasks))
     else:
         results = [_randgrid_task(t) for t in tasks]
-    results.sort(key=lambda r: r[:2])
-    means = {size: _size_means(results, size) for size in sizes}
-
-    grid_rows = [
-        ["grid", *r[:5], "yes" if r[5] else "no", r[6], *map(_fmt, r[7:10])]
-        for r in results
-    ]
-    mean_rows = []
-    for size in sizes:
-        free, covered, _, ops, travel, scanning, total, _ = means[size][1]
-        mean_rows.append(["size_mean", size, "", "", _fmt(free), _fmt(covered), "",
-                          *map(_fmt, (ops, travel, scanning, total))])
+    # grid rows by (size, grid index), then the size means in the order given
+    rows, timing_rows, groups, lines = [], [], {size: [] for size in sizes}, []
+    for (size, index, seed), satisfied, numbers in sorted(results):  # keys are unique
+        free, covered, ops, travel, sensing, total, planning = numbers
+        rows.append(["grid", size, index, seed, free, covered, "yes" if satisfied else "no",
+                     ops, *map(_fmt, (travel, sensing, total))])
+        timing_rows.append(["grid", size, index, _fmt(planning)])
+        groups[size].append(numbers)
+    for size, runs in groups.items():  # one mean per column: a 2-D mean adds in another order
+        free, covered, ops, travel, sensing, total, planning = map(float, map(np.mean, zip(*runs)))
+        rows.append(["size_mean", size, "", "", _fmt(free), _fmt(covered), "",
+                     *map(_fmt, (ops, travel, sensing, total))])
+        timing_rows.append(["size_mean", size, "", _fmt(planning)])
+        lines += [(f"size={size} grids={len(runs)} mean_sensing_ops={ops:.2f}", sys.stdout),
+                  (f"size={size} mean_planning_time_s={planning:.3f}", sys.stderr)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "randgrid.csv", RANDGRID_CSV_HEADER, grid_rows + mean_rows)
+    _write_csv(out_dir / "randgrid.csv", RANDGRID_CSV_HEADER, rows)
     if args.timing_out:
         _write_csv(args.timing_out, ["row_type", "size", "grid_index", "planning_time_s"],
-                   [["grid", r[0], r[1], _fmt(r[10])] for r in results]
-                   + [["size_mean", size, "", _fmt(means[size][1][-1])] for size in sizes])
-
-    for size in sizes:
-        count, values = means[size]
-        print(f"size={size} grids={count} mean_sensing_ops={values[3]:.2f}")
-        print(f"size={size} mean_planning_time_s={values[-1]:.3f}", file=sys.stderr)
-    return EXIT_OK
+                   timing_rows)
+    for line, stream in lines:
+        print(line, file=stream)
 
 
-def cmd_genmap(args: argparse.Namespace) -> int:
+def cmd_genmap(args: argparse.Namespace) -> None:
     w, x, h = args.size.partition("x")
     sides = [w, h if x else w]
     if not all(_INTEGER.fullmatch(s.strip()) for s in sides):
@@ -446,14 +438,17 @@ def cmd_genmap(args: argparse.Namespace) -> int:
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     Path(args.out).write_text(serialize_map(grid))
     print(f"wrote {args.kind} map {width}x{height} to {args.out}")
-    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; input and output errors become exit codes, others propagate."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # "--flag -value" as "--flag=-value", as argparse reads
+        if _FLAG.fullmatch(argv[i - 1]) and _NEGATIVE.match(argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except InvalidConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -463,6 +458,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -264,10 +264,10 @@ def uncoverable_cells(
 ) -> list[Cell]:
     """Free cells whose centers no feasible sweep can cover.
 
-    Exhaustive check: a cell is coverable when some free cell reachable
-    from the map start has line of sight to it within sensor range and its
-    bearing falls inside the opening-angle window of at least one
-    orientation.  Every free cell trivially covers itself.
+    Exhaustive check: a cell is coverable when some free cell reachable from the map start
+    has line of sight to it within sensor range and its bearing falls inside the
+    opening-angle window of at least one orientation.  A reachable free cell covers itself;
+    a free cell walled off from the start is uncoverable unless a reachable cell sees it.
     """
     evaluator = FosEvaluator(grid, sensor, heading_set(orientations))
     reachable = np.isfinite(shortest_distances(grid, grid.start, connectivity))

@@ -38,11 +38,11 @@ __all__ = [
 class SensorModel:
     """Remote gas sensor parameters.
 
-    ``r_max`` is the metric range limit, ``phi_max`` the maximum opening
-    angle in degrees.  The sweep time is linear in the executed angle:
-    ``setup_time + sweep_rate * phi``.  The defaults reproduce a pan-tilt
-    TDLAS unit that needs 21 s for a 45-degree sweep and 36 s for 90
-    degrees.  Each field is checked by ``grid._checked`` and stored as a Python number.
+    ``r_max`` is the metric range limit, ``phi_max`` the maximum opening angle in degrees.
+    The sweep time is linear in the executed angle, ``setup_time + sweep_rate * phi``, and
+    finite up to ``phi_max``.  The defaults reproduce a pan-tilt TDLAS unit that needs 21 s
+    for a 45-degree sweep and 36 s for 90 degrees.  Each field is checked by
+    ``grid._checked`` and stored as a Python number.
     """
 
     r_max: float
@@ -57,6 +57,8 @@ class SensorModel:
                                  ("sweep_rate", "finite and > 0", lambda v: 0 < v < math.inf)):
             # Python numbers: the ray disk takes Fraction(r_max), which refuses numpy floats
             object.__setattr__(self, name, _checked(name, getattr(self, name), rule, test))
+        _checked("setup_time + sweep_rate * phi_max", self.sweep_time(self.phi_max), "finite",
+                 math.isfinite)  # a full sweep
 
     def sweep_time(self, phi: float) -> float:
         """Seconds a scan sweeping ``phi`` degrees takes (the setup time at 0)."""
@@ -242,6 +244,9 @@ class FosEvaluator:
 
     def __init__(self, grid: GridMap, sensor: SensorModel,
                  orientations: tuple[float, ...]) -> None:
+        for name, value, kind in (("grid", grid, GridMap), ("sensor", sensor, SensorModel)):
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
         self.grid = grid
         self.sensor = sensor
         self.orientations = tuple(orientations)

@@ -150,6 +150,29 @@ class TestExitPaths:
         assert f"error: argument {flag}: invalid " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("run", "--setup-s", "-inf"),
+        ("run", "--rmax-m", "-NaN"),
+        ("run", "--speed-mps", "-1e-3"),
+        ("run", "--target-coverage", "-NaN"),
+        ("run", "--phimax-deg", "-Infinity"),
+        ("randgrid", "--obstacle-ratio", "-.5e-1"),
+        ("run", "--weights", "-0.5,0.5,1"),
+        ("randgrid", "--sizes", "-3,4"),
+        ("genmap", "--resolution", "-inf"),
+    ])
+    def test_negative_value_after_its_flag(self, tiny_map, tmp_path, capsys, command, flag,
+                                           value):
+        # argparse takes a value for an option unless it reads as a plain negative number
+        out = tmp_path / "o"
+        errors = []
+        for pair in ([flag, value], [f"{flag}={value}"]):
+            assert main([*command_args(command, tiny_map, out), *pair]) == EXIT_CONFIG
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("invalid configuration: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags,message", [
         (["--config", "z"], "unknown configuration 'z'; expected one of "
                             "A, B, C, D, E, F, G, H, I, J, K, L, M"),
@@ -164,13 +187,16 @@ class TestExitPaths:
         (["--weights", "٠.٥,٠.٥,٠"], "--weights expects numbers, got '٠.٥,٠.٥,٠'"),
         (["--orientations", "6"], "orientation count must be 4 or 8, got 6"),
         (["--connectivity", "6"], "connectivity must be 4 or 8, got 6"),
+        # each value is finite, but a full sweep of 180 degrees takes longer than any float
+        (["--sweep-s-per-deg", "1e308"],
+         "setup_time + sweep_rate * phi_max must be finite, got inf"),
         # the configuration is checked before the motion flags
         (["--config", "Q", "--connectivity", "6"], "unknown configuration 'Q'; expected one "
                                                    "of A, B, C, D, E, F, G, H, I, J, K, L, M"),
         (["--weights", "0.5, 0.3, 0.2"], None),
     ], ids=["unknown", "custom", "two-parts", "non-numeric", "off-simplex", "range",
-            "negative-bonus", "not-ascii", "orientations", "connectivity", "config-first",
-            "blanks"])
+            "negative-bonus", "not-ascii", "orientations", "connectivity", "full-sweep",
+            "config-first", "blanks"])
     @pytest.mark.parametrize("command", ["run", "randgrid"])
     def test_configuration_error_lines(self, tiny_map, tmp_path, capsys, command, flags,
                                        message):
@@ -393,6 +419,30 @@ class TestRandgridCommand:
         assert main(base + ["--out", str(out_a)]) == EXIT_OK
         assert main(base + ["--out", str(out_b), "--jobs", "2"]) == EXIT_OK
         assert (out_a / "randgrid.csv").read_bytes() == (out_b / "randgrid.csv").read_bytes()
+
+    # taken before the results travelled by name: grid rows by size, means in the order given
+    UNSORTED_CSV = "6d1170488383fcbd4f6bc7e60d72b151dd7345a3a6adb7aeddd8caafbda16956"
+    UNSORTED_TIMING_KEYS = [
+        ["row_type", "size", "grid_index"], ["grid", "3", "0"], ["grid", "3", "1"],
+        ["grid", "3", "2"], ["grid", "10", "0"], ["grid", "10", "1"], ["grid", "10", "2"],
+        ["size_mean", "10", ""], ["size_mean", "3", ""]]
+    UNSORTED_STDOUT = ("size=10 grids=3 mean_sensing_ops=6.67\n"
+                       "size=3 grids=3 mean_sensing_ops=2.33\n")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unsorted_sizes_pinned(self, tmp_path, capsys, jobs):
+        out, timing = tmp_path / "out", tmp_path / "timing.csv"
+        assert main(["randgrid", "--sizes", "10,3", "--grids-per-size", "3", "--jobs", jobs,
+                     "--timing-out", str(timing), "--out", str(out)]) == EXIT_OK
+        csv_bytes = (out / "randgrid.csv").read_bytes()
+        assert hashlib.sha256(csv_bytes).hexdigest() == self.UNSORTED_CSV
+        rows = list(csv.reader(timing.open()))
+        assert [r[:3] for r in rows] == self.UNSORTED_TIMING_KEYS
+        assert all(re.fullmatch(r"\d+\.\d{6}", r[3]) for r in rows[1:])
+        captured = capsys.readouterr()
+        assert captured.out == self.UNSORTED_STDOUT
+        assert re.fullmatch(r"size=10 mean_planning_time_s=\d+\.\d{3}\n"
+                            r"size=3 mean_planning_time_s=\d+\.\d{3}\n", captured.err)
 
     def test_bad_sizes_exit_config(self, tmp_path):
         assert main([

@@ -513,6 +513,15 @@ EVALUATOR_CALLS = {
     "sweep-i": lambda evaluator, v: evaluator.sweep(v, 0),
     "sweep-h": lambda evaluator, v: evaluator.sweep(0, v),
 }
+# the entry points that take a map and a sensor, as a call of both
+RUN_CALLS = {
+    "CoverageEngine": lambda grid, sensor: CoverageEngine(grid, "F", sensor),
+    "run_coverage": lambda grid, sensor: run_coverage(grid, "F", sensor),
+    "uncoverable_cells": lambda grid, sensor: uncoverable_cells(grid, sensor, 4, 4),
+    "FosEvaluator": lambda grid, sensor: FosEvaluator(grid, sensor, heading_set(4)),
+}
+# neither a map nor a sensor; each of the two also gets the other in its place
+NOT_OBJECTS = {"None": None, "str": "map", "float": 3.0, "Cell": Cell(0, 0)}
 NOT_INDICES = [None, "ab", b"\x00", {}, [[1]], [1.5], [True], [None], [-1], [2**70],
                np.array([0.0]), np.array(["a"]), 1.5, True, "3"]
 NUMBERS = [-1, 1.5, math.nan, math.inf, -math.inf]
@@ -530,7 +539,8 @@ class TestEntryPointArguments:
     """A result, or a ValueError (InvalidConfigError is one) naming the argument.
 
     Never a bare AttributeError or TypeError, from every entry point that takes
-    a cell or a weight configuration.
+    a cell or a weight configuration, and from the run entry points for a map
+    or a sensor of another type.
     """
 
     @pytest.mark.parametrize("call,value", [
@@ -572,6 +582,19 @@ class TestEntryPointArguments:
     def test_string_argument_rejected_naming_it(self, call, value):
         with pytest.raises(ValueError, match=re.escape(repr(value))):
             call(value)
+
+    @pytest.mark.parametrize("value", [*NOT_OBJECTS, "swapped"])
+    @pytest.mark.parametrize("argument,kind", [("grid", "GridMap"), ("sensor", "SensorModel")])
+    @pytest.mark.parametrize("name", RUN_CALLS)
+    def test_map_or_sensor_of_another_type_rejected_naming_it(self, name, argument, kind,
+                                                              value):
+        arguments = {"grid": parse_map("resolution 1.0\nS#.\n..."), "sensor": SENSOR}
+        other = arguments["sensor" if argument == "grid" else "grid"]
+        arguments[argument] = other if value == "swapped" else NOT_OBJECTS[value]
+        with pytest.raises(ValueError) as exc:
+            RUN_CALLS[name](**arguments)
+        assert str(exc.value) == (
+            f"{argument} must be a {kind}, got {type(arguments[argument]).__name__}")
 
     def test_numpy_numbers_run_like_the_equal_python_numbers(self):
         python = {name: value.item() for name, value in NUMPY_RUN.items()}

@@ -64,6 +64,24 @@ class TestSensorModel:
             with pytest.raises(ValueError):
                 SensorModel(**{"r_max": 5.0, **bad})
 
+    @pytest.mark.parametrize("fields,full_sweep", [
+        ({"sweep_rate": 1e308}, None),
+        ({"setup_time": 1e308, "sweep_rate": 1e306}, None),
+        ({"phi_max": 90.0, "sweep_rate": 2e306}, None),
+        ({"sweep_rate": 9e305}, 6.0 + 9e305 * 180.0),
+        ({"phi_max": 90.0, "sweep_rate": 1.9e306}, 6.0 + 1.9e306 * 90.0),  # inf at 180
+        ({"setup_time": 1.7e308}, 1.7e308 + 60.0),
+    ])
+    def test_full_sweep_must_take_a_finite_time(self, fields, full_sweep):
+        # each field is finite; the sweep over phi_max is priced from all three
+        if full_sweep is None:
+            with pytest.raises(ValueError) as exc:
+                SensorModel(r_max=5.0, **fields)
+            assert str(exc.value) == "setup_time + sweep_rate * phi_max must be finite, got inf"
+        else:
+            sensor = SensorModel(r_max=5.0, **fields)
+            assert sensor.sweep_time(sensor.phi_max) == full_sweep < math.inf
+
 
 class TestTraverseSegment:
     def test_zero_length(self):
