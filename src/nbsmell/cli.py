@@ -34,6 +34,7 @@ from .grid import (
     GridMap,
     MapFormatError,
     _checked,
+    _of_type,
     coverage_ratio,
     frontier_cells,
     generate_random_grid,
@@ -251,7 +252,7 @@ def render_ppm(grid: GridMap, robot: Cell | None,
     scanned gray), then frontier blue (:func:`frontier_cells` indices), robot red;
     an off-map frontier index or robot cell raises ValueError.
     """
-    img = _PALETTE[grid.states]
+    img = _PALETTE[_of_type("grid", grid, GridMap).states]
     if frontier is not None:
         img.reshape(-1, 3)[on_map(grid, frontier)] = (0, 0, 255)
     if robot is not None:
@@ -303,9 +304,9 @@ def _summary_line(label: str, result: RunResult) -> str:
 def cmd_run(args: argparse.Namespace) -> None:
     config, sensor, _ = _validated(args)
     grid = _load_map(args.map)
+    engine = CoverageEngine(grid, config, sensor, **_motion(args))  # before any output
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    engine = CoverageEngine(grid, config, sensor, **_motion(args))
     if args.snapshots:
         snap_dir = out_dir / "snapshots"
         snap_dir.mkdir(exist_ok=True)

@@ -13,6 +13,7 @@ copy to keep the original pristine.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -24,6 +25,7 @@ from .grid import (
     GridMap,
     Pose,
     _checked,
+    _of_type,
     cells_at,
     coverage_ratio,  # unused; bench/spans.py hooks nbsmell.engine.coverage_ratio
     frontier_cells,
@@ -119,8 +121,10 @@ def select_best(criteria: np.ndarray, measure: FuzzyMeasure) -> int:
     column scored by the Choquet integral.  Ties on the score break
     deterministically: smaller distance, then smaller sensing time, then the
     earlier column.  Each key filters the columns left by the one before, so
-    no sort is needed.
+    no sort is needed.  ValueError by :func:`grid._of_type` unless ``measure`` is a
+    :class:`FuzzyMeasure`.
     """
+    _of_type("measure", measure, FuzzyMeasure)
     criteria = np.asarray(criteria, dtype=np.float64)
     scores = choquet_batch(normalize_utilities(criteria), measure)
     cols = np.flatnonzero(scores == scores.max())
@@ -132,7 +136,12 @@ def select_best(criteria: np.ndarray, measure: FuzzyMeasure) -> int:
 
 
 class CoverageEngine:
-    """Stateful coverage run over one grid map (which it mutates)."""
+    """Stateful coverage run over one grid map (which it mutates).
+
+    A run makes at most F steps on a map with F free cells, as each scans a new cell, and each
+    step travels at most (F - 1) * sqrt(2) * resolution meters and sweeps at most ``phi_max``;
+    InvalidConfigError unless the time this bounds is finite, so that no total overflows.
+    """
 
     def __init__(
         self,
@@ -151,14 +160,20 @@ class CoverageEngine:
         self.sensor = sensor
         self.connectivity = connectivity
         self.speed = speed  # travel_time takes it as a Python number
-        self.evaluator = FosEvaluator(grid, sensor, self.headings)
+        self.evaluator = FosEvaluator(grid, sensor, self.headings)  # checks both types
+        # kept up to date from each scan's marked count, not recounted
+        self._free, self._scanned = grid.free_count(), grid.scanned_count()
+        sweep = sensor.sweep_time(sensor.phi_max)
+        if not math.isfinite(self._free * (
+                sweep + (self._free - 1) * math.sqrt(2) * grid.resolution / speed)):
+            raise InvalidConfigError(
+                f"a run over {self._free} free cells has no finite time bound at speed "
+                f"{speed!r} m/s, resolution {grid.resolution!r} m and full sweep {sweep!r} s")
         self.robot = Pose(grid.start, self.headings[0])
         self.records: list[StepRecord] = []
         self._done = False
         # obstacles never change: the last distance field holds while the robot stays
         self._field, self._field_from = None, None
-        # kept up to date from each scan's marked count, not recounted
-        self._free, self._scanned = grid.free_count(), grid.scanned_count()
 
     def step(self) -> StepRecord | None:
         """Execute one sensing operation; None when no candidate remains."""

@@ -90,6 +90,14 @@ def _checked(name: str, value: Any, rule: str, test: Callable[[Any], bool],
     return value.item() if isinstance(value, np.generic) else value
 
 
+def _of_type(name: str, value: Any, kind: type) -> Any:
+    """The one check of a map, sensor or measure argument: ``value`` if a ``kind``, else raises
+    ``ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def heading_set(count: int) -> tuple[float, ...]:
     """Equally spaced headings in [0, 2*pi), starting at 0.
 
@@ -243,6 +251,7 @@ def serialize_map(grid: GridMap) -> str:
     Scan flags are not representable in the format; scanned cells are
     emitted as plain free cells.
     """
+    _of_type("grid", grid, GridMap)
     chars = np.where(grid.states == CellState.OBSTACLE, OBSTACLE_CHAR, FREE_CHAR)
     chars[grid.start.y, grid.start.x] = START_CHAR
     rows = ["".join(row) for row in chars]
@@ -330,7 +339,9 @@ def on_map(grid: GridMap, flat: np.ndarray | Sequence[int]) -> np.ndarray:
     of :class:`Cell`), a non-integer dtype or the first off-map index.
 
     One unsigned comparison finds that index: a negative one wraps past every on-map one.
+    ValueError by :func:`_of_type` unless ``grid`` is a :class:`GridMap`.
     """
+    _of_type("grid", grid, GridMap)
     flat = np.asarray(flat)
     if flat.ndim != 1:
         raise ValueError(f"expected a 1-D array of flat indices, got shape {flat.shape}")
@@ -353,6 +364,7 @@ def frontier_cells(grid: GridMap, connectivity: int) -> np.ndarray:
 
     Ascending, so in row-major order; :func:`cells_at` gives the cells.
     """
+    _of_type("grid", grid, GridMap)
     unscanned = padded(grid.unscanned_mask())
     near = np.zeros((grid.height, grid.width), dtype=bool)
     for dx, dy in neighbor_offsets(connectivity):
@@ -386,7 +398,7 @@ def mark_scanned(grid: GridMap, flat: np.ndarray | Sequence[int]) -> int:
 
 def coverage_ratio(grid: GridMap) -> float:
     """Scanned free cells divided by total free cells."""
-    free = grid.free_count()
+    free = _of_type("grid", grid, GridMap).free_count()
     if free == 0:
         raise ValueError("map has no free cells")
     return grid.scanned_count() / free

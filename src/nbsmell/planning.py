@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra as _sparse_dijkstra
 
-from .grid import GridMap, _checked, neighbor_offsets, padded, shifted
+from .grid import GridMap, _checked, _of_type, neighbor_offsets, padded, shifted
 
 __all__ = ["shortest_distances", "travel_time"]
 
@@ -50,7 +50,7 @@ def shortest_distances(grid: GridMap, source: tuple[int, int], connectivity: int
     obstacles) hold +inf.  The motion graph is built once per layout (free
     mask, width, resolution, connectivity), so every copy of a map shares it.
     """
-    if not grid.is_free(source):
+    if not _of_type("grid", grid, GridMap).is_free(source):
         raise ValueError(f"source {source} is not a free cell")
     graph = _motion_graph(grid.free_mask().tobytes(), grid.width, grid.resolution,
                           connectivity)

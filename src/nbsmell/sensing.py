@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import _UNSCANNED, CellState, GridMap, _checked, _free_on_map, _is_number, on_map
+from .grid import (_UNSCANNED, CellState, GridMap, _checked, _free_on_map, _is_number, _of_type,
+                   on_map)
 
 __all__ = [
     "FosScore",
@@ -75,9 +76,7 @@ class _RayDisk:
     (index K - 1).  With ``extent`` one less than the map's larger side, no
     dropped offset could land inside the map, so the disk is bounded by the
     map, not by ``r_max``.  ``reach = min(isqrt(bound), extent)`` is the
-    largest ``|dx|`` or ``|dy|``.  ``index`` maps a position in the
-    (2*reach+1)^2 window centered on a cell, flattened row-major from offset
-    (-reach, -reach), to the offset's position in the disk, or K outside it.
+    largest ``|dx|`` or ``|dy|``.
 
     The other tables are sets of offsets, bit-packed little-endian in rows of
     ceil(K/8) bytes, whose pad bits include bit K, as K is odd (the offsets
@@ -85,10 +84,10 @@ class _RayDisk:
     ``through`` holds the offsets whose ray (the cells
     ``oracles.traverse_segment`` crosses, endpoint included) crosses offset
     ``j``: no ray leaves the disk (the walk is monotone), and only the own
-    cell's crosses it, so an obstacle cell does not see itself; a miss ORs
-    the rows of the obstacles in the disk.  It takes K * ceil(K/8) bytes:
-    1.0 MB at r_max 30 m with 1 m cells, up to about 128 MB on a 90x90 map
-    (r_max >= 127 m).  Row ``a`` of ``left``, ``right``, ``up`` and ``down``
+    cell's crosses it, so an obstacle cell does not see itself.  It takes
+    K * ceil(K/8) bytes: 1.0 MB at r_max 30 m with 1 m cells, up to about
+    128 MB on a 90x90 map (r_max >= 127 m).  Row ``a`` of ``left``,
+    ``right``, ``up`` and ``down`` ((reach + 1) * ceil(K/8) bytes each)
     holds ``dx < -a``, ``dx > a``, ``dy < -a`` and ``dy > a``: the offsets
     past a map edge ``a`` cells away.  ``left`` also sets the pad bits, so a
     complement of an OR with it clears them.
@@ -102,10 +101,10 @@ class _RayDisk:
         inside[reach, reach] = False  # the own cell, appended last
         self.dx, self.dy = (np.append(o[inside], 0).astype(np.int32) for o in (ox, oy))
         k = self.k = self.dx.size
-        self.bearings = np.arctan2(self.dy.astype(np.float64), self.dx.astype(np.float64))
-        span = self.span = 2 * reach + 1
-        self.index = np.full(span * span, k, dtype=np.int64)
-        self.index[(self.dy + reach) * span + self.dx + reach] = np.arange(k)
+        # an offset's position in the (2*reach+1)^2 window around the own cell, or K outside it
+        span = 2 * reach + 1
+        index = np.full(span * span, k, dtype=np.int64)
+        index[(self.dy + reach) * span + self.dx + reach] = np.arange(k)
 
         # the walk of ``oracles.traverse_segment`` for all rays at once, one
         # step per pass, collecting (crossed offset, ray) pairs
@@ -115,7 +114,7 @@ class _RayDisk:
         while ray.size:
             tx, ty = (2 * ix + 1) * ny, (2 * iy + 1) * nx
             ix, iy = ix + (tx <= ty), iy + (tx >= ty)
-            crossed.append(self.index[(sy * iy + reach) * span + sx * ix + reach])
+            crossed.append(index[(sy * iy + reach) * span + sx * ix + reach])
             rays.append(ray)
             more = (ix < nx) | (iy < ny)
             ray, ix, iy, nx, ny, sx, sy = (a[more] for a in (ray, ix, iy, nx, ny, sx, sy))
@@ -137,35 +136,75 @@ _ray_disk = lru_cache(maxsize=1)(_RayDisk)
 
 
 class _Layout:
-    """Everything visibility derives from one obstacle layout and one sensor disk.
+    """Visibility on one obstacle layout with one sensor disk: every mask and every stale cell.
 
     ``obstacle`` is the row-major obstacle mask of a map ``width`` cells wide;
     the disk is ``_ray_disk(r_max, resolution, extent)``.  Cell (x, y) stands
-    at y * (2w - 1) + x, so that the difference of two such positions plus
-    ``zero`` is a row of ``offset_index``: the disk index of that offset,
-    else K (8 bytes each, (2w-1)(2h-1) for a w x h map, whatever ``r_max``).
-    ``obstacles`` holds the obstacles' positions, row-major (8 bytes each),
-    ``rows[y]`` the first of row ``y`` (h + 1 ints), and ``known`` and
-    ``bits`` the visibility mask of every cell looked at so far (cells *
-    ceil(K/8) bytes).
+    at position y * (2w - 1) + x (:meth:`_at`), so that the difference of two
+    positions plus ``zero`` is a row of ``offset_index``: the disk index of
+    that offset, else K (8 bytes each, (2w-1)(2h-1) for a w x h map, whatever
+    ``r_max``).  ``obstacles`` holds the obstacles' positions, row-major (8
+    bytes each), ``rows[y]`` the first of row ``y`` (h + 1 ints), and
+    ``known`` and ``bits`` the packed mask of every cell looked at so far
+    (cells * ceil(K/8) bytes).
     """
 
     def __init__(self, obstacle: bytes, width: int, r_max: float, resolution: float,
                  extent: int) -> None:
         disk = self.disk = _ray_disk(r_max, resolution, extent)
-        w, h, r = width, len(obstacle) // width, disk.reach
-        self.zero = (h - 1) * (2 * w - 1) + w - 1
+        w, h = self.width, self.height = width, len(obstacle) // width
+        self.zero = self._at(w * h - 1)
         flat = np.frombuffer(obstacle, dtype=bool).nonzero()[0]
-        self.obstacles = flat + flat // w * (w - 1)
+        self.obstacles = self._at(flat)
         self.rows = flat.searchsorted(np.arange(0, w * h + 1, w)).tolist()
         self.known = np.zeros(w * h, dtype=bool)
         self.bits = np.zeros((w * h, (disk.k + 7) // 8), dtype=np.uint8)
-        # the disk's window table cut or padded to every offset between two cells of the map
-        ry, rx = min(r, h - 1), min(r, w - 1)
-        table = np.full((2 * h - 1, 2 * w - 1), disk.k, dtype=np.int64)
-        table[h - 1 - ry:h + ry, w - 1 - rx:w + rx] = disk.index.reshape(
-            disk.span, -1)[r - ry:r + ry + 1, r - rx:r + rx + 1]
-        self.offset_index = table.reshape(-1)
+        fit = np.flatnonzero((np.abs(disk.dx) < w) & (np.abs(disk.dy) < h))  # the map's offsets
+        self.offset_index = np.full((2 * h - 1) * (2 * w - 1), disk.k, dtype=np.int64)
+        self.offset_index[(2 * w - 1) * disk.dy.take(fit).astype(np.int64)
+                          + disk.dx.take(fit) + self.zero] = fit
+
+    def _at(self, flat: int | np.ndarray) -> int | np.ndarray:
+        """The position of the cell, or cells, at the flat index ``flat``."""
+        return flat + flat // self.width * (self.width - 1)
+
+    def mask(self, i: int) -> np.ndarray:
+        """Cell ``i``'s packed mask (on the map, line of sight clear), made on the first look."""
+        if not self.known[i]:
+            disk, w, h, r = self.disk, self.width, self.height, self.disk.reach
+            y, x = divmod(i, w)
+            # rays to on-map offsets stay on the map, so only the ``through`` rows
+            # of the obstacles in the disk's rows, and the map edges, hide offsets
+            rows = self.obstacles[self.rows[max(y - r, 0)]:self.rows[min(y + r + 1, h)]]
+            hit = self.offset_index.take(rows - (self._at(i) - self.zero))
+            blocked = np.bitwise_or.reduce(disk.through.take(hit[hit < disk.k], axis=0), axis=0)
+            blocked |= (disk.left[min(x, r)] | disk.right[min(w - 1 - x, r)]
+                        | disk.up[min(y, r)] | disk.down[min(h - 1 - y, r)])
+            np.invert(blocked, out=self.bits[i])
+            self.known[i] = True
+        return self.bits[i]
+
+    def stale(self, cached: np.ndarray, new: np.ndarray) -> np.ndarray:
+        """The ``cached`` cells, masks known, that see a cell ``n`` of ``new``.
+
+        Line of sight is symmetric, so a cached cell's own mask at offset ``n -
+        cell`` decides (bit K outside the disk).  The pairs are tested in (new x
+        cached) blocks of at most ``_PAIR_BLOCK``, the cached axis inner; a later
+        block tests only the cached cells not yet found, and takes more new cells.
+        """
+        nbytes, bits = self.bits.shape[1], self.bits.reshape(-1)
+        at_new, at_cached = self._at(new) + self.zero, self._at(cached)
+        found, lo = [cached[:0]], 0
+        while cached.size:
+            hi = lo + max(1, _PAIR_BLOCK // cached.size)
+            k = self.offset_index.take(at_new[lo:hi, None] - at_cached)
+            seen = (bits.take(cached * nbytes + (k >> 3)) & _BIT.take(k & 7)).any(axis=0)
+            found.append(cached[seen])
+            if hi >= new.size:
+                break
+            cached, at_cached = cached[~seen], at_cached[~seen]  # the rest need more tests
+            lo = hi
+        return np.concatenate(found)
 
 
 # One layout, by value: the runs on a map and its copies follow each other, and
@@ -177,9 +216,11 @@ _layout = lru_cache(maxsize=1)(_Layout)
 @lru_cache(maxsize=1)
 def _heading_tables(disk: _RayDisk, orientations: tuple[float, ...],
                     phi_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(window_masks, sweep_table)`` of ``disk`` (see FosEvaluator)."""
-    rel = [np.arctan2(np.sin(d), np.cos(d)) for d in (disk.bearings - t for t in orientations)]
-    rel = np.array(rel).reshape(len(rel), disk.k)
+    """Read-only ``(window_masks, sweep_table)`` of ``disk`` (see FosEvaluator): the one
+    place that takes bearings, each offset's relative to every heading in (-pi, pi]."""
+    bearings = np.arctan2(disk.dy.astype(np.float64), disk.dx.astype(np.float64))
+    d = bearings - np.array(orientations)[:, None]
+    rel = np.arctan2(np.sin(d), np.cos(d))
     window = np.abs(rel) <= math.radians(phi_max) / 2.0
     window[:, -1] = True  # the own cell, offset K - 1, is in every window
     # Per orientation and offset: the relative bearing inside the window (else
@@ -202,7 +243,7 @@ class FosScore(NamedTuple):
     sensing_time: float  # seconds
 
 
-# Upper bounds on the (cached cell, new cell) pairs ``mark_scanned`` tests at once, and
+# Upper bounds on the (cached cell, new cell) pairs ``_Layout.stale`` tests at once, and
 # on the offsets one block of the sweep kernel gathers (3H table rows of 8 bytes each).
 _PAIR_BLOCK, _SWEEP_BLOCK = 1 << 14, 1 << 12
 _BIT = (1 << np.arange(8)).astype(np.uint8)  # the byte value of bit j of a packed row
@@ -218,18 +259,13 @@ class FosEvaluator:
     in :meth:`visible`, by the rule of ``grid.mark_scanned``.  The cells at
     the disk offsets of cell ``i`` are ``i + end``, the cell itself last.
     Visibility depends only on the obstacles, which never change, and the
-    sensor disk, so it lives in a :class:`_Layout` cached by value, shared by
-    the evaluators on a map and its copies with one ``r_max``.  Only the last
-    layout stays cached, masks included, also after its runs end; the score
-    cache is per evaluator.  A visibility miss maps the obstacles in the
-    rows within ``reach`` to disk offsets through the layout's offset table,
-    and ORs the ``through`` rows of those in the disk (ceil(K/8) bytes each)
-    and the edge masks for the cell's distance to each map edge.  The scan
-    state is read from ``grid.states`` itself.  The cached scores, gain and
-    sweep angle per orientation, depend on it, so every scan must be
-    reported through :meth:`mark_scanned`, which reads each (cached, new)
-    pair's offset in the same table; sensing time is priced from the angle
-    by ``SensorModel.sweep_time``.  The executed sweep (:meth:`evaluate_cell`)
+    sensor disk, so a :class:`_Layout` cached by value owns it, shared by the
+    evaluators on a map and its copies with one ``r_max``; only the last
+    layout stays cached, masks included.  The score cache is per evaluator.
+    The scan state is read from ``grid.states`` itself.  The cached scores,
+    gain and sweep angle per orientation, depend on it, so every scan must be
+    reported through :meth:`mark_scanned`; sensing time is priced from the
+    angle by ``SensorModel.sweep_time``.  The executed sweep (:meth:`evaluate_cell`)
     checks a fresh cell's live list against the grid, so a missed report
     shows as a fresh score that differs from the cached one.  One batched
     kernel, :meth:`_sweep_cells`, sweeps a list of cells, for :meth:`scores`
@@ -244,11 +280,8 @@ class FosEvaluator:
 
     def __init__(self, grid: GridMap, sensor: SensorModel,
                  orientations: tuple[float, ...]) -> None:
-        for name, value, kind in (("grid", grid, GridMap), ("sensor", sensor, SensorModel)):
-            if not isinstance(value, kind):
-                raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
-        self.grid = grid
-        self.sensor = sensor
+        self.grid = _of_type("grid", grid, GridMap)
+        self.sensor = _of_type("sensor", sensor, SensorModel)
         self.orientations = tuple(orientations)
         self._vis = _layout((grid.states == CellState.OBSTACLE).tobytes(), grid.width,
                             sensor.r_max, grid.resolution, max(grid.width, grid.height) - 1)
@@ -282,48 +315,13 @@ class FosEvaluator:
     def visible(self, i: int) -> np.ndarray:
         """Boolean mask over the ray disk, own cell last: offset free and line of sight clear."""
         self._check_cell(i)
-        disk, vis = self.disk, self._vis
-        if not vis.known[i]:
-            w, h, r = self.grid.width, self.grid.height, disk.reach
-            y, x = divmod(i, w)
-            # rays to on-map offsets stay on the map, so only the obstacles in
-            # the disk's rows and the map edges hide offsets
-            rows = vis.obstacles[vis.rows[max(y - r, 0)]:vis.rows[min(y + r + 1, h)]]
-            hit = vis.offset_index.take(rows - (i + y * (w - 1) - vis.zero))
-            blocked = np.bitwise_or.reduce(disk.through.take(hit[hit < disk.k], axis=0), axis=0)
-            blocked |= (disk.left[min(x, r)] | disk.right[min(w - 1 - x, r)]
-                        | disk.up[min(y, r)] | disk.down[min(h - 1 - y, r)])
-            np.invert(blocked, out=vis.bits[i])
-            vis.known[i] = True
-        return np.unpackbits(vis.bits[i], count=disk.k, bitorder="little").view(bool)
+        return np.unpackbits(self._vis.mask(i), count=self.disk.k, bitorder="little").view(bool)
 
     def mark_scanned(self, idx: np.ndarray) -> None:
-        """Drop the cached scores that the newly scanned cells ``idx`` change.
-
-        A cell's score depends only on whether the cells it sees, itself at the
-        disk's zero offset included, are unscanned.  So a cached score goes stale
-        exactly when the cell sees a newly scanned cell ``n``; line of sight is
-        symmetric, so the cell's own mask at offset ``n - cell`` decides, and an
-        offset outside the disk reads its always-clear bit K.  The pairs are
-        tested in (new x cached) blocks of at most ``_PAIR_BLOCK``, the long
-        cached axis inner.  One seen new cell makes a cell stale, so every later
-        block tests only the cached cells not yet found stale, and takes more
-        new cells, until none is left: the stale set of a test of every pair.
-        """
+        """Drop the cached scores of the cells that see a newly scanned cell of ``idx``: a
+        score depends only on whether the cells seen, the cell itself included, are unscanned."""
         idx = _free_on_map(self.grid, idx)[0]
-        w, vis = self.grid.width, self._vis
-        nbytes, bits = vis.bits.shape[1], vis.bits.reshape(-1)
-        cached, lo = np.flatnonzero(self._fresh), 0
-        at_new, at_cached = idx + idx // w * (w - 1) + vis.zero, cached + cached // w * (w - 1)
-        while cached.size:
-            hi = lo + max(1, _PAIR_BLOCK // cached.size)
-            k = vis.offset_index.take(at_new[lo:hi, None] - at_cached)
-            stale = (bits.take(cached * nbytes + (k >> 3)) & _BIT.take(k & 7)).any(axis=0)
-            self._fresh[cached[stale]] = False
-            if hi >= idx.size:
-                break
-            cached, at_cached = cached[~stale], at_cached[~stale]  # the rest need more tests
-            lo = hi
+        self._fresh[self._vis.stale(np.flatnonzero(self._fresh), idx)] = False
 
     def _sweep_cells(self, cells: np.ndarray) -> None:
         """Sweep every orientation at the on-map ``cells`` from the current scan state.

@@ -208,6 +208,27 @@ class TestExitPaths:
             assert err == f"invalid configuration: {message}\n"
             assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--speed-mps", "1e-320"], "a run over 475 free cells has no finite time bound at "
+                                    "speed 1e-320 m/s, resolution 0.5 m and full sweep 66.0 s"),
+        (["--setup-s", "1.7e308"], "a run over 475 free cells has no finite time bound at "
+                                   "speed 1.0 m/s, resolution 0.5 m and full sweep 1.7e+308 s"),
+        (["--map", "{huge}"], "a run over 6 free cells has no finite time bound at speed 1.0 "
+                              "m/s, resolution 1e+308 m and full sweep 66.0 s"),
+    ], ids=["speed", "setup", "resolution"])
+    def test_run_whose_totals_could_overflow_exits_2(self, tmp_path, capsys, flags, message):
+        # each value passes its own check, but the times of a run could overflow, which
+        # failed the JSON summary with "Out of range float values", or the distance field
+        huge = tmp_path / "huge.txt"
+        huge.write_text("resolution 1e308\nS..\n...\n")
+        corridor = Path(cli.__file__).parent / "maps" / "corridor_60x10.txt"
+        out = tmp_path / "o"
+        argv = ["run", "--map", str(corridor), "--rmax-m", "10", "--out", str(out),
+                *(f.format(huge=huge) for f in flags)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "sweep", "randgrid"])
     def test_error_inside_coverage_run_propagates(self, tiny_map, tmp_path, monkeypatch,
                                                   command):

@@ -16,11 +16,14 @@ from nbsmell.grid import (
     CellState,
     GridMap,
     Pose,
+    cells_at,
     coverage_ratio,
+    frontier_cells,
     generate_random_grid,
     heading_set,
     mark_scanned,
     parse_map,
+    serialize_map,
 )
 from nbsmell.mapgen import corridor_map, empty_map, generate_map, rooms_map, shipped_map
 from nbsmell.mcdm import (
@@ -420,6 +423,28 @@ class TestStepAndRun:
             assert record == replayed
 
 
+class TestRunBound:
+    """At most F steps on F free cells, each a full sweep and a path of at most (F - 1) diagonal
+    steps: a run whose bound is not finite is refused before it starts."""
+
+    @pytest.mark.parametrize("text,sensor,speed,message", [
+        (None, SENSOR, 1e-320, "a run over 475 free cells has no finite time bound at speed "
+                               "1e-320 m/s, resolution 0.5 m and full sweep 66.0 s"),
+        (None, SensorModel(10.0, setup_time=1.7e308), 1.0,
+         "a run over 475 free cells has no finite time bound at speed 1.0 m/s, resolution "
+         "0.5 m and full sweep 1.7e+308 s"),
+        # 4-connected distances add one resolution per step: 1e308 + 1e308 overflowed
+        ("resolution 1e308\nS..\n...", SENSOR, 1.0,
+         "a run over 6 free cells has no finite time bound at speed 1.0 m/s, resolution "
+         "1e+308 m and full sweep 66.0 s"),
+    ], ids=["speed", "setup", "resolution"])
+    def test_run_whose_totals_could_overflow_refused(self, text, sensor, speed, message):
+        grid = shipped_map("corridor") if text is None else parse_map(text)
+        with pytest.raises(InvalidConfigError) as exc:
+            CoverageEngine(grid, "F", sensor, speed=speed)
+        assert str(exc.value) == message
+
+
 class TestSelfChecks:
     """The two checks each step makes on its own bookkeeping fire when it breaks."""
 
@@ -522,6 +547,21 @@ RUN_CALLS = {
 }
 # neither a map nor a sensor; each of the two also gets the other in its place
 NOT_OBJECTS = {"None": None, "str": "map", "float": 3.0, "Cell": Cell(0, 0)}
+# the other entry points that take a map or a measure: its argument name and type, a call of
+# it, and the argument the call takes beside it (a map's states for a map alone), which
+# also goes in its place
+OBJECT_CALLS = {
+    "shortest_distances": ("grid", "GridMap", lambda v: shortest_distances(v, Cell(0, 0), 4),
+                           Cell(0, 0)),
+    "frontier_cells": ("grid", "GridMap", lambda v: frontier_cells(v, 4), 4),
+    "mark_scanned": ("grid", "GridMap", lambda v: mark_scanned(v, [0]), [0]),
+    "cells_at": ("grid", "GridMap", lambda v: cells_at(v, [0]), [0]),
+    "coverage_ratio": ("grid", "GridMap", coverage_ratio, np.ones((2, 3), np.uint8)),
+    "serialize_map": ("grid", "GridMap", serialize_map, np.ones((2, 3), np.uint8)),
+    "render_ppm": ("grid", "GridMap", lambda v: render_ppm(v, Cell(0, 0)), Cell(0, 0)),
+    "select_best": ("measure", "FuzzyMeasure", lambda v: select_row(np.ones((3, 2)), v),
+                    np.ones((3, 2))),
+}
 NOT_INDICES = [None, "ab", b"\x00", {}, [[1]], [1.5], [True], [None], [-1], [2**70],
                np.array([0.0]), np.array(["a"]), 1.5, True, "3"]
 NUMBERS = [-1, 1.5, math.nan, math.inf, -math.inf]
@@ -595,6 +635,16 @@ class TestEntryPointArguments:
             RUN_CALLS[name](**arguments)
         assert str(exc.value) == (
             f"{argument} must be a {kind}, got {type(arguments[argument]).__name__}")
+
+    @pytest.mark.parametrize("value", [*NOT_OBJECTS, "swapped"])
+    @pytest.mark.parametrize("name", OBJECT_CALLS)
+    def test_map_or_measure_of_another_type_rejected_naming_it(self, name, value):
+        # numpy or a missing attribute would raise a bare AttributeError or TypeError
+        argument, kind, call, other = OBJECT_CALLS[name]
+        value = other if value == "swapped" else NOT_OBJECTS[value]
+        with pytest.raises(ValueError) as exc:
+            call(value)
+        assert str(exc.value) == f"{argument} must be a {kind}, got {type(value).__name__}"
 
     def test_numpy_numbers_run_like_the_equal_python_numbers(self):
         python = {name: value.item() for name, value in NUMPY_RUN.items()}

@@ -932,7 +932,7 @@ class TestRayDisk:
         # give 0.5^2 / 0.1^2 < 25, so the disk stops 4 cells away
         disk = _RayDisk(0.5, 0.1, 9)
         assert max(np.abs(disk.dx).max(), np.abs(disk.dy).max()) == 4
-        assert disk.reach == 4 and disk.span == 9
+        assert disk.reach == 4
 
     @given(
         r_max=st.floats(1e-200, 1e160),
