@@ -285,9 +285,10 @@ def uncoverable_cells(
     a free cell walled off from the start is uncoverable unless a reachable cell sees it.
     """
     evaluator = FosEvaluator(grid, sensor, heading_set(orientations))
-    reachable = np.isfinite(shortest_distances(grid, grid.start, connectivity))
+    reachable = np.flatnonzero(np.isfinite(shortest_distances(grid, grid.start, connectivity)))
     window_any = evaluator.window_masks.any(axis=0)
     coverable = np.zeros(grid.width * grid.height, dtype=bool)
-    for i in np.flatnonzero(reachable).tolist():
+    evaluator._vis.look(reachable)  # every first look in one batch
+    for i in reachable.tolist():
         coverable[i + evaluator.end[evaluator.visible(i) & window_any]] = True
     return cells_at(grid, np.flatnonzero(grid.free_mask().reshape(-1) & ~coverable))

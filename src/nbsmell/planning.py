@@ -28,8 +28,15 @@ def _motion_graph(free: bytes, width: int, resolution: float, connectivity: int)
     """Free-cell adjacency of the layout whose row-major free mask is ``free``.
 
     Both directions of every edge are stored, so the graph is searched directed.
+    ValueError unless the longest path, (free cells - 1) * sqrt(2) * resolution,
+    is finite, so that no distance overflows.
     """
-    pad = padded(np.frombuffer(free, dtype=bool).reshape(-1, width))
+    cells = np.frombuffer(free, dtype=bool)
+    count = int(np.count_nonzero(cells))
+    if not math.isfinite((count - 1) * math.sqrt(2) * resolution):
+        raise ValueError(f"resolution {resolution!r} m gives a path over {count} free cells "
+                         "no finite length")
+    pad = padded(cells.reshape(-1, width))
     edges = []  # (sources, targets, weights) per neighbor offset
     for dx, dy in neighbor_offsets(connectivity):
         ok = shifted(pad, 0, 0) & shifted(pad, dx, dy)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -66,6 +66,12 @@ class SensorModel:
         return self.setup_time + self.sweep_rate * phi
 
 
+def _words(rows: np.ndarray) -> np.ndarray:
+    """Boolean rows over the K disk offsets, packed into words (see _RayDisk), pad bits set."""
+    pad = np.ones((len(rows), -rows.shape[1] % 64), dtype=bool)
+    return np.packbits(np.hstack((rows, pad)), axis=1, bitorder="little").view(np.uint64)
+
+
 class _RayDisk:
     """Precomputed ray bundle to every cell offset within sensor range.
 
@@ -78,19 +84,21 @@ class _RayDisk:
     map, not by ``r_max``.  ``reach = min(isqrt(bound), extent)`` is the
     largest ``|dx|`` or ``|dy|``.
 
-    The other tables are sets of offsets, bit-packed little-endian in rows of
-    ceil(K/8) bytes, whose pad bits include bit K, as K is odd (the offsets
-    but the own cell pair up as (dx, dy) and (-dx, -dy)).  Row ``j`` of
-    ``through`` holds the offsets whose ray (the cells
+    The other tables are sets of offsets, bit-packed little-endian into rows
+    of ceil(K/64) uint64 words (bit j of a row is bit j % 8 of its byte j // 8,
+    read through a uint8 view), whose pad bits include bit K, as K is odd
+    (the offsets but the own cell pair up as (dx, dy) and (-dx, -dy)).  Row
+    ``j`` of ``through`` holds the offsets whose ray (the cells
     ``oracles.traverse_segment`` crosses, endpoint included) crosses offset
     ``j``: no ray leaves the disk (the walk is monotone), and only the own
-    cell's crosses it, so an obstacle cell does not see itself.  It takes
-    K * ceil(K/8) bytes: 1.0 MB at r_max 30 m with 1 m cells, up to about
-    128 MB on a 90x90 map (r_max >= 127 m).  Row ``a`` of ``left``,
-    ``right``, ``up`` and ``down`` ((reach + 1) * ceil(K/8) bytes each)
-    holds ``dx < -a``, ``dx > a``, ``dy < -a`` and ``dy > a``: the offsets
-    past a map edge ``a`` cells away.  ``left`` also sets the pad bits, so a
-    complement of an OR with it clears them.
+    cell's crosses it, so an obstacle cell does not see itself.  Its row K
+    is empty, the row a gather reads for an offset outside the disk.  It
+    takes (K + 1) * 8 * ceil(K/64) bytes: 1.0 MB at r_max 30 m with 1 m
+    cells, up to about 128 MB on a 90x90 map (r_max >= 127 m).  Row ``a`` of
+    ``left``, ``right``, ``up`` and ``down`` ((reach + 1) * 8 * ceil(K/64)
+    bytes each) holds ``dx < -a``, ``dx > a``, ``dy < -a`` and ``dy > a``:
+    the offsets past a map edge ``a`` cells away.  They also set the pad
+    bits, so a complement of an OR with one clears them.
     """
 
     def __init__(self, r_max: float, resolution: float, extent: int) -> None:
@@ -120,18 +128,17 @@ class _RayDisk:
             ray, ix, iy, nx, ny, sx, sy = (a[more] for a in (ray, ix, iy, nx, ny, sx, sy))
         crossed, ray = np.concatenate(crossed), np.concatenate(rays)
         assert (crossed < k).all(), "a ray left its disk"
-        nbytes = (k + 7) // 8
-        self.through = np.zeros((k, nbytes), dtype=np.uint8)
-        np.bitwise_or.at(self.through.reshape(-1), crossed * nbytes + (ray >> 3),
-                         _BIT.take(ray & 7))
+        words = (k + 63) // 64
+        self.through = np.zeros((k + 1, words), dtype=np.uint64)  # row K: no offset
+        np.bitwise_or.at(self.through.view(np.uint8).reshape(-1),
+                         crossed * (8 * words) + (ray >> 3), _BIT.take(ray & 7))
         a = np.arange(reach + 1)[:, None]
-        pack = partial(np.packbits, axis=1, bitorder="little")
-        self.left = pack(np.hstack((self.dx < -a, np.ones((a.size, -k % 8), dtype=bool))))
-        self.right, self.up, self.down = pack(self.dx > a), pack(self.dy < -a), pack(self.dy > a)
+        self.left, self.right, self.up, self.down = (
+            _words(past) for past in (self.dx < -a, self.dx > a, self.dy < -a, self.dy > a))
 
 
 # One disk: the runs on a map, or on one size of a batch, share a key, and a
-# disk can take up to K * ceil(K/8) bytes.
+# disk can take up to (K + 1) * 8 * ceil(K/64) bytes.
 _ray_disk = lru_cache(maxsize=1)(_RayDisk)
 
 
@@ -140,49 +147,88 @@ class _Layout:
 
     ``obstacle`` is the row-major obstacle mask of a map ``width`` cells wide;
     the disk is ``_ray_disk(r_max, resolution, extent)``.  Cell (x, y) stands
-    at position y * (2w - 1) + x (:meth:`_at`), so that the difference of two
-    positions plus ``zero`` is a row of ``offset_index``: the disk index of
-    that offset, else K (8 bytes each, (2w-1)(2h-1) for a w x h map, whatever
-    ``r_max``).  ``obstacles`` holds the obstacles' positions, row-major (8
-    bytes each), ``rows[y]`` the first of row ``y`` (h + 1 ints), and
-    ``known`` and ``bits`` the packed mask of every cell looked at so far
-    (cells * ceil(K/8) bytes).
+    at position y * (2w - 1) + x, so that the difference of two positions
+    plus ``zero`` is a row of ``offset_index``: the disk index of that
+    offset, else K (8 bytes each, (2w-1)(2h-1) for a w x h map, whatever
+    ``r_max``).  ``place`` holds each cell's row, column and position (3 * 4
+    bytes a cell, the one copy of the position rule), ``obstacles`` the
+    obstacles' positions plus ``zero``, row-major (4 bytes each), and
+    ``rows[y]`` the first obstacle of row ``y`` (h + 1 ints).  ``x_edge`` and
+    ``y_edge`` hold the offsets past a map edge from each column and from
+    each row ((w + h) * 8 * ceil(K/64) bytes, in the words of the disk's
+    tables, pad bits set).  ``known`` and ``bits``
+    hold the mask of every cell looked at so far, in rows of 8 * ceil(K/64)
+    bytes (:meth:`look` writes them as words, :meth:`mask` and :meth:`stale`
+    read them as bytes).
     """
 
     def __init__(self, obstacle: bytes, width: int, r_max: float, resolution: float,
                  extent: int) -> None:
         disk = self.disk = _ray_disk(r_max, resolution, extent)
         w, h = self.width, self.height = width, len(obstacle) // width
-        self.zero = self._at(w * h - 1)
+        x, y = np.arange(w), np.arange(h)
+        place = np.empty((3, h, w), dtype=np.int32)  # positions stay below 2wh
+        place[0], place[1], place[2] = y[:, None], x, y[:, None] * (2 * w - 1) + x
+        self.place = place.reshape(3, -1)
+        self.zero = self.place.item(2, -1)
         flat = np.frombuffer(obstacle, dtype=bool).nonzero()[0]
-        self.obstacles = self._at(flat)
+        self.obstacles = self.place[2].take(flat) + self.zero
         self.rows = flat.searchsorted(np.arange(0, w * h + 1, w)).tolist()
         self.known = np.zeros(w * h, dtype=bool)
-        self.bits = np.zeros((w * h, (disk.k + 7) // 8), dtype=np.uint8)
+        self.bits = np.zeros((w * h, 8 * disk.through.shape[1]), dtype=np.uint8)
         fit = np.flatnonzero((np.abs(disk.dx) < w) & (np.abs(disk.dy) < h))  # the map's offsets
         self.offset_index = np.full((2 * h - 1) * (2 * w - 1), disk.k, dtype=np.int64)
         self.offset_index[(2 * w - 1) * disk.dy.take(fit).astype(np.int64)
                           + disk.dx.take(fit) + self.zero] = fit
-
-    def _at(self, flat: int | np.ndarray) -> int | np.ndarray:
-        """The position of the cell, or cells, at the flat index ``flat``."""
-        return flat + flat // self.width * (self.width - 1)
+        # the distances to the left and top edges (reversed: right and bottom), up to reach
+        x, y = np.minimum(x, disk.reach), np.minimum(y, disk.reach)
+        self.x_edge = disk.left.take(x, axis=0) | disk.right.take(x[::-1], axis=0)
+        self.y_edge = disk.up.take(y, axis=0) | disk.down.take(y[::-1], axis=0)
 
     def mask(self, i: int) -> np.ndarray:
         """Cell ``i``'s packed mask (on the map, line of sight clear), made on the first look."""
         if not self.known[i]:
-            disk, w, h, r = self.disk, self.width, self.height, self.disk.reach
-            y, x = divmod(i, w)
-            # rays to on-map offsets stay on the map, so only the ``through`` rows
-            # of the obstacles in the disk's rows, and the map edges, hide offsets
-            rows = self.obstacles[self.rows[max(y - r, 0)]:self.rows[min(y + r + 1, h)]]
-            hit = self.offset_index.take(rows - (self._at(i) - self.zero))
-            blocked = np.bitwise_or.reduce(disk.through.take(hit[hit < disk.k], axis=0), axis=0)
-            blocked |= (disk.left[min(x, r)] | disk.right[min(w - 1 - x, r)]
-                        | disk.up[min(y, r)] | disk.down[min(h - 1 - y, r)])
-            np.invert(blocked, out=self.bits[i])
-            self.known[i] = True
+            self.look(np.array([i]))
         return self.bits[i]
+
+    def look(self, cells: np.ndarray) -> None:
+        """Make the masks of the ``cells`` not looked at yet, in blocks of cells.
+
+        Rays to on-map offsets stay on the map, so only the ``through`` rows of
+        the obstacles in the rows within reach of a block's cells, and the map
+        edges, hide offsets.  Per block, one gather of ``offset_index`` gives the
+        (cells x obstacles) hit matrix, the disk index of each obstacle from each
+        cell (K outside the disk); each row is sorted, so that the K come last,
+        and the columns that hold K in every row are cut.  One gather of
+        ``through`` rows (row K is empty), an OR along the obstacles and one
+        gather each of ``x_edge`` and ``y_edge`` give the hidden offsets.  A
+        block's gather, cells * obstacles * 8 * ceil(K/64) bytes, takes at most
+        ``_LOOK_BYTES``, or one cell, counting every obstacle of its row band.
+        """
+        cells = cells.compress(~self.known.take(cells))
+        h, r, rows, through = self.height, self.disk.reach, self.rows, self.disk.through
+        y, x, at = self.place.take(cells, axis=1)
+        per, ys, lo = 8 * through.shape[1], y.tolist(), 0
+        while lo < len(ys):
+            top = bottom = ys[lo]
+            hi = lo + 1
+            while hi < len(ys):  # one more cell while the gather stays within the cap
+                a, b = min(top, ys[hi]), max(bottom, ys[hi])
+                if (hi + 1 - lo) * (rows[min(b + r + 1, h)] - rows[max(a - r, 0)]) * per \
+                        > _LOOK_BYTES:
+                    break
+                top, bottom, hi = a, b, hi + 1
+            band = self.obstacles[rows[max(top - r, 0)]:rows[min(bottom + r + 1, h)]]
+            hit = self.offset_index.take(band - at[lo:hi, None])
+            hit.sort(axis=1)
+            hit = hit[:, :np.minimum.reduce(hit, axis=0).searchsorted(self.disk.k)]
+            blocked = np.bitwise_or.reduce(through.take(hit.T, axis=0), axis=0)
+            blocked |= self.x_edge.take(x[lo:hi], axis=0)
+            blocked |= self.y_edge.take(y[lo:hi], axis=0)
+            block = cells[lo:hi]
+            self.bits.view(np.uint64)[block] = np.invert(blocked, out=blocked)
+            self.known[block] = True
+            lo = hi
 
     def stale(self, cached: np.ndarray, new: np.ndarray) -> np.ndarray:
         """The ``cached`` cells, masks known, that see a cell ``n`` of ``new``.
@@ -193,7 +239,7 @@ class _Layout:
         block tests only the cached cells not yet found, and takes more new cells.
         """
         nbytes, bits = self.bits.shape[1], self.bits.reshape(-1)
-        at_new, at_cached = self._at(new) + self.zero, self._at(cached)
+        at_new, at_cached = self.place[2].take(new) + self.zero, self.place[2].take(cached)
         found, lo = [cached[:0]], 0
         while cached.size:
             hi = lo + max(1, _PAIR_BLOCK // cached.size)
@@ -208,7 +254,7 @@ class _Layout:
 
 
 # One layout, by value: the runs on a map and its copies follow each other, and
-# the masks take cells * ceil(K/8) bytes.
+# the masks take cells * 8 * ceil(K/64) bytes.
 _layout = lru_cache(maxsize=1)(_Layout)
 
 
@@ -243,9 +289,10 @@ class FosScore(NamedTuple):
     sensing_time: float  # seconds
 
 
-# Upper bounds on the (cached cell, new cell) pairs ``_Layout.stale`` tests at once, and
-# on the offsets one block of the sweep kernel gathers (3H table rows of 8 bytes each).
-_PAIR_BLOCK, _SWEEP_BLOCK = 1 << 14, 1 << 12
+# Upper bounds on the (cached cell, new cell) pairs ``_Layout.stale`` tests at once,
+# on the offsets one block of the sweep kernel gathers (3H table rows of 8 bytes each),
+# and on the bytes of ``through`` rows one block of ``_Layout.look`` gathers (1 MiB).
+_PAIR_BLOCK, _SWEEP_BLOCK, _LOOK_BYTES = 1 << 14, 1 << 12, 1 << 20
 _BIT = (1 << np.arange(8)).astype(np.uint8)  # the byte value of bit j of a packed row
 
 
@@ -276,6 +323,9 @@ class FosEvaluator:
     or one cell.  Each sweep keeps a cell's offsets as its live list; a cell
     only ever goes from unscanned to scanned, so the next sweep filters that
     list by the current state and only a cell's first sweep reads its mask.
+    At a call's first sweep of a cell whose mask the layout does not know
+    yet, the layout makes the masks of that cell and of the call's later
+    cells in one batch (:meth:`_Layout.look`).
     """
 
     def __init__(self, grid: GridMap, sensor: SensorModel,
@@ -327,13 +377,16 @@ class FosEvaluator:
         """Sweep every orientation at the on-map ``cells`` from the current scan state.
 
         The one sweep kernel (see the class docstring): refreshes their live
-        lists and cached gains and angles.
+        lists and cached gains and angles.  A first sweep reads its mask
+        through :meth:`visible`.
         """
         h, todo, lo = len(self.orientations), cells.tolist(), 0
         while lo < cells.size:
             lists, total = [], 0  # live lists of at most _SWEEP_BLOCK offsets, or of one cell
             for i in todo[lo:]:
                 if self._live[i] is None:  # first sweep of the cell
+                    if not self._vis.known[i]:  # its first look, with the later cells'
+                        self._vis.look(cells[lo + len(lists):])
                     self._live[i] = self.visible(i).nonzero()[0]
                 total += self._live[i].size
                 if lists and total > _SWEEP_BLOCK:

@@ -8,9 +8,11 @@ from oracles import dijkstra_oracle, free_cells
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from nbsmell import planning
+from nbsmell.engine import uncoverable_cells
 from nbsmell.grid import Cell, CellState, GridMap, generate_random_grid, parse_map
 from nbsmell.mapgen import empty_map, generate_map, rooms_map
 from nbsmell.planning import _motion_graph, shortest_distances, travel_time
+from nbsmell.sensing import SensorModel
 
 SQRT2 = math.sqrt(2.0)
 
@@ -179,6 +181,32 @@ class TestBreadthFirstField:
             with pytest.raises(ValueError, match=f"must be 4 or 8, got {connectivity}"):
                 shortest_distances(grid, grid.start, connectivity)
         assert calls == ["dijkstra", "bfs"]
+
+
+class TestDistanceBound:
+    """A path crosses each free cell at most once, in steps of at most sqrt(2) resolutions:
+    a layout whose longest path has no finite length is refused, naming the resolution."""
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("call", [
+        lambda grid, c: shortest_distances(grid, grid.start, c),
+        lambda grid, c: uncoverable_cells(grid, SensorModel(r_max=10.0), 4, c),
+    ], ids=["shortest_distances", "uncoverable_cells"])
+    def test_resolution_whose_paths_overflow_refused(self, call, connectivity):
+        # 4-connected fields added 1e308 + 1e308 (an overflow warning); 8-connected
+        # ones read reachable cells as unreachable
+        grid = parse_map("resolution 1e308\nS..\n...")
+        message = "resolution 1e+308 m gives a path over 6 free cells no finite length"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(grid, connectivity)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_largest_finite_bound_gives_finite_distances(self, connectivity):
+        # 5 * sqrt(2) * 2.5e307 is finite: every free cell of the 3x2 map is reached
+        grid = parse_map("resolution 2.5e307\nS..\n...")
+        field = shortest_distances(grid, grid.start, connectivity)
+        assert np.isfinite(field).all()
+        assert field[1, 2] == (3 if connectivity == 4 else 1 + SQRT2) * 2.5e307
 
 
 class TestMotionGraphCache:

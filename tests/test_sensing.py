@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 from fractions import Fraction
@@ -31,11 +32,13 @@ from nbsmell.grid import (
 )
 from nbsmell.mapgen import empty_map
 from nbsmell.sensing import (
+    _LOOK_BYTES,
     _PAIR_BLOCK,
     _SWEEP_BLOCK,
     FosEvaluator,
     SensorModel,
     _heading_tables,
+    _Layout,
     _layout,
     _RayDisk,
     _ray_disk,
@@ -868,6 +871,110 @@ class TestVisibleCells:
         assert own == (~obstacle).reshape(-1).tolist()
 
 
+class TestFirstLooks:
+    """Masks made in batches (``_Layout.look``) against masks made one cell at a
+    time (``_Layout.mask``) and the line-of-sight walk of ``oracles``."""
+
+    @staticmethod
+    def layout(obstacle, r_max):
+        """A layout of its own (not the cached one) for the obstacle mask ``obstacle``."""
+        h, w = obstacle.shape
+        return _Layout(obstacle.tobytes(), w, r_max, 1.0, max(w, h) - 1)
+
+    @staticmethod
+    def expected(obstacle, vis, i):
+        """Free cell ``i``'s mask by the oracle: offsets on the map with line of sight."""
+        grid = GridMap.from_states(
+            np.where(obstacle, CellState.OBSTACLE, CellState.FREE_UNSCANNED).astype(np.uint8), 1.0)
+        h, w = obstacle.shape
+        y, x = divmod(i, w)
+        return [0 <= x + dx < w and 0 <= y + dy < h
+                and line_of_sight(grid, Cell(x, y), Cell(x + dx, y + dy))
+                for dx, dy in zip(vis.disk.dx.tolist(), vis.disk.dy.tolist())]
+
+    @staticmethod
+    def unpacked(vis, i):
+        return np.unpackbits(vis.mask(i), count=vis.disk.k, bitorder="little").astype(bool)
+
+    @staticmethod
+    def assert_pad_clear(vis):
+        # the bits past K (bit K is read by the pair test) stay clear, in every row
+        assert not np.unpackbits(vis.bits, axis=1, bitorder="little")[:, vis.disk.k:].any()
+
+    @pytest.mark.parametrize("r_max, cap", [(2.0, _LOOK_BYTES), (3.5, _LOOK_BYTES),
+                                            (3.5, 1), (5.0, 4096), (6.0, 20000)])
+    def test_batches_match_single_cells_and_the_oracle(self, r_max, cap, monkeypatch):
+        # a 40x25 map wider and taller than the disk, so the row band of a block
+        # cuts obstacles, with obstacles on every edge; a small cap splits a
+        # batch into blocks of one cell or of a few
+        monkeypatch.setattr("nbsmell.sensing._LOOK_BYTES", cap)
+        rng = np.random.default_rng(int(r_max * 4))
+        obstacle = rng.random((25, 40)) < 0.15
+        for edge in (obstacle[0], obstacle[-1], obstacle[:, 0], obstacle[:, -1]):
+            edge[rng.integers(2)::3] = True
+        batched, single = self.layout(obstacle, r_max), self.layout(obstacle, r_max)
+        assert 2 * batched.disk.reach + 1 < obstacle.shape[0] < obstacle.shape[1]
+        h, w = obstacle.shape
+        cells = np.arange(w * h)
+        edges = np.unique(np.concatenate((cells[:w], cells[-w:], cells[::w], cells[w - 1::w])))
+        # half the cells, shuffled, then the rest with the edge cells again, repeats included
+        order = rng.permutation(cells)
+        batched.look(order[:order.size // 2])
+        assert batched.known.sum() == order.size // 2
+        batched.look(np.concatenate((edges, order, order[:5])))
+        assert batched.known.all()
+        for i in cells.tolist():
+            assert np.array_equal(batched.mask(i), single.mask(i)), i
+        free = ~obstacle.reshape(-1)
+        sample = rng.choice(cells[free], 60, replace=False)
+        for i in [*edges[free[edges]].tolist(), *sample.tolist()]:
+            assert self.unpacked(batched, i).tolist() == self.expected(obstacle, batched, i), i
+        self.assert_pad_clear(batched)
+        self.assert_pad_clear(single)
+
+    @pytest.mark.parametrize("cells", [[0], [39], [960], [999], [517], [517, 517], [3, 3, 998]])
+    def test_one_cell_and_repeated_cells(self, cells):
+        # corner, edge and inner cells, alone or repeated in one batch
+        rng = np.random.default_rng(7)
+        obstacle = rng.random((25, 40)) < 0.2
+        obstacle.flat[cells] = False
+        vis = self.layout(obstacle, 4.5)
+        vis.look(np.array(cells))
+        assert vis.known.sum() == len(set(cells))
+        assert not vis.bits[~vis.known].any()  # no other row is written
+        for i in set(cells):
+            assert self.unpacked(vis, i).tolist() == self.expected(obstacle, vis, i)
+        self.assert_pad_clear(vis)
+        vis.look(np.array(cells[:0], dtype=np.int64))  # an empty batch changes nothing
+        assert vis.known.sum() == len(set(cells))
+
+    def test_block_gather_stays_within_the_cap(self):
+        # a 90x90 map at r 30 m: each cell's row band holds hundreds of obstacles,
+        # so one block holds a few cells; its gather (obstacles x cells x words)
+        # takes at most _LOOK_BYTES, and the masks match cells looked at alone
+        grid = generate_random_grid(90, 0.1, 90001)
+        obstacle = grid.states == CellState.OBSTACLE
+        vis, alone = self.layout(obstacle, 30.0), self.layout(obstacle, 30.0)
+        gathers = []
+
+        class Recorded(np.ndarray):
+            def take(self, *args, **kwargs):
+                out = super().take(*args, **kwargs)
+                gathers.append(out.shape)
+                return out
+
+        vis.disk = copy.copy(vis.disk)  # so that the cached disk stays as it is
+        vis.disk.through = vis.disk.through.view(Recorded)
+        free = np.flatnonzero(~obstacle.reshape(-1))
+        vis.look(free)
+        assert vis.known.sum() == free.size
+        assert sum(n for _, n, _ in gathers) == free.size  # (obstacles, cells, words) blocks
+        assert max(n for _, n, _ in gathers) > 1
+        assert all(np.prod(shape) * 8 <= _LOOK_BYTES for shape in gathers)
+        for i in np.random.default_rng(1).choice(free, 40, replace=False).tolist():
+            assert np.array_equal(vis.mask(i), alone.mask(i))
+
+
 class TestRayDisk:
     @pytest.mark.parametrize("r_max, resolution, extent", [
         (30.0, 1.0, 89), (30.0, 1.0, 29), (10.0, 0.5, 59), (30.0, 1.0, 9), (15.0, 1.0, 79),
@@ -889,21 +996,29 @@ class TestRayDisk:
                 through[position[cell], k] = True
         assert through[-1].tolist() == [False] * (disk.k - 1) + [True]
         assert not through[:-1, -1].any()
-        assert disk.through.shape == (disk.k, (disk.k + 7) // 8)
-        assert np.array_equal(disk.through, np.packbits(through, axis=1, bitorder="little"))
+        # rows of ceil(K/64) words, and the sentinel row K; read as bytes, the
+        # first ceil(K/8) of each offset's row are its packed set
+        words, nbytes = (disk.k + 63) // 64, (disk.k + 7) // 8
+        assert disk.through.dtype == np.uint64 and disk.through.shape == (disk.k + 1, words)
+        rows = disk.through.view(np.uint8)
+        assert np.array_equal(rows[:-1, :nbytes], np.packbits(through, axis=1, bitorder="little"))
+        # the pad bytes, and the sentinel row K, hold no offset
+        assert not rows[:-1, nbytes:].any() and not rows[-1].any()
 
         def unpack(rows):
-            return np.unpackbits(rows, axis=1, count=disk.k, bitorder="little").astype(bool)
+            return np.unpackbits(rows.view(np.uint8), axis=1, count=disk.k,
+                                 bitorder="little").astype(bool)
         a = np.arange(disk.reach + 1)[:, None]
         assert np.array_equal(unpack(disk.left), disk.dx < -a)
         assert np.array_equal(unpack(disk.right), disk.dx > a)
         assert np.array_equal(unpack(disk.up), disk.dy < -a)
         assert np.array_equal(unpack(disk.down), disk.dy > a)
-        # no map edge hides the own cell
         for rows in (disk.left, disk.right, disk.up, disk.down):
+            assert rows.dtype == np.uint64 and rows.shape == (disk.reach + 1, words)
+            # no map edge hides the own cell
             assert not unpack(rows)[:, -1].any()
-        # the pad bits past K are set in every ``left`` row
-        assert np.unpackbits(disk.left, axis=1, bitorder="little")[:, disk.k:].all()
+            # the pad bits past K are set in every row
+            assert np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")[:, disk.k:].all()
 
 
     @pytest.mark.parametrize("resolution", [0.1, 0.2])
