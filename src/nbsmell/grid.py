@@ -305,7 +305,7 @@ def _start_near_center(states: np.ndarray) -> Cell:
     if xs.size == 0:
         raise ValueError("map has no free cells")
     d2 = (xs - cx) ** 2 + (ys - cy) ** 2
-    best = np.lexsort((xs, ys, d2))[0]
+    best = d2.argmin()  # the first minimum: nonzero lists the cells row-major
     return Cell(int(xs[best]), int(ys[best]))
 
 

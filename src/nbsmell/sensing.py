@@ -237,7 +237,16 @@ class _Layout:
         cell`` decides (bit K outside the disk).  The pairs are tested in (new x
         cached) blocks of at most ``_PAIR_BLOCK``, the cached axis inner; a later
         block tests only the cached cells not yet found, and takes more new cells.
+        When the pairs fill more than one block, only the cached cells inside the
+        new cells' bounding box widened by ``reach`` on each side are tested: a
+        cell farther than ``reach`` along an axis from every new cell reads K.  A
+        call within one block skips the box, whose fixed cost its pairs would not repay.
         """
+        if cached.size * new.size > _PAIR_BLOCK:
+            r = self.disk.reach
+            (y, x), (cy, cx) = self.place[:2].take(new, axis=1), self.place[:2].take(cached, axis=1)
+            cached = cached.compress((cy >= y.min() - r) & (cy <= y.max() + r)
+                                     & (cx >= x.min() - r) & (cx <= x.max() + r))
         nbytes, bits = self.bits.shape[1], self.bits.reshape(-1)
         at_new, at_cached = self.place[2].take(new) + self.zero, self.place[2].take(cached)
         found, lo = [cached[:0]], 0
@@ -289,7 +298,8 @@ class FosScore(NamedTuple):
     sensing_time: float  # seconds
 
 
-# Upper bounds on the (cached cell, new cell) pairs ``_Layout.stale`` tests at once,
+# Upper bounds on the (cached cell, new cell) pairs ``_Layout.stale`` tests at once
+# (a call with more pairs first drops the cached cells outside the new cells' reach box),
 # on the offsets one block of the sweep kernel gathers (3H table rows of 8 bytes each),
 # and on the bytes of ``through`` rows one block of ``_Layout.look`` gathers (1 MiB).
 _PAIR_BLOCK, _SWEEP_BLOCK, _LOOK_BYTES = 1 << 14, 1 << 12, 1 << 20

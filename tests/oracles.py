@@ -6,12 +6,13 @@ map documents are parsed by a per-character loop, shortest paths by a plain
 heap Dijkstra, the Choquet integral by its scalar sorted form, and candidate
 selection by a from-scratch planner that normalizes one criterion column at
 a time, scores every candidate with that scalar integral and sorts on a
-plain key.
+plain key, and the fewest sensing operations of a run by an exact set cover.
 :func:`compute_fos` and :func:`visible_cells` are the exception: they give
 the cell-set view of the production :class:`FosEvaluator`, so that the
 geometry oracles test it.  They and :func:`sampled_sweeps` drop the
 evaluator's last disk offset, the cell itself, and add the own cell by their
 own rule, so that the tests still compare two separate rules.
+:func:`cover_lower_bound` also reads its windows from an evaluator of its own.
 """
 
 import heapq
@@ -19,6 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_array
 
 from nbsmell.grid import (
     FREE_CHAR,
@@ -49,6 +52,15 @@ def free_cells(grid: GridMap) -> list[Cell]:
 def mark_cells(grid: GridMap, cells) -> int:
     """:func:`mark_scanned` of the on-map ``cells``, passed as flat indices."""
     return mark_scanned(grid, np.array([c.y * grid.width + c.x for c in cells], dtype=np.intp))
+
+
+def start_near_center(states: np.ndarray) -> Cell:
+    """The free cell nearest the center of ``states``: one sort on (distance, row, column)."""
+    h, w = states.shape
+    ys, xs = np.nonzero(states != CellState.OBSTACLE)
+    d2 = (xs - (w - 1) / 2.0) ** 2 + (ys - (h - 1) / 2.0) ** 2
+    best = np.lexsort((xs, ys, d2))[0]
+    return Cell(int(xs[best]), int(ys[best]))
 
 
 def traverse_segment(x0: int, y0: int, x1: int, y1: int) -> list[tuple[int, int]]:
@@ -217,6 +229,38 @@ def sampled_sweeps(grid, cell: Cell, sensor, evaluator):
         new = set(held) | ({cell} if own_new else set())
         sweeps.append((gain, phi, time, new))
     return sweeps
+
+
+def cover_lower_bound(grid: GridMap, sensor: SensorModel, orientations: int,
+                      connectivity: int, cells: np.ndarray) -> float:
+    """The fewest full windows whose cells include every cell of ``cells`` (flat indices).
+
+    A window is the cells one heading of ``heading_set(orientations)`` holds at a
+    free cell reachable from the start: its visible disk offsets
+    (:meth:`FosEvaluator.visible`, own cell included) inside the heading's
+    ``window_masks`` row.  A sensing operation covers part of one window, so a
+    run that scans ``cells`` makes at least this many.  The set cover is
+    solved exactly by scipy's ``milp``, one binary per (reachable cell,
+    heading); ``math.inf`` when no windows cover ``cells``.
+    """
+    _layout.cache_clear()  # so that the evaluator builds its own visibility masks
+    evaluator = FosEvaluator(grid, sensor, heading_set(orientations))
+    reachable = np.flatnonzero(np.isfinite(shortest_distances(grid, grid.start, connectivity)))
+    windows = [i + evaluator.end[evaluator.visible(i) & mask]
+               for i in reachable.tolist() for mask in evaluator.window_masks]
+    row = np.full(grid.width * grid.height, -1)
+    row[cells] = np.arange(len(cells))
+    held = [row[w][row[w] >= 0] for w in windows]  # the rows of ``cells`` each window holds
+    sizes = [len(h) for h in held]
+    window = np.arange(len(held)).repeat(sizes)
+    cover = csr_array((np.ones(window.size), (np.concatenate(held), window)),
+                      shape=(len(cells), len(held)))
+    result = milp(np.ones(len(held)), integrality=np.ones(len(held)), bounds=Bounds(0, 1),
+                  constraints=LinearConstraint(cover, lb=1))
+    if result.status == 2:  # infeasible: a cell of ``cells`` is in no window
+        return math.inf
+    assert result.status == 0, result.message  # only a proven optimum bounds a run
+    return round(result.fun)
 
 
 def is_ascii_decimal(word: str) -> bool:

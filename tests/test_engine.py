@@ -37,7 +37,14 @@ from nbsmell.mcdm import (
 )
 from nbsmell.planning import shortest_distances, travel_time
 from nbsmell.sensing import FosEvaluator, SensorModel, _layout
-from oracles import choquet, enumerate_candidates, free_cells, mark_cells, select_best
+from oracles import (
+    choquet,
+    cover_lower_bound,
+    enumerate_candidates,
+    free_cells,
+    mark_cells,
+    select_best,
+)
 
 SENSOR = SensorModel(r_max=10.0)
 
@@ -689,6 +696,59 @@ class TestSharedCaches:
                 if engine.step() is None:
                     break
             assert records(engine) == expected, config
+
+
+class TestReachBox:
+    @pytest.mark.parametrize("seed, r_max", [(1, 4.0), (2, 5.0), (3, 6.0)])
+    def test_runs_with_and_without_the_box_agree(self, seed, r_max, monkeypatch):
+        # 40x25 maps wider and taller than 2 * reach + 1, so that the box drops
+        # cached cells; a block of 0 pairs sends every stale test through the
+        # box, an unbounded one none
+        rng = np.random.default_rng(seed)
+        states = np.where(rng.random((25, 40)) < 0.1, CellState.OBSTACLE,
+                          CellState.FREE_UNSCANNED).astype(np.uint8)
+        sensor, runs = SensorModel(r_max=r_max), []
+        for block in (0, 1 << 40):
+            monkeypatch.setattr("nbsmell.sensing._PAIR_BLOCK", block)
+            _layout.cache_clear()
+            engine = CoverageEngine(GridMap.from_states(states.copy(), 1.0), "F", sensor)
+            assert 2 * engine.evaluator.disk.reach + 1 < engine.grid.height
+            runs.append([dataclasses.replace(r, decision_time=0.0) for r in engine.run().steps])
+        assert runs[0] == runs[1] and len(runs[0]) > 10
+
+
+class TestCoverBound:
+    """No run makes fewer sensing operations than the fewest full windows that
+    cover the cells it scanned (``oracles.cover_lower_bound``)."""
+
+    @pytest.mark.parametrize("text, r_max, cells, expected", [
+        # from the corner, heading 0 with phi 180 holds every cell of an open map
+        ("S..\n...\n...", 30.0, "free", 1),
+        # a wall hides the right column from the cells left of it
+        ("S#.\n.#.\n...", 30.0, "free", 2),
+        ("S..\n...", 30.0, "none", 0),
+        # a free cell walled off from the start: no reachable cell sees it
+        ("S.#\n.##\n##.", 30.0, "free", math.inf),
+    ])
+    def test_small_covers(self, text, r_max, cells, expected):
+        grid = parse_map("resolution 1.0\n" + text)
+        idx = np.flatnonzero(grid.free_mask()) if cells == "free" else np.array([], dtype=int)
+        assert cover_lower_bound(grid, SensorModel(r_max=r_max), 4, 4, idx) == expected
+
+    def test_every_named_configuration_needs_at_least_the_cover(self):
+        # at r 30 m every cell of a 10x10 map is in range, so that a few windows
+        # cover a map and the bound is within a factor 2 of the best runs
+        sensor, bounds = SensorModel(r_max=30.0), {}
+        for seed in (1, 2, 3):
+            grid = generate_random_grid(10, 0.2, seed)
+            for config in NAMED_CONFIGS:
+                run = grid.copy()
+                ops = run_coverage(run, config, sensor).total_sensing_ops
+                scanned = np.flatnonzero(run.states == CellState.FREE_SCANNED)
+                key = (seed, scanned.tobytes())
+                if key not in bounds:
+                    bounds[key] = cover_lower_bound(grid, sensor, 4, 4, scanned)
+                assert ops >= bounds[key] > 1, (seed, config)
 
 
 class TestUncoverableCells:

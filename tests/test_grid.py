@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import free_cells, loop_parse_map, mark_cells
+from oracles import free_cells, loop_parse_map, mark_cells, start_near_center
 
 from nbsmell.grid import (
     Cell,
@@ -310,6 +310,23 @@ class TestRandomGrid:
     def test_start_is_central_free_cell(self):
         grid = generate_random_grid(9, 0.0, 5)
         assert grid.start == Cell(4, 4)
+
+    def test_start_matches_the_three_key_sort(self):
+        # maps of 1-29 cells a side, some obstacles, so that ties on the distance occur
+        rng = np.random.default_rng(29)
+        for _ in range(1000):
+            h, w = rng.integers(1, 30, size=2)
+            states = np.where(rng.random((h, w)) < rng.random(), CellState.OBSTACLE,
+                              CellState.FREE_UNSCANNED).astype(np.uint8)
+            states.flat[rng.integers(states.size)] = CellState.FREE_UNSCANNED
+            assert GridMap.from_states(states, 1.0).start == start_near_center(states)
+
+    def test_start_tie_goes_to_the_smallest_row(self):
+        # four cells one step from the blocked center: row first gives (1, 0),
+        # column first would give (0, 1)
+        states = np.full((3, 3), CellState.FREE_UNSCANNED, dtype=np.uint8)
+        states[1, 1] = CellState.OBSTACLE
+        assert GridMap.from_states(states, 1.0).start == start_near_center(states) == Cell(1, 0)
 
     def test_all_obstacles_rejected(self):
         with pytest.raises(ValueError):

@@ -686,6 +686,52 @@ class TestPairBlocks:
         assert self.scan_and_compare(grid, sensor, headings, warm, scan) == []
 
 
+class TestReachBox:
+    """``_Layout.stale`` with and without the reach box against a test of every pair
+    and the line-of-sight rule, on a 40x25 map wider and taller than 2 * reach + 1."""
+
+    @staticmethod
+    def every_pair(vis, cached, new):
+        """The ``cached`` cells whose masks hold the offset to a cell of ``new``, one
+        lookup per pair, with no block and no box (bit K of a mask is clear)."""
+        bits = np.unpackbits(vis.bits[cached], axis=1, bitorder="little").view(bool)
+        k = vis.offset_index[vis.place[2][new][:, None] + vis.zero - vis.place[2][cached]]
+        return set(cached[bits[np.arange(cached.size), k].any(axis=0)].tolist())
+
+    # a map seed and a heading whose scan from the start has, for the line-of-sight
+    # rule, cells exactly ``reach`` outside its box that see it, on all four sides
+    @pytest.mark.parametrize("r_max, seed, heading", [(4.0, 4, 0), (6.0, 6, 0), (6.0, 7, 2)])
+    # the box as it falls, on every call, on none
+    @pytest.mark.parametrize("block", [_PAIR_BLOCK, 0, 1 << 40])
+    def test_scan_around_the_robot_matches_every_pair(self, r_max, seed, heading, block,
+                                                      monkeypatch):
+        monkeypatch.setattr("nbsmell.sensing._PAIR_BLOCK", block)
+        rng = np.random.default_rng(seed)
+        obstacle = rng.random((25, 40)) < 0.1
+        grid = GridMap.from_states(
+            np.where(obstacle, CellState.OBSTACLE, CellState.FREE_UNSCANNED).astype(np.uint8), 1.0)
+        evaluator = FosEvaluator(grid, SensorModel(r_max=r_max, phi_max=90.0), heading_set(4))
+        vis, r, w = evaluator._vis, evaluator.disk.reach, grid.width
+        assert 2 * r + 1 < grid.height < w
+        free = np.flatnonzero(~obstacle.reshape(-1))
+        vis.look(free)
+        # the cells one scan from the start covers, clustered around the robot
+        scan = evaluator.sweep(grid.start.y * w + grid.start.x, heading)[1]
+        x, y = scan % w, scan // w
+        lines = [(free % w == x.min() - r - d, free % w == x.max() + r + d,
+                  free // w == y.min() - r - d, free // w == y.max() + r + d) for d in (0, 1)]
+        assert all(line.any() for line in [*lines[0], *lines[1]])  # on the map, free cells
+        seers = [TestPairBlocks.seers(grid, r_max, free.tolist(), new.tolist())
+                 for new in (scan, scan[:2])]
+        for new, expected in zip((scan, scan[:2]), seers):
+            assert set(vis.stale(free, new).tolist()) == expected == self.every_pair(vis, free, new)
+        # a cell exactly ``reach`` outside the box on each side sees the scan; none farther does
+        assert all(set(free[line].tolist()) & seers[0] for line in lines[0])
+        assert not any(set(free[line].tolist()) & seers[0] for line in lines[1])
+        # at the default block, the r 6 scans are above the gate and their first two cells below
+        assert [free.size * n > _PAIR_BLOCK for n in (scan.size, 2)] == [r == 6, False]
+
+
 def moved_obstacle(grid):
     """``grid`` with its first obstacle moved to its last free cell."""
     states = grid.states.copy().reshape(-1)
