@@ -24,8 +24,10 @@ __all__ = ["shortest_distances", "travel_time"]
 # One graph: a map and its copies share a key, and the runs on one map follow
 # each other.
 @lru_cache(maxsize=1)
-def _motion_graph(free: bytes, width: int, resolution: float, connectivity: int) -> csr_matrix:
-    """Free-cell adjacency of the layout whose row-major free mask is ``free``.
+def _motion_graph(free: bytes, width: int, resolution: float,
+                  connectivity: int) -> tuple[csr_matrix, np.ndarray]:
+    """Free-cell adjacency of the layout whose row-major free mask is ``free``, and the
+    parity of x + y at each flat index (a 4-connected step always flips it).
 
     Both directions of every edge are stored, so the graph is searched directed.
     ValueError unless the longest path, (free cells - 1) * sqrt(2) * resolution,
@@ -47,7 +49,8 @@ def _motion_graph(free: bytes, width: int, resolution: float, connectivity: int)
         weight = math.hypot(dx, dy) * resolution
         edges.append((src, src + dy * width + dx, np.full(src.size, weight)))
     rows, cols, data = map(np.concatenate, zip(*edges))
-    return csr_matrix((data, (rows, cols)), shape=(len(free), len(free)))
+    parity = (np.add(*np.divmod(np.arange(len(free)), width)) & 1).astype(bool)
+    return csr_matrix((data, (rows, cols)), shape=(len(free), len(free))), parity
 
 
 def shortest_distances(grid: GridMap, source: tuple[int, int], connectivity: int) -> np.ndarray:
@@ -59,23 +62,20 @@ def shortest_distances(grid: GridMap, source: tuple[int, int], connectivity: int
     """
     if not _of_type("grid", grid, GridMap).is_free(source):
         raise ValueError(f"source {source} is not a free cell")
-    graph = _motion_graph(grid.free_mask().tobytes(), grid.width, grid.resolution,
-                          connectivity)
+    graph, parity = _motion_graph(grid.free_mask().tobytes(), grid.width, grid.resolution,
+                                  connectivity)
     s = source[1] * grid.width + source[0]
     if connectivity != 4:  # diagonal edges weigh sqrt(2) resolutions
         return _sparse_dijkstra(graph, indices=s).reshape(grid.height, grid.width)
-    # A cell at BFS depth d is d resolutions away, added one at a time as
-    # Dijkstra adds them (d * res differs in the last bit at 0.1 m).
-    order, pred = breadth_first_order(graph, s, return_predecessors=True)
-    order = order.astype(np.intp)  # scipy's int32 would be converted at every gather
-    # the children of the BFS positions [0, b) fill the positions [1, 1 + below[b - 1])
-    below = np.bincount(pred.take(order[1:]), minlength=graph.shape[0]).take(order).cumsum()
-    depth, b = np.zeros(order.size), 1  # res at each depth's first position, 0.0 elsewhere
-    while b < order.size:
-        depth[b] = grid.resolution
-        b = 1 + below.item(b - 1)
+    # BFS order is level order, and a level is one step deeper exactly where the
+    # parity of x + y flips. A cell at depth d is d resolutions away, added one at
+    # a time as Dijkstra adds them (d * res differs in the last bit at 0.1 m).
+    order = breadth_first_order(graph, s, return_predecessors=False).astype(np.intp)
+    odd = parity.take(order)
+    depth = np.zeros(order.size)  # res at each depth's first position, 0.0 elsewhere
+    np.multiply(odd[1:] != odd[:-1], grid.resolution, out=depth[1:])
     dist = np.full(graph.shape[0], np.inf)
-    dist.put(order, depth.cumsum(out=depth))  # adding 0.0 keeps each running sum exact
+    dist[order] = depth.cumsum(out=depth)  # adding 0.0 keeps each running sum exact
     return dist.reshape(grid.height, grid.width)
 
 

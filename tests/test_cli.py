@@ -244,21 +244,28 @@ class TestGoldenOutputs:
     # sha256 of each deterministic output; a change to any of them changes
     # what the program computes (numpy 2.4.6, Python 3.11)
     DIGESTS = {
-        "run.csv": "eaff397eb6b41fbbfa419a5c8c85bbe78a08a8c344e917e225c317b895c8d34e",
-        "sweep.csv": "0621042ca02cc1e4b00967f16c1aa214e9e978f480aa32a1527a7ece24adea08",
-        "randgrid.csv": "b55b36863d3619a454436920793227289a56026b2b3b202a3d08283526fc3039",
+        "run/run.csv": "eaff397eb6b41fbbfa419a5c8c85bbe78a08a8c344e917e225c317b895c8d34e",
+        "sweep/sweep.csv": "0621042ca02cc1e4b00967f16c1aa214e9e978f480aa32a1527a7ece24adea08",
+        "randgrid/randgrid.csv": "b55b36863d3619a454436920793227289a56026b2b3b202a3d08283526fc3039",
+        # 4-connected at 0.1 m on an even width: the travel distances are running
+        # sums of the resolution, and a field of depth * 0.1 changes this run
+        "rooms/run.csv": "0636787d417f5768e877be322f08bdab38d326712dd848b3f1a9a66c44037c4f",
     }
 
     def test_outputs_match_pinned_digests(self, tmp_path):
         corridor = str(Path(cli.__file__).parent / "maps" / "corridor_60x10.txt")
-        for argv in (
-            ["run", "--map", corridor, "--config", "F", "--orientations", "8",
-             "--rmax-m", "10"],
-            ["sweep", "--map", corridor, "--rmax-m", "10"],
-            ["randgrid", "--sizes", "3,10", "--grids-per-size", "2"],
+        rooms = str(tmp_path / "rooms.txt")
+        assert main(["genmap", "--kind", "rooms", "--size", "40x30", "--seed", "3",
+                     "--resolution", "0.1", "--out", rooms]) == EXIT_OK
+        for out, argv in (
+            ("run", ["run", "--map", corridor, "--config", "F", "--orientations", "8",
+                     "--rmax-m", "10"]),
+            ("sweep", ["sweep", "--map", corridor, "--rmax-m", "10"]),
+            ("randgrid", ["randgrid", "--sizes", "3,10", "--grids-per-size", "2"]),
+            ("rooms", ["run", "--map", rooms, "--config", "F", "--rmax-m", "6"]),
         ):
-            assert main([*argv, "--out", str(tmp_path / argv[0])]) == EXIT_OK
-        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            assert main([*argv, "--out", str(tmp_path / out)]) == EXIT_OK
+        digests = {f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in tmp_path.glob("*/*.csv")}
         assert digests == self.DIGESTS
 

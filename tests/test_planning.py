@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import dijkstra_oracle, free_cells
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
@@ -21,10 +23,10 @@ SQRT2 = math.sqrt(2.0)
 DIAGONAL_STARTS = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
-def random_layout(width, height, seed, resolution=1.0):
-    """``width`` x ``height`` map with about a quarter obstacles and one cell kept free."""
+def random_layout(width, height, seed, resolution=1.0, obstacle_ratio=0.25):
+    """``width`` x ``height`` map with about ``obstacle_ratio`` obstacles and one cell kept free."""
     rng = np.random.default_rng(seed)
-    states = np.where(rng.random((height, width)) < 0.25, CellState.OBSTACLE,
+    states = np.where(rng.random((height, width)) < obstacle_ratio, CellState.OBSTACLE,
                       CellState.FREE_UNSCANNED).astype(np.uint8)
     states.flat[rng.integers(states.size)] = CellState.FREE_UNSCANNED
     return GridMap.from_states(states, resolution)
@@ -126,11 +128,12 @@ class TestShortestDistances:
 
 
 class TestBreadthFirstField:
-    """4-connected fields come from BFS levels; they must equal scipy's Dijkstra bit for bit."""
+    """4-connected fields come from BFS levels, found where the parity of x + y flips
+    along the BFS order; they must equal scipy's Dijkstra bit for bit."""
 
     @staticmethod
     def assert_same_bytes(grid, sources):
-        graph = _motion_graph(grid.free_mask().tobytes(), grid.width, grid.resolution, 4)
+        graph, _ = _motion_graph(grid.free_mask().tobytes(), grid.width, grid.resolution, 4)
         for i in sources:
             field = shortest_distances(grid, Cell(i % grid.width, i // grid.width), 4)
             expected = dijkstra(graph, indices=i).reshape(grid.height, grid.width)
@@ -144,6 +147,21 @@ class TestBreadthFirstField:
             grid = random_layout(w, h, seed, resolution)
             free = np.flatnonzero(grid.free_mask().reshape(-1))
             self.assert_same_bytes(grid, rng.choice(free, min(25, free.size), replace=False))
+
+    # 1- and 2-wide strips; odd and even widths and heights, where an even width
+    # makes the parity of the flat index differ from the parity of x + y; up to
+    # 0.6 obstacles, so that some sources sit in walled pockets
+    @given(st.one_of(st.sampled_from([1, 2]), st.integers(1, 24)),
+           st.one_of(st.sampled_from([1, 2]), st.integers(1, 24)),
+           st.floats(0.0, 0.6), st.integers(0, 2**32 - 1),
+           st.sampled_from([1.0, 0.5, 0.3, 0.1, 0.7, 0.013]))
+    @example(24, 2, 0.0, 0, 0.1)
+    @example(2, 24, 0.3, 1, 0.3)
+    @settings(max_examples=100, deadline=None)
+    def test_every_source_of_random_layouts(self, width, height, obstacle_ratio, seed,
+                                            resolution):
+        grid = random_layout(width, height, seed, resolution, obstacle_ratio)
+        self.assert_same_bytes(grid, np.flatnonzero(grid.free_mask().reshape(-1)))
 
     def test_depth_times_resolution_is_not_the_field(self):
         # the field adds the resolution once per step, as Dijkstra does; a
@@ -171,16 +189,17 @@ class TestBreadthFirstField:
         calls = []
         monkeypatch.setattr(planning, "_sparse_dijkstra",
                             lambda *a, **k: calls.append("dijkstra") or dijkstra(*a, **k))
-        monkeypatch.setattr(planning, "breadth_first_order",
-                            lambda *a, **k: calls.append("bfs") or breadth_first_order(*a, **k))
+        # scipy's BFS builds a predecessor array unless told not to; the field needs none
+        monkeypatch.setattr(planning, "breadth_first_order", lambda *a, **k: calls.append(
+            ("bfs", k.get("return_predecessors", True))) or breadth_first_order(*a, **k))
         grid = random_layout(12, 5, 2)
         shortest_distances(grid, grid.start, 8)
         shortest_distances(grid, grid.start, 4)
-        assert calls == ["dijkstra", "bfs"]
+        assert calls == ["dijkstra", ("bfs", False)]
         for connectivity in (0, 3, 6):
             with pytest.raises(ValueError, match=f"must be 4 or 8, got {connectivity}"):
                 shortest_distances(grid, grid.start, connectivity)
-        assert calls == ["dijkstra", "bfs"]
+        assert calls == ["dijkstra", ("bfs", False)]
 
 
 class TestDistanceBound:
