@@ -43,7 +43,7 @@ from .mcdm import (
     normalize_utilities,
     validate_measure,
 )
-from .planning import shortest_distances, travel_time
+from .planning import shortest_distances
 from .sensing import FosEvaluator, SensorModel
 
 __all__ = [
@@ -103,14 +103,14 @@ def resolve_measure(config: str | WeightConfig | FuzzyMeasure) -> FuzzyMeasure:
 
 
 def check_motion(orientations: int, connectivity: int, speed: float,
-                 target_coverage: float) -> tuple[tuple[float, ...], float]:
-    """:func:`heading_set` of ``orientations``, and ``target_coverage`` as a Python number;
-    ValueError for the first bad value, in :class:`CoverageEngine`'s argument order."""
+                 target_coverage: float) -> tuple[tuple[float, ...], float, float]:
+    """:func:`heading_set` of ``orientations``, and ``speed`` (by :func:`travel_time`'s rule)
+    and ``target_coverage`` as Python numbers; ValueError for the first bad value, in
+    :class:`CoverageEngine`'s argument order."""
     headings = heading_set(orientations)
     neighbor_offsets(connectivity)
-    travel_time(0.0, speed)
-    return headings, _checked("target_coverage", target_coverage, "in (0, 1]",
-                              lambda c: 0 < c <= 1)
+    return (headings, _checked("speed", speed, "finite and > 0", lambda s: 0 < s < math.inf),
+            _checked("target_coverage", target_coverage, "in (0, 1]", lambda c: 0 < c <= 1))
 
 
 def select_best(criteria: np.ndarray, measure: FuzzyMeasure) -> int:
@@ -127,11 +127,11 @@ def select_best(criteria: np.ndarray, measure: FuzzyMeasure) -> int:
     _of_type("measure", measure, FuzzyMeasure)
     criteria = np.asarray(criteria, dtype=np.float64)
     scores = choquet_batch(normalize_utilities(criteria), measure)
-    cols = np.flatnonzero(scores == scores.max())
+    cols = (scores == np.maximum.reduce(scores)).nonzero()[0]
     for row in (1, 2):
         if cols.size > 1:
             key = criteria[row, cols]
-            cols = cols[key == key.min()]
+            cols = cols[key == np.minimum.reduce(key)]
     return int(cols[0])
 
 
@@ -154,21 +154,21 @@ class CoverageEngine:
         target_coverage: float = 1.0,
     ) -> None:
         self.measure = resolve_measure(config)  # before motion, in the CLI's order
-        self.headings, self.target_coverage = check_motion(
+        # a step prices travel as distance / speed, travel_time's division on its checked numbers
+        self.headings, self.speed, self.target_coverage = check_motion(
             orientations, connectivity, speed, target_coverage)
         self.grid = grid
         self.sensor = sensor
         self.connectivity = connectivity
-        self.speed = speed  # travel_time takes it as a Python number
         self.evaluator = FosEvaluator(grid, sensor, self.headings)  # checks both types
         # kept up to date from each scan's marked count, not recounted
         self._free, self._scanned = grid.free_count(), grid.scanned_count()
         sweep = sensor.sweep_time(sensor.phi_max)
         if not math.isfinite(self._free * (
-                sweep + (self._free - 1) * math.sqrt(2) * grid.resolution / speed)):
+                sweep + (self._free - 1) * math.sqrt(2) * grid.resolution / self.speed)):
             raise InvalidConfigError(
                 f"a run over {self._free} free cells has no finite time bound at speed "
-                f"{speed!r} m/s, resolution {grid.resolution!r} m and full sweep {sweep!r} s")
+                f"{self.speed!r} m/s, resolution {grid.resolution!r} m and full sweep {sweep!r} s")
         self.robot = Pose(grid.start, self.headings[0])
         self.records: list[StepRecord] = []
         self._done = False
@@ -190,10 +190,12 @@ class CoverageEngine:
         idx = (frontier_cells(grid, self.connectivity) if self._scanned
                else np.array([robot.y * grid.width + robot.x]))
         idx = idx.compress(np.isfinite(dist.take(idx)))
-        gain, phi = self.evaluator.scores(idx)
+        # the engine built ``idx`` from free on-map cells, and ``h`` below, so it calls the
+        # evaluator's unchecked cores
+        gain, phi = self.evaluator._scores(idx)
         # candidates in row-major cell order, headings ascending, as flat
         # indices into the (cells, headings) block
-        flat = np.flatnonzero(gain >= 1)
+        flat = (gain.reshape(-1) >= 1).nonzero()[0]
         if flat.size == 0:
             self._done = True
             return None
@@ -208,7 +210,7 @@ class CoverageEngine:
         cell, h = divmod(int(flat[best]), gain.shape[1])
         i = int(idx[cell])
         pose = Pose(Cell(i % grid.width, i // grid.width), self.headings[h])
-        scan, new = self.evaluator.sweep(i, h)
+        scan, new = self.evaluator._sweep(i, h)
         cached_gain, distance, cached_time = criteria[:, best].tolist()
         if (scan.info_gain, scan.sensing_time) != (cached_gain, cached_time):
             raise RuntimeError(
@@ -227,7 +229,7 @@ class CoverageEngine:
             pose=pose,
             phi_used=scan.phi_used,
             info_gain=scan.info_gain,
-            travel_time=travel_time(distance, self.speed),
+            travel_time=distance / self.speed,
             sensing_time=scan.sensing_time,
             cumulative_coverage=self._scanned / self._free,
             candidates_evaluated=flat.size,

@@ -369,7 +369,7 @@ def frontier_cells(grid: GridMap, connectivity: int) -> np.ndarray:
     near = np.zeros((grid.height, grid.width), dtype=bool)
     for dx, dy in neighbor_offsets(connectivity):
         near |= shifted(unscanned, dx, dy)
-    return np.flatnonzero(grid.scanned_mask() & near)
+    return (grid.scanned_mask() & near).reshape(-1).nonzero()[0]
 
 
 def _free_on_map(grid: GridMap, flat: np.ndarray | Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -192,16 +192,20 @@ def choquet_batch(utilities: np.ndarray, measure: FuzzyMeasure) -> np.ndarray:
     ab_lo, ab_hi = np.minimum(a, b), np.maximum(a, b)
     lo, hi = np.minimum(ab_lo, c), np.maximum(ab_hi, c)
     # NaN propagates into the levels, so a NaN anywhere fails this test too
-    if not (lo.min(initial=0.0) >= -_UTILITY_TOLERANCE
-            and hi.max(initial=1.0) <= 1.0 + _UTILITY_TOLERANCE):
+    if not (np.minimum.reduce(lo, initial=0.0) >= -_UTILITY_TOLERANCE
+            and np.maximum.reduce(hi, initial=1.0) <= 1.0 + _UTILITY_TOLERANCE):
         bad = u[~((u >= -_UTILITY_TOLERANCE) & (u <= 1.0 + _UTILITY_TOLERANCE))]
         raise ValueError(f"utility {bad[0].item()!r} outside [0, 1]")
-    mid = np.maximum(ab_lo, np.minimum(ab_hi, c))
+    mid = np.maximum(ab_lo, np.minimum(ab_hi, c, out=ab_hi), out=ab_hi)
     # subset weights: the two criteria after the first at the min, and the
     # first at the max
     w2 = np.where(a == lo, mu[0b110], np.where(b == lo, mu[0b101], mu[0b011]))
     w3 = np.where(a == hi, mu[0b001], np.where(b == hi, mu[0b010], mu[0b100]))
-    return lo * mu[ALL_MASK] + (mid - lo) * w2 + (hi - mid) * w3
+    # lo * mu + (mid - lo) * w2 + (hi - mid) * w3, the increments built in place
+    score = lo * mu[ALL_MASK]
+    score += np.multiply(np.subtract(mid, lo, out=ab_lo), w2, out=ab_lo)
+    score += np.multiply(np.subtract(hi, mid, out=mid), w3, out=mid)
+    return score
 
 
 def normalize_utilities(raw: np.ndarray) -> np.ndarray:
@@ -220,7 +224,7 @@ def normalize_utilities(raw: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (3, n) raw values, got shape {values.shape}")
     if values.shape[1] == 0:
         raise ValueError("need at least one candidate")
-    lo, hi = values.min(axis=1).tolist(), values.max(axis=1).tolist()
+    lo, hi = np.minimum.reduce(values, axis=1).tolist(), np.maximum.reduce(values, axis=1).tolist()
     # NaN and +-inf propagate into a criterion's minimum or maximum
     finite = [math.isfinite(a) and math.isfinite(b) for a, b in zip(lo, hi)]
     if not all(finite):

@@ -381,7 +381,7 @@ class FosEvaluator:
         """Drop the cached scores of the cells that see a newly scanned cell of ``idx``: a
         score depends only on whether the cells seen, the cell itself included, are unscanned."""
         idx = _free_on_map(self.grid, idx)[0]
-        self._fresh[self._vis.stale(np.flatnonzero(self._fresh), idx)] = False
+        self._fresh[self._vis.stale(self._fresh.nonzero()[0], idx)] = False
 
     def _sweep_cells(self, cells: np.ndarray) -> None:
         """Sweep every orientation at the on-map ``cells`` from the current scan state.
@@ -449,9 +449,12 @@ class FosEvaluator:
         Cached entries are reused, cells without one swept first in one batch;
         a covering orientation takes ``SensorModel.sweep_time`` of its angle.
         """
-        idx = _free_on_map(self.grid, idx)[0]
+        return self._scores(_free_on_map(self.grid, idx)[0])
+
+    def _scores(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`scores` on 1-D intp indices of free on-map cells, which it does not check."""
         self._sweep_cells(idx[~self._fresh[idx]])
-        return self._gain[idx], self._phi[idx]
+        return self._gain.take(idx, axis=0), self._phi.take(idx, axis=0)
 
     def sweep(self, i: int, h: int) -> tuple[FosScore, np.ndarray]:
         """Fresh score of orientation ``h`` at cell ``i`` and the cells it newly covers.
@@ -462,6 +465,11 @@ class FosEvaluator:
         h = _checked("orientation index", h, "an integer", lambda h: True, integer=True)
         if not 0 <= h < len(self.orientations):
             raise ValueError(f"orientation index {h} outside [0, {len(self.orientations)})")
+        return self._sweep(i, h)
+
+    def _sweep(self, i: int, h: int) -> tuple[FosScore, np.ndarray]:
+        """:meth:`sweep` at a Python int ``h`` in range, which it does not check; the
+        checked :meth:`evaluate_cell` takes ``i``."""
         score = self.evaluate_cell(i)[h]
         live = self._live[i]  # as evaluate_cell left it
         return score, self.end.take(live.compress(self.window_masks[h].take(live))) + i

@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
 import math
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,11 +391,12 @@ class TestStepAndRun:
         phi_max=st.sampled_from([45.0, 90.0, 135.0, 180.0]),
         resolution=st.sampled_from([0.5, 1.0]),
         config=st.sampled_from(["A", "B", "F", "L"]),
+        speed=st.sampled_from([0.7, np.float32(0.3), np.float64(2.5)]),
     )
     @settings(max_examples=100, deadline=None)
     def test_engine_matches_contract_operations(self, width, height, ratio, seed,
                                                 connectivity, orientations, r_max,
-                                                phi_max, resolution, config):
+                                                phi_max, resolution, config, speed):
         # the engine reuses scores between steps and selects by filtering on
         # its tie-break keys; every record must equal a replay that evaluates
         # all candidates from scratch at each step and selects by a plain sort key
@@ -404,8 +408,8 @@ class TestStepAndRun:
         grid_replay = GridMap.from_states(states, resolution)
         sensor = SensorModel(r_max=r_max, phi_max=phi_max)
         measure = named_measure(config)
-        engine = CoverageEngine(grid_engine, measure, sensor,
-                                orientations=orientations, connectivity=connectivity)
+        engine = CoverageEngine(grid_engine, measure, sensor, orientations=orientations,
+                                connectivity=connectivity, speed=speed)
         robot = Pose(grid_replay.start, 0.0)
         while True:
             record = engine.step()
@@ -422,7 +426,7 @@ class TestStepAndRun:
                 pose=best.pose,
                 phi_used=best.scan.phi_used,
                 info_gain=best.scan.info_gain,
-                travel_time=travel_time(best.distance, 1.0),
+                travel_time=travel_time(best.distance, speed),  # bit for bit, a Python float
                 sensing_time=best.scan.sensing_time,
                 cumulative_coverage=coverage_ratio(grid_replay),
                 candidates_evaluated=len(expected),
@@ -450,6 +454,83 @@ class TestRunBound:
         with pytest.raises(InvalidConfigError) as exc:
             CoverageEngine(grid, "F", sensor, speed=speed)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("speed", [1e-36, np.float32(1e-36)], ids=["float", "float32"])
+    def test_slow_run_with_a_finite_bound_goes_ahead(self, speed):
+        # the bound is taken on the checked Python number: in float32 it overflowed
+        engine = CoverageEngine(shipped_map("corridor"), "F", SensorModel(30.0), speed=speed)
+        assert (engine.speed, type(engine.speed)) == (float(speed), float)
+        records = [engine.step() for _ in range(3)]
+        assert records[-1].travel_time > 1e36 and math.isfinite(records[-1].travel_time)
+
+
+def step_digest(records):
+    """sha256 over every StepRecord field but the decision time, floats as ``repr``."""
+    h = hashlib.sha256()
+    for rec in records:
+        h.update((" ".join(repr(getattr(rec, f.name)) for f in dataclasses.fields(rec)
+                           if f.name != "decision_time") + "\n").encode())
+    return h.hexdigest()
+
+
+class TestGoldenSteps:
+    # full-precision step records, so a last-bit change in the Choquet, travel or field code
+    # fails here; numpy 2.4.6 with AVX-512, Python 3.11 (as TestGoldenOutputs in test_cli.py)
+    RUNS = {
+        "random12": (lambda: generate_random_grid(12, 0.1, 12), "F", 30.0, {}, 5,
+                     "14428d30133b3eb111d5987a344dfa1a74be5184e2901ca6de8700854692afc5"),
+        "corridor": (lambda: shipped_map("corridor"), "B", 10.0, {"orientations": 8}, 84,
+                     "72502c604b8479cd58fff5ab1ef888a98b640252d2f3adc8acc48b9c2de31718"),
+        # 4-connected at 0.1 m: travel distances are running sums of the resolution, and at
+        # 0.7 m/s distance * (1 / speed) differs from distance / speed in the last bit
+        "rooms": (lambda: rooms_map(40, 30, seed=3, resolution=0.1), "F", 0.8, {"speed": 0.7},
+                  28, "9afb8ab84c86a64b0807a5f0c7cfb3ef6215b1294c2e7d25a67476ab9668c366"),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_step_records_match_pinned_digests(self, name):
+        make, config, r_max, options, steps, digest = self.RUNS[name]
+        records = run_coverage(make(), config, SensorModel(r_max), **options).steps
+        assert (len(records), step_digest(records)) == (steps, digest)
+
+
+def profile_steps(seed=7):
+    """Steps, and calls of functions defined under ``src/nbsmell/`` made inside ``step()``, of
+    one run on a seeded 10x10 map (F, r 30), and the code objects those calls entered."""
+    package = str(Path(nbsmell.engine.__file__).parent)
+    engine = CoverageEngine(generate_random_grid(10, 0.1, seed), "F", SensorModel(30.0))
+    entered, calls, steps = set(), 0, 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+            entered.add(frame.f_code)
+
+    while True:
+        sys.setprofile(count)
+        try:
+            record = engine.step()
+        finally:
+            sys.setprofile(None)
+        if record is None:
+            return steps, calls, entered
+        steps += 1
+
+
+class TestStepCalls:
+    """The step calls the evaluator's cores and prices travel itself, so it re-checks nothing
+    it built; its own Python calls are counted exactly, whatever numpy and scipy versions."""
+
+    # (steps, calls) measured from the root of the checkout (635 calls before the cores) by
+    # PYTHONPATH=src:tests python -c "import test_engine as t; print(t.profile_steps()[:2])"
+    STEPS, MOST_CALLS = 8, 528
+
+    def test_step_calls_no_public_check_and_stays_within_its_count(self):
+        steps, calls, entered = profile_steps()
+        assert not entered & {FosEvaluator.scores.__code__, FosEvaluator.sweep.__code__,
+                              travel_time.__code__}
+        assert steps == self.STEPS and calls <= self.MOST_CALLS, (steps, calls)
 
 
 class TestSelfChecks:

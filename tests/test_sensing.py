@@ -583,6 +583,35 @@ class TestScoreCache:
         assert _ray_disk.cache_info().currsize == 1
 
 
+class TestCores:
+    """The unchecked cores the engine calls give what the checked methods give."""
+
+    @pytest.mark.parametrize("orientations", [4, 8])
+    @pytest.mark.parametrize("r_max", [1.5, 4.0, 30.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cores_match_the_checked_methods_across_scans(self, seed, r_max, orientations):
+        rng = np.random.default_rng(seed)
+        grid = generate_random_grid(12, 0.15, seed)
+        twin = grid.copy()
+        sensor, headings = SensorModel(r_max=r_max), heading_set(orientations)
+        core, checked = FosEvaluator(grid, sensor, headings), FosEvaluator(twin, sensor, headings)
+        free = np.flatnonzero(grid.free_mask())
+        while (grid.states == CellState.FREE_UNSCANNED).any():
+            idx = rng.choice(free, int(rng.integers(1, free.size + 1)), replace=False)
+            for got, want in zip(core._scores(idx), checked.scores(idx)):
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                                want.tobytes())
+            i, h = int(rng.choice(free)), int(rng.integers(orientations))
+            (score, covered), (want, want_covered) = core._sweep(i, h), checked.sweep(i, h)
+            assert repr(score) == repr(want) and covered.tobytes() == want_covered.tobytes()
+            # the sweep's cells, or a random unscanned one, scanned on both maps
+            unscanned = np.flatnonzero(grid.states == CellState.FREE_UNSCANNED)
+            scan = covered if covered.size else rng.choice(unscanned, 1)
+            for g, evaluator in ((grid, core), (twin, checked)):
+                mark_scanned(g, scan)
+                evaluator.mark_scanned(scan)
+
+
 class TestPairBlocks:
     """The stale set across block boundaries of the (cached, new) pair test."""
 
