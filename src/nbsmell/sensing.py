@@ -333,6 +333,8 @@ class FosEvaluator:
     or one cell.  Each sweep keeps a cell's offsets as its live list; a cell
     only ever goes from unscanned to scanned, so the next sweep filters that
     list by the current state and only a cell's first sweep reads its mask.
+    A cell that leaves the cells :meth:`_scores` is called on drops its list
+    and cached score.
     At a call's first sweep of a cell whose mask the layout does not know
     yet, the layout makes the masks of that cell and of the call's later
     cells in one batch (:meth:`_Layout.look`).
@@ -362,6 +364,7 @@ class FosEvaluator:
         self._gain = np.zeros((cells, len(self.orientations)), dtype=np.int64)
         self._phi = np.zeros((cells, len(self.orientations)), dtype=np.float64)
         self._live: list[np.ndarray | None] = [None] * cells
+        self._last = np.zeros(cells, dtype=bool)  # the cells of the last ``_scores`` call
         # the sweep gather of one block (at most _SWEEP_BLOCK offsets, or one cell's K)
         most = max(_SWEEP_BLOCK, self.disk.k) + 1
         self._held = np.empty(3 * len(self.orientations) * most)
@@ -452,7 +455,20 @@ class FosEvaluator:
         return self._scores(_free_on_map(self.grid, idx)[0])
 
     def _scores(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`scores` on 1-D intp indices of free on-map cells, which it does not check."""
+        """:meth:`scores` on 1-D intp indices of free on-map cells, which it does not check.
+
+        The cells of the previous call's ``idx`` that are not in this one lose
+        their live list and cached score.  A frontier cell that leaves for good
+        never returns (scans only add scanned cells), and one that did would be
+        swept from its mask again, to the same numbers.
+        """
+        last = self._last
+        last[idx] = False
+        gone = last.nonzero()[0]
+        for i in gone.tolist():
+            self._live[i] = None
+        self._fresh[gone] = last[gone] = False
+        last[idx] = True
         self._sweep_cells(idx[~self._fresh[idx]])
         return self._gain.take(idx, axis=0), self._phi.take(idx, axis=0)
 

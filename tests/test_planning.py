@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from oracles import dijkstra_oracle, free_cells
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
-from nbsmell import planning
-from nbsmell.engine import uncoverable_cells
+from nbsmell import engine, planning
+from nbsmell.engine import run_coverage, uncoverable_cells
 from nbsmell.grid import Cell, CellState, GridMap, generate_random_grid, parse_map
-from nbsmell.mapgen import empty_map, generate_map, rooms_map
+from nbsmell.mapgen import empty_map, generate_map, rooms_map, shipped_map
+from nbsmell.mcdm import NAMED_CONFIGS
 from nbsmell.planning import _motion_graph, shortest_distances, travel_time
 from nbsmell.sensing import SensorModel
 
@@ -129,16 +130,21 @@ class TestShortestDistances:
 
 class TestBreadthFirstField:
     """4-connected fields come from BFS levels, found where the parity of x + y flips
-    along the BFS order; they must equal scipy's Dijkstra bit for bit."""
+    along the BFS order; they must equal scipy's Dijkstra bit for bit, both when
+    computed and when read back from the layout's store of depths."""
 
     @staticmethod
     def assert_same_bytes(grid, sources):
-        graph, _ = _motion_graph(grid.free_mask().tobytes(), grid.width, grid.resolution, 4)
+        _motion_graph.cache_clear()  # so that the first call at each source computes
+        graph, _, _, store = _motion_graph(grid.free_mask().tobytes(), grid.width,
+                                           grid.resolution, 4)
         for i in sources:
-            field = shortest_distances(grid, Cell(i % grid.width, i // grid.width), 4)
             expected = dijkstra(graph, indices=i).reshape(grid.height, grid.width)
-            assert field.dtype == expected.dtype and field.shape == expected.shape
-            assert field.tobytes() == expected.tobytes(), (grid.resolution, i)
+            for stored in (False, True):
+                assert (i in store) == stored, (grid.resolution, i)
+                field = shortest_distances(grid, Cell(i % grid.width, i // grid.width), 4)
+                assert field.dtype == expected.dtype and field.shape == expected.shape
+                assert field.tobytes() == expected.tobytes(), (grid.resolution, i, stored)
 
     @pytest.mark.parametrize("resolution", [1.0, 0.5, 0.3, 0.1, 0.7, 0.013])
     def test_random_layouts_match_dijkstra(self, resolution):
@@ -184,6 +190,30 @@ class TestBreadthFirstField:
         assert field[1, 1] == 0.1 + 0.1
         assert np.isinf(field[:, 3:]).all() and np.isinf(field[3]).all()
         self.assert_same_bytes(grid, [0, 1, 7, 8, 3, 27])
+
+    def test_writing_into_a_field_leaves_the_next_one_unchanged(self):
+        grid = random_layout(12, 5, 2, 0.1)
+        _motion_graph.cache_clear()
+        expected = shortest_distances(grid, grid.start, 4).tobytes()
+        for _ in range(2):  # into the field as computed, then as read from the store
+            shortest_distances(grid, grid.start, 4)[...] = -1.0
+            assert shortest_distances(grid, grid.start, 4).tobytes() == expected
+
+    def test_store_stops_at_its_byte_cap(self, monkeypatch):
+        # 60 cells and fewer than 256 free ones: one byte a cell, so the cap holds two fields
+        grid = random_layout(12, 5, 2, 0.1)
+        monkeypatch.setattr(planning, "_FIELD_BYTES", 2 * grid.width * grid.height)
+        sources = np.flatnonzero(grid.free_mask().reshape(-1))[:3].tolist()
+        _motion_graph.cache_clear()
+        graph, _, levels, store = _motion_graph(grid.free_mask().tobytes(), grid.width,
+                                                grid.resolution, 4)
+        assert levels.size == np.count_nonzero(grid.free_mask()) + 1 and levels[-1] == np.inf
+        for i in sources:
+            field = shortest_distances(grid, Cell(i % grid.width, i // grid.width), 4)
+            expected = dijkstra(graph, indices=i).reshape(grid.height, grid.width)
+            assert field.tobytes() == expected.tobytes(), i
+        assert sorted(store) == sources[:2]  # the third is computed, not stored
+        assert all(d.dtype == np.uint8 and not d.flags.writeable for d in store.values())
 
     def test_only_eight_connected_fields_run_dijkstra(self, monkeypatch):
         calls = []
@@ -243,7 +273,10 @@ class TestMotionGraphCache:
         [(empty_map(2, 3), 8), (empty_map(3, 2), 8)],
         [(random_layout(12, 5, 4, 0.5), 4), (random_layout(12, 5, 4, 1.0), 4)],
         [(random_layout(5, 12, 4), 4), (random_layout(5, 12, 4), 8)],
-    ], ids=["width", "resolution", "connectivity"])
+        # the same source cell: a store keyed by source alone would serve the first field
+        [(parse_map("resolution 1.0\nS...\n.##.\n...."), 4),
+         (parse_map("resolution 1.0\nS...\n....\n.##."), 4)],
+    ], ids=["width", "resolution", "connectivity", "same source"])
     def test_back_to_back_layouts_match_the_oracle(self, pair):
         # the cache holds one graph; a key that misses a field would serve the
         # first map's graph to the second
@@ -251,6 +284,21 @@ class TestMotionGraphCache:
         for grid, connectivity in pair:
             assert_matches_oracle(grid, connectivity)
         assert _motion_graph.cache_info().misses == 2
+
+    def test_sweep_runs_share_their_fields(self, monkeypatch):
+        # the 13 configurations on the corridor (r 10 m, 8 headings, 4-connected) ask for
+        # 704 fields from 241 distinct robot cells; only the first field at a cell is searched
+        searched, asked = [], []
+        monkeypatch.setattr(planning, "breadth_first_order",
+                            lambda *a, **k: searched.append(a[1]) or breadth_first_order(*a, **k))
+        monkeypatch.setattr(engine, "shortest_distances",
+                            lambda *a: asked.append(a[1]) or shortest_distances(*a))
+        corridor = shipped_map("corridor")
+        _motion_graph.cache_clear()
+        for name in NAMED_CONFIGS:
+            run_coverage(corridor.copy(), name, SensorModel(r_max=10.0), orientations=8,
+                         connectivity=4)
+        assert (len(asked), len(searched), len(set(asked))) == (704, 241, 241)
 
 
 class TestTravelTime:

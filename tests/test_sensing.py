@@ -442,6 +442,22 @@ class TestScoreCache:
         warm.evaluate_cell(seer)
         assert scored == [seer]
 
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_cells_that_left_the_candidates_drop_their_live_lists(self, seed):
+        # a frontier cell that leaves it never returns; its live list and cached
+        # score go with it, at the next call of the scores core
+        engine = CoverageEngine(generate_random_grid(24, 0.15, seed), "F",
+                                SensorModel(r_max=5.0), orientations=4)
+        evaluator, calls = engine.evaluator, []
+        core = evaluator._scores
+        evaluator._scores = lambda idx: calls.append(idx.tolist()) or core(idx)
+        while engine.step() is not None:
+            kept = {i for i, live in enumerate(evaluator._live) if live is not None}
+            assert kept == set(calls[-1]), len(calls)
+            assert set(evaluator._fresh.nonzero()[0].tolist()) <= kept
+        assert len(calls) > 20 and any(set(a) - set(b) for a, b in zip(calls, calls[1:]))
+        assert {i for i, live in enumerate(evaluator._live) if live is not None} == set(calls[-1])
+
     @given(
         width=st.integers(1, 12),
         height=st.integers(1, 12),
