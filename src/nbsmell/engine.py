@@ -25,7 +25,6 @@ from .grid import (
     GridMap,
     Pose,
     _checked,
-    _of_type,
     cells_at,
     coverage_ratio,  # unused; bench/spans.py hooks nbsmell.engine.coverage_ratio
     frontier_cells,
@@ -46,16 +45,7 @@ from .mcdm import (
 from .planning import shortest_distances
 from .sensing import FosEvaluator, SensorModel
 
-__all__ = [
-    "CoverageEngine",
-    "RunResult",
-    "StepRecord",
-    "check_motion",
-    "resolve_measure",
-    "run_coverage",
-    "select_best",
-    "uncoverable_cells",
-]
+__all__ = ["CoverageEngine", "RunResult", "StepRecord", "run_coverage", "uncoverable_cells"]
 
 
 @dataclass(frozen=True)
@@ -104,9 +94,9 @@ def resolve_measure(config: str | WeightConfig | FuzzyMeasure) -> FuzzyMeasure:
 
 def check_motion(orientations: int, connectivity: int, speed: float,
                  target_coverage: float) -> tuple[tuple[float, ...], float, float]:
-    """:func:`heading_set` of ``orientations``, and ``speed`` (by :func:`travel_time`'s rule)
-    and ``target_coverage`` as Python numbers; ValueError for the first bad value, in
-    :class:`CoverageEngine`'s argument order."""
+    """:func:`heading_set` of ``orientations``, and ``speed`` and ``target_coverage`` as
+    Python numbers; ValueError for the first bad value, in :class:`CoverageEngine`'s
+    argument order."""
     headings = heading_set(orientations)
     neighbor_offsets(connectivity)
     return (headings, _checked("speed", speed, "finite and > 0", lambda s: 0 < s < math.inf),
@@ -121,11 +111,9 @@ def select_best(criteria: np.ndarray, measure: FuzzyMeasure) -> int:
     column scored by the Choquet integral.  Ties on the score break
     deterministically: smaller distance, then smaller sensing time, then the
     earlier column.  Each key filters the columns left by the one before, so
-    no sort is needed.  ValueError by :func:`grid._of_type` unless ``measure`` is a
-    :class:`FuzzyMeasure`.
+    no sort is needed.  The step passes a float array and the measure that
+    :func:`resolve_measure` checked when the engine was built.
     """
-    _of_type("measure", measure, FuzzyMeasure)
-    criteria = np.asarray(criteria, dtype=np.float64)
     scores = choquet_batch(normalize_utilities(criteria), measure)
     cols = (scores == np.maximum.reduce(scores)).nonzero()[0]
     for row in (1, 2):
@@ -154,7 +142,7 @@ class CoverageEngine:
         target_coverage: float = 1.0,
     ) -> None:
         self.measure = resolve_measure(config)  # before motion, in the CLI's order
-        # a step prices travel as distance / speed, travel_time's division on its checked numbers
+        # a step prices travel as distance / speed, on the checked Python number
         self.headings, self.speed, self.target_coverage = check_motion(
             orientations, connectivity, speed, target_coverage)
         self.grid = grid
@@ -190,9 +178,7 @@ class CoverageEngine:
         idx = (frontier_cells(grid, self.connectivity) if self._scanned
                else np.array([robot.y * grid.width + robot.x]))
         idx = idx.compress(np.isfinite(dist.take(idx)))
-        # the engine built ``idx`` from free on-map cells, and ``h`` below, so it calls the
-        # evaluator's unchecked cores
-        gain, phi = self.evaluator._scores(idx)
+        gain, phi = self.evaluator.scores(idx)
         # candidates in row-major cell order, headings ascending, as flat
         # indices into the (cells, headings) block
         flat = (gain.reshape(-1) >= 1).nonzero()[0]
@@ -210,7 +196,7 @@ class CoverageEngine:
         cell, h = divmod(int(flat[best]), gain.shape[1])
         i = int(idx[cell])
         pose = Pose(Cell(i % grid.width, i // grid.width), self.headings[h])
-        scan, new = self.evaluator._sweep(i, h)
+        scan, new = self.evaluator.sweep(i, h)
         cached_gain, distance, cached_time = criteria[:, best].tolist()
         if (scan.info_gain, scan.sensing_time) != (cached_gain, cached_time):
             raise RuntimeError(

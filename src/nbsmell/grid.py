@@ -22,14 +22,9 @@ __all__ = [
     "GridMap",
     "MapFormatError",
     "Pose",
-    "cells_at",
     "coverage_ratio",
-    "frontier_cells",
     "generate_random_grid",
-    "heading_set",
-    "mark_scanned",
     "parse_map",
-    "random_obstacle_count",
     "serialize_map",
 ]
 
@@ -335,8 +330,9 @@ def shifted(pad: np.ndarray, dx: int, dy: int) -> np.ndarray:
 
 
 def on_map(grid: GridMap, flat: np.ndarray | Sequence[int]) -> np.ndarray:
-    """``flat`` as 1-D intp indices; ValueError for any other shape (a scalar, a list
-    of :class:`Cell`), a non-integer dtype or the first off-map index.
+    """``flat`` as 1-D intp indices, the check of :func:`cells_at` and of the frontier that
+    ``cli.render_ppm`` draws; ValueError for any other shape (a scalar, a list of
+    :class:`Cell`), a non-integer dtype or the first off-map index.
 
     One unsigned comparison finds that index: a negative one wraps past every on-map one.
     ValueError by :func:`_of_type` unless ``grid`` is a :class:`GridMap`.
@@ -364,7 +360,6 @@ def frontier_cells(grid: GridMap, connectivity: int) -> np.ndarray:
 
     Ascending, so in row-major order; :func:`cells_at` gives the cells.
     """
-    _of_type("grid", grid, GridMap)
     unscanned = padded(grid.unscanned_mask())
     near = np.zeros((grid.height, grid.width), dtype=bool)
     for dx, dy in neighbor_offsets(connectivity):
@@ -372,27 +367,15 @@ def frontier_cells(grid: GridMap, connectivity: int) -> np.ndarray:
     return (grid.scanned_mask() & near).reshape(-1).nonzero()[0]
 
 
-def _free_on_map(grid: GridMap, flat: np.ndarray | Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """``on_map(grid, flat)`` and the states there; ValueError naming the first obstacle."""
-    flat = on_map(grid, flat)
-    held = grid.states.take(flat)  # ``take`` reads the flattened array
-    if np.count_nonzero(held) < held.size:  # an obstacle: state 0, so argmin finds the first
-        raise ValueError(f"cannot scan obstacle cell {cells_at(grid, [flat[held.argmin()]])[0]}")
-    return flat, held
+def mark_scanned(grid: GridMap, flat: np.ndarray) -> int:
+    """Mark the unscanned cells at the 1-D intp flat indices ``flat`` (``y * width + x``) as
+    scanned; returns the number of distinct new transitions.
 
-
-def mark_scanned(grid: GridMap, flat: np.ndarray | Sequence[int]) -> int:
-    """Mark free cells as scanned; returns the number of distinct new transitions.
-
-    ``flat`` is a 1-D array of flat indices ``y * width + x``.  Idempotent on
-    already-scanned cells, and a cell listed twice counts once.  Any other
-    shape, a non-integer dtype or an off-map cell (all by :func:`on_map`), else
-    an obstacle, raises ValueError naming the first in input order, before any
-    cell is written.
+    Idempotent on already-scanned cells, and a cell listed twice counts once.  The
+    indices are not checked: the step passes the on-map free cells its sweep covers.
     """
-    flat, held = _free_on_map(grid, flat)
-    new = np.sort(flat.compress(held == _UNSCANNED))
-    grid.states.put(new, _SCANNED)  # ``put`` writes the flattened array
+    new = np.sort(flat.compress(grid.states.take(flat) == _UNSCANNED))
+    grid.states.put(new, _SCANNED)  # ``take`` and ``put`` address the flattened array
     return int(np.count_nonzero(new[1:] != new[:-1])) + bool(new.size)  # distinct cells
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .grid import CellState, GridMap, _checked, generate_random_grid, parse_map, seeded_rng
 
-__all__ = ["corridor_map", "empty_map", "generate_map", "rooms_map", "shipped_map"]
+__all__ = ["generate_map", "shipped_map"]
 
 SHIPPED_MAPS = {
     "corridor": "corridor_60x10.txt",

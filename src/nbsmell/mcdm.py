@@ -22,18 +22,7 @@ import numpy as np
 
 from .grid import _checked
 
-__all__ = [
-    "Criterion",
-    "FuzzyMeasure",
-    "InvalidConfigError",
-    "NAMED_CONFIGS",
-    "WeightConfig",
-    "build_measure",
-    "choquet_batch",
-    "named_measure",
-    "normalize_utilities",
-    "validate_measure",
-]
+__all__ = ["FuzzyMeasure", "InvalidConfigError", "NAMED_CONFIGS", "WeightConfig"]
 
 SIMPLEX_TOLERANCE = 1e-9
 _UTILITY_TOLERANCE = 1e-12  # how far past [0, 1] a utility may round
@@ -172,7 +161,7 @@ def build_measure(config: WeightConfig) -> FuzzyMeasure:
 
 
 def choquet_batch(utilities: np.ndarray, measure: FuzzyMeasure) -> np.ndarray:
-    """Discrete Choquet integral of each column of a (3, n) utility array.
+    """Discrete Choquet integral of each column of a (3, n) utility array (shape not checked).
 
     The rows are the criteria: information gain, travel distance, sensing
     time.  No sort: the levels are each candidate's exact min, median and
@@ -185,8 +174,6 @@ def choquet_batch(utilities: np.ndarray, measure: FuzzyMeasure) -> np.ndarray:
     (``tests/oracles.py``).
     """
     u = np.asarray(utilities, dtype=np.float64)
-    if u.ndim != 2 or u.shape[0] != 3:
-        raise ValueError(f"expected (3, n) utilities, got shape {u.shape}")
     mu = measure.values
     a, b, c = u
     ab_lo, ab_hi = np.minimum(a, b), np.maximum(a, b)
@@ -211,8 +198,9 @@ def choquet_batch(utilities: np.ndarray, measure: FuzzyMeasure) -> np.ndarray:
 def normalize_utilities(raw: np.ndarray) -> np.ndarray:
     """Min-max normalization of raw criterion values over a candidate set.
 
-    ``raw`` is (3, n), one row per criterion: information gain, travel
-    distance, sensing time; the result has the same shape.  Gain is a
+    ``raw`` is (3, n) with n >= 1, one row per criterion: information gain,
+    travel distance, sensing time (the step's candidates; the shape is not
+    checked); the result has the same shape.  Gain is a
     benefit criterion, the other two are costs (lower is better).  Each row
     takes one subtraction from its minimum (gain) or maximum (costs), then
     one division by its span.  When a criterion is constant every candidate
@@ -220,10 +208,6 @@ def normalize_utilities(raw: np.ndarray) -> np.ndarray:
     its criterion.
     """
     values = np.asarray(raw, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != 3:
-        raise ValueError(f"expected (3, n) raw values, got shape {values.shape}")
-    if values.shape[1] == 0:
-        raise ValueError("need at least one candidate")
     lo, hi = np.minimum.reduce(values, axis=1).tolist(), np.maximum.reduce(values, axis=1).tolist()
     # NaN and +-inf propagate into a criterion's minimum or maximum
     finite = [math.isfinite(a) and math.isfinite(b) for a, b in zip(lo, hi)]

@@ -1,4 +1,4 @@
-"""Grid shortest paths and travel-time conversion.
+"""Grid shortest paths.
 
 Motion is 4- or 8-connected over free cells. Axial steps cost one cell
 resolution, diagonal steps cost sqrt(2) times that. A diagonal step that
@@ -16,9 +16,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra as _sparse_dijkstra
 
-from .grid import GridMap, _checked, _of_type, neighbor_offsets, padded, shifted
+from .grid import GridMap, _four_or_eight, _of_type, neighbor_offsets, padded, shifted
 
-__all__ = ["shortest_distances", "travel_time"]
+__all__ = ["shortest_distances"]
 
 
 # Upper bound on the bytes of the depth fields one layout stores (16 MiB).
@@ -81,10 +81,12 @@ def shortest_distances(grid: GridMap, source: tuple[int, int], connectivity: int
     and so do its 4-connected fields: each is kept as BFS depths in the
     layout's store (see :func:`_motion_graph`) and read back as
     ``levels[depth]``, whether just computed or stored by an earlier call.
-    8-connected fields come from Dijkstra at every call.
+    8-connected fields come from Dijkstra at every call.  ``connectivity`` must be the
+    integer 4 or 8, checked before the cache lookup: the cache keys by value, and 4.0 == 4.
     """
     if not _of_type("grid", grid, GridMap).is_free(source):
         raise ValueError(f"source {source} is not a free cell")
+    connectivity = _four_or_eight("connectivity", connectivity)
     graph, parity, levels, store = _motion_graph(grid.free_mask().tobytes(), grid.width,
                                                  grid.resolution, connectivity)
     s = source[1] * grid.width + source[0]
@@ -105,10 +107,3 @@ def shortest_distances(grid: GridMap, source: tuple[int, int], connectivity: int
             depth.flags.writeable = False
             store[s] = depth
     return levels.take(depth).reshape(grid.height, grid.width)
-
-
-def travel_time(distance: float, speed: float) -> float:
-    """Seconds to travel ``distance`` meters at ``speed`` m/s; ValueError (``grid._checked``)
-    unless the distance is a finite number >= 0 and the speed a finite number > 0."""
-    distance = _checked("distance", distance, "finite and >= 0", lambda d: 0 <= d < math.inf)
-    return distance / _checked("speed", speed, "finite and > 0", lambda s: 0 < s < math.inf)

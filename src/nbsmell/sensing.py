@@ -25,14 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (_UNSCANNED, CellState, GridMap, _checked, _free_on_map, _is_number, _of_type,
-                   on_map)
+from .grid import _UNSCANNED, CellState, GridMap, _checked, _of_type
 
-__all__ = [
-    "FosScore",
-    "SensorModel",
-    "FosEvaluator",
-]
+__all__ = ["SensorModel"]
 
 
 @dataclass(frozen=True)
@@ -309,11 +304,12 @@ _BIT = (1 << np.arange(8)).astype(np.uint8)  # the byte value of bit j of a pack
 class FosEvaluator:
     """Vectorized field-of-smell evaluation over one grid.
 
-    Cells are addressed by their flat index ``i = y * width + x``; an index
-    outside ``0 <= i < width * height``, a scalar one that is not a Python or
-    numpy integer (a bool, a float) or an index array that is not 1-D raises
-    ValueError by :func:`on_map`, and an obstacle cell does too everywhere but
-    in :meth:`visible`, by the rule of ``grid.mark_scanned``.  The cells at
+    Cells are addressed by their flat index ``i = y * width + x``, index
+    arrays are 1-D intp.  The methods check none of them: their callers,
+    ``CoverageEngine.step`` and ``uncoverable_cells``, pass only free on-map
+    cells they found themselves, and an in-range Python int heading.  The
+    constructor checks the map and sensor types, as the public entry points
+    that build an evaluator promise.  The cells at
     the disk offsets of cell ``i`` are ``i + end``, the cell itself last.
     Visibility depends only on the obstacles, which never change, and the
     sensor disk, so a :class:`_Layout` cached by value owns it, shared by the
@@ -333,7 +329,7 @@ class FosEvaluator:
     or one cell.  Each sweep keeps a cell's offsets as its live list; a cell
     only ever goes from unscanned to scanned, so the next sweep filters that
     list by the current state and only a cell's first sweep reads its mask.
-    A cell that leaves the cells :meth:`_scores` is called on drops its list
+    A cell that leaves the cells :meth:`scores` is called on drops its list
     and cached score.
     At a call's first sweep of a cell whose mask the layout does not know
     yet, the layout makes the masks of that cell and of the call's later
@@ -364,26 +360,19 @@ class FosEvaluator:
         self._gain = np.zeros((cells, len(self.orientations)), dtype=np.int64)
         self._phi = np.zeros((cells, len(self.orientations)), dtype=np.float64)
         self._live: list[np.ndarray | None] = [None] * cells
-        self._last = np.zeros(cells, dtype=bool)  # the cells of the last ``_scores`` call
+        self._last = np.zeros(cells, dtype=bool)  # the cells of the last ``scores`` call
         # the sweep gather of one block (at most _SWEEP_BLOCK offsets, or one cell's K)
         most = max(_SWEEP_BLOCK, self.disk.k) + 1
         self._held = np.empty(3 * len(self.orientations) * most)
         self._cols = np.empty(most, dtype=np.intp)  # its columns: the offsets, then K
 
-    def _check_cell(self, i: int) -> None:
-        """ValueError by :func:`on_map` unless ``i`` is an on-map integer (``grid._is_number``)."""
-        if not (_is_number(i, integer=True) and 0 <= i < self._fresh.size):
-            on_map(self.grid, [i])
-
     def visible(self, i: int) -> np.ndarray:
         """Boolean mask over the ray disk, own cell last: offset free and line of sight clear."""
-        self._check_cell(i)
         return np.unpackbits(self._vis.mask(i), count=self.disk.k, bitorder="little").view(bool)
 
     def mark_scanned(self, idx: np.ndarray) -> None:
         """Drop the cached scores of the cells that see a newly scanned cell of ``idx``: a
         score depends only on whether the cells seen, the cell itself included, are unscanned."""
-        idx = _free_on_map(self.grid, idx)[0]
         self._fresh[self._vis.stale(self._fresh.nonzero()[0], idx)] = False
 
     def _sweep_cells(self, cells: np.ndarray) -> None:
@@ -435,13 +424,12 @@ class FosEvaluator:
         The cached gain and angle are returned when they are fresh (see
         :meth:`mark_scanned`) and the current state removes no offset from the
         cell's live list, which holds the cell itself while it is unscanned;
-        else the kernel sweeps it again, after the obstacle check of :meth:`scores`.
-        An orientation costs ``SensorModel.sweep_time`` of its angle, or 0 s if it covers no cell.
+        else the kernel sweeps it again.  An orientation costs
+        ``SensorModel.sweep_time`` of its angle, or 0 s if it covers no cell.
         """
-        self._check_cell(i)  # before ``_live[-1]`` reads the last cell's list
         if not (self._fresh[i] and (self._states_flat.take(
                 self.end.take(self._live[i]) + i) == _UNSCANNED).all()):
-            self._sweep_cells(_free_on_map(self.grid, [i])[0])
+            self._sweep_cells(np.array([i]))
         # a zero-angle scan that still covers the own cell costs the setup time
         return [FosScore(gain, phi, self.sensor.sweep_time(phi) if gain else 0.0)
                 for gain, phi in zip(self._gain[i].tolist(), self._phi[i].tolist())]
@@ -451,12 +439,6 @@ class FosEvaluator:
 
         Cached entries are reused, cells without one swept first in one batch;
         a covering orientation takes ``SensorModel.sweep_time`` of its angle.
-        """
-        return self._scores(_free_on_map(self.grid, idx)[0])
-
-    def _scores(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`scores` on 1-D intp indices of free on-map cells, which it does not check.
-
         The cells of the previous call's ``idx`` that are not in this one lose
         their live list and cached score.  A frontier cell that leaves for good
         never returns (scans only add scanned cells), and one that did would be
@@ -473,19 +455,11 @@ class FosEvaluator:
         return self._gain.take(idx, axis=0), self._phi.take(idx, axis=0)
 
     def sweep(self, i: int, h: int) -> tuple[FosScore, np.ndarray]:
-        """Fresh score of orientation ``h`` at cell ``i`` and the cells it newly covers.
+        """Fresh score of orientation ``h`` at the free cell ``i`` and the cells it newly covers.
 
         The cells come as flat indices in disk order, so ``i`` itself, the
         disk's last offset, comes last when it is unscanned.
         """
-        h = _checked("orientation index", h, "an integer", lambda h: True, integer=True)
-        if not 0 <= h < len(self.orientations):
-            raise ValueError(f"orientation index {h} outside [0, {len(self.orientations)})")
-        return self._sweep(i, h)
-
-    def _sweep(self, i: int, h: int) -> tuple[FosScore, np.ndarray]:
-        """:meth:`sweep` at a Python int ``h`` in range, which it does not check; the
-        checked :meth:`evaluate_cell` takes ``i``."""
         score = self.evaluate_cell(i)[h]
         live = self._live[i]  # as evaluate_cell left it
         return score, self.end.take(live.compress(self.window_masks[h].take(live))) + i

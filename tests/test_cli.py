@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nbsmell import cli
@@ -610,7 +611,7 @@ class TestGenmapCommand:
 class TestRenderPpm:
     def test_colors_and_dimensions(self):
         grid = parse_map("resolution 1.0\nS#\n..")
-        mark_scanned(grid, [0])
+        mark_scanned(grid, np.array([0]))
         data = render_ppm(grid, robot=Cell(0, 1), frontier=[0])
         header = b"P6\n2 2\n255\n"
         assert data.startswith(header)

@@ -21,10 +21,10 @@ from nbsmell.grid import (
     Pose,
     cells_at,
     coverage_ratio,
-    frontier_cells,
     generate_random_grid,
     heading_set,
     mark_scanned,
+    on_map,
     parse_map,
     serialize_map,
 )
@@ -38,7 +38,7 @@ from nbsmell.mcdm import (
     named_measure,
     normalize_utilities,
 )
-from nbsmell.planning import shortest_distances, travel_time
+from nbsmell.planning import shortest_distances
 from nbsmell.sensing import FosEvaluator, SensorModel, _layout
 from oracles import (
     choquet,
@@ -155,11 +155,6 @@ class TestSelectBest:
         raw = np.array(rows, dtype=np.float64).T
         for layout in (np.ascontiguousarray(raw), raw):
             assert select_row(layout, measure) == 2
-
-    def test_nested_list_with_tied_scores(self):
-        # the tie keys are read from the rows, which a list cannot index by column
-        assert select_row([[5, 5], [1, 1], [6, 6]], named_measure("A")) == 0
-        assert select_row([[5, 5], [2, 1], [6, 6]], named_measure("A")) == 1
 
     @pytest.mark.parametrize("base", [0.3, 3.0, 7.0])
     def test_last_bit_differences_decide_exactly(self, base):
@@ -426,7 +421,7 @@ class TestStepAndRun:
                 pose=best.pose,
                 phi_used=best.scan.phi_used,
                 info_gain=best.scan.info_gain,
-                travel_time=travel_time(best.distance, speed),  # bit for bit, a Python float
+                travel_time=best.distance / float(speed),  # the speed as the engine keeps it
                 sensing_time=best.scan.sensing_time,
                 cumulative_coverage=coverage_ratio(grid_replay),
                 candidates_evaluated=len(expected),
@@ -519,18 +514,28 @@ def profile_steps(seed=7):
 
 
 class TestStepCalls:
-    """The step calls the evaluator's cores and prices travel itself, so it re-checks nothing
-    it built; its own Python calls are counted exactly, whatever numpy and scipy versions."""
+    """The step calls each evaluator operation in its one form and prices travel itself, so it
+    re-checks nothing it built; its own Python calls are counted exactly, whatever numpy and
+    scipy versions."""
 
-    # (steps, calls) measured from the root of the checkout (635 calls before the cores) by
+    # (steps, calls) measured from the root of the checkout (635 calls before the step called
+    # unchecked cores, 528 before the re-checks left) by
     # PYTHONPATH=src:tests python -c "import test_engine as t; print(t.profile_steps()[:2])"
-    STEPS, MOST_CALLS = 8, 528
+    STEPS, MOST_CALLS = 8, 412
 
     def test_step_calls_no_public_check_and_stays_within_its_count(self):
         steps, calls, entered = profile_steps()
-        assert not entered & {FosEvaluator.scores.__code__, FosEvaluator.sweep.__code__,
-                              travel_time.__code__}
+        assert {FosEvaluator.scores.__code__, FosEvaluator.sweep.__code__,
+                FosEvaluator.mark_scanned.__code__, mark_scanned.__code__,
+                select_row.__code__} <= entered
+        assert on_map.__code__ not in entered
         assert steps == self.STEPS and calls <= self.MOST_CALLS, (steps, calls)
+
+    def test_dropped_checks_and_twins_are_gone_from_src(self):
+        package = Path(nbsmell.engine.__file__).parent
+        text = "\n".join(path.read_text() for path in sorted(package.glob("*.py")))
+        for name in ("_check_cell", "_free_on_map", "travel_time", "_scores", "_sweep"):
+            assert not re.search(rf"\bdef {name}\b", text), name
 
 
 class TestSelfChecks:
@@ -606,8 +611,6 @@ NUMBER_CALLS = {
        for kind in ("empty", "corridor", "rooms", "random")},
     "generate_map-seed": lambda v: generate_map("random", 5, 5, seed=v),
     "generate_map-obstacle_ratio": lambda v: generate_map("random", 5, 5, obstacle_ratio=v),
-    "travel_time-distance": lambda v: travel_time(v, 1.0),
-    "travel_time-speed": lambda v: travel_time(1.0, v),
     "heading_set": heading_set,
     **{f"CoverageEngine-{name}": lambda v, name=name: CoverageEngine(
         parse_map("resolution 1.0\nS."), "E", SENSOR, **{name: v})
@@ -616,15 +619,20 @@ NUMBER_CALLS = {
     "build_measure-x2": lambda v: build_measure(WeightConfig(0.0, v, 0.0)),
     "build_measure-x3": lambda v: build_measure(WeightConfig(0.0, 0.0, v)),
     "build_measure-synergy_bonus": lambda v: build_measure(WeightConfig(1.0, 0.0, 0.0, v)),
-}
-# every cell or orientation index argument of FosEvaluator's methods, as a call of its value
-EVALUATOR_CALLS = {
-    "scores": lambda evaluator, v: evaluator.scores(v),
-    "mark_scanned": lambda evaluator, v: evaluator.mark_scanned(v),
-    "visible": lambda evaluator, v: evaluator.visible(v),
-    "evaluate_cell": lambda evaluator, v: evaluator.evaluate_cell(v),
-    "sweep-i": lambda evaluator, v: evaluator.sweep(v, 0),
-    "sweep-h": lambda evaluator, v: evaluator.sweep(0, v),
+    # the measure builder's checks as the public entry points reach them
+    **{f"CoverageEngine-WeightConfig-{name}": lambda v, at=at: CoverageEngine(
+        parse_map("resolution 1.0\nS."), WeightConfig(*(v if k == at else w for k, w in
+                                                      enumerate((1.0, 0.0, 0.0, 0.0)))), SENSOR)
+       for at, name in enumerate(("x1", "x2", "x3", "synergy_bonus"))},
+    **{f"run_coverage-{name}": lambda v, name=name: run_coverage(
+        parse_map("resolution 1.0\nS."), "E", SENSOR, **{name: v})
+       for name in ("orientations", "connectivity", "speed", "target_coverage")},
+    "uncoverable_cells-orientations": lambda v: uncoverable_cells(
+        parse_map("resolution 1.0\nS."), SENSOR, v, 4),
+    "uncoverable_cells-connectivity": lambda v: uncoverable_cells(
+        parse_map("resolution 1.0\nS."), SENSOR, 4, v),
+    "shortest_distances-connectivity": lambda v: shortest_distances(
+        parse_map("resolution 1.0\nS."), Cell(0, 0), v),
 }
 # the entry points that take a map and a sensor, as a call of both
 RUN_CALLS = {
@@ -641,16 +649,18 @@ NOT_OBJECTS = {"None": None, "str": "map", "float": 3.0, "Cell": Cell(0, 0)}
 OBJECT_CALLS = {
     "shortest_distances": ("grid", "GridMap", lambda v: shortest_distances(v, Cell(0, 0), 4),
                            Cell(0, 0)),
-    "frontier_cells": ("grid", "GridMap", lambda v: frontier_cells(v, 4), 4),
-    "mark_scanned": ("grid", "GridMap", lambda v: mark_scanned(v, [0]), [0]),
     "cells_at": ("grid", "GridMap", lambda v: cells_at(v, [0]), [0]),
     "coverage_ratio": ("grid", "GridMap", coverage_ratio, np.ones((2, 3), np.uint8)),
     "serialize_map": ("grid", "GridMap", serialize_map, np.ones((2, 3), np.uint8)),
     "render_ppm": ("grid", "GridMap", lambda v: render_ppm(v, Cell(0, 0)), Cell(0, 0)),
-    "select_best": ("measure", "FuzzyMeasure", lambda v: select_row(np.ones((3, 2)), v),
-                    np.ones((3, 2))),
 }
-NOT_INDICES = [None, "ab", b"\x00", {}, [[1]], [1.5], [True], [None], [-1], [2**70],
+# every flat index argument of the entry points, as a call of a map and its value
+FLAT_CALLS = {
+    "cells_at": lambda grid, v: cells_at(grid, v),
+    "render_ppm-frontier": lambda grid, v: render_ppm(grid, None, v),
+}
+# none of these is a 1-D integer array of on-map flat indices (None draws no frontier)
+NOT_INDICES = ["ab", b"\x00", {}, [[1]], [1.5], [True], [None], [-1], [6], [2**70],
                np.array([0.0]), np.array(["a"]), 1.5, True, "3"]
 NUMBERS = [-1, 1.5, math.nan, math.inf, -math.inf]
 NOT_NUMBERS = ["3", None, True, False, np.True_, []]  # a bool is no number here
@@ -695,14 +705,14 @@ class TestEntryPointArguments:
             assert number, "a value that is no number gave a result"
 
     @pytest.mark.parametrize("call,value", [
-        pytest.param(EVALUATOR_CALLS[name], value, id=f"{name}-{value!r}")
-        for name in EVALUATOR_CALLS for value in NOT_INDICES])
-    def test_evaluator_index_rejected_with_value_error(self, call, value):
-        # none of these is an on-map free cell or orientation index; numpy
-        # alone would raise TypeError or IndexError for some, or cast others
-        evaluator = FosEvaluator(parse_map("resolution 1.0\nS#.\n..."), SENSOR, heading_set(4))
+        pytest.param(FLAT_CALLS[name], value, id=f"{name}-{value!r}")
+        for name in FLAT_CALLS for value in NOT_INDICES])
+    def test_flat_indices_rejected_with_value_error(self, call, value):
+        # numpy alone would raise TypeError or IndexError for some, cast others,
+        # or wrap a negative index to the far edge
+        grid = parse_map("resolution 1.0\nS#.\n...")
         with pytest.raises(ValueError):
-            call(evaluator, value)
+            call(grid, value)
 
     @pytest.mark.parametrize("call", [parse_map, shipped_map], ids=["parse_map", "shipped_map"])
     @pytest.mark.parametrize("value", [None, ["x"], 5, b"rooms"],

