@@ -278,5 +278,6 @@ def uncoverable_cells(
     coverable = np.zeros(grid.width * grid.height, dtype=bool)
     evaluator._vis.look(reachable)  # every first look in one batch
     for i in reachable.tolist():
-        coverable[i + evaluator.end[evaluator.visible(i) & window_any]] = True
+        offsets = evaluator.visible(i)
+        coverable[i + evaluator.end.take(offsets.compress(window_any.take(offsets)))] = True
     return cells_at(grid, np.flatnonzero(grid.free_mask().reshape(-1) & ~coverable))

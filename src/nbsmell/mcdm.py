@@ -20,7 +20,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .grid import _checked
+from .grid import _checked, _is_number
 
 __all__ = ["FuzzyMeasure", "InvalidConfigError", "NAMED_CONFIGS", "WeightConfig"]
 
@@ -61,24 +61,36 @@ class FuzzyMeasure:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != 8:
+        try:
+            count = len(self.values)
+        except TypeError:
+            raise ValueError(f"values must be a sequence of 8 subset weights, "
+                             f"got {self.values!r}") from None
+        if count != 8:
             raise ValueError("a fuzzy measure needs exactly 8 subset weights")
 
 
 def validate_measure(measure: FuzzyMeasure) -> list[str]:
-    """Check the fuzzy-measure axioms; returns violations (empty = valid)."""
+    """Check the fuzzy-measure axioms; returns violations (empty = valid).
+
+    A weight that is not a number (:func:`grid._is_number`: a bool, a str, None)
+    is reported as such and takes part in no other check.
+    """
     mu = measure.values
+    number = [_is_number(value) for value in mu]
     violations = []
-    if mu[0] != 0.0:
+    if number[0] and mu[0] != 0.0:
         violations.append(f"boundary: mu({{}}) = {mu[0]!r}, expected 0")
-    if mu[ALL_MASK] != 1.0:
+    if number[ALL_MASK] and mu[ALL_MASK] != 1.0:
         violations.append(f"boundary: mu({_mask_name(ALL_MASK)}) = {mu[ALL_MASK]!r}, expected 1")
     for mask, value in enumerate(mu):
-        if not 0.0 <= value <= 1.0:
+        if not number[mask]:
+            violations.append(f"type: mu({_mask_name(mask)}) = {value!r} is not a number")
+        elif not 0.0 <= value <= 1.0:
             violations.append(f"range: mu({_mask_name(mask)}) = {value!r} outside [0, 1]")
     for a in range(8):
         for b in range(8):
-            if a != b and (a & b) == a and mu[a] > mu[b]:
+            if a != b and (a & b) == a and number[a] and number[b] and mu[a] > mu[b]:
                 violations.append(
                     f"monotonicity: mu({_mask_name(a)}) = {mu[a]!r} > "
                     f"mu({_mask_name(b)}) = {mu[b]!r}"

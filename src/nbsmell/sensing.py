@@ -138,7 +138,7 @@ _ray_disk = lru_cache(maxsize=1)(_RayDisk)
 
 
 class _Layout:
-    """Visibility on one obstacle layout with one sensor disk: every mask and every stale cell.
+    """Visibility on one obstacle layout with one sensor disk: masks, offsets and stale cells.
 
     ``obstacle`` is the row-major obstacle mask of a map ``width`` cells wide;
     the disk is ``_ray_disk(r_max, resolution, extent)``.  Cell (x, y) stands
@@ -153,8 +153,12 @@ class _Layout:
     each row ((w + h) * 8 * ceil(K/64) bytes, in the words of the disk's
     tables, pad bits set).  ``known`` and ``bits``
     hold the mask of every cell looked at so far, in rows of 8 * ceil(K/64)
-    bytes (:meth:`look` writes them as words, :meth:`mask` and :meth:`stale`
-    read them as bytes).
+    bytes (:meth:`look` writes them as words, :meth:`offsets` and :meth:`stale`
+    read them as bytes).  ``kept[i]`` holds cell ``i``'s visible offsets
+    (:meth:`offsets`) once they have been asked for twice, read-only, of dtype
+    ``np.min_scalar_type(K)``, while all of them take at most ``_KEPT_BYTES``
+    (``kept_bytes``; about 2.1 MB on the 90x90 benchmark grid at r_max 30 m);
+    ``asked`` flags the cells asked for once.
     """
 
     def __init__(self, obstacle: bytes, width: int, r_max: float, resolution: float,
@@ -170,6 +174,7 @@ class _Layout:
         self.obstacles = self.place[2].take(flat) + self.zero
         self.rows = flat.searchsorted(np.arange(0, w * h + 1, w)).tolist()
         self.known = np.zeros(w * h, dtype=bool)
+        self.asked, self.kept, self.kept_bytes = bytearray(w * h), [None] * (w * h), 0
         self.bits = np.zeros((w * h, 8 * disk.through.shape[1]), dtype=np.uint8)
         fit = np.flatnonzero((np.abs(disk.dx) < w) & (np.abs(disk.dy) < h))  # the map's offsets
         self.offset_index = np.full((2 * h - 1) * (2 * w - 1), disk.k, dtype=np.int64)
@@ -180,11 +185,32 @@ class _Layout:
         self.x_edge = disk.left.take(x, axis=0) | disk.right.take(x[::-1], axis=0)
         self.y_edge = disk.up.take(y, axis=0) | disk.down.take(y[::-1], axis=0)
 
-    def mask(self, i: int) -> np.ndarray:
-        """Cell ``i``'s packed mask (on the map, line of sight clear), made on the first look."""
+    def offsets(self, i: int) -> np.ndarray:
+        """Cell ``i``'s visible disk offsets, ascending (its own cell last, when free).
+
+        One unpack of its packed mask (on the map, line of sight clear), made
+        here by a look at ``i`` alone if not known yet.  The first ask returns
+        them; the second keeps them (see the class docstring), so that a
+        layout serving one run keeps nothing and the runs that follow it
+        unpack nothing.
+        """
+        kept = self.kept[i]
+        if kept is not None:
+            return kept
         if not self.known[i]:
             self.look(np.array([i]))
-        return self.bits[i]
+        bits = np.unpackbits(self.bits[i], count=self.disk.k, bitorder="little")
+        found = bits.view(bool).nonzero()[0]  # bool, as nonzero on uint8 takes 1.7x as long
+        if not self.asked[i]:
+            self.asked[i] = True
+            return found
+        dtype = np.min_scalar_type(self.disk.k)
+        if self.kept_bytes + found.size * dtype.itemsize > _KEPT_BYTES:
+            return found
+        kept = found.astype(dtype)
+        kept.flags.writeable = False
+        self.kept[i], self.kept_bytes = kept, self.kept_bytes + kept.nbytes
+        return kept
 
     def look(self, cells: np.ndarray) -> None:
         """Make the masks of the ``cells`` not looked at yet, in blocks of cells.
@@ -296,8 +322,9 @@ class FosScore(NamedTuple):
 # Upper bounds on the (cached cell, new cell) pairs ``_Layout.stale`` tests at once
 # (a call with more pairs first drops the cached cells outside the new cells' reach box),
 # on the offsets one block of the sweep kernel gathers (3H table rows of 8 bytes each),
-# and on the bytes of ``through`` rows one block of ``_Layout.look`` gathers (1 MiB).
-_PAIR_BLOCK, _SWEEP_BLOCK, _LOOK_BYTES = 1 << 14, 1 << 12, 1 << 20
+# on the bytes of ``through`` rows one block of ``_Layout.look`` gathers (1 MiB),
+# and on the bytes of the offsets one layout keeps (``_Layout.offsets``, 16 MiB).
+_PAIR_BLOCK, _SWEEP_BLOCK, _LOOK_BYTES, _KEPT_BYTES = 1 << 14, 1 << 12, 1 << 20, 1 << 24
 _BIT = (1 << np.arange(8)).astype(np.uint8)  # the byte value of bit j of a packed row
 
 
@@ -328,7 +355,10 @@ class FosEvaluator:
     minimum and sum per cell, in blocks of at most ``_SWEEP_BLOCK`` offsets
     or one cell.  Each sweep keeps a cell's offsets as its live list; a cell
     only ever goes from unscanned to scanned, so the next sweep filters that
-    list by the current state and only a cell's first sweep reads its mask.
+    list by the current state and only a cell's first sweep reads its
+    visible offsets (:meth:`visible`), which the layout keeps from a cell's
+    second ask on, so that the runs on one map unpack each mask at most twice
+    while the kept offsets fit their budget.
     A cell that leaves the cells :meth:`scores` is called on drops its list
     and cached score.
     At a call's first sweep of a cell whose mask the layout does not know
@@ -367,8 +397,9 @@ class FosEvaluator:
         self._cols = np.empty(most, dtype=np.intp)  # its columns: the offsets, then K
 
     def visible(self, i: int) -> np.ndarray:
-        """Boolean mask over the ray disk, own cell last: offset free and line of sight clear."""
-        return np.unpackbits(self._vis.mask(i), count=self.disk.k, bitorder="little").view(bool)
+        """The ray disk offsets of cell ``i`` that are free with a clear line of sight,
+        ascending, own cell last: :meth:`_Layout.offsets`, read-only when kept."""
+        return self._vis.offsets(i)
 
     def mark_scanned(self, idx: np.ndarray) -> None:
         """Drop the cached scores of the cells that see a newly scanned cell of ``idx``: a
@@ -379,8 +410,8 @@ class FosEvaluator:
         """Sweep every orientation at the on-map ``cells`` from the current scan state.
 
         The one sweep kernel (see the class docstring): refreshes their live
-        lists and cached gains and angles.  A first sweep reads its mask
-        through :meth:`visible`.
+        lists and cached gains and angles.  A first sweep takes its cell's
+        visible offsets from :meth:`visible` as the live list.
         """
         h, todo, lo = len(self.orientations), cells.tolist(), 0
         while lo < cells.size:
@@ -389,14 +420,14 @@ class FosEvaluator:
                 if self._live[i] is None:  # first sweep of the cell
                     if not self._vis.known[i]:  # its first look, with the later cells'
                         self._vis.look(cells[lo + len(lists):])
-                    self._live[i] = self.visible(i).nonzero()[0]
+                    self._live[i] = self.visible(i)
                 total += self._live[i].size
                 if lists and total > _SWEEP_BLOCK:
                     break
                 lists.append(self._live[i])
             hi, sizes = lo + len(lists), [a.size for a in lists]
             block = cells[lo:hi]
-            joined = np.concatenate(lists)
+            joined = np.concatenate(lists, dtype=np.intp)  # kept offsets are narrower
             seen = block.repeat(sizes) + self.end.take(joined)  # the cells at the offsets
             pos = (self._states_flat.take(seen) == _UNSCANNED).nonzero()[0]
             cols = self._cols[:pos.size + 1]

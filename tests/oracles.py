@@ -119,6 +119,13 @@ class ScanResult:
     smellable_all: frozenset[Cell]
 
 
+def visible_mask(evaluator: FosEvaluator, i: int) -> np.ndarray:
+    """Boolean mask over the ray disk, own cell last, of the offsets ``evaluator.visible(i)``."""
+    mask = np.zeros(evaluator.disk.k, dtype=bool)
+    mask[evaluator.visible(i)] = True
+    return mask
+
+
 def compute_fos(grid: GridMap, pose: Pose, sensor: SensorModel) -> ScanResult:
     """One sensing operation at the free cell of ``pose``, by a production evaluator."""
     evaluator = FosEvaluator(grid, sensor, (pose.theta,))
@@ -127,7 +134,7 @@ def compute_fos(grid: GridMap, pose: Pose, sensor: SensorModel) -> ScanResult:
     # the sweep covers its own cell and every visible other cell of the window
     # whose bearing lies between the first and the last bearing of the other
     # cells it newly covers
-    seen = np.flatnonzero(evaluator.visible(i)[:-1] & evaluator.window_masks[0, :-1])
+    seen = np.flatnonzero(visible_mask(evaluator, i)[:-1] & evaluator.window_masks[0, :-1])
     rel = evaluator._sweep_table[0, seen]  # the relative bearings inside the window
     held = rel[np.isin(i + evaluator.end[seen], new)]
     covered = seen[(held.min(initial=math.inf) <= rel) & (rel <= held.max(initial=-math.inf))]
@@ -144,7 +151,7 @@ def visible_cells(grid: GridMap, cell: Cell, r_max: float) -> set[Cell]:
     """
     evaluator = FosEvaluator(grid, SensorModel(r_max=r_max), ())
     i = cell.y * grid.width + cell.x
-    return set(cells_at(grid, i + evaluator.end[:-1][evaluator.visible(i)[:-1]]))
+    return set(cells_at(grid, i + evaluator.end[:-1][visible_mask(evaluator, i)[:-1]]))
 
 
 def choquet(u, measure: FuzzyMeasure) -> float:
@@ -246,7 +253,7 @@ def cover_lower_bound(grid: GridMap, sensor: SensorModel, orientations: int,
     _layout.cache_clear()  # so that the evaluator builds its own visibility masks
     evaluator = FosEvaluator(grid, sensor, heading_set(orientations))
     reachable = np.flatnonzero(np.isfinite(shortest_distances(grid, grid.start, connectivity)))
-    windows = [i + evaluator.end[evaluator.visible(i) & mask]
+    windows = [i + evaluator.end[visible_mask(evaluator, i) & mask]
                for i in reachable.tolist() for mask in evaluator.window_masks]
     row = np.full(grid.width * grid.height, -1)
     row[cells] = np.arange(len(cells))

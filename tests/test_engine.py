@@ -342,15 +342,25 @@ class TestStepAndRun:
          r"boundary: mu\(\{1,2,3\}\) = 5\.0, expected 1; range: mu\(\{1,2,3\}\) = 5\.0 outside"),
         ((0.0, -0.2, 0.4, 0.9, 0.1, 0.6, 0.5, 1.0), r"range: mu\(\{1\}\) = -0\.2"),
         ((0.0, 0.7, 0.4, 0.5, 0.1, 0.6, 0.5, 1.0), r"monotonicity: mu\(\{1\}\) = 0\.7 > mu\(\{1,2\}\)"),
+        ((0.0, "x", 0.4, 0.9, 0.1, 0.6, 0.5, 1.0), r"type: mu\(\{1\}\) = 'x' is not a number"),
+        ((0.0, 0.2, None, 0.9, 0.1, 0.6, 0.5, 1.0), r"type: mu\(\{2\}\) = None is not a number"),
+        ((0.0, 0.2, 0.4, 0.9, 0.1, 0.6, 0.5, True),
+         r"^type: mu\(\{1,2,3\}\) = True is not a number$"),
     ])
     def test_invalid_fuzzy_measure_rejected_at_construction(self, values, match):
-        # unchecked, a NaN weight ends in a bare IndexError from select_best
-        # and the other measures run to completion
+        # unchecked, a NaN weight ends in a bare IndexError from select_best,
+        # a str or None weight in a bare TypeError, and the other measures run
+        # to completion
         measure = FuzzyMeasure(values=values)
         with pytest.raises(InvalidConfigError, match=match):
             CoverageEngine(generate_random_grid(10, 0.1, 3), measure, SENSOR)
         with pytest.raises(InvalidConfigError, match=match):
             run_coverage(generate_random_grid(10, 0.1, 3), measure, SENSOR)
+
+    def test_fuzzy_measure_values_must_be_a_sequence(self):
+        with pytest.raises(ValueError, match=r"^values must be a sequence of 8 subset weights, "
+                                             r"got nan$"):
+            FuzzyMeasure(values=math.nan)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_kept_coverage_equals_a_recount(self, seed):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -16,9 +17,11 @@ from oracles import (
     sampled_sweeps,
     traverse_segment,
     visible_cells,
+    visible_mask,
 )
 
-from nbsmell.engine import CoverageEngine
+from nbsmell import sensing
+from nbsmell.engine import CoverageEngine, run_coverage
 from nbsmell.grid import (
     Cell,
     CellState,
@@ -30,7 +33,8 @@ from nbsmell.grid import (
     mark_scanned,
     parse_map,
 )
-from nbsmell.mapgen import empty_map
+from nbsmell.mapgen import empty_map, generate_map, shipped_map
+from nbsmell.mcdm import NAMED_CONFIGS
 from nbsmell.sensing import (
     _LOOK_BYTES,
     _PAIR_BLOCK,
@@ -499,7 +503,7 @@ class TestScoreCache:
 
     def test_obstacle_cell_sees_its_line_of_sight_but_not_itself(self):
         grid = parse_map("resolution 1.0\nS#.\n...")
-        visible = FosEvaluator(grid, SensorModel(r_max=5.0), (0.0,)).visible(1)
+        visible = visible_mask(FosEvaluator(grid, SensorModel(r_max=5.0), (0.0,)), 1)
         assert not visible[-1] and visible.any()
 
     def test_no_orientations_give_empty_score_rows(self):
@@ -771,6 +775,102 @@ class TestLayoutCache:
         assert (info.misses, info.currsize) == (2, 1)
 
 
+def packed(vis, i):
+    """Cell ``i``'s packed mask on the layout ``vis``, made by a look at ``i`` alone if new."""
+    if not vis.known[i]:
+        vis.look(np.array([i]))
+    return vis.bits[i]
+
+
+def steps_of(grid, config, sensor, orientations):
+    """The step records of a run on a copy of ``grid``, ``decision_time`` aside."""
+    result = run_coverage(grid.copy(), config, sensor, orientations=orientations)
+    return [dataclasses.replace(step, decision_time=0.0) for step in result.steps]
+
+
+def check_kept(vis):
+    """Each of the layout ``vis``'s kept offset lists is its mask's set bits, read-only."""
+    kept = [(i, a) for i, a in enumerate(vis.kept) if a is not None]
+    for i, offsets in kept:
+        bits = np.unpackbits(packed(vis, i), count=vis.disk.k, bitorder="little")
+        assert np.array_equal(offsets, np.flatnonzero(bits)), i
+        assert offsets.dtype == np.min_scalar_type(vis.disk.k) and not offsets.flags.writeable
+        assert vis.asked[i]
+    assert vis.kept_bytes == sum(offsets.nbytes for _, offsets in kept)
+    return len(kept)
+
+
+class TestKeptOffsets:
+    """The visible offsets a layout keeps for the runs that share it (``_Layout.offsets``)."""
+
+    def test_runs_on_one_layout_equal_runs_on_fresh_layouts(self):
+        grid, sensor = shipped_map("corridor"), SensorModel(r_max=10.0)
+        _layout.cache_clear()
+        shared = [steps_of(grid, name, sensor, 8) for name in NAMED_CONFIGS]
+        assert check_kept(FosEvaluator(grid, sensor, ())._vis) > 0
+        for name, steps in zip(NAMED_CONFIGS, shared):
+            _layout.cache_clear()
+            assert steps_of(grid, name, sensor, 8) == steps, name
+
+    def test_offsets_are_kept_from_the_second_ask(self):
+        grid = generate_random_grid(12, 0.2, 5)
+        _layout.cache_clear()
+        evaluator = FosEvaluator(grid, DEFAULT, ())
+        vis = evaluator._vis
+        for i in range(grid.width * grid.height):
+            first = evaluator.visible(i)
+            assert vis.kept[i] is None and vis.asked[i]
+            second = evaluator.visible(i)
+            assert vis.kept[i] is second and np.array_equal(second, first)
+            assert evaluator.visible(i) is second
+            with pytest.raises(ValueError, match="read-only"):
+                second[:1] = 0
+        assert check_kept(vis) == grid.width * grid.height
+
+    def test_kept_offsets_stay_within_the_budget(self, monkeypatch):
+        # on an open map nearly all K offsets are visible from every cell
+        grid, sensor = generate_map("empty", 40, 40), SensorModel(r_max=30.0)
+        fresh = []
+        for name in NAMED_CONFIGS:
+            _layout.cache_clear()
+            fresh.append(steps_of(grid, name, sensor, 4))
+        _layout.cache_clear()
+        assert [steps_of(grid, name, sensor, 4) for name in NAMED_CONFIGS] == fresh
+        unbounded = check_kept(FosEvaluator(grid, sensor, ())._vis)
+        budget = 1 << 15
+        monkeypatch.setattr(sensing, "_KEPT_BYTES", budget)
+        _layout.cache_clear()
+        vis = FosEvaluator(grid, sensor, ())._vis
+        for name, steps in zip(NAMED_CONFIGS, fresh):
+            assert steps_of(grid, name, sensor, 4) == steps, name
+            assert vis.kept_bytes <= budget
+        assert 0 < check_kept(vis) < unbounded
+
+    def test_visible_is_called_once_per_first_sweep(self, monkeypatch):
+        # what the benchmark's sensing.visible.calls and .misses count
+        visible, sweep_cells = FosEvaluator.visible, FosEvaluator._sweep_cells
+        calls, first_sweeps = [], []
+
+        def counted_visible(self, i):
+            calls.append((id(self), i))
+            return visible(self, i)
+
+        def counted_sweep(self, cells):
+            first_sweeps.extend((id(self), i) for i in cells.tolist() if self._live[i] is None)
+            sweep_cells(self, cells)
+
+        monkeypatch.setattr(FosEvaluator, "visible", counted_visible)
+        monkeypatch.setattr(FosEvaluator, "_sweep_cells", counted_sweep)
+        grid, sensor = shipped_map("corridor"), SensorModel(r_max=10.0)
+        _layout.cache_clear()
+        engines = [CoverageEngine(grid.copy(), name, sensor, orientations=8) for name in "FCF"]
+        for engine in engines:
+            engine.run()
+        assert calls == first_sweeps and all(type(i) is int for _, i in calls)
+        # no evaluator sweeps a corridor cell first twice: the calls equal the misses
+        assert len(set(calls)) == len(calls)
+
+
 class TestShortRange:
     def test_range_below_resolution_covers_only_own_cell(self):
         grid = parse_map("resolution 1.0\nS....")
@@ -822,7 +922,7 @@ class TestVisibleCells:
             expected = [0 <= x + dx < grid.width and 0 <= y + dy < grid.height
                         and line_of_sight(grid, Cell(x, y), Cell(x + dx, y + dy))
                         for dx, dy in zip(disk.dx.tolist(), disk.dy.tolist())]
-            assert evaluator.visible(i).tolist() == expected
+            assert visible_mask(evaluator, i).tolist() == expected
         # bit K, which the pair test reads for an offset outside the disk, stays clear
         assert disk.k % 8 and not np.unpackbits(
             evaluator._vis.bits, axis=1, bitorder="little")[:, disk.k:].any()
@@ -879,7 +979,7 @@ class TestVisibleCells:
         grid = GridMap.from_states(states.astype(np.uint8), 1.0)
         evaluator = FosEvaluator(grid, SensorModel(r_max=r_max), ())
         assert (evaluator.disk.dx[-1], evaluator.disk.dy[-1], evaluator.end[-1]) == (0, 0, 0)
-        own = [bool(evaluator.visible(i)[-1]) for i in range(width * height)]
+        own = [bool(visible_mask(evaluator, i)[-1]) for i in range(width * height)]
         assert own == (~obstacle).reshape(-1).tolist()
 
 
@@ -906,7 +1006,7 @@ class TestFirstLooks:
 
     @staticmethod
     def unpacked(vis, i):
-        return np.unpackbits(vis.mask(i), count=vis.disk.k, bitorder="little").astype(bool)
+        return np.unpackbits(packed(vis, i), count=vis.disk.k, bitorder="little").astype(bool)
 
     @staticmethod
     def assert_pad_clear(vis):
@@ -936,7 +1036,7 @@ class TestFirstLooks:
         batched.look(np.concatenate((edges, order, order[:5])))
         assert batched.known.all()
         for i in cells.tolist():
-            assert np.array_equal(batched.mask(i), single.mask(i)), i
+            assert np.array_equal(packed(batched, i), packed(single, i)), i
         free = ~obstacle.reshape(-1)
         sample = rng.choice(cells[free], 60, replace=False)
         for i in [*edges[free[edges]].tolist(), *sample.tolist()]:
@@ -984,7 +1084,7 @@ class TestFirstLooks:
         assert max(n for _, n, _ in gathers) > 1
         assert all(np.prod(shape) * 8 <= _LOOK_BYTES for shape in gathers)
         for i in np.random.default_rng(1).choice(free, 40, replace=False).tolist():
-            assert np.array_equal(vis.mask(i), alone.mask(i))
+            assert np.array_equal(packed(vis, i), packed(alone, i))
 
 
 class TestRayDisk:
