@@ -34,11 +34,9 @@ from .grid import (
     GridMap,
     MapFormatError,
     _checked,
-    _of_type,
     coverage_ratio,
     frontier_cells,
     generate_random_grid,
-    on_map,
     parse_map,
     random_obstacle_count,
     serialize_map,
@@ -237,29 +235,25 @@ def _motion(args: argparse.Namespace) -> dict:
 
 
 def _load_map(path: str) -> GridMap:
+    """The map in the UTF-8 file ``path``; MapFormatError if it cannot be read or decoded."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise MapFormatError(f"cannot read map {path}: {exc}") from exc
     return parse_map(text)
 
 
-def render_ppm(grid: GridMap, robot: Cell | None,
-               frontier: np.ndarray | None = None) -> bytes:
+def render_ppm(grid: GridMap, robot: Cell, frontier: np.ndarray) -> bytes:
     """Binary PPM snapshot, one pixel per cell.
 
     Cells take the ``_PALETTE`` row at their state (obstacle black, unscanned white,
-    scanned gray), then frontier blue (:func:`frontier_cells` indices), robot red;
-    an off-map frontier index or robot cell raises ValueError.
+    scanned gray), then frontier blue (:func:`frontier_cells` indices), robot red.
+    Nothing is checked: the one caller, ``cmd_run --snapshots``, passes its engine's map,
+    robot cell and frontier.
     """
-    img = _PALETTE[_of_type("grid", grid, GridMap).states]
-    if frontier is not None:
-        img.reshape(-1, 3)[on_map(grid, frontier)] = (0, 0, 255)
-    if robot is not None:
-        if not grid.in_bounds(robot):
-            raise ValueError(f"robot cell {robot!r} is off the {grid.width}x{grid.height} map")
-        x, y = robot
-        img[y, x] = (255, 0, 0)
+    img = _PALETTE[grid.states]
+    img.reshape(-1, 3)[frontier] = (0, 0, 255)
+    img[robot.y, robot.x] = (255, 0, 0)
     header = f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii")
     return header + img.tobytes()
 
@@ -312,7 +306,7 @@ def cmd_run(args: argparse.Namespace) -> None:
         snap_dir.mkdir(exist_ok=True)
         for record in engine:
             ppm = render_ppm(grid, engine.robot.cell,
-                             frontier_cells(grid, args.connectivity))
+                             frontier_cells(grid, engine.connectivity))
             (snap_dir / f"step_{record.index:04d}.ppm").write_bytes(ppm)
     result = engine.run()
 

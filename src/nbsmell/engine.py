@@ -25,12 +25,12 @@ from .grid import (
     GridMap,
     Pose,
     _checked,
+    _four_or_eight,
     cells_at,
     coverage_ratio,  # unused; bench/spans.py hooks nbsmell.engine.coverage_ratio
     frontier_cells,
     heading_set,
     mark_scanned,
-    neighbor_offsets,
 )
 from .mcdm import (
     FuzzyMeasure,
@@ -92,14 +92,14 @@ def resolve_measure(config: str | WeightConfig | FuzzyMeasure) -> FuzzyMeasure:
     return named_measure(config)
 
 
-def check_motion(orientations: int, connectivity: int, speed: float,
-                 target_coverage: float) -> tuple[tuple[float, ...], float, float]:
-    """:func:`heading_set` of ``orientations``, and ``speed`` and ``target_coverage`` as
-    Python numbers; ValueError for the first bad value, in :class:`CoverageEngine`'s
-    argument order."""
-    headings = heading_set(orientations)
-    neighbor_offsets(connectivity)
-    return (headings, _checked("speed", speed, "finite and > 0", lambda s: 0 < s < math.inf),
+def check_motion(orientations: int, connectivity: int, speed: float, target_coverage: float
+                 ) -> tuple[tuple[float, ...], int, float, float]:
+    """:func:`heading_set` of ``orientations``, and ``connectivity`` (the integer 4 or 8),
+    ``speed`` and ``target_coverage`` as Python numbers; ValueError for the first bad value,
+    in :class:`CoverageEngine`'s argument order.  The one check of a run's connectivity: the
+    step passes the engine's checked int to ``frontier_cells`` unchecked."""
+    return (heading_set(orientations), _four_or_eight("connectivity", connectivity),
+            _checked("speed", speed, "finite and > 0", lambda s: 0 < s < math.inf),
             _checked("target_coverage", target_coverage, "in (0, 1]", lambda c: 0 < c <= 1))
 
 
@@ -143,11 +143,10 @@ class CoverageEngine:
     ) -> None:
         self.measure = resolve_measure(config)  # before motion, in the CLI's order
         # a step prices travel as distance / speed, on the checked Python number
-        self.headings, self.speed, self.target_coverage = check_motion(
+        self.headings, self.connectivity, self.speed, self.target_coverage = check_motion(
             orientations, connectivity, speed, target_coverage)
         self.grid = grid
         self.sensor = sensor
-        self.connectivity = connectivity
         self.evaluator = FosEvaluator(grid, sensor, self.headings)  # checks both types
         # kept up to date from each scan's marked count, not recounted
         self._free, self._scanned = grid.free_count(), grid.scanned_count()

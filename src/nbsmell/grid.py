@@ -304,12 +304,10 @@ def _start_near_center(states: np.ndarray) -> Cell:
     return Cell(int(xs[best]), int(ys[best]))
 
 
-_NEIGHBORS_4 = ((1, 0), (-1, 0), (0, 1), (0, -1))
-_NEIGHBORS_8 = _NEIGHBORS_4 + ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-def neighbor_offsets(connectivity: int) -> tuple[tuple[int, int], ...]:
-    return _NEIGHBORS_4 if _four_or_eight("connectivity", connectivity) == 4 else _NEIGHBORS_8
+# the (dx, dy) steps of 4- and 8-connected motion, read with a connectivity checked where it
+# enters (engine.check_motion, planning.shortest_distances)
+_NEIGHBORS = {4: ((1, 0), (-1, 0), (0, 1), (0, -1))}
+_NEIGHBORS[8] = _NEIGHBORS[4] + ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def padded(mask: np.ndarray) -> np.ndarray:
@@ -329,40 +327,25 @@ def shifted(pad: np.ndarray, dx: int, dy: int) -> np.ndarray:
     return pad[1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx]
 
 
-def on_map(grid: GridMap, flat: np.ndarray | Sequence[int]) -> np.ndarray:
-    """``flat`` as 1-D intp indices, the check of :func:`cells_at` and of the frontier that
-    ``cli.render_ppm`` draws; ValueError for any other shape (a scalar, a list of
-    :class:`Cell`), a non-integer dtype or the first off-map index.
+def cells_at(grid: GridMap, flat: np.ndarray) -> list[Cell]:
+    """The cells at the 1-D integer flat indices ``flat`` (``y * width + x``), in order.
 
-    One unsigned comparison finds that index: a negative one wraps past every on-map one.
-    ValueError by :func:`_of_type` unless ``grid`` is a :class:`GridMap`.
+    The indices are not checked: both callers (:meth:`GridMap.unscanned_cells`,
+    ``engine.uncoverable_cells``) pass ``np.flatnonzero`` of a mask of the map.
     """
-    _of_type("grid", grid, GridMap)
-    flat = np.asarray(flat)
-    if flat.ndim != 1:
-        raise ValueError(f"expected a 1-D array of flat indices, got shape {flat.shape}")
-    if flat.size and flat.dtype.kind not in "iu":  # signed or unsigned integers
-        raise ValueError(f"flat indices must have an integer dtype, got {flat.dtype}")
-    off = flat[flat.astype(np.uintp, copy=False) >= grid.states.size]
-    if off.size:
-        raise ValueError(f"flat index {off[0]} is off the {grid.width}x{grid.height} map")
-    return flat.astype(np.intp, copy=False)
-
-
-def cells_at(grid: GridMap, flat: np.ndarray | Sequence[int]) -> list[Cell]:
-    """The cells at the flat indices ``flat`` (``y * width + x``), in order."""
-    ys, xs = np.divmod(on_map(grid, flat), grid.width)
+    ys, xs = np.divmod(flat, grid.width)
     return list(map(Cell, xs.tolist(), ys.tolist()))
 
 
 def frontier_cells(grid: GridMap, connectivity: int) -> np.ndarray:
     """Flat indices of the scanned free cells next to an unscanned free cell.
 
-    Ascending, so in row-major order; :func:`cells_at` gives the cells.
+    Ascending, so in row-major order; :func:`cells_at` gives the cells.  ``connectivity``,
+    4 or 8, is not checked: the step and ``cli.cmd_run`` pass the engine's checked one.
     """
     unscanned = padded(grid.unscanned_mask())
     near = np.zeros((grid.height, grid.width), dtype=bool)
-    for dx, dy in neighbor_offsets(connectivity):
+    for dx, dy in _NEIGHBORS[connectivity]:
         near |= shifted(unscanned, dx, dy)
     return (grid.scanned_mask() & near).reshape(-1).nonzero()[0]
 

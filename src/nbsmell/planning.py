@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra as _sparse_dijkstra
 
-from .grid import GridMap, _four_or_eight, _of_type, neighbor_offsets, padded, shifted
+from .grid import _NEIGHBORS, GridMap, _four_or_eight, _of_type, padded, shifted
 
 __all__ = ["shortest_distances"]
 
@@ -52,7 +52,7 @@ def _motion_graph(free: bytes, width: int, resolution: float, connectivity: int
                          "no finite length")
     pad = padded(cells.reshape(-1, width))
     edges = []  # (sources, targets, weights) per neighbor offset
-    for dx, dy in neighbor_offsets(connectivity):
+    for dx, dy in _NEIGHBORS[connectivity]:
         ok = shifted(pad, 0, 0) & shifted(pad, dx, dy)
         if dx and dy:
             # no squeezing between two obstacles that touch at a corner

@@ -21,7 +21,8 @@ from nbsmell.cli import (
     render_ppm,
 )
 from nbsmell.engine import CoverageEngine
-from nbsmell.grid import Cell, mark_scanned, parse_map
+from nbsmell.grid import Cell, frontier_cells, mark_scanned, parse_map
+from nbsmell.sensing import SensorModel
 
 
 @pytest.fixture
@@ -29,6 +30,10 @@ def tiny_map(tmp_path):
     path = tmp_path / "tiny.txt"
     path.write_text("resolution 1.0\nS....\n.....\n..#..\n.....\n")
     return path
+
+
+# a map file that is no UTF-8: 0xff is Latin-1's y-umlaut
+NOT_UTF8_MAP = b"resolution 1.0\nS\xff.\n...\n"
 
 
 def command_args(command, map_path, out):
@@ -58,11 +63,15 @@ class TestExitPaths:
         (["--map", "{tiny}", "--rmax-m", "nan"], EXIT_CONFIG, "invalid configuration: "),
         (["--map", "{tiny}", "--target-coverage", "0"], EXIT_CONFIG,
          "invalid configuration: "),
-    ], ids=["broken-map", "missing-map", "speed", "rmax", "target"])
+        (["--map", "{latin1}"], EXIT_MAP, "map error: "),
+    ], ids=["broken-map", "missing-map", "speed", "rmax", "target", "not-utf8-map"])
     def test_sweep_input_errors(self, tiny_map, tmp_path, capsys, argv, code, prefix):
         bad = tmp_path / "bad.txt"
         bad.write_text("resolution 1.0\nSS\n")
-        paths = {"bad": bad, "missing": tmp_path / "nope.txt", "tiny": tiny_map}
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(NOT_UTF8_MAP)
+        paths = {"bad": bad, "missing": tmp_path / "nope.txt", "tiny": tiny_map,
+                 "latin1": latin1}
         argv = [a.format(**paths) for a in argv]
         out = tmp_path / "o"
         assert main(["sweep", *argv, "--out", str(out)]) == code
@@ -75,11 +84,15 @@ class TestExitPaths:
         (["randgrid", "--sizes", "0"], "invalid configuration: "),
         (["genmap", "--kind", "empty", "--size", "abc"], "invalid configuration: "),
         (["genmap", "--kind", "empty", "--size", "3xabc"], "invalid configuration: "),
-    ], ids=["run-config", "run-map", "randgrid-sizes", "genmap-size", "genmap-height"])
+        (["run", "--map", "{latin1}"], "map error: "),
+    ], ids=["run-config", "run-map", "randgrid-sizes", "genmap-size", "genmap-height",
+            "run-not-utf8-map"])
     def test_stderr_prefix(self, tiny_map, tmp_path, capsys, argv, prefix):
         bad = tmp_path / "bad.txt"
         bad.write_text("resolution 1.0\n#\n")
-        argv = [a.format(tiny=tiny_map, bad=bad) for a in argv]
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(NOT_UTF8_MAP)
+        argv = [a.format(tiny=tiny_map, bad=bad, latin1=latin1) for a in argv]
         code = main([*argv, "--out", str(tmp_path / "o")])
         assert code == (EXIT_MAP if prefix == "map error: " else EXIT_CONFIG)
         assert capsys.readouterr().err.startswith(prefix)
@@ -320,6 +333,12 @@ class TestRunCommand:
             "run", "--map", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")
         ]) == EXIT_MAP
 
+    def test_non_ascii_letter_of_a_utf8_map_reported_where_it_stands(self, tmp_path, capsys):
+        path = tmp_path / "map.txt"
+        path.write_bytes(NOT_UTF8_MAP.decode("latin-1").encode("utf-8"))
+        assert main(["run", "--map", str(path), "--out", str(tmp_path / "o")]) == EXIT_MAP
+        assert capsys.readouterr().err == "map error: line 2, column 2: illegal character 'ÿ'\n"
+
     def test_custom_weights_accepted(self, tiny_map, tmp_path):
         out = tmp_path / "out"
         code = main([
@@ -332,18 +351,29 @@ class TestRunCommand:
         assert summary["configuration"] == "custom"
         assert summary["weights"] == [0.5, 0.3, 0.2]
 
-    def test_snapshots_written(self, tiny_map, tmp_path):
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_snapshots_written(self, tiny_map, tmp_path, connectivity):
+        # each snapshot shows its step: the pose cell red, the frontier after it blue
         out = tmp_path / "out"
-        code = main([
-            "run", "--map", str(tiny_map), "--out", str(out), "--snapshots",
-        ])
+        code = main(["run", "--map", str(tiny_map), "--out", str(out), "--snapshots",
+                     "--connectivity", str(connectivity)])
         assert code == EXIT_OK
         snaps = sorted((out / "snapshots").glob("*.ppm"))
         summary = json.loads((out / "summary.json").read_text())
-        assert len(snaps) == summary["total_sensing_ops"]
-        head = snaps[0].read_bytes()
-        assert head.startswith(b"P6\n5 4\n255\n")
-        assert len(head) == len(b"P6\n5 4\n255\n") + 5 * 4 * 3
+        assert len(snaps) == summary["total_sensing_ops"] > 1
+        header = b"P6\n5 4\n255\n"
+        engine = CoverageEngine(parse_map(tiny_map.read_text()), "E", SensorModel(15.0),
+                                connectivity=connectivity)
+        for record, snap in zip(engine, snaps, strict=True):
+            data = snap.read_bytes()
+            assert data.startswith(header) and len(data) == len(header) + 5 * 4 * 3
+            pixels = np.frombuffer(data[len(header):], np.uint8).reshape(-1, 3)
+            robot = record.pose.cell.y * 5 + record.pose.cell.x
+            red = np.flatnonzero((pixels == (255, 0, 0)).all(axis=1))
+            blue = np.flatnonzero((pixels == (0, 0, 255)).all(axis=1))
+            assert red.tolist() == [robot], record.index
+            frontier = frontier_cells(engine.grid, connectivity)
+            assert blue.tolist() == frontier[frontier != robot].tolist(), record.index
 
     def test_timing_sidecar(self, tiny_map, tmp_path):
         out = tmp_path / "out"
@@ -612,7 +642,7 @@ class TestRenderPpm:
     def test_colors_and_dimensions(self):
         grid = parse_map("resolution 1.0\nS#\n..")
         mark_scanned(grid, np.array([0]))
-        data = render_ppm(grid, robot=Cell(0, 1), frontier=[0])
+        data = render_ppm(grid, Cell(0, 1), frontier_cells(grid, 4))
         header = b"P6\n2 2\n255\n"
         assert data.startswith(header)
         pixels = data[len(header):]
@@ -622,31 +652,3 @@ class TestRenderPpm:
         assert px[1] == (0, 0, 0)        # obstacle
         assert px[2] == (255, 0, 0)      # robot
         assert px[3] == (255, 255, 255)  # unscanned
-
-    @pytest.mark.parametrize("robot", [Cell(-1, 0), Cell(3, 0), Cell(0, -1), Cell(0, 2)])
-    def test_off_map_robot_rejected_naming_it(self, robot):
-        grid = parse_map("resolution 1.0\nS..\n...")
-        with pytest.raises(ValueError, match=re.escape(f"robot cell {robot} is off the 3x2 map")):
-            render_ppm(grid, robot)
-
-    @pytest.mark.parametrize("frontier, message", [
-        ([-1], "flat index -1 is off the 3x2 map"),
-        ([6], "flat index 6 is off the 3x2 map"),
-        ([1.5], "integer dtype, got float64"),
-        ([True, False], "integer dtype, got bool"),
-    ])
-    def test_off_map_or_non_integer_frontier_rejected(self, frontier, message):
-        grid = parse_map("resolution 1.0\nS..\n...")
-        with pytest.raises(ValueError, match=re.escape(message)):
-            render_ppm(grid, None, frontier)
-
-    def test_plain_pair_robot_matches_cell(self):
-        grid = parse_map("resolution 1.0\nS..\n...")
-        assert render_ppm(grid, (1, 1)) == render_ppm(grid, Cell(1, 1))
-        with pytest.raises(ValueError, match=re.escape("robot cell (3, 0) is off the 3x2 map")):
-            render_ppm(grid, (3, 0))
-
-    def test_non_integer_robot_rejected(self):
-        grid = parse_map("resolution 1.0\nS..\n...")
-        with pytest.raises(ValueError, match="integers"):
-            render_ppm(grid, Cell(1.5, 0))

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import math
@@ -11,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nbsmell.engine
-from nbsmell.cli import render_ppm
 from nbsmell.engine import CoverageEngine, resolve_measure, run_coverage, uncoverable_cells
 from nbsmell.engine import select_best as select_row
 from nbsmell.grid import (
@@ -19,12 +19,11 @@ from nbsmell.grid import (
     CellState,
     GridMap,
     Pose,
-    cells_at,
+    _checked,
     coverage_ratio,
     generate_random_grid,
     heading_set,
     mark_scanned,
-    on_map,
     parse_map,
     serialize_map,
 )
@@ -333,6 +332,9 @@ class TestStepAndRun:
         assert [(s.pose, s.info_gain, s.sensing_time) for s in numpy_counts.steps] == [
             (s.pose, s.info_gain, s.sensing_time) for s in python_counts.steps]
         assert all(type(s.pose.theta) is float for s in numpy_counts.steps)
+        # the step reads the connectivity the engine checked, as a Python int
+        engine = CoverageEngine(grid.copy(), "F", SENSOR, connectivity=np.int64(8))
+        assert (engine.connectivity, type(engine.connectivity)) == (8, int)
         assert uncoverable_cells(grid, SENSOR, np.int64(8), np.int64(8)) == uncoverable_cells(
             grid, SENSOR, 8, 8)
 
@@ -501,16 +503,16 @@ class TestGoldenSteps:
 
 def profile_steps(seed=7):
     """Steps, and calls of functions defined under ``src/nbsmell/`` made inside ``step()``, of
-    one run on a seeded 10x10 map (F, r 30), and the code objects those calls entered."""
+    one run on a seeded 10x10 map (F, r 30), and how often each code object was entered."""
     package = str(Path(nbsmell.engine.__file__).parent)
     engine = CoverageEngine(generate_random_grid(10, 0.1, seed), "F", SensorModel(30.0))
-    entered, calls, steps = set(), 0, 0
+    entered, calls, steps = collections.Counter(), 0, 0
 
     def count(frame, event, arg):
         nonlocal calls
         if event == "call" and frame.f_code.co_filename.startswith(package):
             calls += 1
-            entered.add(frame.f_code)
+            entered[frame.f_code] += 1
 
     while True:
         sys.setprofile(count)
@@ -529,22 +531,27 @@ class TestStepCalls:
     scipy versions."""
 
     # (steps, calls) measured from the root of the checkout (635 calls before the step called
-    # unchecked cores, 528 before the re-checks left) by
+    # unchecked cores, 528 before the re-checks left, 412 before the frontier read the
+    # engine's checked connectivity from a table) by
     # PYTHONPATH=src:tests python -c "import test_engine as t; print(t.profile_steps()[:2])"
-    STEPS, MOST_CALLS = 8, 412
+    STEPS, MOST_CALLS = 8, 367
 
     def test_step_calls_no_public_check_and_stays_within_its_count(self):
         steps, calls, entered = profile_steps()
         assert {FosEvaluator.scores.__code__, FosEvaluator.sweep.__code__,
                 FosEvaluator.mark_scanned.__code__, mark_scanned.__code__,
-                select_row.__code__} <= entered
-        assert on_map.__code__ not in entered
+                select_row.__code__} <= entered.keys()
+        # the one numeric check left in a step is the public shortest_distances' own, on
+        # connectivity: the engine checked it once, and the frontier reads it unchecked
+        fields = entered[shortest_distances.__code__]
+        assert fields and entered[_checked.__code__] == fields, entered[_checked.__code__]
         assert steps == self.STEPS and calls <= self.MOST_CALLS, (steps, calls)
 
     def test_dropped_checks_and_twins_are_gone_from_src(self):
         package = Path(nbsmell.engine.__file__).parent
         text = "\n".join(path.read_text() for path in sorted(package.glob("*.py")))
-        for name in ("_check_cell", "_free_on_map", "travel_time", "_scores", "_sweep"):
+        for name in ("_check_cell", "_free_on_map", "travel_time", "_scores", "_sweep",
+                     "on_map"):
             assert not re.search(rf"\bdef {name}\b", text), name
 
 
@@ -587,7 +594,6 @@ CELL_CALLS = {
     "is_free": lambda grid, cell: grid.is_free(cell),
     "GridMap": lambda grid, cell: GridMap(grid.resolution, grid.states, cell),
     "shortest_distances": lambda grid, cell: shortest_distances(grid, cell, 4),
-    "render_ppm": render_ppm,
 }
 CELLS = [Cell(2, 1), (2, 1), [0, 1], (np.int64(2), np.int32(0)), (1, 0), (3, 0), (0, -1),
          (1, 2, 3), (1,), (), None, 5, (True, False), (1.5, 0), "ab", np.array([1, 1])]
@@ -659,19 +665,9 @@ NOT_OBJECTS = {"None": None, "str": "map", "float": 3.0, "Cell": Cell(0, 0)}
 OBJECT_CALLS = {
     "shortest_distances": ("grid", "GridMap", lambda v: shortest_distances(v, Cell(0, 0), 4),
                            Cell(0, 0)),
-    "cells_at": ("grid", "GridMap", lambda v: cells_at(v, [0]), [0]),
     "coverage_ratio": ("grid", "GridMap", coverage_ratio, np.ones((2, 3), np.uint8)),
     "serialize_map": ("grid", "GridMap", serialize_map, np.ones((2, 3), np.uint8)),
-    "render_ppm": ("grid", "GridMap", lambda v: render_ppm(v, Cell(0, 0)), Cell(0, 0)),
 }
-# every flat index argument of the entry points, as a call of a map and its value
-FLAT_CALLS = {
-    "cells_at": lambda grid, v: cells_at(grid, v),
-    "render_ppm-frontier": lambda grid, v: render_ppm(grid, None, v),
-}
-# none of these is a 1-D integer array of on-map flat indices (None draws no frontier)
-NOT_INDICES = ["ab", b"\x00", {}, [[1]], [1.5], [True], [None], [-1], [6], [2**70],
-               np.array([0.0]), np.array(["a"]), 1.5, True, "3"]
 NUMBERS = [-1, 1.5, math.nan, math.inf, -math.inf]
 NOT_NUMBERS = ["3", None, True, False, np.True_, []]  # a bool is no number here
 # numpy numbers equal to Python ones; each run keeps to Python arithmetic
@@ -713,16 +709,6 @@ class TestEntryPointArguments:
             assert repr(value) in str(exc)
         else:
             assert number, "a value that is no number gave a result"
-
-    @pytest.mark.parametrize("call,value", [
-        pytest.param(FLAT_CALLS[name], value, id=f"{name}-{value!r}")
-        for name in FLAT_CALLS for value in NOT_INDICES])
-    def test_flat_indices_rejected_with_value_error(self, call, value):
-        # numpy alone would raise TypeError or IndexError for some, cast others,
-        # or wrap a negative index to the far edge
-        grid = parse_map("resolution 1.0\nS#.\n...")
-        with pytest.raises(ValueError):
-            call(grid, value)
 
     @pytest.mark.parametrize("call", [parse_map, shipped_map], ids=["parse_map", "shipped_map"])
     @pytest.mark.parametrize("value", [None, ["x"], 5, b"rooms"],

@@ -18,7 +18,6 @@ from nbsmell.grid import (
     generate_random_grid,
     heading_set,
     mark_scanned,
-    neighbor_offsets,
     parse_map,
     serialize_map,
 )
@@ -380,10 +379,6 @@ class TestFrontier:
         assert cells_at(grid, [y * grid.width + x for y in range(grid.height)
                                for x in range(grid.width)]) == [
             Cell(x, y) for y in range(grid.height) for x in range(grid.width)]
-        for off in (-1, grid.width * grid.height):
-            with pytest.raises(ValueError, match=(
-                    f"flat index {off} is off the {grid.width}x{grid.height} map")):
-                cells_at(grid, [0, off])
         free = free_cells(grid)
         mark_cells(grid, [free[i] for i in rng.choice(len(free), marked)])
         for conn in (4, 8):
@@ -456,15 +451,6 @@ class TestMarkScanned:
 
 
 class TestCellsAt:
-    @pytest.mark.parametrize("flat", [np.array([2.9]), np.array([True, False, False]),
-                                      [1.0, 2.0]])
-    def test_float_and_bool_indices_rejected(self, flat):
-        # numpy would cast 2.9 to cell 2, and [True, False, False] to cells 0 and 1
-        grid = parse_map("resolution 1.0\nS....\n.....\n.....\n.....\n.....")
-        dtype = np.asarray(flat).dtype
-        with pytest.raises(ValueError, match=f"integer dtype, got {dtype}"):
-            cells_at(grid, flat)
-
     def test_empty_index_array_of_any_dtype_accepted(self):
         grid = parse_map("resolution 1.0\nS..")
         for flat in ([], np.array([], dtype=bool), np.array([], dtype=np.float32)):
@@ -510,12 +496,7 @@ class TestHeadings:
         with pytest.raises(ValueError, match=re.escape(
                 f"orientation count must be 4 or 8, got {count!r}")):
             heading_set(count)
-        with pytest.raises(ValueError, match=re.escape(
-                f"connectivity must be 4 or 8, got {count!r}")):
-            neighbor_offsets(count)
 
     def test_numpy_integer_count_accepted(self):
         headings = heading_set(np.int64(8))
         assert headings == heading_set(8) and all(type(h) is float for h in headings)
-        assert neighbor_offsets(np.int64(8)) == neighbor_offsets(8)
-        assert neighbor_offsets(np.int32(4)) == neighbor_offsets(4)

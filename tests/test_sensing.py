@@ -985,7 +985,8 @@ class TestVisibleCells:
 
 class TestFirstLooks:
     """Masks made in batches (``_Layout.look``) against masks made one cell at a
-    time (``_Layout.mask``) and the line-of-sight walk of ``oracles``."""
+    time (a look at the cell alone, as ``_Layout.offsets`` makes for a cell not yet
+    known) and the line-of-sight walk of ``oracles``."""
 
     @staticmethod
     def layout(obstacle, r_max):
