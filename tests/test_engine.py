@@ -601,6 +601,7 @@ CONFIG_CALLS = {
     "named_measure": lambda grid, config: named_measure(config),
     "resolve_measure": lambda grid, config: resolve_measure(config),
     "CoverageEngine": lambda grid, config: CoverageEngine(grid, config, SENSOR),
+    "run_coverage": lambda grid, config: run_coverage(grid, config, SENSOR),
 }
 CONFIGS = ["F", "f", "custom", "z", "", None, 5, 1.5, ("A",), b"A",
            WeightConfig(0.2, 0.3, 0.5), named_measure("E")]
@@ -611,21 +612,28 @@ NUMBER_CALLS = {
     "SensorModel-setup_time": lambda v: SensorModel(10.0, setup_time=v),
     "SensorModel-sweep_rate": lambda v: SensorModel(10.0, sweep_rate=v),
     "GridMap-resolution": lambda v: GridMap(v, np.ones((2, 2), np.uint8), Cell(0, 0)),
+    "GridMap.from_states-resolution": lambda v: GridMap.from_states(np.ones((2, 2), np.uint8), v),
     "generate_random_grid-size": lambda v: generate_random_grid(v, 0.1, 1),
     "generate_random_grid-obstacle_ratio": lambda v: generate_random_grid(5, v, 1),
     "generate_random_grid-seed": lambda v: generate_random_grid(5, 0.1, v),
     "generate_random_grid-resolution": lambda v: generate_random_grid(5, 0.1, 1, resolution=v),
     "empty_map-width": lambda v: empty_map(v, 2),
     "empty_map-height": lambda v: empty_map(2, v),
+    "empty_map-resolution": lambda v: empty_map(2, 2, resolution=v),
     "corridor_map-width": lambda v: corridor_map(v, 10),
     "corridor_map-height": lambda v: corridor_map(60, v),
     "corridor_map-seed": lambda v: corridor_map(60, 10, seed=v),
+    "corridor_map-resolution": lambda v: corridor_map(60, 10, resolution=v),
     "rooms_map-width": lambda v: rooms_map(v, 20),
     "rooms_map-height": lambda v: rooms_map(20, v),
     "rooms_map-seed": lambda v: rooms_map(20, 20, seed=v),
+    "rooms_map-resolution": lambda v: rooms_map(20, 20, resolution=v),
     **{f"generate_map-{kind}-size": lambda v, kind=kind: generate_map(kind, v, v)
        for kind in ("empty", "corridor", "rooms", "random")},
     "generate_map-seed": lambda v: generate_map("random", 5, 5, seed=v),
+    # the seed as generate_map hands it on; an empty map draws nothing
+    **{f"generate_map-{kind}-seed": lambda v, kind=kind: generate_map(kind, *size, seed=v)
+       for kind, size in (("corridor", (60, 10)), ("rooms", (20, 20)))},
     "generate_map-obstacle_ratio": lambda v: generate_map("random", 5, 5, obstacle_ratio=v),
     "heading_set": heading_set,
     **{f"CoverageEngine-{name}": lambda v, name=name: CoverageEngine(
@@ -710,7 +718,8 @@ class TestEntryPointArguments:
         else:
             assert number, "a value that is no number gave a result"
 
-    @pytest.mark.parametrize("call", [parse_map, shipped_map], ids=["parse_map", "shipped_map"])
+    @pytest.mark.parametrize("call", [parse_map, shipped_map, lambda v: generate_map(v, 5, 5)],
+                             ids=["parse_map", "shipped_map", "generate_map"])
     @pytest.mark.parametrize("value", [None, ["x"], 5, b"rooms"],
                              ids=["None", "list", "int", "bytes"])
     def test_string_argument_rejected_naming_it(self, call, value):
