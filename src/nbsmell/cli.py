@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import CoverageEngine, RunResult, check_motion, resolve_measure, run_coverage
+from .engine import CoverageEngine, RunResult, check_motion, run_coverage
 from .grid import (
     _DECIMAL,
     _INTEGER,
@@ -42,7 +42,7 @@ from .grid import (
     serialize_map,
 )
 from .mapgen import generate_map
-from .mcdm import NAMED_CONFIGS, InvalidConfigError, WeightConfig
+from .mcdm import NAMED_CONFIGS, InvalidConfigError, WeightConfig, resolve_measure
 from .sensing import SensorModel
 
 EXIT_OK = 0
@@ -179,13 +179,12 @@ def _resolve_config(args: argparse.Namespace) -> str | WeightConfig:
             raise InvalidConfigError(f"--weights expects 'x1,x2,x3', got {args.weights!r}")
         if not all(_DECIMAL.fullmatch(p.strip()) for p in parts):
             raise InvalidConfigError(f"--weights expects numbers, got {args.weights!r}")
-        config = WeightConfig(*map(float, parts), synergy_bonus=args.synergy_bonus)
-    elif args.config.upper() == "CUSTOM":
+        return WeightConfig(*map(float, parts), synergy_bonus=args.synergy_bonus)
+    WeightConfig(1.0, 0.0, 0.0, args.synergy_bonus)  # a name ignores the bonus; check it first
+    if args.config.upper() == "CUSTOM":
         raise InvalidConfigError("--config custom requires --weights")
-    else:
-        config = args.config  # an unknown name is reported as typed
-    resolve_measure(config)
-    return config if isinstance(config, WeightConfig) else config.upper()
+    resolve_measure(args.config)  # an unknown name is reported as typed
+    return args.config.upper()
 
 
 def _validated(args: argparse.Namespace) -> tuple[

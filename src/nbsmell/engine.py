@@ -36,11 +36,9 @@ from .mcdm import (
     FuzzyMeasure,
     InvalidConfigError,
     WeightConfig,
-    build_measure,
     choquet_batch,
-    named_measure,
     normalize_utilities,
-    validate_measure,
+    resolve_measure,
 )
 from .planning import shortest_distances
 from .sensing import FosEvaluator, SensorModel
@@ -76,22 +74,6 @@ class RunResult:
         return sum(rec.decision_time for rec in self.steps)
 
 
-def resolve_measure(config: str | WeightConfig | FuzzyMeasure) -> FuzzyMeasure:
-    """The fuzzy measure of a configuration name, custom weights or a measure.
-
-    A measure given as such must pass :func:`validate_measure`, else
-    InvalidConfigError lists its violations as :func:`build_measure` does.
-    """
-    if isinstance(config, FuzzyMeasure):
-        violations = validate_measure(config)
-        if violations:
-            raise InvalidConfigError("; ".join(violations))
-        return config
-    if isinstance(config, WeightConfig):
-        return build_measure(config)
-    return named_measure(config)
-
-
 def check_motion(orientations: int, connectivity: int, speed: float, target_coverage: float
                  ) -> tuple[tuple[float, ...], int, float, float]:
     """:func:`heading_set` of ``orientations``, and ``connectivity`` (the integer 4 or 8),
@@ -112,7 +94,7 @@ def select_best(criteria: np.ndarray, measure: FuzzyMeasure) -> int:
     deterministically: smaller distance, then smaller sensing time, then the
     earlier column.  Each key filters the columns left by the one before, so
     no sort is needed.  The step passes a float array and the measure that
-    :func:`resolve_measure` checked when the engine was built.
+    :func:`resolve_measure` gave when the engine was built, checked when made.
     """
     scores = choquet_batch(normalize_utilities(criteria), measure)
     cols = (scores == np.maximum.reduce(scores)).nonzero()[0]

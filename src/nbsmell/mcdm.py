@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
@@ -27,17 +26,8 @@ __all__ = ["FuzzyMeasure", "InvalidConfigError", "NAMED_CONFIGS", "WeightConfig"
 SIMPLEX_TOLERANCE = 1e-9
 _UTILITY_TOLERANCE = 1e-12  # how far past [0, 1] a utility may round
 _BENEFIT = (True, False, False)  # per criterion: gain, distance, time
+_CRITERIA = ("information gain", "travel distance", "sensing time")  # bits 0, 1, 2
 ALL_MASK = 0b111
-
-
-class Criterion(IntEnum):
-    INFORMATION_GAIN = 1
-    TRAVEL_DISTANCE = 2
-    SENSING_TIME = 3
-
-    @property
-    def bit(self) -> int:
-        return 1 << (self.value - 1)
 
 
 class InvalidConfigError(ValueError):
@@ -45,8 +35,7 @@ class InvalidConfigError(ValueError):
 
 
 def _mask_name(mask: int) -> str:
-    members = [str(c.value) for c in Criterion if mask & c.bit]
-    return "{" + ",".join(members) + "}"
+    return "{" + ",".join(str(c + 1) for c in range(len(_CRITERIA)) if mask >> c & 1) + "}"
 
 
 @dataclass(frozen=True)
@@ -55,7 +44,10 @@ class FuzzyMeasure:
 
     ``values[mask]`` is the weight of the subset whose members are the
     criteria with ordinal bit set in ``mask`` (bit 0 = information gain,
-    bit 1 = travel distance, bit 2 = sensing time).
+    bit 1 = travel distance, bit 2 = sensing time).  Checked when made:
+    InvalidConfigError lists every violation of the axioms, "; "-joined.  A
+    weight that is not a number (:func:`grid._is_number`: a bool, a str,
+    None) is reported as such and takes part in no other check.
     """
 
     values: tuple[float, ...]
@@ -68,42 +60,37 @@ class FuzzyMeasure:
                              f"got {self.values!r}") from None
         if count != 8:
             raise ValueError("a fuzzy measure needs exactly 8 subset weights")
-
-
-def validate_measure(measure: FuzzyMeasure) -> list[str]:
-    """Check the fuzzy-measure axioms; returns violations (empty = valid).
-
-    A weight that is not a number (:func:`grid._is_number`: a bool, a str, None)
-    is reported as such and takes part in no other check.
-    """
-    mu = measure.values
-    number = [_is_number(value) for value in mu]
-    violations = []
-    if number[0] and mu[0] != 0.0:
-        violations.append(f"boundary: mu({{}}) = {mu[0]!r}, expected 0")
-    if number[ALL_MASK] and mu[ALL_MASK] != 1.0:
-        violations.append(f"boundary: mu({_mask_name(ALL_MASK)}) = {mu[ALL_MASK]!r}, expected 1")
-    for mask, value in enumerate(mu):
-        if not number[mask]:
-            violations.append(f"type: mu({_mask_name(mask)}) = {value!r} is not a number")
-        elif not 0.0 <= value <= 1.0:
-            violations.append(f"range: mu({_mask_name(mask)}) = {value!r} outside [0, 1]")
-    for a in range(8):
-        for b in range(8):
-            if a != b and (a & b) == a and number[a] and number[b] and mu[a] > mu[b]:
-                violations.append(
-                    f"monotonicity: mu({_mask_name(a)}) = {mu[a]!r} > "
-                    f"mu({_mask_name(b)}) = {mu[b]!r}"
-                )
-    return violations
+        mu = tuple(self.values)  # kept as checked: a list changed later would reach a run
+        object.__setattr__(self, "values", mu)
+        number = [_is_number(value) for value in mu]
+        violations = []
+        if number[0] and mu[0] != 0.0:
+            violations.append(f"boundary: mu({{}}) = {mu[0]!r}, expected 0")
+        if number[ALL_MASK] and mu[ALL_MASK] != 1.0:
+            violations.append(f"boundary: mu({_mask_name(ALL_MASK)}) = {mu[ALL_MASK]!r}, "
+                              f"expected 1")
+        for mask, value in enumerate(mu):
+            if not number[mask]:
+                violations.append(f"type: mu({_mask_name(mask)}) = {value!r} is not a number")
+            elif not 0.0 <= value <= 1.0:
+                violations.append(f"range: mu({_mask_name(mask)}) = {value!r} outside [0, 1]")
+        for a in range(8):
+            for b in range(8):
+                if a != b and (a & b) == a and number[a] and number[b] and mu[a] > mu[b]:
+                    violations.append(
+                        f"monotonicity: mu({_mask_name(a)}) = {mu[a]!r} > "
+                        f"mu({_mask_name(b)}) = {mu[b]!r}"
+                    )
+        if violations:
+            raise InvalidConfigError("; ".join(violations))
 
 
 @dataclass(frozen=True)
 class WeightConfig:
     """Custom singleton criterion weights plus the pairwise synergy bonus.
 
-    The weights must lie on the simplex x1 + x2 + x3 = 1.  The named
-    configurations come from :func:`named_measure` instead.
+    Checked when made, and stored as Python numbers (``grid._checked``): InvalidConfigError
+    unless x1-x3 lie in [0, 1] and sum to 1 and ``synergy_bonus`` is >= 0.
     """
 
     x1: float
@@ -111,65 +98,68 @@ class WeightConfig:
     x3: float
     synergy_bonus: float = 0.1
 
-    def validate(self) -> tuple[float, float, float, float]:
-        """x1-x3 and the bonus as Python numbers (``grid._checked``); InvalidConfigError unless
-        x1-x3 lie in [0, 1] and sum to 1 and ``synergy_bonus`` is >= 0."""
-        xs = []
-        for label, x in (("x1", self.x1), ("x2", self.x2), ("x3", self.x3)):
+    def __post_init__(self) -> None:
+        for label in ("x1", "x2", "x3"):
+            x = getattr(self, label)
             try:
-                xs.append(_checked(label, x, "in [0, 1]", lambda x: 0 <= x <= 1))
+                object.__setattr__(self, label, _checked(label, x, "in [0, 1]",
+                                                         lambda x: 0 <= x <= 1))
             except ValueError:  # the CLI prints this wording
                 raise InvalidConfigError(f"{label} = {x!r} outside [0, 1]") from None
-        total = sum(xs)
+        total = self.x1 + self.x2 + self.x3
         if abs(total - 1.0) > SIMPLEX_TOLERANCE:
             raise InvalidConfigError(
                 f"weights must satisfy x1 + x2 + x3 = 1 "
                 f"(got {total!r}, tolerance {SIMPLEX_TOLERANCE})"
             )
-        return (*xs, _checked("synergy_bonus", self.synergy_bonus, ">= 0", lambda b: b >= 0,
-                              error=InvalidConfigError))
+        object.__setattr__(self, "synergy_bonus", _checked(
+            "synergy_bonus", self.synergy_bonus, ">= 0", lambda b: b >= 0,
+            error=InvalidConfigError))
 
 
-# Named configurations: (x1, x2, x3, mu12, mu13, mu23), shipped verbatim.
-# x1 weighs information gain, x2 travel distance, x3 sensing time.
-_NAMED_ROWS: dict[str, tuple[float, float, float, float, float, float]] = {
-    "A": (1.0, 0.0, 0.0, 1.0, 1.0, 0.0),
-    "B": (0.0, 1.0, 0.0, 1.0, 0.0, 1.0),
-    "C": (0.0, 0.0, 1.0, 0.0, 1.0, 1.0),
-    "D": (0.333, 0.333, 0.333, 0.766, 0.766, 0.766),
-    "E": (0.6, 0.2, 0.2, 0.9, 0.9, 0.5),
-    "F": (0.428, 0.428, 0.144, 0.956, 0.672, 0.672),
-    "G": (0.2, 0.6, 0.2, 0.9, 0.5, 0.9),
-    "H": (0.144, 0.428, 0.428, 0.672, 0.672, 0.956),
-    "I": (0.2, 0.2, 0.6, 0.5, 0.9, 0.9),
-    "J": (0.428, 0.144, 0.428, 0.672, 0.956, 0.672),
-    "K": (0.5, 0.5, 0.0, 1.0, 0.6, 0.6),
-    "L": (0.0, 0.5, 0.5, 0.6, 0.6, 1.0),
-    "M": (0.5, 0.0, 0.5, 0.6, 1.0, 0.6),
+# Named configurations: (x1, x2, x3, mu12, mu13, mu23), shipped verbatim and
+# checked once, here.  x1 weighs information gain, x2 travel distance, x3 sensing time.
+_NAMED_MEASURES: dict[str, FuzzyMeasure] = {
+    name: FuzzyMeasure(values=(0.0, x1, x2, m12, x3, m13, m23, 1.0))
+    for name, (x1, x2, x3, m12, m13, m23) in {
+        "A": (1.0, 0.0, 0.0, 1.0, 1.0, 0.0),
+        "B": (0.0, 1.0, 0.0, 1.0, 0.0, 1.0),
+        "C": (0.0, 0.0, 1.0, 0.0, 1.0, 1.0),
+        "D": (0.333, 0.333, 0.333, 0.766, 0.766, 0.766),
+        "E": (0.6, 0.2, 0.2, 0.9, 0.9, 0.5),
+        "F": (0.428, 0.428, 0.144, 0.956, 0.672, 0.672),
+        "G": (0.2, 0.6, 0.2, 0.9, 0.5, 0.9),
+        "H": (0.144, 0.428, 0.428, 0.672, 0.672, 0.956),
+        "I": (0.2, 0.2, 0.6, 0.5, 0.9, 0.9),
+        "J": (0.428, 0.144, 0.428, 0.672, 0.956, 0.672),
+        "K": (0.5, 0.5, 0.0, 1.0, 0.6, 0.6),
+        "L": (0.0, 0.5, 0.5, 0.6, 0.6, 1.0),
+        "M": (0.5, 0.0, 0.5, 0.6, 1.0, 0.6),
+    }.items()
 }
 
-NAMED_CONFIGS: tuple[str, ...] = tuple(_NAMED_ROWS)
+NAMED_CONFIGS: tuple[str, ...] = tuple(_NAMED_MEASURES)
 
 
-def named_measure(name: str) -> FuzzyMeasure:
-    """Measure of a configuration name, in any case; InvalidConfigError naming any other value."""
-    row = _NAMED_ROWS.get(name.upper()) if isinstance(name, str) else None
-    if row is None:
-        raise InvalidConfigError(
-            f"unknown configuration {name!r}; expected one of {', '.join(NAMED_CONFIGS)}")
-    x1, x2, x3, m12, m13, m23 = row
-    return FuzzyMeasure(values=(0.0, x1, x2, m12, x3, m13, m23, 1.0))
+def resolve_measure(config: str | WeightConfig | FuzzyMeasure) -> FuzzyMeasure:
+    """The fuzzy measure of a configuration name (in any case), custom weights or a measure.
 
-
-def build_measure(config: WeightConfig) -> FuzzyMeasure:
-    """Measure for custom weights, which must pass :meth:`WeightConfig.validate`.
-
-    Singletons are the checked weights and pairs ``min(1, x_i + x_j + synergy_bonus)``,
-    between either singleton and 1, so the measure passes :func:`validate_measure`.
+    A name gives its table row; custom weights give singletons x1-x3 and pairs
+    ``min(1, x_i + x_j + synergy_bonus)``; a measure is itself.  Each checked itself when made,
+    so only a value of another kind is rejected here: InvalidConfigError naming it.
     """
-    x1, x2, x3, bonus = config.validate()
-    pair = lambda a, b: min(1.0, a + b + bonus)
-    return FuzzyMeasure(values=(0.0, x1, x2, pair(x1, x2), x3, pair(x1, x3), pair(x2, x3), 1.0))
+    if isinstance(config, FuzzyMeasure):
+        return config
+    if isinstance(config, WeightConfig):
+        x1, x2, x3, bonus = config.x1, config.x2, config.x3, config.synergy_bonus
+        pair = lambda a, b: min(1.0, a + b + bonus)
+        return FuzzyMeasure(values=(0.0, x1, x2, pair(x1, x2), x3, pair(x1, x3),
+                                    pair(x2, x3), 1.0))
+    measure = _NAMED_MEASURES.get(config.upper()) if isinstance(config, str) else None
+    if measure is None:
+        raise InvalidConfigError(
+            f"unknown configuration {config!r}; expected one of {', '.join(NAMED_CONFIGS)}")
+    return measure
 
 
 def choquet_batch(utilities: np.ndarray, measure: FuzzyMeasure) -> np.ndarray:
@@ -224,8 +214,7 @@ def normalize_utilities(raw: np.ndarray) -> np.ndarray:
     # NaN and +-inf propagate into a criterion's minimum or maximum
     finite = [math.isfinite(a) and math.isfinite(b) for a, b in zip(lo, hi)]
     if not all(finite):
-        name = Criterion(finite.index(False) + 1).name.lower().replace("_", " ")
-        raise ValueError(f"non-finite {name} among the raw values")
+        raise ValueError(f"non-finite {_CRITERIA[finite.index(False)]} among the raw values")
     out = np.empty_like(values)
     for row, low, high, benefit, target in zip(values, lo, hi, _BENEFIT, out):
         span = high - low

@@ -368,7 +368,7 @@ class FosEvaluator:
 
     def __init__(self, grid: GridMap, sensor: SensorModel,
                  orientations: tuple[float, ...]) -> None:
-        self.grid = _of_type("grid", grid, GridMap)
+        _of_type("grid", grid, GridMap)
         self.sensor = _of_type("sensor", sensor, SensorModel)
         self.orientations = tuple(orientations)
         self._vis = _layout((grid.states == CellState.OBSTACLE).tobytes(), grid.width,

@@ -35,10 +35,8 @@ from nbsmell.mapgen import shipped_map
 from nbsmell.mcdm import (
     NAMED_CONFIGS,
     WeightConfig,
-    build_measure,
     choquet_batch,
-    named_measure,
-    validate_measure,
+    resolve_measure,
 )
 from nbsmell.planning import shortest_distances
 from nbsmell.sensing import SensorModel
@@ -76,8 +74,7 @@ def test_criterion_2_choquet_property_suite():
 
     worst_idem = worst_bound = worst_mono = worst_add = 0.0
     for i in range(n):
-        measure = _random_valid_measure(rng)
-        assert validate_measure(measure) == []
+        measure = _random_valid_measure(rng)  # checked against the axioms when made
 
         v = float(rng.uniform(0, 1))
         u = rng.uniform(0, 1, 3)
@@ -91,7 +88,7 @@ def test_criterion_2_choquet_property_suite():
         worst_mono = max(worst_mono, at_u - at_bumped)
 
         weights = rng.dirichlet((1.0, 1.0, 1.0))
-        additive = build_measure(
+        additive = resolve_measure(
             WeightConfig(*map(float, weights), synergy_bonus=0.0))
         u2 = rng.uniform(0, 1, 3)
         worst_add = max(worst_add,
@@ -128,13 +125,11 @@ def test_criterion_3_weight_table_fidelity():
     mask_order = (1, 2, 4, 3, 5, 6)  # {1},{2},{3},{1,2},{1,3},{2,3}
     exact = True
     for name, (x1, x2, x3, m12, m13, m23) in TABLE_ROWS.items():
-        measure = named_measure(name)
+        measure = resolve_measure(name)  # made, and so checked against the axioms, at import
         expected = {1: x1, 2: x2, 4: x3, 3: m12, 5: m13, 6: m23, 0: 0.0, 7: 1.0}
         for mask in range(8):
             if measure.values[mask] != expected[mask]:
                 exact = False
-        if validate_measure(measure) != []:
-            exact = False
         # monotone over all 28 unordered subset pairs (vacuous if incomparable)
         for a in range(8):
             for b in range(a + 1, 8):
@@ -146,7 +141,7 @@ def test_criterion_3_weight_table_fidelity():
 
 
 def test_criterion_4_hand_computed_choquet():
-    value = choquet_batch(np.array([[0.5], [0.3], [0.8]]), named_measure("D")).item()
+    value = choquet_batch(np.array([[0.5], [0.3], [0.8]]), resolve_measure("D")).item()
     _verdict(4, abs(value - 0.5531) <= 1e-9, f"choquet_batch([[0.5],[0.3],[0.8]], D) = {value!r}")
 
 

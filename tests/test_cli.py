@@ -126,7 +126,8 @@ class TestExitPaths:
             "sizes-blanks"])
     def test_size_error_lines(self, tmp_path, capsys, argv, message):
         # the flag and the value as typed, or the argument the value became;
-        # no message: blanks around a number, which must keep working
+        # no message: blanks around a number, or a bonus beside a name, which must keep
+        # working
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out / "map.txt" if argv[0] == "genmap" else out)]) == (
             EXIT_CONFIG if message else EXIT_OK)
@@ -207,14 +208,22 @@ class TestExitPaths:
         # the configuration is checked before the motion flags
         (["--config", "Q", "--connectivity", "6"], "unknown configuration 'Q'; expected one "
                                                    "of A, B, C, D, E, F, G, H, I, J, K, L, M"),
+        # a named configuration ignores the bonus, but a bad one is still rejected, and
+        # before the name is looked at
+        (["--config", "F", "--synergy-bonus", "nan"], "synergy_bonus must be >= 0, got nan"),
+        (["--synergy-bonus=-1"], "synergy_bonus must be >= 0, got -1.0"),
+        (["--config", "Q", "--synergy-bonus", "nan"], "synergy_bonus must be >= 0, got nan"),
         (["--weights", "0.5, 0.3, 0.2"], None),
+        (["--config", "F", "--synergy-bonus", "0.3"], None),
     ], ids=["unknown", "custom", "two-parts", "non-numeric", "off-simplex", "range",
             "negative-bonus", "not-ascii", "orientations", "connectivity", "full-sweep",
-            "config-first", "blanks"])
+            "config-first", "preset-nan-bonus", "preset-negative-bonus", "bonus-first",
+            "blanks", "preset-bonus"])
     @pytest.mark.parametrize("command", ["run", "randgrid"])
     def test_configuration_error_lines(self, tiny_map, tmp_path, capsys, command, flags,
                                        message):
-        # no message: blanks around a number, which must keep working
+        # no message: blanks around a number, or a bonus beside a name, which must keep
+        # working
         argv = command_args(command, tiny_map, tmp_path / "o")
         assert main([*argv, *flags]) == (EXIT_CONFIG if message else EXIT_OK)
         err = capsys.readouterr().err

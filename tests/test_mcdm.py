@@ -10,15 +10,12 @@ from oracles import choquet, loop_normalize_utilities
 from nbsmell.engine import select_best
 from nbsmell.mcdm import (
     NAMED_CONFIGS,
-    Criterion,
     FuzzyMeasure,
     InvalidConfigError,
     WeightConfig,
-    build_measure,
     choquet_batch,
-    named_measure,
     normalize_utilities,
-    validate_measure,
+    resolve_measure,
 )
 
 # (x1, x2, x3, mu12, mu13, mu23) for every named configuration
@@ -38,14 +35,13 @@ EXPECTED_ROWS = {
     "M": (0.5, 0.0, 0.5, 0.6, 1.0, 0.6),
 }
 
-G1 = Criterion.INFORMATION_GAIN
-G2 = Criterion.TRAVEL_DISTANCE
-G3 = Criterion.SENSING_TIME
+# criterion bits: information gain, travel distance, sensing time
+G1, G2, G3 = 0b001, 0b010, 0b100
 
 
 def weight(measure, criteria):
     """The measure's weight of the subset ``criteria``."""
-    return measure.values[sum(c.bit for c in criteria)]
+    return measure.values[sum(criteria)]
 
 
 def integral(u, measure):
@@ -63,7 +59,7 @@ class TestNamedMeasures:
     @pytest.mark.parametrize("name", NAMED_CONFIGS)
     def test_measure_matches_table(self, name):
         x1, x2, x3, m12, m13, m23 = EXPECTED_ROWS[name]
-        m = named_measure(name)
+        m = resolve_measure(name)
         assert weight(m, []) == 0.0
         assert weight(m, [G1]) == x1
         assert weight(m, [G2]) == x2
@@ -75,21 +71,24 @@ class TestNamedMeasures:
 
     @pytest.mark.parametrize("name", NAMED_CONFIGS)
     def test_all_named_measures_valid(self, name):
-        assert validate_measure(named_measure(name)) == []
+        # made once, at import; a measure made again from its weights passes the axioms
+        m = resolve_measure(name)
+        assert FuzzyMeasure(values=m.values) == m
+        assert resolve_measure(name.lower()) is m
 
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidConfigError):
-            named_measure("Z")
+            resolve_measure("Z")
 
     @pytest.mark.parametrize("name", [5, None, 1.5, ("A",)])
     def test_non_string_rejected_naming_it(self, name):
         with pytest.raises(InvalidConfigError, match=re.escape(f"configuration {name!r}; ")):
-            named_measure(name)
+            resolve_measure(name)
 
 
 class TestBuildMeasure:
     def test_named_config_d_uses_table_pairs(self):
-        m = named_measure("D")
+        m = resolve_measure("D")
         assert weight(m, [G1, G2]) == 0.766
         assert weight(m, [G1, G3]) == 0.766
         assert weight(m, [G2, G3]) == 0.766
@@ -97,48 +96,56 @@ class TestBuildMeasure:
     def test_named_config_a_pair_without_bonus(self):
         # row A assigns 0 to the pair of the two zero-weight criteria,
         # which the +0.1 bonus formula would not produce
-        m = named_measure("A")
+        m = resolve_measure("A")
         assert weight(m, [G2, G3]) == 0.0
         assert weight(m, [G1, G2]) == 1.0
 
     def test_custom_weights_of_row_a_use_the_bonus(self):
         # custom weights are never mistaken for a named row
-        m = build_measure(WeightConfig(1.0, 0.0, 0.0))
+        m = resolve_measure(WeightConfig(1.0, 0.0, 0.0))
         assert weight(m, [G2, G3]) == 0.1
         assert weight(m, [G1, G2]) == 1.0
 
     def test_named_config_h_pair(self):
-        assert weight(named_measure("H"), [G2, G3]) == 0.956
+        assert weight(resolve_measure("H"), [G2, G3]) == 0.956
 
     def test_custom_pairs_use_synergy_bonus(self):
-        config = WeightConfig(0.5, 0.3, 0.2)
-        m = build_measure(config)
+        m = resolve_measure(WeightConfig(0.5, 0.3, 0.2))
         assert weight(m, [G1, G2]) == pytest.approx(0.9)
         assert weight(m, [G1, G3]) == pytest.approx(0.8)
         assert weight(m, [G2, G3]) == pytest.approx(0.6)
-        assert validate_measure(m) == []
 
     def test_custom_pair_capped_at_one(self):
-        m = build_measure(WeightConfig(0.95, 0.05, 0.0))
+        m = resolve_measure(WeightConfig(0.95, 0.05, 0.0))
         assert weight(m, [G1, G2]) == 1.0
 
-    def test_simplex_violation_rejected(self):
+    def test_a_measure_resolves_to_itself(self):
+        m = FuzzyMeasure(values=(0.0, 0.2, 0.3, 0.6, 0.1, 0.4, 0.5, 1.0))
+        assert resolve_measure(m) is m
+
+    def test_simplex_violation_rejected_when_made(self):
         with pytest.raises(InvalidConfigError, match="x1 \\+ x2 \\+ x3"):
-            build_measure(WeightConfig(0.5, 0.3, 0.1))
+            WeightConfig(0.5, 0.3, 0.1)
 
     def test_simplex_tolerance_is_tight(self):
-        build_measure(WeightConfig(0.5, 0.3, 0.2 + 5e-10))
+        WeightConfig(0.5, 0.3, 0.2 + 5e-10)
         with pytest.raises(InvalidConfigError):
-            build_measure(WeightConfig(0.5, 0.3, 0.2 + 5e-9))
+            WeightConfig(0.5, 0.3, 0.2 + 5e-9)
 
-    def test_negative_weight_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            build_measure(WeightConfig(1.2, -0.1, -0.1))
+    def test_negative_weight_rejected_when_made(self):
+        with pytest.raises(InvalidConfigError, match=r"^x1 = 1\.2 outside \[0, 1\]$"):
+            WeightConfig(1.2, -0.1, -0.1)
 
     @pytest.mark.parametrize("bonus", [-0.1, float("nan")])
-    def test_bad_synergy_bonus_rejected(self, bonus):
-        with pytest.raises(InvalidConfigError):
-            build_measure(WeightConfig(0.5, 0.3, 0.2, synergy_bonus=bonus))
+    def test_bad_synergy_bonus_rejected_when_made(self, bonus):
+        with pytest.raises(InvalidConfigError,
+                           match=re.escape(f"synergy_bonus must be >= 0, got {bonus!r}")):
+            WeightConfig(0.5, 0.3, 0.2, synergy_bonus=bonus)
+
+    def test_numpy_weights_stored_as_python_numbers(self):
+        config = WeightConfig(np.float32(0.5), np.float16(0.25), np.float64(0.25), np.int64(0))
+        assert [(v, type(v)) for v in (config.x1, config.x2, config.x3, config.synergy_bonus)] \
+            == [(0.5, float), (0.25, float), (0.25, float), (0, int)]
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
            st.one_of(st.just(0.0), st.floats(0.0, 1e300), st.just(math.inf)))
@@ -147,43 +154,62 @@ class TestBuildMeasure:
     @example(0.5, 0.5, 1e300)
     @settings(max_examples=300, deadline=None)
     def test_every_valid_configuration_gives_a_valid_measure(self, a, b, bonus):
-        # build_measure does not re-check its measure: the pair formula keeps every axiom
+        # the measure checks the axioms when made: the pair formula keeps every one
         x1, x2 = a, (1.0 - a) * b
-        config = WeightConfig(x1, x2, 1.0 - x1 - x2, synergy_bonus=bonus)
-        config.validate()
-        assert validate_measure(build_measure(config)) == []
+        m = resolve_measure(WeightConfig(x1, x2, 1.0 - x1 - x2, synergy_bonus=bonus))
+        assert m.values[G1 | G2] == min(1.0, x1 + x2 + bonus)
 
 
-class TestValidateMeasure:
-    def test_bad_boundary_reported(self):
-        m = FuzzyMeasure(values=(0.0, 0.2, 0.2, 0.4, 0.2, 0.4, 0.4, 0.9))
-        violations = validate_measure(m)
-        assert any("boundary" in v for v in violations)
+class TestFuzzyMeasure:
+    @pytest.mark.parametrize("values,match", [
+        ((0.0, math.nan, 0.4, 0.9, 0.1, 0.6, 0.5, 1.0), r"range: mu\(\{1\}\) = nan"),
+        ((0.0, 0.4, 0.4, 0.9, 0.1, 0.6, 0.5, 5.0),
+         r"boundary: mu\(\{1,2,3\}\) = 5\.0, expected 1; range: mu\(\{1,2,3\}\) = 5\.0 outside"),
+        ((0.0, 0.2, 0.2, 0.4, 0.2, 0.4, 0.4, 0.9),
+         r"^boundary: mu\(\{1,2,3\}\) = 0\.9, expected 1$"),
+        ((0.0, -0.2, 0.4, 0.9, 0.1, 0.6, 0.5, 1.0), r"range: mu\(\{1\}\) = -0\.2"),
+        ((0.0, 0.7, 0.4, 0.5, 0.1, 0.6, 0.5, 1.0), r"monotonicity: mu\(\{1\}\) = 0\.7 > mu\(\{1,2\}\)"),
+        ((0.0, 0.5, 0.1, 0.4, 0.1, 0.6, 0.6, 1.0), r"^monotonicity: mu\(\{1\}\) = 0\.5 > "
+                                                   r"mu\(\{1,2\}\) = 0\.4$"),
+        ((0.0, "x", 0.4, 0.9, 0.1, 0.6, 0.5, 1.0), r"type: mu\(\{1\}\) = 'x' is not a number"),
+        ((0.0, 0.2, None, 0.9, 0.1, 0.6, 0.5, 1.0), r"type: mu\(\{2\}\) = None is not a number"),
+        ((0.0, 0.2, 0.4, 0.9, 0.1, 0.6, 0.5, True),
+         r"^type: mu\(\{1,2,3\}\) = True is not a number$"),
+    ])
+    def test_invalid_measure_rejected_when_made(self, values, match):
+        # unchecked, a NaN weight ends in a bare IndexError from select_best,
+        # a str or None weight in a bare TypeError, and the other measures run
+        # to completion
+        with pytest.raises(InvalidConfigError, match=match):
+            FuzzyMeasure(values=values)
 
-    def test_monotonicity_violation_reported(self):
-        m = FuzzyMeasure(values=(0.0, 0.5, 0.1, 0.4, 0.1, 0.6, 0.6, 1.0))
-        violations = validate_measure(m)
-        assert any("monotonicity" in v and "{1}" in v for v in violations)
-
-    def test_valid_measure_reports_nothing(self):
+    def test_valid_measure_is_made(self):
         m = FuzzyMeasure(values=(0.0, 0.2, 0.3, 0.6, 0.1, 0.4, 0.5, 1.0))
-        assert validate_measure(m) == []
+        assert m.values[G1 | G2 | G3] == 1.0
+
+    def test_weights_kept_as_checked(self):
+        # a list changed after the check reached the engine: a NaN ended in a bare IndexError
+        weights = [0.0, 0.2, 0.3, 0.6, 0.1, 0.4, 0.5, 1.0]
+        m = FuzzyMeasure(values=weights)
+        weights[1] = math.nan
+        assert m.values == (0.0, 0.2, 0.3, 0.6, 0.1, 0.4, 0.5, 1.0)
+        assert hash(m) == hash(FuzzyMeasure(values=m.values))  # a list made it unhashable
 
 
 class TestChoquet:
     def test_hand_computed_value_config_d(self):
-        value = integral((0.5, 0.3, 0.8), named_measure("D"))
+        value = integral((0.5, 0.3, 0.8), resolve_measure("D"))
         assert value == pytest.approx(0.5531, abs=1e-9)
 
     @pytest.mark.parametrize("name", NAMED_CONFIGS)
     def test_idempotence(self, name):
-        m = named_measure(name)
+        m = resolve_measure(name)
         for v in (0.0, 0.25, 0.5531, 1.0):
             assert integral((v, v, v), m) == pytest.approx(v, abs=1e-12)
 
     def test_boundary(self):
         for name in NAMED_CONFIGS:
-            m = named_measure(name)
+            m = resolve_measure(name)
             assert integral((0.0, 0.0, 0.0), m) == 0.0
             assert integral((1.0, 1.0, 1.0), m) == 1.0
 
@@ -205,7 +231,7 @@ class TestChoquet:
         # evaluate identically, and match the implementation
         import itertools
 
-        m = named_measure(name)
+        m = resolve_measure(name)
         for u in ((a, a, b), (a, b, a), (b, a, a), (a, a, a)):
             values = {
                 self._choquet_with_permutation(u, perm, m)
@@ -219,7 +245,7 @@ class TestChoquet:
     def test_monotone_in_each_utility(self, seed):
         rng = np.random.default_rng(seed)
         name = NAMED_CONFIGS[int(rng.integers(len(NAMED_CONFIGS)))]
-        m = named_measure(name)
+        m = resolve_measure(name)
         u = rng.uniform(0, 1, 3)
         i = int(rng.integers(3))
         bumped = u.copy()
@@ -229,7 +255,7 @@ class TestChoquet:
     def test_additive_measure_equals_weighted_sum(self):
         rng = np.random.default_rng(42)
         for x in simplex_points(50, seed=1):
-            m = build_measure(WeightConfig(*x, synergy_bonus=0.0))
+            m = resolve_measure(WeightConfig(*x, synergy_bonus=0.0))
             u = rng.uniform(0, 1, 3)
             expected = float(np.dot(x, u))
             assert integral(u, m) == pytest.approx(expected, abs=1e-12)
@@ -238,7 +264,7 @@ class TestChoquet:
         rng = np.random.default_rng(7)
         u = rng.uniform(0, 1, (500, 3))
         for name in ("A", "D", "F", "M"):
-            m = named_measure(name)
+            m = resolve_measure(name)
             batch = choquet_batch(u.T, m)
             for row, value in zip(u, batch):
                 assert value == pytest.approx(choquet(tuple(row), m), abs=1e-12)
@@ -253,7 +279,7 @@ class TestChoquet:
     def test_batch_equals_sorted_reference_bitwise(self, rows, name):
         # the sort-free batch against a stable argsort and the scalar
         # integral, on utilities full of ties
-        m = named_measure(name)
+        m = resolve_measure(name)
         u = np.array(rows, dtype=np.float64)
         mu = np.array(m.values)
         order = np.argsort(u, axis=1, kind="stable")
@@ -268,14 +294,14 @@ class TestChoquet:
 
     def test_out_of_range_utilities_rejected(self):
         with pytest.raises(ValueError):
-            integral((1.2, 0.0, 0.0), named_measure("A"))
+            integral((1.2, 0.0, 0.0), resolve_measure("A"))
 
     @pytest.mark.parametrize("row", [
         (0.5, 2.0, -1.0), (1.0 + 1e-11, 0.0, 0.0), (0.0, -1e-11, 1.0), (0.2, 0.3, math.nan),
         (math.nan, 0.0, 0.0), (0.0, math.inf, 0.5), (1.0 + 1e-13, -1e-13, 0.5),
     ])
     def test_batch_rejects_what_the_scalar_rejects(self, row):
-        m = named_measure("F")
+        m = resolve_measure("F")
         try:
             expected = choquet(row, m)
         except ValueError as e:
@@ -316,7 +342,7 @@ class TestNormalizeUtilities:
             with pytest.raises(ValueError, match=f"non-finite {name}"):
                 normalize_utilities(raw)
             with pytest.raises(ValueError, match=f"non-finite {name}"):
-                select_best(raw, named_measure("F"))
+                select_best(raw, resolve_measure("F"))
 
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40),
            constant=st.lists(st.booleans(), min_size=3, max_size=3))
